@@ -18,7 +18,7 @@ from .aggregator import (
     mean_logits,
 )
 from .costmodel import CostReport, exact_pair_ratio, measure, theoretical_costs
-from .errors import ConfigError, ContractError, ShapeError, UnsupportedOperationError
+from .errors import ConfigError, ContractError, ShapeError
 from .harness import (
     CoverageReport,
     ExperimentConfig,
@@ -32,10 +32,8 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .numkernel import Rng, entropy, matmul, sample_without_replacement, softmax_rows
+from .numkernel import Rng, entropy, sample_without_replacement, softmax_rows
 from .packer import (
-    BLOCK_DIAGONAL_CAUSAL,
-    AttentionMaskSpec,
     PackedSequence,
     append_token,
     last_positions,
@@ -59,13 +57,9 @@ from .toymodel import (
     SeededTransformer,
     StreamSpec,
     VideoTokenStream,
-    attention_received_scores,
     build_model,
     embed_frames,
-    load_weights,
     needle_direction,
-    needle_probe_forward,
-    save_weights,
 )
 
 __version__ = "0.1.0"

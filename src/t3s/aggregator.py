@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .numkernel import entropy, softmax_rows
-from .packer import BLOCK_DIAGONAL_CAUSAL, append_token, last_positions, pack
+from .packer import append_token, last_positions, pack
 from .sampler import TrialPlan
 
 # Entropy floor: inverse-entropy weights blow up on one-hot distributions.
@@ -147,7 +147,7 @@ def decode(
     packed = pack(plans, video, text)
     out: list[int] = []
     for step in range(steps):
-        logits, _ = backend.forward(packed, BLOCK_DIAGONAL_CAUSAL)
+        logits, _ = backend.forward(packed)
         trial_logits = logits[last_positions(packed)]
         token = fuse_token(trial_logits, strategy)
         out.append(token)

@@ -39,7 +39,10 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        data = json.loads(Path(args.config).read_text())
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         cfg = config_from_dict(data)
     else:
         cfg = default_experiment_config()
@@ -188,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--plots", choices=("on", "off"), default="off")
 
     p_run = sub.add_parser("run", help="one experiment (accuracy + cost report)")
     common(p_run)
@@ -197,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid of experiments along one axis")
     common(p_sweep)
     p_sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
+    p_sweep.add_argument("--plots", choices=("on", "off"), default="off")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_cov = sub.add_parser("coverage", help="Monte-Carlo vs closed-form coverage")

@@ -3,22 +3,23 @@ and first-token wall-clock measurement.
 
 The theoretical model prices a length-L causal pass at L^2 and the m-trial
 pass at L^2 * sum(alpha_i^2); the exact counterpart counts the causal
-triangles the mask actually allows, which the forward instrumentation
-reports as integers.
+triangles the block-diagonal causal rule allows, which the forward
+instrumentation reports as integers.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .aggregator import AggregationStrategy, MeanLogits, fuse_token
 from .errors import ContractError
-from .packer import BLOCK_DIAGONAL_CAUSAL, PackedSequence, last_positions, slice_segment
+from .packer import PackedSequence, last_positions, slice_segment
+from .sampler import kept_tokens
 
 
 @dataclass
@@ -36,19 +37,7 @@ class CostReport:
     fallback_serial: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "alpha": list(self.alpha),
-            "theoretical_base": self.theoretical_base,
-            "theoretical_multi": self.theoretical_multi,
-            "theoretical_speedup": self.theoretical_speedup,
-            "measured_pairs_base": self.measured_pairs_base,
-            "measured_pairs_multi": self.measured_pairs_multi,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "measured_speedup": self.measured_speedup,
-            "fallback_serial": self.fallback_serial,
-        }
+        return asdict(self)
 
 
 def theoretical_costs(L: int, alphas: Sequence[float]) -> tuple[float, float, float]:
@@ -65,7 +54,8 @@ def theoretical_costs(L: int, alphas: Sequence[float]) -> tuple[float, float, fl
 def exact_pair_ratio(L: int, alphas: Sequence[float]) -> float:
     """Causal-triangle analogue of sum(alpha^2): the multi/base pair-count
     ratio for text-free sequences of exactly floor(alpha_i * L) tokens."""
-    num = sum(int(a * L) * (int(a * L) + 1) for a in alphas)
+    kept = [kept_tokens(a, L) for a in alphas]
+    num = sum(k * (k + 1) for k in kept)
     return num / (L * (L + 1))
 
 
@@ -73,7 +63,7 @@ def _first_token_seconds(
     backend, packed: PackedSequence, strategy: AggregationStrategy
 ) -> tuple[float, int]:
     start = time.perf_counter()
-    logits, pairs = backend.forward(packed, BLOCK_DIAGONAL_CAUSAL)
+    logits, pairs = backend.forward(packed)
     fuse_token(logits[last_positions(packed)], strategy)
     return time.perf_counter() - start, pairs
 
@@ -87,7 +77,7 @@ def _first_token_serial_seconds(
     pairs = 0
     for i in range(packed.num_segments):
         solo = slice_segment(packed, i)
-        logits, p = backend.forward(solo, BLOCK_DIAGONAL_CAUSAL)
+        logits, p = backend.forward(solo)
         trial_logits.append(logits[-1])
         pairs += p
     fuse_token(np.stack(trial_logits), strategy)
@@ -121,7 +111,8 @@ def measure(
     if baseline_packed.num_segments != 1:
         raise ContractError("baseline must be a single-segment sequence")
     strategy = strategy or MeanLogits()
-    L = baseline_packed.total_length
+    # visual tokens per trial, as on the untimed path: the question is not L
+    L = baseline_packed.total_length - baseline_packed.text_len
     base, multi, speedup = theoretical_costs(L, alphas)
 
     fallback = (
@@ -160,4 +151,4 @@ def measure(
 
 def count_pairs(backend, packed: PackedSequence) -> int:
     """Pair count of one forward, without timing."""
-    return backend.forward(packed, BLOCK_DIAGONAL_CAUSAL).pair_count
+    return backend.forward(packed).pair_count

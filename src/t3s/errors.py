@@ -11,7 +11,3 @@ class ShapeError(ContractError):
 
 class ConfigError(ContractError):
     """A configuration object is internally inconsistent."""
-
-
-class UnsupportedOperationError(RuntimeError):
-    """The requested operation is not available on this backend."""

@@ -11,8 +11,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from enum import Enum
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .aggregator import (
     default_strategy,
 )
 from .costmodel import CostReport, count_pairs, measure, theoretical_costs
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .numkernel import Rng, mix64
 from .packer import PackedSequence, Segment, pack
 from .sampler import (
@@ -40,9 +42,9 @@ from .sampler import (
 from .toymodel import (
     ModelConfig,
     NeedleProbe,
+    SeededTransformer,
     StreamSpec,
     VideoTokenStream,
-    attention_received_scores,
     build_model,
     embed_frames,
     needle_direction,
@@ -100,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        if self.timing and self.timing_repeats < 3:
+            raise ConfigError("timing_repeats must be >= 3")
         if isinstance(self.strategy, CrossRefine):
             if self.sampler.trials != 2:
                 raise ConfigError(
@@ -144,25 +148,71 @@ def default_experiment_config(**overrides) -> ExperimentConfig:
 # JSON codec (field names are the schema)
 
 
+_STRATEGY_KINDS = {
+    "mean_logits": MeanLogits,
+    "confidence_weighted": ConfidenceWeighted,
+    "cross_refine": CrossRefine,
+}
+
+
 def strategy_to_dict(s: AggregationStrategy) -> dict:
-    if isinstance(s, MeanLogits):
-        return {"kind": "mean_logits"}
-    if isinstance(s, ConfidenceWeighted):
-        return {"kind": "confidence_weighted", "entropy_floor": s.entropy_floor}
-    if isinstance(s, CrossRefine):
-        return {"kind": "cross_refine", "top_k": s.top_k}
+    for kind, cls in _STRATEGY_KINDS.items():
+        if type(s) is cls:
+            return {"kind": kind, **dataclasses.asdict(s)}
     raise ConfigError(f"unknown strategy {s!r}")
 
 
-def strategy_from_dict(d: dict) -> AggregationStrategy:
-    kind = d.get("kind")
-    if kind == "mean_logits":
-        return MeanLogits()
-    if kind == "confidence_weighted":
-        return ConfidenceWeighted(**{k: v for k, v in d.items() if k != "kind"})
-    if kind == "cross_refine":
-        return CrossRefine(**{k: v for k, v in d.items() if k != "kind"})
-    raise ConfigError(f"unknown strategy kind {kind!r}")
+def strategy_from_dict(d) -> AggregationStrategy:
+    if not isinstance(d, dict):
+        raise ConfigError(f"strategy must be an object, got {d!r}")
+    fields = dict(d)
+    kind = fields.pop("kind", None)
+    cls = _STRATEGY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown strategy kind {kind!r}")
+    return _from_json(cls, fields, "strategy")
+
+
+def _from_json(hint, value, where: str):
+    """`value`, parsed from JSON, as the type annotation `hint` declares.
+
+    Dataclasses are built from objects field by field; a value of the wrong
+    JSON type raises ConfigError naming its path. Ints pass where floats are
+    declared and are kept as ints, so config hashes stay as written.
+    """
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        hints = typing.get_type_hints(hint)
+        unknown = set(value) - set(hints)
+        if unknown:
+            raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
+        return hint(
+            **{k: _from_json(hints[k], v, f"{where}.{k}") for k, v in value.items()}
+        )
+    if hint == AggregationStrategy:
+        return strategy_from_dict(value)
+    if typing.get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return None
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+        return _from_json(hint, value, where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except (TypeError, ValueError):
+            choices = [m.value for m in hint]
+            raise ConfigError(f"{where} must be one of {choices}, got {value!r}") from None
+    accepted = (int, float) if hint is float else hint
+    # JSON true/false arrive as bools, which Python also counts as ints
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+    return value
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -174,46 +224,21 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
+def config_from_dict(data) -> ExperimentConfig:
+    """An experiment config from its JSON form: the given fields over the
+    defaults, nested configs merged field by field, the strategy replaced
+    whole. Any malformed input raises ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be an object, got {type(data).__name__}")
     base = config_to_dict(default_experiment_config())
-    unknown = set(data) - set(base)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    hints = typing.get_type_hints(ExperimentConfig)
     merged = {**base, **data}
-    for key in ("sampler", "model", "task"):
-        if key in data:
-            bad = set(data[key]) - set(base[key])
-            if bad:
-                raise ConfigError(f"unknown {key} fields: {sorted(bad)}")
-            merged[key] = {**base[key], **data[key]}
+    for key, value in data.items():
+        if dataclasses.is_dataclass(hints.get(key)) and isinstance(value, dict):
+            merged[key] = {**base[key], **value}
     try:
-        sampler = merged["sampler"]
-        sampler_cfg = SamplerConfig(
-            total_frames=sampler["total_frames"],
-            frames_per_trial=sampler["frames_per_trial"],
-            tokens_per_frame=sampler["tokens_per_frame"],
-            trials=sampler["trials"],
-            ratios=tuple(sampler["ratios"]),
-            frame_method=FrameMethod(sampler["frame_method"]),
-            token_strategy=TokenStrategy(sampler["token_strategy"]),
-            reuse_frames=sampler["reuse_frames"],
-        )
-        cfg = ExperimentConfig(
-            sampler=sampler_cfg,
-            model=ModelConfig(**merged["model"]),
-            strategy=strategy_from_dict(merged["strategy"]),
-            task=TaskParams(**merged["task"]),
-            backend=merged["backend"],
-            repeats=merged["repeats"],
-            seed=merged["seed"],
-            timing=merged["timing"],
-            timing_repeats=merged["timing_repeats"],
-            memory_budget_entries=merged["memory_budget_entries"],
-            out_dir=merged["out_dir"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        cfg = _from_json(ExperimentConfig, merged, "config")
+    except ShapeError as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
     cfg.validate()
     return cfg
@@ -285,31 +310,7 @@ def surviving_needle_tokens(plan: TrialPlan, task: SyntheticTask) -> int:
 # Direct single-sequence baseline (independent of the multi-trial machinery)
 
 
-def single_sequence(video: VideoTokenStream, text: Sequence[int]) -> PackedSequence:
-    """The plain <video, text> sequence, built without trial plans or packing."""
-    dim = video.model_dim
-    visual = video.frame_embeddings.reshape(-1, dim)
-    text_ids = np.asarray(list(text), dtype=np.int64)
-    total = len(visual) + len(text_ids)
-    embeddings = np.concatenate([visual, np.zeros((len(text_ids), dim))], axis=0)
-    token_ids = np.concatenate(
-        [np.full(len(visual), -1, dtype=np.int64), text_ids]
-    )
-    return PackedSequence(
-        segments=(Segment(0, total),),
-        embeddings=embeddings,
-        token_ids=token_ids,
-        segment_of=np.zeros(total, dtype=np.int64),
-        pos_in_segment=np.arange(total, dtype=np.int64),
-        text_len=len(text_ids),
-        generated=0,
-    )
-
-
-def _append_single(seq: PackedSequence, token_id: int) -> PackedSequence:
-    dim = seq.model_dim
-    embeddings = np.concatenate([seq.embeddings, np.zeros((1, dim))], axis=0)
-    token_ids = np.concatenate([seq.token_ids, [token_id]])
+def _one_segment(embeddings, token_ids, text_len: int, generated: int) -> PackedSequence:
     total = len(token_ids)
     return PackedSequence(
         segments=(Segment(0, total),),
@@ -317,9 +318,25 @@ def _append_single(seq: PackedSequence, token_id: int) -> PackedSequence:
         token_ids=token_ids,
         segment_of=np.zeros(total, dtype=np.int64),
         pos_in_segment=np.arange(total, dtype=np.int64),
-        text_len=seq.text_len,
-        generated=seq.generated + 1,
+        text_len=text_len,
+        generated=generated,
     )
+
+
+def single_sequence(video: VideoTokenStream, text: Sequence[int]) -> PackedSequence:
+    """The plain <video, text> sequence, built without trial plans or packing."""
+    dim = video.model_dim
+    visual = video.frame_embeddings.reshape(-1, dim)
+    text_ids = np.asarray(list(text), dtype=np.int64)
+    embeddings = np.concatenate([visual, np.zeros((len(text_ids), dim))], axis=0)
+    token_ids = np.concatenate([np.full(len(visual), -1, dtype=np.int64), text_ids])
+    return _one_segment(embeddings, token_ids, len(text_ids), 0)
+
+
+def _append_single(seq: PackedSequence, token_id: int) -> PackedSequence:
+    embeddings = np.concatenate([seq.embeddings, np.zeros((1, seq.model_dim))], axis=0)
+    token_ids = np.concatenate([seq.token_ids, [token_id]])
+    return _one_segment(embeddings, token_ids, seq.text_len, seq.generated + 1)
 
 
 def baseline_greedy_decode(
@@ -360,19 +377,10 @@ class ExperimentReport:
     backend: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "accuracy": self.accuracy,
-            "any_trial_coverage": self.any_trial_coverage,
-            "per_trial": self.per_trial,
-            "cost": self.cost.to_json_dict(),
-            "backend": self.backend,
-        }
+        return dataclasses.asdict(self)
 
 
-def _attn_scores_fn(cfg: ExperimentConfig, task: SyntheticTask, score_model):
+def _attn_scores_fn(cfg: ExperimentConfig, task: SyntheticTask, transformer):
     def fn(frame_indices: np.ndarray) -> np.ndarray:
         full = TrialPlan(
             frame_indices,
@@ -382,7 +390,7 @@ def _attn_scores_fn(cfg: ExperimentConfig, task: SyntheticTask, score_model):
             1.0,
         )
         packed = pack([full], task.video, task.question)
-        scores = attention_received_scores(score_model, packed)
+        scores = transformer.attention_received(packed)
         return scores[: len(frame_indices) * cfg.sampler.tokens_per_frame]
 
     return fn
@@ -392,16 +400,24 @@ def _task_seed(seed: int, rep: int) -> int:
     return int(mix64((seed & _MASK64) ^ mix64(rep + 1)))
 
 
+def _backends(cfg: ExperimentConfig) -> tuple[Optional[SeededTransformer], Callable]:
+    """The experiment's seeded transformer (None when nothing uses it) and
+    task -> the backend that decodes it. The transformer backend is that one
+    shared model; the needle-probe backend is a fresh probe per task."""
+    if cfg.backend == "seeded_transformer":
+        transformer = build_model(cfg.model)
+        return transformer, lambda task: transformer
+    needs_scores = cfg.sampler.token_strategy is TokenStrategy.ATTN_TOP
+    transformer = build_model(cfg.model) if needs_scores else None
+    return transformer, lambda task: probe_for_task(task, cfg.model)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute `repeats` independent task instances and aggregate accuracy,
     coverage diagnostics, and a cost report."""
     cfg.validate()
     s = cfg.sampler
-    transformer = (
-        build_model(cfg.model)
-        if (cfg.backend == "seeded_transformer" or s.token_strategy is TokenStrategy.ATTN_TOP)
-        else None
-    )
+    transformer, backend_for = _backends(cfg)
     root = Rng(cfg.seed)
 
     hits = 0
@@ -421,17 +437,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             noise_scale=cfg.task.noise_scale,
             question_len=cfg.task.question_len,
         )
-        backend = (
-            transformer
-            if cfg.backend == "seeded_transformer"
-            else probe_for_task(task, cfg.model)
-        )
         scores_fn = (
             _attn_scores_fn(cfg, task, transformer)
             if s.token_strategy is TokenStrategy.ATTN_TOP
             else None
         )
         plans = build_trial_plans(s, root.child(rep), attn_scores_fn=scores_fn)
+        backend = backend_for(task)
         tokens = decode(
             backend, plans, task.video, task.question, steps=1, strategy=cfg.strategy
         )
@@ -447,7 +459,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if rep == 0:
             first_task, first_plans = task, plans
 
-    cost = _cost_report(cfg, first_task, first_plans)
+    cost = _cost_report(cfg, first_task, first_plans, backend_for(first_task))
     per_trial = [
         {
             "trial": i,
@@ -468,7 +480,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _cost_report(cfg, task, plans) -> CostReport:
+def _cost_report(cfg, task, plans, backend) -> CostReport:
     s = cfg.sampler
     full = TrialPlan(
         sample_frame_indices(
@@ -479,11 +491,6 @@ def _cost_report(cfg, task, plans) -> CostReport:
     )
     baseline = pack([full], task.video, task.question)
     multi = pack(plans, task.video, task.question)
-    backend = (
-        build_model(cfg.model)
-        if cfg.backend == "seeded_transformer"
-        else probe_for_task(task, cfg.model)
-    )
     if cfg.timing:
         return measure(
             backend,

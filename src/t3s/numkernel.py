@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-# 2-D float64 array, row-major. `rows, cols = m.shape`; `m.ravel()` is the
-# flat row-major payload.
-Matrix = np.ndarray
-
 _MASK64 = (1 << 64) - 1
 
 # splitmix64 finalizer constants
@@ -80,16 +76,7 @@ def _require_matrix(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Dense product a @ b. Raises ShapeError when inner dimensions differ."""
-    a = _require_matrix(a, "a")
-    b = _require_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def softmax_rows(m: Matrix) -> Matrix:
+def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction (overflow-safe)."""
     m = _require_matrix(m, "m")
     shifted = m - m.max(axis=1, keepdims=True)

@@ -3,7 +3,8 @@
 A packed sequence holds m contiguous segments, one per trial. Each segment
 is [kept visual tokens][text prompt copy][generated tokens]; positions
 restart at 0 inside every segment. The companion attention rule is
-block-diagonal causal: a position may attend another only inside its own
+block-diagonal causal: position p may attend q iff
+segment_of[p] == segment_of[q] and q <= p, that is, only inside its own
 segment and only backwards.
 """
 
@@ -55,25 +56,6 @@ class PackedSequence:
     @property
     def model_dim(self) -> int:
         return self.embeddings.shape[1]
-
-
-@dataclass(frozen=True)
-class AttentionMaskSpec:
-    """Block-diagonal causal rule: p may attend q iff
-    segment_of[p] == segment_of[q] and q <= p."""
-
-    def allows(self, packed: PackedSequence, p: int, q: int) -> bool:
-        return bool(packed.segment_of[p] == packed.segment_of[q] and q <= p)
-
-    def matrix(self, packed: PackedSequence) -> np.ndarray:
-        seg = packed.segment_of
-        same = seg[:, None] == seg[None, :]
-        n = packed.total_length
-        causal = np.arange(n)[None, :] <= np.arange(n)[:, None]
-        return same & causal
-
-
-BLOCK_DIAGONAL_CAUSAL = AttentionMaskSpec()
 
 
 def _build(

@@ -8,6 +8,7 @@ token positions, listed ascending in the trial-local frame-major order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from typing import Callable, Optional
 
@@ -15,6 +16,16 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .numkernel import Rng, sample_without_replacement
+
+
+def kept_tokens(alpha: float, total_tokens: int) -> int:
+    """floor(alpha * L), exact for the decimal ratio a config holds.
+
+    `int(alpha * L)` truncates a rounded binary product: int(0.29 * 100) is
+    28. The shortest repr of a float is the decimal it was written as, so
+    Decimal arithmetic on it floors the intended ratio.
+    """
+    return int(Decimal(repr(float(alpha))) * total_tokens)
 
 
 class FrameMethod(Enum):
@@ -90,7 +101,7 @@ class TrialPlan:
             raise ContractError("frame index out of range")
         if np.any(np.diff(f) <= 0):
             raise ContractError("frame indices must be strictly ascending")
-        want = int(self.alpha * n * m)
+        want = kept_tokens(self.alpha, n * m)
         if len(k) != want:
             raise ContractError(f"expected {want} kept tokens, got {len(k)}")
         if len(k) and not (0 <= k[0] and k[-1] < n * m):
@@ -137,7 +148,7 @@ def subsample_tokens(
             f"total_tokens={total_tokens} is not a multiple of "
             f"tokens_per_frame={tokens_per_frame}"
         )
-    keep = int(alpha * total_tokens)
+    keep = kept_tokens(alpha, total_tokens)
     if keep == 0:
         return np.empty(0, dtype=np.int64)
 

@@ -1,30 +1,24 @@
 """Desk-scale decoding backends: a seeded causal transformer and a needle probe.
 
-Both backends share one forward contract: given a packed sequence and an
-attention-mask spec they return per-position logits plus the exact count of
-attention score entries the mask permits. Segment positions restart at zero,
-so the logits a segment produces are the same whether it is forwarded packed
-with other segments or alone.
+Both backends share one forward contract: given a packed sequence they return
+per-position logits plus the exact count of attention score entries the
+block-diagonal causal rule permits (each position attends only backwards
+inside its own segment). Segment positions restart at zero, so the logits a
+segment produces are the same whether it is forwarded packed with other
+segments or alone.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError, UnsupportedOperationError
+from .errors import ConfigError, ContractError, ShapeError
 from .numkernel import Rng, layer_norm, mix64
-from .packer import (
-    BLOCK_DIAGONAL_CAUSAL,
-    AttentionMaskSpec,
-    PackedSequence,
-    last_positions,
-)
+from .packer import PackedSequence
 
 _NEG_INF = float("-inf")
 
@@ -39,14 +33,14 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        if min(self.layers, self.heads, self.max_positions) < 1:
+            raise ConfigError("layers, heads and max_positions must be >= 1")
         if self.model_dim % self.heads != 0:
             raise ShapeError(
                 f"model_dim={self.model_dim} not divisible by heads={self.heads}"
             )
         if self.vocab < 4:
             raise ConfigError(f"vocab must be >= 4, got {self.vocab}")
-        if self.layers < 1 or self.max_positions < 1:
-            raise ConfigError("layers and max_positions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -107,7 +101,7 @@ def embed_frames(spec: StreamSpec, cfg: ModelConfig, rng: Rng) -> VideoTokenStre
 
 class ForwardResult(NamedTuple):
     logits: np.ndarray  # (total, vocab)
-    pair_count: int  # attention score entries the mask allowed
+    pair_count: int  # attention score entries the rule allowed
 
 
 def _sinusoidal(positions: np.ndarray, dim: int) -> np.ndarray:
@@ -154,22 +148,14 @@ class SeededTransformer:
     def max_positions(self) -> int:
         return self.config.max_positions
 
-    def forward(
-        self,
-        packed: PackedSequence,
-        mask: AttentionMaskSpec = BLOCK_DIAGONAL_CAUSAL,
-    ) -> ForwardResult:
-        logits, pairs, _ = self._run(packed, mask, collect_received=False)
+    def forward(self, packed: PackedSequence) -> ForwardResult:
+        logits, pairs, _ = self._run(packed, collect_received=False)
         return ForwardResult(logits, pairs)
 
-    def attention_received(
-        self,
-        packed: PackedSequence,
-        mask: AttentionMaskSpec = BLOCK_DIAGONAL_CAUSAL,
-    ) -> np.ndarray:
+    def attention_received(self, packed: PackedSequence) -> np.ndarray:
         """Per-position mean attention weight received, averaged over every
         layer, head, and same-segment query allowed to attend the position."""
-        _, _, received = self._run(packed, mask, collect_received=True)
+        _, _, received = self._run(packed, collect_received=True)
         return received
 
     def _embed(self, packed: PackedSequence) -> np.ndarray:
@@ -214,30 +200,13 @@ class SeededTransformer:
                 received[b : b + horizon] += attn.sum(axis=(0, 1))
             ctx[b + c0 : b + c1] = _merge_heads(attn @ vh[:, b : b + horizon])
 
-    def _attend_dense(self, qh, kh, vh, ctx, bias, received):
-        inv_sqrt = 1.0 / math.sqrt(self.head_dim)
-        scores = qh @ kh.transpose(0, 2, 1) * inv_sqrt + bias[None, :, :]
-        attn = _masked_softmax(scores)
-        if received is not None:
-            received += attn.sum(axis=(0, 1))
-        ctx[:] = _merge_heads(attn @ vh)
-
-    def _run(self, packed, mask, collect_received):
+    def _run(self, packed, collect_received):
         cfg = self.config
         w = self.weights
         x = self._embed(packed)
-        total = packed.total_length
-
-        standard = type(mask) is AttentionMaskSpec
-        if standard:
-            blocks = [(s.start, s.start + s.length) for s in packed.segments]
-            pair_count = cfg.layers * cfg.heads * _segment_pair_count(packed)
-        else:
-            allowed = mask.matrix(packed)
-            bias = np.where(allowed, 0.0, _NEG_INF)
-            pair_count = cfg.layers * cfg.heads * int(allowed.sum())
-
-        received = np.zeros(total) if collect_received else None
+        blocks = [(s.start, s.start + s.length) for s in packed.segments]
+        pair_count = cfg.layers * cfg.heads * _segment_pair_count(packed)
+        received = np.zeros(packed.total_length) if collect_received else None
 
         for layer in range(cfg.layers):
             h = layer_norm(x)
@@ -248,11 +217,8 @@ class SeededTransformer:
             kh = _split_heads(k, cfg.heads, self.head_dim)
             vh = _split_heads(v, cfg.heads, self.head_dim)
             ctx = np.empty_like(q)
-            if standard:
-                for b, e in blocks:
-                    self._attend_segment(qh, kh, vh, ctx, b, e, received)
-            else:
-                self._attend_dense(qh, kh, vh, ctx, bias, received)
+            for b, e in blocks:
+                self._attend_segment(qh, kh, vh, ctx, b, e, received)
             x = x + ctx @ w[f"layer{layer}.attn_out"]
             h2 = layer_norm(x)
             x = x + _gelu(h2 @ w[f"layer{layer}.ffn_in"]) @ w[f"layer{layer}.ffn_out"]
@@ -260,11 +226,8 @@ class SeededTransformer:
         logits = layer_norm(x) @ w["unembedding"]
 
         if collect_received:
-            if standard:
-                seg_len = np.array([packed.segments[s].length for s in packed.segment_of])
-                attending = seg_len - packed.pos_in_segment
-            else:
-                attending = allowed.sum(axis=0)
+            seg_len = np.array([packed.segments[s].length for s in packed.segment_of])
+            attending = seg_len - packed.pos_in_segment
             received = received / (cfg.layers * cfg.heads * attending)
         return logits, pair_count, received
 
@@ -284,7 +247,7 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 def weight_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Weight names and shapes in their pinned draw/serialization order."""
+    """Weight names and shapes in their pinned draw order."""
     d, f = cfg.model_dim, 4 * cfg.model_dim
     entries: list[tuple[str, tuple[int, ...]]] = [("token_embedding", (cfg.vocab, d))]
     for layer in range(cfg.layers):
@@ -321,55 +284,6 @@ def _check_weights(cfg: ModelConfig, weights: dict[str, np.ndarray]) -> None:
 
 def build_model(cfg: ModelConfig) -> SeededTransformer:
     return SeededTransformer(cfg)
-
-
-def save_weights(model: SeededTransformer, bin_path, header_path=None) -> None:
-    """Dump weights as a flat little-endian float64 array plus a JSON header
-    holding the config and the ordering manifest."""
-    bin_path = Path(bin_path)
-    header_path = Path(header_path) if header_path else bin_path.with_suffix(".json")
-    manifest = weight_manifest(model.config)
-    flat = np.concatenate([model.weights[name].ravel() for name, _ in manifest])
-    flat.astype("<f8").tofile(bin_path)
-    offsets = []
-    at = 0
-    for name, shape in manifest:
-        n = int(np.prod(shape))
-        offsets.append({"name": name, "shape": list(shape), "offset": at})
-        at += n
-    header = {
-        "dtype": "<f8",
-        "total_elements": at,
-        "config": {
-            "layers": model.config.layers,
-            "model_dim": model.config.model_dim,
-            "heads": model.config.heads,
-            "vocab": model.config.vocab,
-            "max_positions": model.config.max_positions,
-            "init_seed": model.config.init_seed,
-        },
-        "ordering": offsets,
-    }
-    header_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-
-
-def load_weights(bin_path, header_path=None) -> SeededTransformer:
-    bin_path = Path(bin_path)
-    header_path = Path(header_path) if header_path else bin_path.with_suffix(".json")
-    header = json.loads(header_path.read_text())
-    cfg = ModelConfig(**header["config"])
-    flat = np.fromfile(bin_path, dtype="<f8").astype(np.float64)
-    if len(flat) != header["total_elements"]:
-        raise ShapeError(
-            f"weight file holds {len(flat)} values, header says "
-            f"{header['total_elements']}"
-        )
-    weights = {}
-    for entry in header["ordering"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape))
-        weights[entry["name"]] = flat[entry["offset"] : entry["offset"] + n].reshape(shape)
-    return SeededTransformer(cfg, weights=weights)
 
 
 _SIG_ID_TAG = 0xA5A5A5A5A5A5A5A5
@@ -413,9 +327,6 @@ class NeedleProbe:
         self.noise_scale = noise_scale
         self.seed = seed
 
-    def attention_received(self, packed, mask=BLOCK_DIAGONAL_CAUSAL):
-        raise UnsupportedOperationError("needle probe has no attention weights")
-
     def _needle_mask(self, packed: PackedSequence) -> np.ndarray:
         emb = packed.embeddings
         norms = np.linalg.norm(emb, axis=1)
@@ -438,11 +349,7 @@ class NeedleProbe:
             sig[idx] = mix64(ids ^ np.uint64(_SIG_ID_TAG))
         return sig
 
-    def forward(
-        self,
-        packed: PackedSequence,
-        mask: AttentionMaskSpec = BLOCK_DIAGONAL_CAUSAL,
-    ) -> ForwardResult:
+    def forward(self, packed: PackedSequence) -> ForwardResult:
         is_needle = self._needle_mask(packed)
         sig = self._signatures(packed)
         total = packed.total_length
@@ -450,58 +357,20 @@ class NeedleProbe:
         dmix = mix64(np.arange(7, 7 + self.vocab, dtype=np.uint64))
         seed_mixed = mix64((self.seed & ((1 << 64) - 1)) ^ _SIG_SEED_TAG)
 
-        if type(mask) is AttentionMaskSpec:
-            counts = np.empty(total, dtype=np.int64)
-            hashes = np.empty(total, dtype=np.uint64)
-            for s in packed.segments:
-                b, e = s.start, s.start + s.length
-                counts[b:e] = np.cumsum(is_needle[b:e])
-                h = seed_mixed
-                for p in range(b, e):
-                    h = mix64(h ^ int(sig[p]))
-                    hashes[p] = h
-            pair_count = _segment_pair_count(packed)
-        else:
-            allowed = mask.matrix(packed)
-            counts = allowed @ is_needle.astype(np.int64)
-            hashes = np.empty(total, dtype=np.uint64)
-            for p in range(total):
-                h = seed_mixed
-                for q in np.flatnonzero(allowed[p]):
-                    h = mix64(h ^ int(sig[q]))
+        counts = np.empty(total, dtype=np.int64)
+        hashes = np.empty(total, dtype=np.uint64)
+        for s in packed.segments:
+            b, e = s.start, s.start + s.length
+            counts[b:e] = np.cumsum(is_needle[b:e])
+            h = seed_mixed
+            for p in range(b, e):
+                h = mix64(h ^ int(sig[p]))
                 hashes[p] = h
-            pair_count = int(allowed.sum())
 
         u = (mix64(hashes[:, None] ^ dmix[None, :]) >> np.uint64(11)).astype(
             np.float64
         ) * (1.0 / (1 << 53))
         logits[:] = u * (2.0 * self.noise_scale) - self.noise_scale
         logits[:, self.answer_token] = self.gain * counts
-        return ForwardResult(logits, pair_count)
+        return ForwardResult(logits, _segment_pair_count(packed))
 
-
-Backend = Union[SeededTransformer, NeedleProbe]
-
-
-def attention_received_scores(
-    backend: Backend,
-    packed: PackedSequence,
-    mask: AttentionMaskSpec = BLOCK_DIAGONAL_CAUSAL,
-) -> np.ndarray:
-    """Mean attention weight each position receives (all layers, heads, and
-    allowed same-segment queries). Only the transformer backend supports this."""
-    if not isinstance(backend, SeededTransformer):
-        raise UnsupportedOperationError(
-            "attention scores require the transformer backend"
-        )
-    return backend.attention_received(packed, mask)
-
-
-def needle_probe_forward(
-    probe: NeedleProbe,
-    packed: PackedSequence,
-    mask: AttentionMaskSpec = BLOCK_DIAGONAL_CAUSAL,
-) -> np.ndarray:
-    """Per-segment last-position logits, shape (num_segments, vocab)."""
-    logits, _ = probe.forward(packed, mask)
-    return logits[last_positions(packed)]

@@ -121,6 +121,10 @@ class TestPairCounts:
                 pairs_multi / pairs_base - exact_pair_ratio(L, ratios)
             ) < 1e-15
 
+    def test_ratio_uses_exact_floor(self):
+        # int(0.29 * 100) is 28; the kept-token count is 29
+        assert exact_pair_ratio(100, [0.29]) == 29 * 30 / (100 * 101)
+
     def test_invariant_under_segment_reordering(self):
         video, _, _, plans, _ = _setup(ratios=(0.7, 0.4, 0.2))
         probe = NeedleProbe(

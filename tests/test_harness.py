@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import t3s
 from t3s.aggregator import CrossRefine, MeanLogits
@@ -21,6 +23,7 @@ from t3s.harness import (
     config_hash,
     config_to_dict,
     coverage_report,
+    default_experiment_config,
     gen_task,
     run_experiment,
     single_sequence,
@@ -171,6 +174,14 @@ class TestRunExperiment:
         assert report.cost.tau1 > 0
         assert report.cost.tau2 > 0
         assert report.cost.measured_speedup is not None
+
+    def test_cost_L_is_visual_tokens_on_both_paths(self):
+        # the question tokens are not part of L, timed or not
+        cfg = small_config(repeats=2)
+        untimed = run_experiment(cfg).cost
+        timed = run_experiment(replace(cfg, timing=True, timing_repeats=3)).cost
+        assert untimed.L == timed.L == cfg.sampler.tokens_per_trial
+        assert timed.theoretical_base == untimed.theoretical_base
 
     def test_transformer_backend_runs(self):
         cfg = small_config(backend="seeded_transformer", repeats=5)
@@ -337,6 +348,56 @@ class TestCoverageReport:
             coverage_report(10, 5, 1, draws=500)
 
 
+DEFAULT_CONFIG_DICT = config_to_dict(default_experiment_config())
+# every field of the JSON config, nested ones as (section, field)
+CONFIG_FIELD_PATHS = [
+    path
+    for key, value in DEFAULT_CONFIG_DICT.items()
+    for path in [(key,)] + ([(key, k) for k in value] if isinstance(value, dict) else [])
+]
+# fields whose default is null, and what else they accept
+NULLABLE_KINDS = {"memory_budget_entries": {"int"}, "out_dir": {"str"}}
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _json_kind(value) -> str:
+    if value is None:
+        return "null"
+    return {bool: "bool", int: "int", float: "float", str: "str", list: "list",
+            dict: "dict"}[type(value)]
+
+
+def _accepted_kinds(path, default) -> set:
+    if default is None:
+        return {"null"} | NULLABLE_KINDS[path[-1]]
+    kind = _json_kind(default)
+    return {"int", "float"} if kind == "float" else {kind}
+
+
+def _dig(d, path):
+    for key in path:
+        d = d[key]
+    return d
+
+
+def _with_field(path, value) -> dict:
+    """A config dict that sets one field; the strategy is replaced whole."""
+    if len(path) == 1:
+        return {path[0]: value}
+    section, key = path
+    base = DEFAULT_CONFIG_DICT[section] if section == "strategy" else {}
+    return {section: {**base, key: value}}
+
+
 class TestConfigCodec:
     def test_round_trip(self):
         cfg = small_config(strategy=CrossRefine(3))
@@ -378,6 +439,36 @@ class TestConfigCodec:
         with pytest.raises(ConfigError):
             config_from_dict({"sampler": {"ratio": [0.5]}})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            None,
+            {"sampler": 5},
+            {"strategy": "x"},
+            {"strategy": {"kind": "cross_refine", "top_k": 1.5}},
+            {"repeats": "a"},
+            {"repeats": None},
+            {"model": None},
+            {"model": {"heads": 0}},
+            {"model": {"heads": 3}},
+            {"sampler": {"frame_method": "every_other"}},
+            {"timing": True, "timing_repeats": 1},
+        ],
+    )
+    def test_malformed_config_raises_config_error(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("path", CONFIG_FIELD_PATHS, ids="/".join)
+    @given(value=JSON_VALUES)
+    @settings(max_examples=30, deadline=None)
+    def test_wrong_typed_field_raises_config_error(self, path, value):
+        default = _dig(DEFAULT_CONFIG_DICT, path)
+        assume(_json_kind(value) not in _accepted_kinds(path, default))
+        with pytest.raises(ConfigError):
+            config_from_dict(_with_field(path, value))
+
 
 class TestCli:
     def test_child_imports_parent_t3s(self, tmp_path, run_cli):
@@ -410,6 +501,25 @@ class TestCli:
         res = run_cli("run", "--config", str(bad), cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"repeats": "a"}', "{not json"])
+    def test_malformed_config_exits_two(self, tmp_path, run_cli, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        res = run_cli("run", "--config", str(bad), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "config error" in res.stderr
+
+    def test_missing_config_exits_two(self, tmp_path, run_cli):
+        res = run_cli("run", "--config", str(tmp_path / "absent.json"), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "config error" in res.stderr
+
+    @pytest.mark.parametrize("command", ["run", "coverage", "bench"])
+    def test_plots_flag_only_on_sweep(self, tmp_path, run_cli, command):
+        res = run_cli(command, "--plots", "on", cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "--plots" in res.stderr
 
     def test_sweep_writes_csv_with_contracted_columns(
         self, tmp_path, tiny_config, run_cli

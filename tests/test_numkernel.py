@@ -14,61 +14,9 @@ from t3s.numkernel import (
     Rng,
     entropy,
     layer_norm,
-    matmul,
     sample_without_replacement,
     softmax_rows,
 )
-
-
-def triple_loop_matmul(a, b):
-    """Independent oracle: naive i-j-k loops with left-to-right accumulation."""
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_arithmetic(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b), [[17.0], [39.0]])
-
-    def test_random_pair_vs_triple_loop_oracle(self):
-        g = Rng(11).generator()
-        a = g.standard_normal((8, 8))
-        b = g.standard_normal((8, 8))
-        assert np.abs(matmul(a, b) - triple_loop_matmul(a, b)).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 1)))
-
-    @given(st.integers(0, 2**32))
-    @settings(max_examples=25, deadline=None)
-    def test_associativity(self, seed):
-        g = Rng(seed).generator()
-        a = g.standard_normal((4, 5))
-        b = g.standard_normal((5, 3))
-        c = g.standard_normal((3, 6))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = max(np.abs(left).max(), 1.0)
-        assert np.abs(left - right).max() / scale < 1e-9
 
 
 class TestSoftmaxRows:

@@ -1,4 +1,4 @@
-"""Packing tests: layout arithmetic, gather oracle, mask contract, appends."""
+"""Packing tests: layout arithmetic, gather oracle, immutability, appends."""
 
 import json
 
@@ -8,7 +8,6 @@ import pytest
 from t3s.errors import ContractError
 from t3s.numkernel import Rng
 from t3s.packer import (
-    BLOCK_DIAGONAL_CAUSAL,
     append_token,
     last_positions,
     pack,
@@ -235,23 +234,6 @@ class TestLastPositions:
 
 
 class TestMaskSpec:
-    def test_cross_segment_always_forbidden(self):
-        video = tagged_video(4, 2)
-        cfg = SamplerConfig(
-            total_frames=4,
-            frames_per_trial=3,
-            tokens_per_frame=2,
-            trials=3,
-            ratios=(1.0, 0.5, 0.5),
-        )
-        packed = pack(build_trial_plans(cfg, Rng(4)), video, [1])
-        mat = BLOCK_DIAGONAL_CAUSAL.matrix(packed)
-        for p in range(packed.total_length):
-            for q in range(packed.total_length):
-                same = packed.segment_of[p] == packed.segment_of[q]
-                assert mat[p, q] == (same and q <= p)
-                assert BLOCK_DIAGONAL_CAUSAL.allows(packed, p, q) == mat[p, q]
-
     def test_immutable_arrays(self):
         packed = pack([full_plan(2, 2)], tagged_video(2, 2), [1])
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Sampling-plan tests: stride formulas, retention lengths, MC frequencies."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from t3s.sampler import (
     TokenStrategy,
     build_trial_plans,
     closed_form_coverage,
+    kept_tokens,
     sample_frame_indices,
     subsample_tokens,
 )
@@ -59,6 +61,24 @@ class TestTokenSubsampling:
     def test_floor_length(self):
         out = subsample_tokens(7, 1, 0.5, TokenStrategy.RAND_TOK, Rng(0))
         assert len(out) == 3
+
+    def test_floor_is_exact_for_decimal_ratios(self):
+        # the float product 0.29 * 100 is 28.999999999999996
+        assert kept_tokens(0.29, 100) == 29
+        out = subsample_tokens(100, 10, 0.29, TokenStrategy.RAND_TOK, Rng(0))
+        assert len(out) == 29
+        cfg = SamplerConfig(
+            total_frames=10, frames_per_trial=10, tokens_per_frame=10,
+            trials=1, ratios=(0.29,),
+        )
+        (plan,) = build_trial_plans(cfg, Rng(0))  # validates the length
+        assert len(plan.token_keep) == 29
+
+    @given(st.integers(1, 100), st.integers(1, 4096))
+    @settings(max_examples=300, deadline=None)
+    def test_kept_tokens_matches_rational_floor(self, percent, length):
+        alpha = percent / 100
+        assert kept_tokens(alpha, length) == math.floor(Fraction(percent, 100) * length)
 
     def test_uni_tok_stride(self):
         out = subsample_tokens(12, 3, 0.5, TokenStrategy.UNI_TOK, Rng(0))

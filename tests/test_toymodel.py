@@ -1,5 +1,6 @@
 """Backend tests: determinism, pair counting, packed-vs-solo equivalence,
-attention-score oracles, and probe semantics."""
+dense oracles for both backends' forwards and attention scores, and probe
+semantics."""
 
 import dataclasses
 import hashlib
@@ -8,29 +9,18 @@ import math
 import numpy as np
 import pytest
 
-from t3s.errors import ConfigError, ContractError, ShapeError, UnsupportedOperationError
-from t3s.numkernel import Rng, layer_norm
-from t3s.packer import (
-    BLOCK_DIAGONAL_CAUSAL,
-    AttentionMaskSpec,
-    append_token,
-    last_positions,
-    pack,
-    slice_segment,
-)
+from t3s.errors import ConfigError, ContractError, ShapeError
+from t3s.numkernel import Rng, layer_norm, mix64
+from t3s.packer import append_token, last_positions, pack, slice_segment
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import (
     ModelConfig,
     NeedleProbe,
     SeededTransformer,
     StreamSpec,
-    attention_received_scores,
     build_model,
     embed_frames,
-    load_weights,
     needle_direction,
-    needle_probe_forward,
-    save_weights,
     weight_manifest,
 )
 
@@ -55,19 +45,13 @@ def make_packed(seed=0, trials=2, total_frames=10, frames_per_trial=6,
     return pack(plans, video, list(text)), plans, video
 
 
-class FullBlockMask(AttentionMaskSpec):
-    """Non-causal within-segment mask, used to exercise the dense path."""
-
-    def matrix(self, packed):
-        seg = packed.segment_of
-        return seg[:, None] == seg[None, :]
-
-    def allows(self, packed, p, q):
-        return bool(packed.segment_of[p] == packed.segment_of[q])
-
-
-class BlockCausalSubclass(AttentionMaskSpec):
-    """Same rule as the standard spec but routed through the dense path."""
+def block_causal_matrix(packed):
+    """The attention rule as a dense matrix: p may attend q iff both lie in
+    the same segment and q <= p."""
+    seg = packed.segment_of
+    n = packed.total_length
+    causal = np.arange(n)[None, :] <= np.arange(n)[:, None]
+    return (seg[:, None] == seg[None, :]) & causal
 
 
 class TestModelConfig:
@@ -211,32 +195,60 @@ class TestPackedVsSoloEquivalence:
             assert np.abs(full[p] - solo[-1]).max() < 1e-9
 
 
-class TestArbitraryMask:
-    def test_dense_path_matches_fast_path(self):
-        packed, _, _ = make_packed(trials=2)
+def probe_oracle_logits(probe, packed, allowed):
+    """Oracle for NeedleProbe.forward: position p's answer logit counts the
+    needle tokens it may attend, and its noise is seeded by hashing, in
+    order, the signature of every position it may attend."""
+    from t3s.toymodel import _SIG_SEED_TAG
+
+    is_needle = probe._needle_mask(packed)
+    sig = probe._signatures(packed)
+    seed_mixed = mix64((probe.seed & ((1 << 64) - 1)) ^ _SIG_SEED_TAG)
+    hashes = np.empty(packed.total_length, dtype=np.uint64)
+    for p in range(packed.total_length):
+        h = seed_mixed
+        for q in np.flatnonzero(allowed[p]):
+            h = mix64(h ^ int(sig[q]))
+        hashes[p] = h
+    dmix = mix64(np.arange(7, 7 + probe.vocab, dtype=np.uint64))
+    u = (mix64(hashes[:, None] ^ dmix[None, :]) >> np.uint64(11)).astype(
+        np.float64
+    ) * (1.0 / (1 << 53))
+    logits = u * (2.0 * probe.noise_scale) - probe.noise_scale
+    logits[:, probe.answer_token] = probe.gain * (allowed @ is_needle.astype(np.int64))
+    return logits
+
+
+class TestDenseOracles:
+    def test_chunked_forward_matches_dense_oracle(self):
+        # two segments longer than one query chunk cover the chunk seams
+        packed, _, _ = make_packed(
+            trials=3, total_frames=80, frames_per_trial=70, tokens_per_frame=3,
+            ratios=(1.0, 0.7, 0.3),
+        )
+        long = [s for s in packed.segments if s.length > SeededTransformer._QUERY_CHUNK]
+        assert len(long) == 2
         model = build_model(CFG)
-        fast = model.forward(packed, BLOCK_DIAGONAL_CAUSAL)
-        dense = model.forward(packed, BlockCausalSubclass())
-        assert fast.pair_count == dense.pair_count
-        assert np.abs(fast.logits - dense.logits).max() < 1e-9
+        fast = model.forward(packed)
+        _, logits = materialized_attention(model, packed, block_causal_matrix(packed))
+        assert np.abs(fast.logits - logits).max() < 1e-9
+        triangles = sum(s.length * (s.length + 1) // 2 for s in packed.segments)
+        assert fast.pair_count == CFG.layers * CFG.heads * triangles
 
-    def test_probe_generic_path_matches_fast_path(self):
+    def test_probe_forward_matches_hash_oracle(self):
         packed, _, _ = make_packed(trials=2, needles=frozenset({0, 4}))
+        packed = append_token(packed, 5)
         probe = _probe_for(CFG)
-        fast = probe.forward(packed, BLOCK_DIAGONAL_CAUSAL)
-        dense = probe.forward(packed, BlockCausalSubclass())
-        assert fast.pair_count == dense.pair_count
-        assert np.array_equal(fast.logits, dense.logits)
-
-    def test_full_block_mask_pair_count(self):
-        packed, _, _ = make_packed(trials=2)
-        res = build_model(CFG).forward(packed, FullBlockMask())
-        expected = sum(s.length**2 for s in packed.segments)
-        assert res.pair_count == CFG.layers * CFG.heads * expected
+        allowed = block_causal_matrix(packed)
+        fast = probe.forward(packed)
+        assert np.array_equal(fast.logits, probe_oracle_logits(probe, packed, allowed))
+        assert fast.pair_count == int(allowed.sum())
 
 
 def materialized_attention(model, packed, mask_matrix):
-    """Oracle: recompute every layer's attention matrix densely (L x L)."""
+    """Oracle: recompute every layer's attention matrix densely (L x L).
+
+    Returns the per-layer (heads, L, L) attention matrices and the logits."""
     from t3s.toymodel import _gelu, _sinusoidal, _split_heads
 
     cfg = model.config
@@ -263,7 +275,7 @@ def materialized_attention(model, packed, mask_matrix):
         x = x + ctx @ w[f"layer{layer}.attn_out"]
         h2 = layer_norm(x)
         x = x + _gelu(h2 @ w[f"layer{layer}.ffn_in"]) @ w[f"layer{layer}.ffn_out"]
-    return mats
+    return mats, layer_norm(x) @ w["unembedding"]
 
 
 class TestAttentionReceived:
@@ -272,8 +284,8 @@ class TestAttentionReceived:
         model = build_model(CFG)
         got = model.attention_received(packed)
 
-        mask_matrix = BLOCK_DIAGONAL_CAUSAL.matrix(packed)
-        mats = materialized_attention(model, packed, mask_matrix)
+        mask_matrix = block_causal_matrix(packed)
+        mats, _ = materialized_attention(model, packed, mask_matrix)
         total = packed.total_length
         sums = np.zeros(total)
         for attn in mats:
@@ -286,29 +298,26 @@ class TestAttentionReceived:
     def test_rows_are_distributions(self):
         packed, _, _ = make_packed(trials=2)
         model = build_model(CFG)
-        mask_matrix = BLOCK_DIAGONAL_CAUSAL.matrix(packed)
-        for attn in materialized_attention(model, packed, mask_matrix):
+        mask_matrix = block_causal_matrix(packed)
+        for attn in materialized_attention(model, packed, mask_matrix)[0]:
             assert (attn >= 0.0).all()
             assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_uniform_attention_gives_equal_scores(self):
-        # zeroed query/key weights + full-block mask: every attention weight
-        # inside a segment equals 1/length, so received means are all equal
+        # zeroed query/key weights: every score is 0, so query q spreads equal
+        # weight 1/(q+1) over keys 0..q of its segment, and key j receives
+        # the mean of 1/(q+1) over the queries q >= j that may attend it
         weights = {
             name: np.zeros(shape) for name, shape in weight_manifest(CFG)
         }
         model = SeededTransformer(CFG, weights=weights)
         packed, _, _ = make_packed(trials=2, ratios=(1.0, 0.5))
-        got = model.attention_received(packed, FullBlockMask())
+        got = model.attention_received(packed)
         for seg in packed.segments:
-            span = slice(seg.start, seg.start + seg.length)
-            expected = 1.0 / seg.length
+            n = seg.length
+            expected = [np.mean(1.0 / np.arange(j + 1, n + 1)) for j in range(n)]
+            span = slice(seg.start, seg.start + n)
             assert np.abs(got[span] - expected).max() < 1e-12
-
-    def test_probe_unsupported(self):
-        packed, _, _ = make_packed(trials=1, ratios=(1.0,))
-        with pytest.raises(UnsupportedOperationError):
-            attention_received_scores(_probe_for(CFG), packed)
 
 
 class TestNeedleProbe:
@@ -317,7 +326,7 @@ class TestNeedleProbe:
         probe = NeedleProbe(
             needle_direction(CFG.model_dim), 3, CFG.vocab, noise_scale=0.0, seed=1
         )
-        logits = needle_probe_forward(probe, packed)
+        logits = probe.forward(packed).logits[last_positions(packed)]
         assert np.array_equal(logits, np.zeros_like(logits))
         assert int(np.argmax(logits[0])) == 0  # tie-break to token 0
 
@@ -331,7 +340,7 @@ class TestNeedleProbe:
             needle_direction(cfg.model_dim), 3, cfg.vocab, gain=1.0,
             noise_scale=0.0, seed=1,
         )
-        logits = needle_probe_forward(probe, packed)
+        logits = probe.forward(packed).logits[last_positions(packed)]
         assert logits[0, 3] == 3.0
 
     def test_noise_bounded_and_content_seeded(self):
@@ -384,25 +393,3 @@ class TestNeedleProbe:
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(hits / draws - p) < 3 * sigma
 
-
-class TestWeightRoundTrip:
-    def test_dump_load_identical_logits(self, tmp_path):
-        model = build_model(CFG)
-        save_weights(model, tmp_path / "weights.bin")
-        loaded = load_weights(tmp_path / "weights.bin")
-        packed, _, _ = make_packed()
-        a = model.forward(packed).logits
-        b = loaded.forward(packed).logits
-        assert np.array_equal(a, b)
-
-    def test_header_manifest(self, tmp_path):
-        import json
-
-        model = build_model(CFG)
-        save_weights(model, tmp_path / "w.bin")
-        header = json.loads((tmp_path / "w.json").read_text())
-        assert header["dtype"] == "<f8"
-        names = [e["name"] for e in header["ordering"]]
-        assert names == [n for n, _ in weight_manifest(CFG)]
-        flat = np.fromfile(tmp_path / "w.bin", dtype="<f8")
-        assert len(flat) == header["total_elements"]
