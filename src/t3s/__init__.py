@@ -24,7 +24,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     SyntheticTask,
-    baseline_greedy_decode,
     config_from_dict,
     coverage_report,
     default_experiment_config,
@@ -39,7 +38,6 @@ from .packer import (
     last_positions,
     pack,
     slice_segment,
-    to_debug_json,
 )
 from .sampler import (
     FrameMethod,

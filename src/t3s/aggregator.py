@@ -9,6 +9,7 @@ the fused vector is bit-identical under any permutation of the trials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -29,13 +30,18 @@ class MeanLogits:
     pass
 
 
+def _check_entropy_floor(floor: float) -> None:
+    # NaN and infinite floors would turn every weight into NaN
+    if not 0.0 < floor < math.inf:
+        raise ConfigError(f"entropy_floor must be finite and > 0, got {floor}")
+
+
 @dataclass(frozen=True)
 class ConfidenceWeighted:
     entropy_floor: float = DEFAULT_ENTROPY_FLOOR
 
     def __post_init__(self):
-        if self.entropy_floor <= 0.0:
-            raise ConfigError(f"entropy_floor must be > 0, got {self.entropy_floor}")
+        _check_entropy_floor(self.entropy_floor)
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,7 @@ def confidence_weighted(
 ) -> tuple[np.ndarray, int]:
     """Trials weighted by inverse predictive entropy, normalized to sum 1."""
     o = _check_trial_logits(logits)
-    if entropy_floor <= 0.0:
-        raise ConfigError(f"entropy_floor must be > 0, got {entropy_floor}")
+    _check_entropy_floor(entropy_floor)
     probs = softmax_rows(o)
     h = np.array([entropy(row) for row in probs])
     inv = 1.0 / np.maximum(h, entropy_floor)

@@ -155,17 +155,13 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = replace(
-        _load_config(args),
-        timing=True,
-        backend="seeded_transformer",
-        repeats=1,
-        timing_repeats=args.repeats,
-    )
+    cfg = replace(_load_config(args), backend="seeded_transformer", repeats=1)
     cfg.validate()
+    if args.repeats < 3:
+        raise ConfigError(f"--repeats must be >= 3, got {args.repeats}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, latency_repeats=args.repeats)
     cost = report.cost
     _write_json(out / "cost_report.json", cost.to_json_dict())
     if args.format == "csv":
@@ -173,8 +169,7 @@ def _cmd_bench(args) -> int:
     print(
         f"theoretical={cost.theoretical_speedup:.3f}x "
         f"measured={cost.measured_speedup:.3f}x "
-        f"(tau1={cost.tau1 * 1e3:.1f}ms tau2={cost.tau2 * 1e3:.1f}ms, "
-        f"fallback_serial={cost.fallback_serial})"
+        f"(tau1={cost.tau1 * 1e3:.1f}ms tau2={cost.tau2 * 1e3:.1f}ms)"
     )
     return 0
 

@@ -1,5 +1,5 @@
 """Attention-cost accounting: quadratic-model predictions, exact pair counts,
-and first-token wall-clock measurement.
+and first-token wall-clock measurement, gathered into one CostReport.
 
 The theoretical model prices a length-L causal pass at L^2 and the m-trial
 pass at L^2 * sum(alpha_i^2); the exact counterpart counts the causal
@@ -14,11 +14,9 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .aggregator import AggregationStrategy, MeanLogits, fuse_token
 from .errors import ContractError
-from .packer import PackedSequence, last_positions, slice_segment
+from .packer import PackedSequence, last_positions
 from .sampler import kept_tokens
 
 
@@ -34,7 +32,6 @@ class CostReport:
     tau1: Optional[float] = None  # baseline first-token latency, seconds
     tau2: Optional[float] = None  # multi-trial first-token latency, seconds
     measured_speedup: Optional[float] = None
-    fallback_serial: bool = False
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -59,35 +56,18 @@ def exact_pair_ratio(L: int, alphas: Sequence[float]) -> float:
     return num / (L * (L + 1))
 
 
+def count_pairs(backend, packed: PackedSequence) -> int:
+    """Pair count of one forward, without timing."""
+    return backend.forward(packed).pair_count
+
+
 def _first_token_seconds(
     backend, packed: PackedSequence, strategy: AggregationStrategy
-) -> tuple[float, int]:
+) -> float:
     start = time.perf_counter()
-    logits, pairs = backend.forward(packed)
+    logits, _ = backend.forward(packed)
     fuse_token(logits[last_positions(packed)], strategy)
-    return time.perf_counter() - start, pairs
-
-
-def _first_token_serial_seconds(
-    backend, packed: PackedSequence, strategy: AggregationStrategy
-) -> tuple[float, int]:
-    # out-of-budget path: one forward per trial, costs summed
-    start = time.perf_counter()
-    trial_logits = []
-    pairs = 0
-    for i in range(packed.num_segments):
-        solo = slice_segment(packed, i)
-        logits, p = backend.forward(solo)
-        trial_logits.append(logits[-1])
-        pairs += p
-    fuse_token(np.stack(trial_logits), strategy)
-    return time.perf_counter() - start, pairs
-
-
-def dense_score_entries(packed: PackedSequence) -> int:
-    """Score-matrix entries a dense per-segment pass materializes (sum of
-    squared segment lengths); the quantity the memory budget limits."""
-    return sum(s.length * s.length for s in packed.segments)
+    return time.perf_counter() - start
 
 
 def measure(
@@ -95,45 +75,39 @@ def measure(
     baseline_packed: PackedSequence,
     multi_packed: PackedSequence,
     alphas: Sequence[float],
-    repeats: int = 5,
+    repeats: Optional[int] = None,
     strategy: Optional[AggregationStrategy] = None,
-    memory_budget_entries: Optional[int] = None,
 ) -> CostReport:
-    """Median first-token latency and exact pair counts for both paths.
+    """The cost report of a single-segment baseline and a multi-trial pass.
 
-    tau1/tau2 run from forward start to the first aggregated token. When the
-    multi pass would materialize more dense score entries than
-    `memory_budget_entries`, it falls back to serial per-trial forwards and
-    tau2 sums their times (fallback_serial=True).
+    L is the baseline's visual tokens (the question is not L); pair counts
+    come from one untimed forward per path. With `repeats`, tau1/tau2 are
+    the medians of that many timed runs per path, each from forward start to
+    the first aggregated token; without, they stay None.
     """
-    if repeats < 3:
+    if repeats is not None and repeats < 3:
         raise ContractError(f"repeats must be >= 3, got {repeats}")
     if baseline_packed.num_segments != 1:
         raise ContractError("baseline must be a single-segment sequence")
     strategy = strategy or MeanLogits()
-    # visual tokens per trial, as on the untimed path: the question is not L
     L = baseline_packed.total_length - baseline_packed.text_len
     base, multi, speedup = theoretical_costs(L, alphas)
-
-    fallback = (
-        memory_budget_entries is not None
-        and dense_score_entries(multi_packed) > memory_budget_entries
-    )
-    multi_fn = _first_token_serial_seconds if fallback else _first_token_seconds
-
-    # one untimed warmup per path so allocator effects stay out of medians
-    _first_token_seconds(backend, baseline_packed, MeanLogits())
-    multi_fn(backend, multi_packed, strategy)
-
-    tau1_samples, tau2_samples = [], []
-    pairs_base = pairs_multi = 0
-    for _ in range(repeats):
-        t1, pairs_base = _first_token_seconds(backend, baseline_packed, MeanLogits())
-        tau1_samples.append(t1)
-        t2, pairs_multi = multi_fn(backend, multi_packed, strategy)
-        tau2_samples.append(t2)
-    tau1 = statistics.median(tau1_samples)
-    tau2 = statistics.median(tau2_samples)
+    # the counting forwards double as warmups, keeping allocator effects
+    # out of the medians
+    pairs_base = count_pairs(backend, baseline_packed)
+    pairs_multi = count_pairs(backend, multi_packed)
+    tau1 = tau2 = None
+    if repeats is not None:
+        # interleaved, so drift in machine speed hits both paths alike
+        samples = [
+            (
+                _first_token_seconds(backend, baseline_packed, MeanLogits()),
+                _first_token_seconds(backend, multi_packed, strategy),
+            )
+            for _ in range(repeats)
+        ]
+        tau1 = statistics.median(t1 for t1, _ in samples)
+        tau2 = statistics.median(t2 for _, t2 in samples)
     return CostReport(
         L=L,
         alpha=list(alphas),
@@ -144,11 +118,5 @@ def measure(
         measured_pairs_multi=pairs_multi,
         tau1=tau1,
         tau2=tau2,
-        measured_speedup=tau1 / tau2,
-        fallback_serial=fallback,
+        measured_speedup=None if tau1 is None else tau1 / tau2,
     )
-
-
-def count_pairs(backend, packed: PackedSequence) -> int:
-    """Pair count of one forward, without timing."""
-    return backend.forward(packed).pair_count

@@ -2,8 +2,9 @@
 
 Accuracy on synthetic tasks is first-token exact match against the task's
 answer id. Reports are reproducible bit-for-bit from (config, seed); wall
-clock is only measured when timing is explicitly enabled (the bench path),
-so run/sweep outputs stay byte-identical across repeated invocations.
+clock is only measured when a caller passes `latency_repeats` (the bench
+path), never by a config, so run/sweep outputs stay byte-identical across
+repeated invocations.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import typing
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from .aggregator import (
     decode,
     default_strategy,
 )
-from .costmodel import CostReport, count_pairs, measure, theoretical_costs
+from .costmodel import CostReport, measure
 from .errors import ConfigError, ContractError, ShapeError
 from .numkernel import Rng, mix64
-from .packer import PackedSequence, Segment, pack
+from .packer import pack
 from .sampler import (
     FrameMethod,
     SamplerConfig,
@@ -92,18 +93,12 @@ class ExperimentConfig:
     backend: str = "needle_probe"  # or "seeded_transformer"
     repeats: int = 200
     seed: int = 0
-    timing: bool = False
-    timing_repeats: int = 5
-    memory_budget_entries: Optional[int] = None
-    out_dir: Optional[str] = None
 
     def validate(self) -> None:
         if self.backend not in ("needle_probe", "seeded_transformer"):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        if self.timing and self.timing_repeats < 3:
-            raise ConfigError("timing_repeats must be >= 3")
         if isinstance(self.strategy, CrossRefine):
             if self.sampler.trials != 2:
                 raise ConfigError(
@@ -192,11 +187,6 @@ def _from_json(hint, value, where: str):
         )
     if hint == AggregationStrategy:
         return strategy_from_dict(value)
-    if typing.get_origin(hint) is Union:  # Optional[X]
-        if value is None:
-            return None
-        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
-        return _from_json(hint, value, where)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -307,61 +297,6 @@ def surviving_needle_tokens(plan: TrialPlan, task: SyntheticTask) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Direct single-sequence baseline (independent of the multi-trial machinery)
-
-
-def _one_segment(embeddings, token_ids, text_len: int, generated: int) -> PackedSequence:
-    total = len(token_ids)
-    return PackedSequence(
-        segments=(Segment(0, total),),
-        embeddings=embeddings,
-        token_ids=token_ids,
-        segment_of=np.zeros(total, dtype=np.int64),
-        pos_in_segment=np.arange(total, dtype=np.int64),
-        text_len=text_len,
-        generated=generated,
-    )
-
-
-def single_sequence(video: VideoTokenStream, text: Sequence[int]) -> PackedSequence:
-    """The plain <video, text> sequence, built without trial plans or packing."""
-    dim = video.model_dim
-    visual = video.frame_embeddings.reshape(-1, dim)
-    text_ids = np.asarray(list(text), dtype=np.int64)
-    embeddings = np.concatenate([visual, np.zeros((len(text_ids), dim))], axis=0)
-    token_ids = np.concatenate([np.full(len(visual), -1, dtype=np.int64), text_ids])
-    return _one_segment(embeddings, token_ids, len(text_ids), 0)
-
-
-def _append_single(seq: PackedSequence, token_id: int) -> PackedSequence:
-    embeddings = np.concatenate([seq.embeddings, np.zeros((1, seq.model_dim))], axis=0)
-    token_ids = np.concatenate([seq.token_ids, [token_id]])
-    return _one_segment(embeddings, token_ids, seq.text_len, seq.generated + 1)
-
-
-def baseline_greedy_decode(
-    backend,
-    video: VideoTokenStream,
-    text: Sequence[int],
-    steps: int,
-    stop_token: Optional[int] = None,
-) -> list[int]:
-    """Plain greedy decoding of the single full sequence; shares no code with
-    the sampler or the multi-trial packer paths."""
-    seq = single_sequence(video, text)
-    out: list[int] = []
-    for step in range(steps):
-        logits, _ = backend.forward(seq)
-        token = int(np.argmax(logits[-1]))
-        out.append(token)
-        if stop_token is not None and token == stop_token:
-            break
-        if step + 1 < steps:
-            seq = _append_single(seq, token)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Experiments
 
 
@@ -412,9 +347,12 @@ def _backends(cfg: ExperimentConfig) -> tuple[Optional[SeededTransformer], Calla
     return transformer, lambda task: probe_for_task(task, cfg.model)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def run_experiment(
+    cfg: ExperimentConfig, latency_repeats: Optional[int] = None
+) -> ExperimentReport:
     """Execute `repeats` independent task instances and aggregate accuracy,
-    coverage diagnostics, and a cost report."""
+    coverage diagnostics, and a cost report. With `latency_repeats`, the cost
+    report also holds median first-token latencies over that many runs."""
     cfg.validate()
     s = cfg.sampler
     transformer, backend_for = _backends(cfg)
@@ -459,7 +397,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if rep == 0:
             first_task, first_plans = task, plans
 
-    cost = _cost_report(cfg, first_task, first_plans, backend_for(first_task))
+    cost = _cost_report(
+        cfg, first_task, first_plans, backend_for(first_task), latency_repeats
+    )
     per_trial = [
         {
             "trial": i,
@@ -480,7 +420,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _cost_report(cfg, task, plans, backend) -> CostReport:
+def _cost_report(cfg, task, plans, backend, latency_repeats) -> CostReport:
+    """Costs of the first task's trials against one full-retention trial on
+    frames drawn from a fixed child stream of the seed."""
     s = cfg.sampler
     full = TrialPlan(
         sample_frame_indices(
@@ -489,27 +431,13 @@ def _cost_report(cfg, task, plans, backend) -> CostReport:
         np.arange(s.tokens_per_trial, dtype=np.int64),
         1.0,
     )
-    baseline = pack([full], task.video, task.question)
-    multi = pack(plans, task.video, task.question)
-    if cfg.timing:
-        return measure(
-            backend,
-            baseline,
-            multi,
-            list(s.ratios),
-            repeats=cfg.timing_repeats,
-            strategy=cfg.strategy,
-            memory_budget_entries=cfg.memory_budget_entries,
-        )
-    base, theo_multi, speedup = theoretical_costs(s.tokens_per_trial, s.ratios)
-    return CostReport(
-        L=s.tokens_per_trial,
-        alpha=list(s.ratios),
-        theoretical_base=base,
-        theoretical_multi=theo_multi,
-        theoretical_speedup=speedup,
-        measured_pairs_base=count_pairs(backend, baseline),
-        measured_pairs_multi=count_pairs(backend, multi),
+    return measure(
+        backend,
+        pack([full], task.video, task.question),
+        pack(plans, task.video, task.question),
+        s.ratios,
+        repeats=latency_repeats,
+        strategy=cfg.strategy,
     )
 
 
@@ -529,7 +457,6 @@ CSV_COLUMNS = [
     "pairs_multi",
     "wall_ms_base",
     "wall_ms_t3s",
-    "fallback_serial",
     "error",
 ]
 
@@ -629,7 +556,6 @@ def report_csv_row(axis: str, point: str, report: ExperimentReport) -> dict:
         "pairs_multi": str(c.measured_pairs_multi),
         "wall_ms_base": "" if c.tau1 is None else f"{c.tau1 * 1e3:.3f}",
         "wall_ms_t3s": "" if c.tau2 is None else f"{c.tau2 * 1e3:.3f}",
-        "fallback_serial": str(c.fallback_serial).lower(),
         "error": "",
     }
 

@@ -65,9 +65,6 @@ class Rng:
         derived = mix64((self.stream & _MASK64) ^ mix64(index + 1))
         return Rng(self.seed, derived)
 
-    def split(self, n: int) -> list["Rng"]:
-        return [self.child(i) for i in range(n)]
-
 
 def _require_matrix(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)

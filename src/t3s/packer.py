@@ -111,12 +111,13 @@ def pack(
     parts_embeddings: list[np.ndarray] = []
     parts_ids: list[np.ndarray] = []
     for plan in plans:
-        if len(plan.frame_indices) and plan.frame_indices[-1] >= num_frames:
+        f, k = plan.frame_indices, plan.token_keep
+        if len(f) and not (0 <= f.min() and f.max() < num_frames):
             raise ContractError("plan references a frame outside the video")
-        local = frames[plan.frame_indices].reshape(-1, model_dim)
-        if len(plan.token_keep) and plan.token_keep[-1] >= len(local):
+        local = frames[f].reshape(-1, model_dim)
+        if len(k) and not (0 <= k.min() and k.max() < len(local)):
             raise ContractError("plan keeps a token outside the trial range")
-        kept = local[plan.token_keep]
+        kept = local[k]
         seg_emb = np.concatenate(
             [kept, np.zeros((len(text_ids), model_dim))], axis=0
         )
@@ -181,13 +182,3 @@ def slice_segment(packed: PackedSequence, index: int) -> PackedSequence:
         packed.generated,
         packed.model_dim,
     )
-
-
-def to_debug_json(packed: PackedSequence) -> dict:
-    """JSON-friendly structural dump (segment table + token ids) for golden tests."""
-    return {
-        "segments": [[s.start, s.length] for s in packed.segments],
-        "token_ids": [int(t) for t in packed.token_ids],
-        "text_len": packed.text_len,
-        "generated": packed.generated,
-    }

@@ -1,0 +1,70 @@
+"""Test-only reference code: a direct single-sequence greedy baseline that
+shares no code with the sampler or the multi-trial packer paths, and a
+structural dump of packed sequences for golden tests."""
+
+from typing import Optional, Sequence
+
+import numpy as np
+
+from t3s.packer import PackedSequence, Segment
+from t3s.toymodel import VideoTokenStream
+
+
+def _one_segment(embeddings, token_ids, text_len: int, generated: int) -> PackedSequence:
+    total = len(token_ids)
+    return PackedSequence(
+        segments=(Segment(0, total),),
+        embeddings=embeddings,
+        token_ids=token_ids,
+        segment_of=np.zeros(total, dtype=np.int64),
+        pos_in_segment=np.arange(total, dtype=np.int64),
+        text_len=text_len,
+        generated=generated,
+    )
+
+
+def single_sequence(video: VideoTokenStream, text: Sequence[int]) -> PackedSequence:
+    """The plain <video, text> sequence, built without trial plans or packing."""
+    dim = video.model_dim
+    visual = video.frame_embeddings.reshape(-1, dim)
+    text_ids = np.asarray(list(text), dtype=np.int64)
+    embeddings = np.concatenate([visual, np.zeros((len(text_ids), dim))], axis=0)
+    token_ids = np.concatenate([np.full(len(visual), -1, dtype=np.int64), text_ids])
+    return _one_segment(embeddings, token_ids, len(text_ids), 0)
+
+
+def _append_single(seq: PackedSequence, token_id: int) -> PackedSequence:
+    embeddings = np.concatenate([seq.embeddings, np.zeros((1, seq.model_dim))], axis=0)
+    token_ids = np.concatenate([seq.token_ids, [token_id]])
+    return _one_segment(embeddings, token_ids, seq.text_len, seq.generated + 1)
+
+
+def baseline_greedy_decode(
+    backend,
+    video: VideoTokenStream,
+    text: Sequence[int],
+    steps: int,
+    stop_token: Optional[int] = None,
+) -> list[int]:
+    """Plain greedy decoding of the single full sequence."""
+    seq = single_sequence(video, text)
+    out: list[int] = []
+    for step in range(steps):
+        logits, _ = backend.forward(seq)
+        token = int(np.argmax(logits[-1]))
+        out.append(token)
+        if stop_token is not None and token == stop_token:
+            break
+        if step + 1 < steps:
+            seq = _append_single(seq, token)
+    return out
+
+
+def to_debug_json(packed: PackedSequence) -> dict:
+    """JSON-friendly structural dump (segment table + token ids)."""
+    return {
+        "segments": [[s.start, s.length] for s in packed.segments],
+        "token_ids": [int(t) for t in packed.token_ids],
+        "text_len": packed.text_len,
+        "generated": packed.generated,
+    }

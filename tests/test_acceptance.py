@@ -36,7 +36,6 @@ from t3s.costmodel import measure, theoretical_costs
 from t3s.harness import (
     ExperimentConfig,
     TaskParams,
-    baseline_greedy_decode,
     config_to_dict,
     coverage_report,
     gen_task,
@@ -44,7 +43,7 @@ from t3s.harness import (
 )
 from t3s.numkernel import Rng
 from t3s.packer import last_positions, pack, slice_segment
-from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
+from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans, kept_tokens
 from t3s.toymodel import (
     ModelConfig,
     NeedleProbe,
@@ -53,6 +52,8 @@ from t3s.toymodel import (
     embed_frames,
     needle_direction,
 )
+
+from helpers import baseline_greedy_decode
 
 # reference desk-scale model used by every acceptance run
 DESK = ModelConfig(layers=4, model_dim=64, heads=4, vocab=64, max_positions=16384, init_seed=0)
@@ -179,7 +180,8 @@ def test_criterion_3_measured_speedup_bound():
             f"theoretical {report.theoretical_speedup:.3f}"
         )
         # exact integer identity: pairs_multi * L(L+1) == pairs_base * sum l_i(l_i+1)
-        numer = sum(int(a * length) * (int(a * length) + 1) for a in ratios)
+        kept = [kept_tokens(a, length) for a in ratios]
+        numer = sum(k * (k + 1) for k in kept)
         assert (
             report.measured_pairs_multi * length * (length + 1)
             == report.measured_pairs_base * numer

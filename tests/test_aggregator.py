@@ -18,7 +18,6 @@ from t3s.aggregator import (
     mean_logits,
 )
 from t3s.errors import ConfigError, ContractError
-from t3s.harness import baseline_greedy_decode
 from t3s.numkernel import Rng
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import (
@@ -29,6 +28,8 @@ from t3s.toymodel import (
     embed_frames,
     needle_direction,
 )
+
+from helpers import baseline_greedy_decode
 
 # ---------------------------------------------------------------------------
 # Brute-force references (pure-Python, loop-based)
@@ -136,8 +137,9 @@ class TestConfidenceWeighted:
             assert t == bt
 
     def test_floor_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            confidence_weighted(np.zeros((1, 4)), entropy_floor=0.0)
+        for floor in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                confidence_weighted(np.zeros((1, 4)), entropy_floor=floor)
 
 
 class TestCrossRefine:

@@ -1,5 +1,5 @@
 """Cost-accounting tests: worked arithmetic points, surface shape, exact pair
-ratios, and the serial fallback path."""
+ratios, and first-token measurement."""
 
 import math
 
@@ -9,7 +9,6 @@ import pytest
 from t3s.costmodel import (
     CostReport,
     count_pairs,
-    dense_score_entries,
     exact_pair_ratio,
     measure,
     theoretical_costs,
@@ -146,22 +145,7 @@ class TestMeasure:
         assert report.alpha == [0.5, 0.3]
         assert report.tau1 > 0 and report.tau2 > 0
         assert report.measured_speedup == report.tau1 / report.tau2
-        assert not report.fallback_serial
         assert report.measured_pairs_multi < report.measured_pairs_base
-
-    def test_serial_fallback_triggers_on_budget(self):
-        _, baseline, multi, _, _ = _setup()
-        probe = NeedleProbe(
-            needle_direction(CFG.model_dim), 1, CFG.vocab, noise_scale=0.0
-        )
-        assert dense_score_entries(multi) > 1
-        report = measure(
-            probe, baseline, multi, [0.5, 0.3], repeats=3, memory_budget_entries=1
-        )
-        assert report.fallback_serial
-        # serial per-trial forwards count exactly the same pairs
-        direct = measure(probe, baseline, multi, [0.5, 0.3], repeats=3)
-        assert report.measured_pairs_multi == direct.measured_pairs_multi
 
     def test_repeats_floor(self):
         _, baseline, multi, _, _ = _setup()
@@ -203,7 +187,5 @@ class TestCostReportJson:
             "tau1",
             "tau2",
             "measured_speedup",
-            "fallback_serial",
         ]
         assert d["tau1"] is None
-        assert d["fallback_serial"] is False

@@ -18,7 +18,6 @@ from t3s.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     TaskParams,
-    baseline_greedy_decode,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -26,13 +25,14 @@ from t3s.harness import (
     default_experiment_config,
     gen_task,
     run_experiment,
-    single_sequence,
     surviving_needle_tokens,
     sweep,
 )
 from t3s.numkernel import Rng
 from t3s.sampler import SamplerConfig, TrialPlan
 from t3s.toymodel import ModelConfig, build_model, embed_frames, StreamSpec
+
+from helpers import baseline_greedy_decode, single_sequence
 
 MODEL = ModelConfig(layers=2, model_dim=16, heads=2, vocab=64, max_positions=4096, init_seed=4)
 
@@ -169,8 +169,8 @@ class TestRunExperiment:
         assert cost.measured_speedup is None
 
     def test_timing_enabled_fills_wall_clock(self):
-        cfg = small_config(repeats=5, timing=True, timing_repeats=3)
-        report = run_experiment(cfg)
+        cfg = small_config(repeats=5)
+        report = run_experiment(cfg, latency_repeats=3)
         assert report.cost.tau1 > 0
         assert report.cost.tau2 > 0
         assert report.cost.measured_speedup is not None
@@ -179,7 +179,7 @@ class TestRunExperiment:
         # the question tokens are not part of L, timed or not
         cfg = small_config(repeats=2)
         untimed = run_experiment(cfg).cost
-        timed = run_experiment(replace(cfg, timing=True, timing_repeats=3)).cost
+        timed = run_experiment(cfg, latency_repeats=3).cost
         assert untimed.L == timed.L == cfg.sampler.tokens_per_trial
         assert timed.theoretical_base == untimed.theoretical_base
 
@@ -355,8 +355,6 @@ CONFIG_FIELD_PATHS = [
     for key, value in DEFAULT_CONFIG_DICT.items()
     for path in [(key,)] + ([(key, k) for k in value] if isinstance(value, dict) else [])
 ]
-# fields whose default is null, and what else they accept
-NULLABLE_KINDS = {"memory_budget_entries": {"int"}, "out_dir": {"str"}}
 
 JSON_VALUES = st.one_of(
     st.none(),
@@ -376,9 +374,7 @@ def _json_kind(value) -> str:
             dict: "dict"}[type(value)]
 
 
-def _accepted_kinds(path, default) -> set:
-    if default is None:
-        return {"null"} | NULLABLE_KINDS[path[-1]]
+def _accepted_kinds(default) -> set:
     kind = _json_kind(default)
     return {"int", "float"} if kind == "float" else {kind}
 
@@ -438,6 +434,10 @@ class TestConfigCodec:
             config_from_dict({"sampelr": {}})
         with pytest.raises(ConfigError):
             config_from_dict({"sampler": {"ratio": [0.5]}})
+        # fields an earlier schema had
+        for old in ("timing", "timing_repeats", "memory_budget_entries", "out_dir"):
+            with pytest.raises(ConfigError, match="unknown config fields"):
+                config_from_dict({old: 1})
 
     @pytest.mark.parametrize(
         "data",
@@ -454,6 +454,8 @@ class TestConfigCodec:
             {"model": {"heads": 3}},
             {"sampler": {"frame_method": "every_other"}},
             {"timing": True, "timing_repeats": 1},
+            {"strategy": {"kind": "confidence_weighted", "entropy_floor": math.nan}},
+            {"strategy": {"kind": "confidence_weighted", "entropy_floor": math.inf}},
         ],
     )
     def test_malformed_config_raises_config_error(self, data):
@@ -465,7 +467,7 @@ class TestConfigCodec:
     @settings(max_examples=30, deadline=None)
     def test_wrong_typed_field_raises_config_error(self, path, value):
         default = _dig(DEFAULT_CONFIG_DICT, path)
-        assume(_json_kind(value) not in _accepted_kinds(path, default))
+        assume(_json_kind(value) not in _accepted_kinds(default))
         with pytest.raises(ConfigError):
             config_from_dict(_with_field(path, value))
 
@@ -589,3 +591,9 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         rep = json.loads((out / "cost_report.json").read_text())
         assert rep["tau1"] > 0 and rep["tau2"] > 0
+        assert rep["measured_speedup"] == rep["tau1"] / rep["tau2"]
+
+    def test_bench_repeats_floor_exits_two(self, tmp_path, run_cli):
+        res = run_cli("bench", "--repeats", "2", "--out-dir", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "--repeats" in res.stderr

@@ -138,7 +138,7 @@ class TestRng:
 
     def test_child_streams_distinct(self):
         r = Rng(7)
-        kids = r.split(8)
+        kids = [r.child(i) for i in range(8)]
         assert len({k.stream for k in kids}) == 8
         draws = {tuple(k.generator().integers(0, 2**62, 4)) for k in kids}
         assert len(draws) == 8

@@ -12,10 +12,11 @@ from t3s.packer import (
     last_positions,
     pack,
     slice_segment,
-    to_debug_json,
 )
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import VideoTokenStream
+
+from helpers import to_debug_json
 
 DIM = 4
 
@@ -126,6 +127,17 @@ class TestPack:
 
     def test_frame_out_of_range_rejected(self):
         plan = TrialPlan(np.array([5]), np.array([0]), 0.5)
+        with pytest.raises(ContractError):
+            pack([plan], tagged_video(3, 2), [])
+
+    @pytest.mark.parametrize(
+        "frames, keep",
+        [([-1], [0, 1]), ([0], [-1]), ([4, 0], [0]), ([0, 1], [4, 0])],
+        ids=["negative_frame", "negative_token", "unsorted_frames", "unsorted_tokens"],
+    )
+    def test_every_index_bounds_checked(self, frames, keep):
+        # numpy would wrap a negative index to the last frame or token
+        plan = TrialPlan(np.array(frames), np.array(keep), 0.5)
         with pytest.raises(ContractError):
             pack([plan], tagged_video(3, 2), [])
 
