@@ -133,6 +133,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_coverage(args) -> int:
     cfg = _load_config(args)
+    if args.draws < 10000:
+        raise ConfigError(f"--draws must be >= 10000, got {args.draws}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rep = coverage_report(

@@ -102,9 +102,9 @@ def entropy(dist) -> float:
 def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance (no affine)."""
     x = np.asarray(x, dtype=np.float64)
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps)
+    centred = x - x.mean(axis=-1, keepdims=True)
+    centred /= np.sqrt(np.mean(centred * centred, axis=-1, keepdims=True) + eps)
+    return centred
 
 
 def sample_without_replacement(population: int, take: int, rng: Rng) -> np.ndarray:

@@ -21,6 +21,14 @@ from .numkernel import Rng, layer_norm, mix64
 from .packer import PackedSequence
 
 _NEG_INF = float("-inf")
+_GELU_C = 0.7978845608028654  # sqrt(2/pi)
+
+# Queries are processed in fixed-size chunks with keys truncated at the
+# chunk's causal horizon: temporaries stay small, so wall clock tracks the
+# evaluated score-entry count instead of cache spills. Keys before a chunk
+# are all allowed, so only its diagonal block is masked, by this triangle.
+_QUERY_CHUNK = 128
+_FUTURE_KEYS = np.triu(np.ones((_QUERY_CHUNK, _QUERY_CHUNK), dtype=bool), k=1)
 
 
 @dataclass(frozen=True)
@@ -115,16 +123,27 @@ def _sinusoidal(positions: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _masked_softmax(scores: np.ndarray) -> np.ndarray:
-    # in place; scores carry -inf at forbidden entries, diagonals stay finite
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
-
-
 def _segment_pair_count(packed: PackedSequence) -> int:
     return sum(s.length * (s.length + 1) // 2 for s in packed.segments)
+
+
+def _attend_segment(qh, kh, vh, ctx, b, e, received):
+    # qh/kh/vh: (heads, total, head_dim), qh already scaled by
+    # 1/sqrt(head_dim); segment is [b, e)
+    length = e - b
+    for c0 in range(0, length, _QUERY_CHUNK):
+        c1 = min(c0 + _QUERY_CHUNK, length)  # also the causal horizon
+        scores = qh[:, b + c0 : b + c1] @ kh[:, b : b + c1].transpose(0, 2, 1)
+        future = _FUTURE_KEYS[: c1 - c0, : c1 - c0]
+        np.copyto(scores[:, :, c0:], _NEG_INF, where=future)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        sums = scores.sum(axis=-1, keepdims=True)
+        if received is not None:
+            received[b : b + c1] += (scores / sums).sum(axis=(0, 1))
+        heads_ctx = scores @ vh[:, b : b + c1]
+        heads_ctx /= sums
+        ctx[b + c0 : b + c1] = _merge_heads(heads_ctx)
 
 
 class SeededTransformer:
@@ -177,29 +196,6 @@ class SeededTransformer:
         x[id_pos] = self.weights["token_embedding"][ids[id_pos]]
         return x + _sinusoidal(packed.pos_in_segment, cfg.model_dim)
 
-    # Queries are processed in fixed-size chunks with keys truncated at the
-    # chunk's causal horizon: temporaries stay small, so wall clock tracks
-    # the evaluated score-entry count instead of cache spills.
-    _QUERY_CHUNK = 128
-
-    def _attend_segment(self, qh, kh, vh, ctx, b, e, received):
-        # qh/kh/vh: (heads, total, head_dim); segment is [b, e)
-        inv_sqrt = 1.0 / math.sqrt(self.head_dim)
-        length = e - b
-        for c0 in range(0, length, self._QUERY_CHUNK):
-            c1 = min(c0 + self._QUERY_CHUNK, length)
-            horizon = c1  # causal: this chunk never sees keys at or past c1
-            scores = qh[:, b + c0 : b + c1] @ kh[:, b : b + horizon].transpose(0, 2, 1)
-            scores *= inv_sqrt
-            forbidden = (
-                np.arange(horizon)[None, :] > np.arange(c0, c1)[:, None]
-            )
-            scores[:, forbidden] = _NEG_INF
-            attn = _masked_softmax(scores)
-            if received is not None:
-                received[b : b + horizon] += attn.sum(axis=(0, 1))
-            ctx[b + c0 : b + c1] = _merge_heads(attn @ vh[:, b : b + horizon])
-
     def _run(self, packed, collect_received):
         cfg = self.config
         w = self.weights
@@ -207,10 +203,12 @@ class SeededTransformer:
         blocks = [(s.start, s.start + s.length) for s in packed.segments]
         pair_count = cfg.layers * cfg.heads * _segment_pair_count(packed)
         received = np.zeros(packed.total_length) if collect_received else None
+        inv_sqrt = 1.0 / math.sqrt(self.head_dim)
 
         for layer in range(cfg.layers):
             h = layer_norm(x)
             q = h @ w[f"layer{layer}.attn_query"]
+            q *= inv_sqrt
             k = h @ w[f"layer{layer}.attn_key"]
             v = h @ w[f"layer{layer}.attn_value"]
             qh = _split_heads(q, cfg.heads, self.head_dim)
@@ -218,7 +216,7 @@ class SeededTransformer:
             vh = _split_heads(v, cfg.heads, self.head_dim)
             ctx = np.empty_like(q)
             for b, e in blocks:
-                self._attend_segment(qh, kh, vh, ctx, b, e, received)
+                _attend_segment(qh, kh, vh, ctx, b, e, received)
             x = x + ctx @ w[f"layer{layer}.attn_out"]
             h2 = layer_norm(x)
             x = x + _gelu(h2 @ w[f"layer{layer}.ffn_in"]) @ w[f"layer{layer}.ffn_out"]
@@ -242,8 +240,18 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation; exact erf is not worth a scipy dependency here
-    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
+    # tanh approximation (exact erf is not worth a scipy dependency here),
+    # with c*(x + 0.044715*x^3) in Horner form x*(c + c*0.044715*x^2): one
+    # buffer, in-place ufuncs, no pow; x itself is left untouched
+    out = x * x
+    out *= _GELU_C * 0.044715
+    out += _GELU_C
+    out *= x
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def weight_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:

@@ -562,19 +562,20 @@ class TestCli:
         assert abs(rep["z_score"]) < 3.0
 
     def test_runtime_failure_exits_one(self, tmp_path, tiny_config, run_cli):
-        # draws below the contract floor is a runtime error, not a config error
+        # an output directory that cannot be made is a runtime error, not a
+        # config error
+        blocker = tmp_path / "cov"
+        blocker.write_text("a file, not a directory")
         res = run_cli(
             "coverage",
             "--config",
             str(tiny_config),
             "--out-dir",
-            str(tmp_path / "cov"),
-            "--draws",
-            "500",
+            str(blocker),
             cwd=tmp_path,
         )
         assert res.returncode == 1, res.stderr
-        assert "ContractError" in res.stderr
+        assert "FileExistsError" in res.stderr
 
     def test_bench_subcommand(self, tmp_path, tiny_config, run_cli):
         out = tmp_path / "bench"
@@ -597,3 +598,10 @@ class TestCli:
         res = run_cli("bench", "--repeats", "2", "--out-dir", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "--repeats" in res.stderr
+
+    def test_coverage_draws_floor_exits_two(self, tmp_path, run_cli):
+        out = tmp_path / "out"
+        res = run_cli("coverage", "--draws", "0", "--out-dir", str(out), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "--draws" in res.stderr
+        assert not out.exists()  # checked before any output is written

@@ -93,6 +93,16 @@ class TestLayerNorm:
         assert np.abs(out.mean(axis=-1)).max() < 1e-12
         assert np.abs(out.std(axis=-1) - 1.0).max() < 1e-3
 
+    @pytest.mark.parametrize("shape", [(5, 32), (2052, 64)])
+    def test_matches_two_pass_formula(self, shape):
+        x = Rng(3).generator().standard_normal(shape) * 4.0 + 2.0
+        before = x.copy()
+        mean = x.mean(axis=-1, keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
+        expected = (x - mean) / np.sqrt(var + 1e-5)
+        assert np.abs(layer_norm(x) - expected).max() <= 1e-12
+        assert np.array_equal(x, before)
+
 
 class TestSampleWithoutReplacement:
     def test_full_sample(self):

@@ -14,10 +14,12 @@ from t3s.numkernel import Rng, layer_norm, mix64
 from t3s.packer import append_token, last_positions, pack, slice_segment
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import (
+    _QUERY_CHUNK,
     ModelConfig,
     NeedleProbe,
     SeededTransformer,
     StreamSpec,
+    _gelu,
     build_model,
     embed_frames,
     needle_direction,
@@ -226,7 +228,7 @@ class TestDenseOracles:
             trials=3, total_frames=80, frames_per_trial=70, tokens_per_frame=3,
             ratios=(1.0, 0.7, 0.3),
         )
-        long = [s for s in packed.segments if s.length > SeededTransformer._QUERY_CHUNK]
+        long = [s for s in packed.segments if s.length > _QUERY_CHUNK]
         assert len(long) == 2
         model = build_model(CFG)
         fast = model.forward(packed)
@@ -234,6 +236,22 @@ class TestDenseOracles:
         assert np.abs(fast.logits - logits).max() < 1e-9
         triangles = sum(s.length * (s.length + 1) // 2 for s in packed.segments)
         assert fast.pair_count == CFG.layers * CFG.heads * triangles
+
+    @pytest.mark.parametrize("length", [1, 127, 128, 129, 256, 257])
+    def test_chunk_seams_match_dense_oracle(self, length):
+        # one segment per length: below, on and just past each chunk seam,
+        # where the diagonal block's triangle must line up with its keys
+        packed, _, _ = make_packed(
+            trials=1, total_frames=length, frames_per_trial=length,
+            tokens_per_frame=1, ratios=(1.0,), text=(),
+        )
+        assert packed.total_length == length
+        model = build_model(CFG)
+        mask_matrix = block_causal_matrix(packed)
+        mats, logits = materialized_attention(model, packed, mask_matrix)
+        assert np.abs(model.forward(packed).logits - logits).max() < 1e-9
+        oracle = received_oracle(mats, mask_matrix)
+        assert np.abs(model.attention_received(packed) - oracle).max() < 1e-9
 
     def test_probe_forward_matches_hash_oracle(self):
         packed, _, _ = make_packed(trials=2, needles=frozenset({0, 4}))
@@ -245,11 +263,24 @@ class TestDenseOracles:
         assert fast.pair_count == int(allowed.sum())
 
 
+def textbook_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+
+
+def test_gelu_matches_textbook_formula():
+    g = Rng(4).generator()
+    for x in (np.linspace(-40.0, 40.0, 200_001), g.standard_normal(1_000_000) * 3.0):
+        before = x.copy()
+        assert np.abs(_gelu(x) - textbook_gelu(x)).max() <= 1e-14
+        assert np.array_equal(x, before)
+
+
 def materialized_attention(model, packed, mask_matrix):
-    """Oracle: recompute every layer's attention matrix densely (L x L).
+    """Oracle: recompute every layer's attention matrix densely (L x L), with
+    the textbook GELU and an explicitly scaled, masked, normalised softmax.
 
     Returns the per-layer (heads, L, L) attention matrices and the logits."""
-    from t3s.toymodel import _gelu, _sinusoidal, _split_heads
+    from t3s.toymodel import _sinusoidal, _split_heads
 
     cfg = model.config
     w = model.weights
@@ -273,9 +304,15 @@ def materialized_attention(model, packed, mask_matrix):
         ctx = attn @ vh
         ctx = ctx.transpose(1, 0, 2).reshape(len(x), cfg.model_dim)
         x = x + ctx @ w[f"layer{layer}.attn_out"]
-        h2 = layer_norm(x)
-        x = x + _gelu(h2 @ w[f"layer{layer}.ffn_in"]) @ w[f"layer{layer}.ffn_out"]
+        ffn = textbook_gelu(layer_norm(x) @ w[f"layer{layer}.ffn_in"])
+        x = x + ffn @ w[f"layer{layer}.ffn_out"]
     return mats, layer_norm(x) @ w["unembedding"]
+
+
+def received_oracle(mats, mask_matrix):
+    """Mean attention weight each position receives, from the dense matrices."""
+    sums = sum(attn.sum(axis=(0, 1)) for attn in mats)
+    return sums / (len(mats) * mats[0].shape[0] * mask_matrix.sum(axis=0))
 
 
 class TestAttentionReceived:
@@ -286,12 +323,7 @@ class TestAttentionReceived:
 
         mask_matrix = block_causal_matrix(packed)
         mats, _ = materialized_attention(model, packed, mask_matrix)
-        total = packed.total_length
-        sums = np.zeros(total)
-        for attn in mats:
-            sums += attn.sum(axis=(0, 1))
-        attending = mask_matrix.sum(axis=0)
-        oracle = sums / (CFG.layers * CFG.heads * attending)
+        oracle = received_oracle(mats, mask_matrix)
         assert np.abs(got - oracle).max() < 1e-9
         assert (got >= 0.0).all()
 
