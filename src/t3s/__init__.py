@@ -13,7 +13,6 @@ from .aggregator import (
     confidence_weighted,
     cross_refine,
     decode,
-    default_strategy,
     fuse_token,
     mean_logits,
 )

@@ -56,11 +56,6 @@ class CrossRefine:
 AggregationStrategy = Union[MeanLogits, ConfidenceWeighted, CrossRefine]
 
 
-def default_strategy(trials: int, top_k: int = DEFAULT_TOP_K) -> AggregationStrategy:
-    """Cross-refinement for exactly two trials, mean logits otherwise."""
-    return CrossRefine(top_k) if trials == 2 else MeanLogits()
-
-
 def _check_trial_logits(logits) -> np.ndarray:
     o = np.asarray(logits, dtype=np.float64)
     if o.ndim != 2 or o.shape[0] < 1:

@@ -79,10 +79,11 @@ _PLOT_FILES = {
 
 
 def _emit_sweep_plots(axis: str, rows: list[dict], out: Path) -> None:
+    """The axis's SVG, drawn from the rows that succeeded; none if no row did."""
     name = _PLOT_FILES.get(axis)
-    if name is None:
-        return
     ok = [r for r in rows if not r["error"]]
+    if name is None or not ok:
+        return
     if axis == "alpha_grid":
         a1s = sorted({float(r["point"].split(",")[0]) for r in ok})
         a2s = sorted({float(r["point"].split(",")[1]) for r in ok})

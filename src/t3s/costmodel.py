@@ -56,11 +56,6 @@ def exact_pair_ratio(L: int, alphas: Sequence[float]) -> float:
     return num / (L * (L + 1))
 
 
-def count_pairs(backend, packed: PackedSequence) -> int:
-    """Pair count of one forward, without timing."""
-    return backend.forward(packed).pair_count
-
-
 def _first_token_seconds(
     backend, packed: PackedSequence, strategy: AggregationStrategy
 ) -> float:
@@ -90,12 +85,12 @@ def measure(
     if baseline_packed.num_segments != 1:
         raise ContractError("baseline must be a single-segment sequence")
     strategy = strategy or MeanLogits()
-    L = baseline_packed.total_length - baseline_packed.text_len
+    L = int((baseline_packed.token_ids < 0).sum())
     base, multi, speedup = theoretical_costs(L, alphas)
     # the counting forwards double as warmups, keeping allocator effects
     # out of the medians
-    pairs_base = count_pairs(backend, baseline_packed)
-    pairs_multi = count_pairs(backend, multi_packed)
+    pairs_base = backend.forward(baseline_packed).pair_count
+    pairs_multi = backend.forward(multi_packed).pair_count
     tau1 = tau2 = None
     if repeats is not None:
         # interleaved, so drift in machine speed hits both paths alike

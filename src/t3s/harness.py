@@ -20,12 +20,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .aggregator import (
+    DEFAULT_TOP_K,
     AggregationStrategy,
     ConfidenceWeighted,
     CrossRefine,
     MeanLogits,
     decode,
-    default_strategy,
 )
 from .costmodel import CostReport, measure
 from .errors import ConfigError, ContractError, ShapeError
@@ -134,7 +134,7 @@ def default_experiment_config(**overrides) -> ExperimentConfig:
         model=ModelConfig(
             layers=4, model_dim=64, heads=4, vocab=64, max_positions=16384
         ),
-        strategy=default_strategy(2),
+        strategy=CrossRefine(DEFAULT_TOP_K),
     )
     return replace(cfg, **overrides) if overrides else cfg
 

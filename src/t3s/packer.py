@@ -3,9 +3,8 @@
 A packed sequence holds m contiguous segments, one per trial. Each segment
 is [kept visual tokens][text prompt copy][generated tokens]; positions
 restart at 0 inside every segment. The companion attention rule is
-block-diagonal causal: position p may attend q iff
-segment_of[p] == segment_of[q] and q <= p, that is, only inside its own
-segment and only backwards.
+block-diagonal causal: position p may attend q iff both lie in the same
+segment and q <= p, that is, only inside its own segment and only backwards.
 """
 
 from __future__ import annotations
@@ -30,20 +29,17 @@ class PackedSequence:
 
     Per position, exactly one of two payloads applies: a visual embedding row
     (token_ids[p] == -1) or a vocabulary id (embeddings[p] is all-zero and
-    ignored). `append_token` returns a new value; arrays are read-only.
+    ignored). The segment table alone fixes each position's segment and its
+    index inside it. `append_token` returns a new value; arrays are read-only.
     """
 
     segments: tuple[Segment, ...]
     embeddings: np.ndarray  # (total, model_dim) float64
     token_ids: np.ndarray  # (total,) int64, -1 where the payload is an embedding
-    segment_of: np.ndarray  # (total,) int64
-    pos_in_segment: np.ndarray  # (total,) int64
-    text_len: int
-    generated: int = 0
 
     def __post_init__(self):
-        for arr in (self.embeddings, self.token_ids, self.segment_of, self.pos_in_segment):
-            arr.flags.writeable = False
+        self.embeddings.flags.writeable = False
+        self.token_ids.flags.writeable = False
 
     @property
     def total_length(self) -> int:
@@ -57,31 +53,24 @@ class PackedSequence:
     def model_dim(self) -> int:
         return self.embeddings.shape[1]
 
+    @property
+    def pos_in_segment(self) -> np.ndarray:
+        """(total,) int64 index of each position inside its own segment."""
+        return np.concatenate(
+            [np.arange(s.length, dtype=np.int64) for s in self.segments]
+        )
+
 
 def _build(
-    parts_embeddings: list[np.ndarray],
-    parts_ids: list[np.ndarray],
-    text_len: int,
-    generated: int,
-    model_dim: int,
+    parts_embeddings: list[np.ndarray], parts_ids: list[np.ndarray]
 ) -> PackedSequence:
+    """One segment per part, laid out back to back in part order."""
     lengths = [len(ids) for ids in parts_ids]
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(int)
-    segments = tuple(Segment(int(s), int(l)) for s, l in zip(starts, lengths))
-    embeddings = np.concatenate(parts_embeddings, axis=0)
-    token_ids = np.concatenate(parts_ids)
-    segment_of = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    pos_in_segment = np.concatenate(
-        [np.arange(l, dtype=np.int64) for l in lengths]
-    )
     return PackedSequence(
-        segments=segments,
-        embeddings=embeddings,
-        token_ids=token_ids,
-        segment_of=segment_of,
-        pos_in_segment=pos_in_segment,
-        text_len=text_len,
-        generated=generated,
+        segments=tuple(Segment(int(s), int(l)) for s, l in zip(starts, lengths)),
+        embeddings=np.concatenate(parts_embeddings, axis=0),
+        token_ids=np.concatenate(parts_ids),
     )
 
 
@@ -95,8 +84,7 @@ def pack(
     Segment i carries the video tokens gathered frame-major from
     `video.frame_embeddings[plan.frame_indices]` and filtered by
     `plan.token_keep` (ascending original order), followed by a full copy of
-    `text`. `video` needs `num_frames`, `tokens_per_frame` and
-    `frame_embeddings` of shape (F, M, model_dim).
+    `text`. `video` needs `frame_embeddings` of shape (F, M, model_dim).
     """
     if len(plans) == 0:
         raise ContractError("pack requires at least one trial plan")
@@ -126,7 +114,7 @@ def pack(
         )
         parts_embeddings.append(seg_emb)
         parts_ids.append(seg_ids)
-    return _build(parts_embeddings, parts_ids, len(text_ids), 0, model_dim)
+    return _build(parts_embeddings, parts_ids)
 
 
 def append_token(
@@ -142,25 +130,12 @@ def append_token(
             f"(current {packed.total_length}, +{m})"
         )
     ends = [s.start + s.length for s in packed.segments]
-    embeddings = np.insert(packed.embeddings, ends, 0.0, axis=0)
-    token_ids = np.insert(packed.token_ids, ends, token_id)
-    segment_of = np.insert(
-        packed.segment_of, ends, np.arange(m, dtype=np.int64)
-    )
-    pos_in_segment = np.insert(
-        packed.pos_in_segment, ends, [s.length for s in packed.segments]
-    )
-    segments = tuple(
-        Segment(s.start + i, s.length + 1) for i, s in enumerate(packed.segments)
-    )
     return PackedSequence(
-        segments=segments,
-        embeddings=embeddings,
-        token_ids=token_ids,
-        segment_of=segment_of,
-        pos_in_segment=pos_in_segment,
-        text_len=packed.text_len,
-        generated=packed.generated + 1,
+        segments=tuple(
+            Segment(s.start + i, s.length + 1) for i, s in enumerate(packed.segments)
+        ),
+        embeddings=np.insert(packed.embeddings, ends, 0.0, axis=0),
+        token_ids=np.insert(packed.token_ids, ends, token_id),
     )
 
 
@@ -175,10 +150,4 @@ def slice_segment(packed: PackedSequence, index: int) -> PackedSequence:
         raise ContractError(f"segment index {index} out of range")
     s = packed.segments[index]
     sel = slice(s.start, s.start + s.length)
-    return _build(
-        [packed.embeddings[sel].copy()],
-        [packed.token_ids[sel].copy()],
-        packed.text_len,
-        packed.generated,
-        packed.model_dim,
-    )
+    return _build([packed.embeddings[sel]], [packed.token_ids[sel]])

@@ -41,8 +41,10 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if min(self.layers, self.heads, self.max_positions) < 1:
-            raise ConfigError("layers, heads and max_positions must be >= 1")
+        if min(self.layers, self.model_dim, self.heads, self.max_positions) < 1:
+            raise ConfigError(
+                "layers, model_dim, heads and max_positions must be >= 1"
+            )
         if self.model_dim % self.heads != 0:
             raise ShapeError(
                 f"model_dim={self.model_dim} not divisible by heads={self.heads}"
@@ -68,17 +70,23 @@ class StreamSpec:
 
 @dataclass(frozen=True)
 class VideoTokenStream:
-    num_frames: int
-    tokens_per_frame: int
     frame_embeddings: np.ndarray  # (F, M, model_dim) float64
 
     def __post_init__(self):
-        if self.frame_embeddings.shape[:2] != (self.num_frames, self.tokens_per_frame):
+        if self.frame_embeddings.ndim != 3:
             raise ShapeError(
-                f"frame_embeddings shape {self.frame_embeddings.shape} does not "
-                f"match F={self.num_frames}, M={self.tokens_per_frame}"
+                f"frame_embeddings must be 3-D (F, M, model_dim), "
+                f"got shape {self.frame_embeddings.shape}"
             )
         self.frame_embeddings.flags.writeable = False
+
+    @property
+    def num_frames(self) -> int:
+        return self.frame_embeddings.shape[0]
+
+    @property
+    def tokens_per_frame(self) -> int:
+        return self.frame_embeddings.shape[1]
 
     @property
     def model_dim(self) -> int:
@@ -104,7 +112,7 @@ def embed_frames(spec: StreamSpec, cfg: ModelConfig, rng: Rng) -> VideoTokenStre
     frames = g.standard_normal((spec.num_frames, spec.tokens_per_frame, dim)) * scale
     if spec.needle_frames:
         frames[sorted(spec.needle_frames)] = needle_direction(dim)
-    return VideoTokenStream(spec.num_frames, spec.tokens_per_frame, frames)
+    return VideoTokenStream(frames)
 
 
 class ForwardResult(NamedTuple):
@@ -154,14 +162,10 @@ class SeededTransformer:
     no key-value cache: each forward recomputes the full packed sequence.
     """
 
-    def __init__(self, cfg: ModelConfig, weights: Optional[dict[str, np.ndarray]] = None):
+    def __init__(self, cfg: ModelConfig):
         self.config = cfg
         self.head_dim = cfg.model_dim // cfg.heads
-        if weights is None:
-            weights = _draw_weights(cfg)
-        else:
-            _check_weights(cfg, weights)
-        self.weights = weights
+        self.weights = _draw_weights(cfg)
 
     @property
     def max_positions(self) -> int:
@@ -224,8 +228,11 @@ class SeededTransformer:
         logits = layer_norm(x) @ w["unembedding"]
 
         if collect_received:
-            seg_len = np.array([packed.segments[s].length for s in packed.segment_of])
-            attending = seg_len - packed.pos_in_segment
+            # queries that may attend each position: itself and every later
+            # position of its segment
+            attending = np.concatenate(
+                [np.arange(s.length, 0, -1) for s in packed.segments]
+            )
             received = received / (cfg.layers * cfg.heads * attending)
         return logits, pair_count, received
 
@@ -254,8 +261,8 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def weight_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Weight names and shapes in their pinned draw order."""
+def _draw_weights(cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """Seeded weights, drawn from one stream in a pinned name order."""
     d, f = cfg.model_dim, 4 * cfg.model_dim
     entries: list[tuple[str, tuple[int, ...]]] = [("token_embedding", (cfg.vocab, d))]
     for layer in range(cfg.layers):
@@ -268,26 +275,9 @@ def weight_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
             (f"layer{layer}.ffn_out", (f, d)),
         ]
     entries.append(("unembedding", (d, cfg.vocab)))
-    return entries
-
-
-def _draw_weights(cfg: ModelConfig) -> dict[str, np.ndarray]:
     g = Rng(cfg.init_seed).generator()
-    scale = 1.0 / math.sqrt(cfg.model_dim)
-    return {
-        name: g.standard_normal(shape) * scale
-        for name, shape in weight_manifest(cfg)
-    }
-
-
-def _check_weights(cfg: ModelConfig, weights: dict[str, np.ndarray]) -> None:
-    for name, shape in weight_manifest(cfg):
-        if name not in weights:
-            raise ShapeError(f"missing weight {name}")
-        if weights[name].shape != shape:
-            raise ShapeError(
-                f"weight {name} has shape {weights[name].shape}, expected {shape}"
-            )
+    scale = 1.0 / math.sqrt(d)
+    return {name: g.standard_normal(shape) * scale for name, shape in entries}
 
 
 def build_model(cfg: ModelConfig) -> SeededTransformer:

@@ -1,6 +1,7 @@
 """Test-only reference code: a direct single-sequence greedy baseline that
-shares no code with the sampler or the multi-trial packer paths, and a
-structural dump of packed sequences for golden tests."""
+shares no code with the sampler or the multi-trial packer paths, a
+structural dump of packed sequences for golden tests, and each position's
+segment id."""
 
 from typing import Optional, Sequence
 
@@ -10,17 +11,8 @@ from t3s.packer import PackedSequence, Segment
 from t3s.toymodel import VideoTokenStream
 
 
-def _one_segment(embeddings, token_ids, text_len: int, generated: int) -> PackedSequence:
-    total = len(token_ids)
-    return PackedSequence(
-        segments=(Segment(0, total),),
-        embeddings=embeddings,
-        token_ids=token_ids,
-        segment_of=np.zeros(total, dtype=np.int64),
-        pos_in_segment=np.arange(total, dtype=np.int64),
-        text_len=text_len,
-        generated=generated,
-    )
+def _one_segment(embeddings, token_ids) -> PackedSequence:
+    return PackedSequence((Segment(0, len(token_ids)),), embeddings, token_ids)
 
 
 def single_sequence(video: VideoTokenStream, text: Sequence[int]) -> PackedSequence:
@@ -30,13 +22,13 @@ def single_sequence(video: VideoTokenStream, text: Sequence[int]) -> PackedSeque
     text_ids = np.asarray(list(text), dtype=np.int64)
     embeddings = np.concatenate([visual, np.zeros((len(text_ids), dim))], axis=0)
     token_ids = np.concatenate([np.full(len(visual), -1, dtype=np.int64), text_ids])
-    return _one_segment(embeddings, token_ids, len(text_ids), 0)
+    return _one_segment(embeddings, token_ids)
 
 
 def _append_single(seq: PackedSequence, token_id: int) -> PackedSequence:
     embeddings = np.concatenate([seq.embeddings, np.zeros((1, seq.model_dim))], axis=0)
     token_ids = np.concatenate([seq.token_ids, [token_id]])
-    return _one_segment(embeddings, token_ids, seq.text_len, seq.generated + 1)
+    return _one_segment(embeddings, token_ids)
 
 
 def baseline_greedy_decode(
@@ -65,6 +57,11 @@ def to_debug_json(packed: PackedSequence) -> dict:
     return {
         "segments": [[s.start, s.length] for s in packed.segments],
         "token_ids": [int(t) for t in packed.token_ids],
-        "text_len": packed.text_len,
-        "generated": packed.generated,
     }
+
+
+def segment_ids(packed: PackedSequence) -> np.ndarray:
+    """The segment of each flat position, read off the segment table."""
+    return np.repeat(
+        np.arange(packed.num_segments), [s.length for s in packed.segments]
+    )

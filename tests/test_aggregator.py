@@ -13,7 +13,6 @@ from t3s.aggregator import (
     confidence_weighted,
     cross_refine,
     decode,
-    default_strategy,
     fuse_token,
     mean_logits,
 )
@@ -232,11 +231,6 @@ class TestFuseToken:
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError):
             fuse_token(np.array([[np.inf, 0.0]]), MeanLogits())
-
-    def test_default_strategy_branch(self):
-        assert isinstance(default_strategy(2), CrossRefine)
-        assert isinstance(default_strategy(1), MeanLogits)
-        assert isinstance(default_strategy(3), MeanLogits)
 
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=2048, init_seed=5)

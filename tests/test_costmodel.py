@@ -8,7 +8,6 @@ import pytest
 
 from t3s.costmodel import (
     CostReport,
-    count_pairs,
     exact_pair_ratio,
     measure,
     theoretical_costs,
@@ -101,7 +100,7 @@ class TestPairCounts:
         video, baseline, _, _, L = _setup()
         model = build_model(CFG)
         assert (
-            count_pairs(model, baseline)
+            model.forward(baseline).pair_count
             == CFG.layers * CFG.heads * L * (L + 1) // 2
         )
 
@@ -112,8 +111,8 @@ class TestPairCounts:
             probe = NeedleProbe(
                 needle_direction(CFG.model_dim), 1, CFG.vocab, noise_scale=0.0
             )
-            pairs_base = count_pairs(probe, baseline)
-            pairs_multi = count_pairs(probe, multi)
+            pairs_base = probe.forward(baseline).pair_count
+            pairs_multi = probe.forward(multi).pair_count
             num = sum(int(a * L) * (int(a * L) + 1) for a in ratios)
             assert pairs_multi * L * (L + 1) == pairs_base * num
             assert abs(
@@ -129,8 +128,8 @@ class TestPairCounts:
         probe = NeedleProbe(
             needle_direction(CFG.model_dim), 1, CFG.vocab, noise_scale=0.0
         )
-        forward_order = count_pairs(probe, pack(plans, video, [1]))
-        reverse_order = count_pairs(probe, pack(plans[::-1], video, [1]))
+        forward_order = probe.forward(pack(plans, video, [1])).pair_count
+        reverse_order = probe.forward(pack(plans[::-1], video, [1])).pair_count
         assert forward_order == reverse_order
 
 

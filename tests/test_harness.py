@@ -1,6 +1,7 @@
 """Harness tests: task generation, experiments, sweeps, coverage, config codec,
 and the CLI surface."""
 
+import csv
 import json
 import math
 from dataclasses import replace
@@ -456,6 +457,8 @@ class TestConfigCodec:
             {"timing": True, "timing_repeats": 1},
             {"strategy": {"kind": "confidence_weighted", "entropy_floor": math.nan}},
             {"strategy": {"kind": "confidence_weighted", "entropy_floor": math.inf}},
+            {"model": {"model_dim": 0}},
+            {"model": {"model_dim": -4}},
         ],
     )
     def test_malformed_config_raises_config_error(self, data):
@@ -504,7 +507,16 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '{"repeats": "a"}', "{not json"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"repeats": "a"}',
+            "{not json",
+            '{"model": {"model_dim": 0}}',
+            '{"model": {"model_dim": -4}}',
+        ],
+    )
     def test_malformed_config_exits_two(self, tmp_path, run_cli, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -544,6 +556,28 @@ class TestCli:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 4
         assert (out / "m_scaling.svg").exists()
+
+    @pytest.mark.parametrize("axis", ["alpha_grid", "k_values"])
+    def test_sweep_with_no_successful_point_writes_no_plot(
+        self, tmp_path, run_cli, axis
+    ):
+        # one trial cannot host the two-trial points of either axis
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "sampler": {"trials": 1, "ratios": [0.5]},
+            "strategy": {"kind": "mean_logits"},
+            "model": {"max_positions": 1029},
+        }))
+        out = tmp_path / "out"
+        res = run_cli(
+            "sweep", "--axis", axis, "--config", str(cfg), "--out-dir", str(out),
+            "--plots", "on", cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        with (out / f"sweep_{axis}.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["error"] for r in rows)
+        assert list(out.glob("*.svg")) == []
 
     def test_coverage_subcommand(self, tmp_path, tiny_config, run_cli):
         out = tmp_path / "cov"

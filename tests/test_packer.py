@@ -16,7 +16,7 @@ from t3s.packer import (
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import VideoTokenStream
 
-from helpers import to_debug_json
+from helpers import segment_ids, to_debug_json
 
 DIM = 4
 
@@ -27,7 +27,7 @@ def tagged_video(num_frames, tokens_per_frame):
     for f in range(num_frames):
         for p in range(tokens_per_frame):
             frames[f, p, 0] = f * 100 + p
-    return VideoTokenStream(num_frames, tokens_per_frame, frames)
+    return VideoTokenStream(frames)
 
 
 def full_plan(num_frames, tokens_per_frame):
@@ -45,15 +45,12 @@ def check_structure(packed, expected_visual_lens, text_len, generated):
         assert seg.start == at
         assert seg.length == expected_visual_lens[i] + text_len + generated
         span = slice(seg.start, seg.start + seg.length)
-        assert (packed.segment_of[span] == i).all()
         assert np.array_equal(packed.pos_in_segment[span], np.arange(seg.length))
         ids = packed.token_ids[span]
         assert (ids[: expected_visual_lens[i]] == -1).all()
         assert (ids[expected_visual_lens[i] :] >= 0).all()
         at += seg.length
     assert at == packed.total_length
-    assert packed.text_len == text_len
-    assert packed.generated == generated
 
 
 class TestPack:
@@ -238,8 +235,9 @@ class TestLastPositions:
             ratios=(0.9, 0.5, 0.3, 1.0),
         )
         packed = pack(build_trial_plans(cfg, Rng(11)), video, [0, 1])
+        seg = segment_ids(packed)
         oracle = [
-            max(p for p in range(packed.total_length) if packed.segment_of[p] == s)
+            max(p for p in range(packed.total_length) if seg[p] == s)
             for s in range(packed.num_segments)
         ]
         assert last_positions(packed) == oracle
@@ -284,8 +282,6 @@ class TestDebugJson:
         golden = {
             "segments": [[0, 7]],
             "token_ids": [-1, -1, -1, -1, 5, 6, 7],
-            "text_len": 2,
-            "generated": 1,
         }
         assert to_debug_json(packed) == golden
         # stable serialization

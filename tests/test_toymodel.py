@@ -19,12 +19,14 @@ from t3s.toymodel import (
     NeedleProbe,
     SeededTransformer,
     StreamSpec,
+    VideoTokenStream,
     _gelu,
     build_model,
     embed_frames,
     needle_direction,
-    weight_manifest,
 )
+
+from helpers import segment_ids
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=1024, init_seed=3)
 
@@ -50,7 +52,7 @@ def make_packed(seed=0, trials=2, total_frames=10, frames_per_trial=6,
 def block_causal_matrix(packed):
     """The attention rule as a dense matrix: p may attend q iff both lie in
     the same segment and q <= p."""
-    seg = packed.segment_of
+    seg = segment_ids(packed)
     n = packed.total_length
     causal = np.arange(n)[None, :] <= np.arange(n)[:, None]
     return (seg[:, None] == seg[None, :]) & causal
@@ -104,6 +106,9 @@ class TestEmbedFrames:
     def test_shape(self):
         v = embed_frames(StreamSpec(2, 3), CFG, Rng(0))
         assert v.frame_embeddings.shape == (2, 3, CFG.model_dim)
+        assert (v.num_frames, v.tokens_per_frame, v.model_dim) == v.frame_embeddings.shape
+        with pytest.raises(ShapeError):
+            VideoTokenStream(np.zeros((2, 3)))
 
     def test_needle_frames_have_unit_cosine(self):
         v = embed_frames(StreamSpec(5, 4, frozenset({1, 3})), CFG, Rng(0))
@@ -339,10 +344,9 @@ class TestAttentionReceived:
         # zeroed query/key weights: every score is 0, so query q spreads equal
         # weight 1/(q+1) over keys 0..q of its segment, and key j receives
         # the mean of 1/(q+1) over the queries q >= j that may attend it
-        weights = {
-            name: np.zeros(shape) for name, shape in weight_manifest(CFG)
-        }
-        model = SeededTransformer(CFG, weights=weights)
+        model = SeededTransformer(CFG)
+        for w in model.weights.values():
+            w[:] = 0.0
         packed, _, _ = make_packed(trials=2, ratios=(1.0, 0.5))
         got = model.attention_received(packed)
         for seg in packed.segments:
