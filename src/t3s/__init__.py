@@ -52,6 +52,7 @@ from .toymodel import (
     ModelConfig,
     NeedleProbe,
     SeededTransformer,
+    SegmentCache,
     StreamSpec,
     VideoTokenStream,
     build_model,

@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .numkernel import entropy, softmax_rows
-from .packer import append_token, last_positions, pack
+from .packer import last_positions, pack, token_per_segment
 from .sampler import TrialPlan
+from .toymodel import SegmentCache
 
 # Entropy floor: inverse-entropy weights blow up on one-hot distributions.
 DEFAULT_ENTROPY_FLOOR = 1e-8
@@ -134,9 +135,12 @@ def decode(
 ) -> list[int]:
     """Greedy multi-trial decoding.
 
-    Packs the plans once, then per step: forward, read each segment's final
-    logits, aggregate to one token, broadcast it onto every segment. Stops at
-    `stop_token` or after `steps` tokens.
+    Packs the plans and forwards the packed prompt once into an empty
+    per-segment cache, then per step: read each segment's final logits,
+    aggregate to one token, and forward only that token, once per segment,
+    as the continuation of the cache. Stops at `stop_token` or after `steps`
+    tokens; raises ContractError once the packed total would exceed the
+    backend's `max_positions`.
     """
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
@@ -145,14 +149,15 @@ def decode(
             f"cross-refinement needs exactly 2 trials, got {len(plans)}"
         )
     packed = pack(plans, video, text)
+    cache = SegmentCache()
     out: list[int] = []
     for step in range(steps):
-        logits, _ = backend.forward(packed)
+        logits, _ = backend.forward(packed, cache)
         trial_logits = logits[last_positions(packed)]
         token = fuse_token(trial_logits, strategy)
         out.append(token)
         if stop_token is not None and token == stop_token:
             break
         if step + 1 < steps:
-            packed = append_token(packed, token, max_positions=backend.max_positions)
+            packed = token_per_segment(token, packed.num_segments, packed.model_dim)
     return out

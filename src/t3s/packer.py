@@ -98,7 +98,7 @@ def pack(
 
     parts_embeddings: list[np.ndarray] = []
     parts_ids: list[np.ndarray] = []
-    for plan in plans:
+    for i, plan in enumerate(plans):
         f, k = plan.frame_indices, plan.token_keep
         if len(f) and not (0 <= f.min() and f.max() < num_frames):
             raise ContractError("plan references a frame outside the video")
@@ -106,6 +106,8 @@ def pack(
         if len(k) and not (0 <= k.min() and k.max() < len(local)):
             raise ContractError("plan keeps a token outside the trial range")
         kept = local[k]
+        if len(kept) + len(text_ids) == 0:
+            raise ContractError(f"trial {i} keeps no tokens and the text is empty")
         seg_emb = np.concatenate(
             [kept, np.zeros((len(text_ids), model_dim))], axis=0
         )
@@ -136,6 +138,20 @@ def append_token(
         ),
         embeddings=np.insert(packed.embeddings, ends, 0.0, axis=0),
         token_ids=np.insert(packed.token_ids, ends, token_id),
+    )
+
+
+def token_per_segment(
+    token_id: int, num_segments: int, model_dim: int
+) -> PackedSequence:
+    """`token_id` as the one token of each of `num_segments` segments: the
+    extension that appends it to every segment of a cached sequence."""
+    if token_id < 0:
+        raise ContractError(f"token id must be non-negative, got {token_id}")
+    return PackedSequence(
+        segments=tuple(Segment(i, 1) for i in range(num_segments)),
+        embeddings=np.zeros((num_segments, model_dim)),
+        token_ids=np.full(num_segments, token_id, dtype=np.int64),
     )
 
 

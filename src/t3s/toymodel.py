@@ -6,6 +6,10 @@ block-diagonal causal rule permits (each position attends only backwards
 inside its own segment). Segment positions restart at zero, so the logits a
 segment produces are the same whether it is forwarded packed with other
 segments or alone.
+
+Given a `SegmentCache`, a forward continues the cached segments: segment i of
+its packed sequence extends cached segment i, whose tokens it attends but
+does not recompute, and the cache then holds both.
 """
 
 from __future__ import annotations
@@ -131,35 +135,76 @@ def _sinusoidal(positions: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _segment_pair_count(packed: PackedSequence) -> int:
-    return sum(s.length * (s.length + 1) // 2 for s in packed.segments)
+class SegmentCache:
+    """Per-segment state that forwards extend, one entry per trial segment.
+
+    A new cache is empty; the first forward given it fixes the segment count
+    and every later forward must pack that many segments. `lengths[i]` is the
+    number of tokens segment i holds so far; `states[i]` is the backend's
+    summary of them (the transformer's per-layer keys and values, the needle
+    probe's last hash and needle count), so a cache serves one backend.
+    """
+
+    def __init__(self):
+        self.lengths: list[int] = []
+        self.states: list = []
+
+    def continued(self, packed: PackedSequence, initial) -> tuple[list[int], list]:
+        """(cached lengths, states) of the segments `packed` continues; an
+        empty cache gives zero lengths and `initial` for every segment."""
+        if not self.lengths:
+            return [0] * packed.num_segments, [initial] * packed.num_segments
+        if packed.num_segments != len(self.lengths):
+            raise ContractError(
+                f"cache holds {len(self.lengths)} segments, "
+                f"packed sequence has {packed.num_segments}"
+            )
+        return self.lengths, self.states
+
+    def extend(self, packed: PackedSequence, states: list) -> None:
+        """Record that `packed` continued the cache; `states` summarise each
+        segment's tokens so far."""
+        cached, _ = self.continued(packed, None)
+        self.lengths = [c + s.length for c, s in zip(cached, packed.segments)]
+        self.states = states
 
 
-def _attend_segment(qh, kh, vh, ctx, b, e, received):
-    # qh/kh/vh: (heads, total, head_dim), qh already scaled by
-    # 1/sqrt(head_dim); segment is [b, e)
-    length = e - b
-    for c0 in range(0, length, _QUERY_CHUNK):
-        c1 = min(c0 + _QUERY_CHUNK, length)  # also the causal horizon
-        scores = qh[:, b + c0 : b + c1] @ kh[:, b : b + c1].transpose(0, 2, 1)
+def _segment_pair_count(packed: PackedSequence, cached: list[int]) -> int:
+    # n new queries after c cached keys: n*c + n(n+1)/2 allowed entries
+    return sum(
+        s.length * c + s.length * (s.length + 1) // 2
+        for s, c in zip(packed.segments, cached)
+    )
+
+
+def _attend_segment(q, k, v, ctx, received):
+    # q: (heads, n, head_dim) one segment's new queries, already scaled by
+    # 1/sqrt(head_dim); k, v: (heads, c + n, head_dim), its c cached keys
+    # and values followed by the n new ones; ctx: (n, model_dim) output
+    cached = k.shape[1] - q.shape[1]
+    for c0 in range(0, q.shape[1], _QUERY_CHUNK):
+        c1 = min(c0 + _QUERY_CHUNK, q.shape[1])
+        horizon = cached + c1
+        scores = q[:, c0:c1] @ k[:, :horizon].transpose(0, 2, 1)
         future = _FUTURE_KEYS[: c1 - c0, : c1 - c0]
-        np.copyto(scores[:, :, c0:], _NEG_INF, where=future)
+        np.copyto(scores[:, :, cached + c0 :], _NEG_INF, where=future)
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         sums = scores.sum(axis=-1, keepdims=True)
         if received is not None:
-            received[b : b + c1] += (scores / sums).sum(axis=(0, 1))
-        heads_ctx = scores @ vh[:, b : b + c1]
+            received[:horizon] += (scores / sums).sum(axis=(0, 1))
+        heads_ctx = scores @ v[:, :horizon]
         heads_ctx /= sums
-        ctx[b + c0 : b + c1] = _merge_heads(heads_ctx)
+        ctx[c0:c1] = _merge_heads(heads_ctx)
 
 
 class SeededTransformer:
     """Pre-norm causal decoder with deterministic seeded weights.
 
     Blocks are LN -> multi-head attention -> residual, LN -> 4x GELU MLP ->
-    residual, with a final LN before the vocabulary projection. No biases,
-    no key-value cache: each forward recomputes the full packed sequence.
+    residual, with a final LN before the vocabulary projection. No biases.
+    A forward given a `SegmentCache` keeps each segment's per-layer keys and
+    values, so the next forward computes only the tokens it appends.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -171,8 +216,10 @@ class SeededTransformer:
     def max_positions(self) -> int:
         return self.config.max_positions
 
-    def forward(self, packed: PackedSequence) -> ForwardResult:
-        logits, pairs, _ = self._run(packed, collect_received=False)
+    def forward(
+        self, packed: PackedSequence, cache: Optional[SegmentCache] = None
+    ) -> ForwardResult:
+        logits, pairs, _ = self._run(packed, collect_received=False, cache=cache)
         return ForwardResult(logits, pairs)
 
     def attention_received(self, packed: PackedSequence) -> np.ndarray:
@@ -181,12 +228,12 @@ class SeededTransformer:
         _, _, received = self._run(packed, collect_received=True)
         return received
 
-    def _embed(self, packed: PackedSequence) -> np.ndarray:
+    def _embed(self, packed: PackedSequence, cached: list[int]) -> np.ndarray:
         cfg = self.config
-        if packed.total_length > cfg.max_positions:
+        total = sum(cached) + packed.total_length
+        if total > cfg.max_positions:
             raise ContractError(
-                f"sequence length {packed.total_length} exceeds "
-                f"max_positions={cfg.max_positions}"
+                f"sequence length {total} exceeds max_positions={cfg.max_positions}"
             )
         if packed.model_dim != cfg.model_dim:
             raise ShapeError(
@@ -198,16 +245,23 @@ class SeededTransformer:
         x = packed.embeddings.copy()
         id_pos = ids >= 0
         x[id_pos] = self.weights["token_embedding"][ids[id_pos]]
-        return x + _sinusoidal(packed.pos_in_segment, cfg.model_dim)
+        # a segment's new tokens continue its cached positions
+        positions = packed.pos_in_segment + np.repeat(
+            cached, [s.length for s in packed.segments]
+        )
+        return x + _sinusoidal(positions, cfg.model_dim)
 
-    def _run(self, packed, collect_received):
+    def _run(self, packed, collect_received, cache=None):
         cfg = self.config
         w = self.weights
-        x = self._embed(packed)
+        cached, past = (cache or SegmentCache()).continued(packed, None)
+        x = self._embed(packed, cached)
         blocks = [(s.start, s.start + s.length) for s in packed.segments]
-        pair_count = cfg.layers * cfg.heads * _segment_pair_count(packed)
+        pair_count = cfg.layers * cfg.heads * _segment_pair_count(packed, cached)
         received = np.zeros(packed.total_length) if collect_received else None
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
+        # per segment, per layer: (keys, values) of (heads, tokens, head_dim)
+        kept = [[] for _ in blocks]
 
         for layer in range(cfg.layers):
             h = layer_norm(x)
@@ -219,13 +273,23 @@ class SeededTransformer:
             kh = _split_heads(k, cfg.heads, self.head_dim)
             vh = _split_heads(v, cfg.heads, self.head_dim)
             ctx = np.empty_like(q)
-            for b, e in blocks:
-                _attend_segment(qh, kh, vh, ctx, b, e, received)
+            for i, (b, e) in enumerate(blocks):
+                k_seg, v_seg = kh[:, b:e], vh[:, b:e]
+                if cached[i]:
+                    k_past, v_past = past[i][layer]
+                    k_seg = np.concatenate([k_past, k_seg], axis=1)
+                    v_seg = np.concatenate([v_past, v_seg], axis=1)
+                if cache is not None:
+                    kept[i].append((k_seg, v_seg))
+                seg_received = None if received is None else received[b:e]
+                _attend_segment(qh[:, b:e], k_seg, v_seg, ctx[b:e], seg_received)
             x = x + ctx @ w[f"layer{layer}.attn_out"]
             h2 = layer_norm(x)
             x = x + _gelu(h2 @ w[f"layer{layer}.ffn_in"]) @ w[f"layer{layer}.ffn_out"]
 
         logits = layer_norm(x) @ w["unembedding"]
+        if cache is not None:
+            cache.extend(packed, kept)
 
         if collect_received:
             # queries that may attend each position: itself and every later
@@ -347,28 +411,35 @@ class NeedleProbe:
             sig[idx] = mix64(ids ^ np.uint64(_SIG_ID_TAG))
         return sig
 
-    def forward(self, packed: PackedSequence) -> ForwardResult:
+    def forward(
+        self, packed: PackedSequence, cache: Optional[SegmentCache] = None
+    ) -> ForwardResult:
         is_needle = self._needle_mask(packed)
         sig = self._signatures(packed)
         total = packed.total_length
         logits = np.empty((total, self.vocab))
         dmix = mix64(np.arange(7, 7 + self.vocab, dtype=np.uint64))
+        # per segment: the hash of its content prefix and its needle count
         seed_mixed = mix64((self.seed & ((1 << 64) - 1)) ^ _SIG_SEED_TAG)
+        cached, past = (cache or SegmentCache()).continued(packed, (seed_mixed, 0))
 
         counts = np.empty(total, dtype=np.int64)
         hashes = np.empty(total, dtype=np.uint64)
-        for s in packed.segments:
+        ends = []
+        for s, (h, needles) in zip(packed.segments, past):
             b, e = s.start, s.start + s.length
-            counts[b:e] = np.cumsum(is_needle[b:e])
-            h = seed_mixed
+            counts[b:e] = needles + np.cumsum(is_needle[b:e])
             for p in range(b, e):
                 h = mix64(h ^ int(sig[p]))
                 hashes[p] = h
+            ends.append((h, needles + int(is_needle[b:e].sum())))
+        if cache is not None:
+            cache.extend(packed, ends)
 
         u = (mix64(hashes[:, None] ^ dmix[None, :]) >> np.uint64(11)).astype(
             np.float64
         ) * (1.0 / (1 << 53))
         logits[:] = u * (2.0 * self.noise_scale) - self.noise_scale
         logits[:, self.answer_token] = self.gain * counts
-        return ForwardResult(logits, _segment_pair_count(packed))
+        return ForwardResult(logits, _segment_pair_count(packed, cached))
 

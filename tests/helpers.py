@@ -1,5 +1,6 @@
 """Test-only reference code: a direct single-sequence greedy baseline that
-shares no code with the sampler or the multi-trial packer paths, a
+shares no code with the sampler or the multi-trial packer paths, the
+multi-trial decode that recomputes the whole packed sequence every step, a
 structural dump of packed sequences for golden tests, and each position's
 segment id."""
 
@@ -7,7 +8,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from t3s.packer import PackedSequence, Segment
+from t3s.aggregator import fuse_token
+from t3s.packer import PackedSequence, Segment, append_token, last_positions, pack
 from t3s.toymodel import VideoTokenStream
 
 
@@ -49,6 +51,30 @@ def baseline_greedy_decode(
             break
         if step + 1 < steps:
             seq = _append_single(seq, token)
+    return out
+
+
+def recompute_decode(
+    backend,
+    plans,
+    video,
+    text: Sequence[int],
+    steps: int,
+    strategy,
+    stop_token: Optional[int] = None,
+) -> list[int]:
+    """Oracle for `aggregator.decode`: every step forwards the whole packed
+    sequence without a cache, then appends the fused token to each segment."""
+    packed = pack(plans, video, text)
+    out: list[int] = []
+    for step in range(steps):
+        logits, _ = backend.forward(packed)
+        token = fuse_token(logits[last_positions(packed)], strategy)
+        out.append(token)
+        if stop_token is not None and token == stop_token:
+            break
+        if step + 1 < steps:
+            packed = append_token(packed, token, max_positions=backend.max_positions)
     return out
 
 

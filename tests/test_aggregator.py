@@ -1,6 +1,7 @@
 """Aggregation tests: brute-force references, tie-breaks, permutation behavior,
 and the decode loop's reductions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from t3s.toymodel import (
     needle_direction,
 )
 
-from helpers import baseline_greedy_decode
+from helpers import baseline_greedy_decode, recompute_decode
 
 # ---------------------------------------------------------------------------
 # Brute-force references (pure-Python, loop-based)
@@ -308,3 +309,52 @@ class TestDecode:
         plan = TrialPlan(np.arange(3, dtype=np.int64), np.arange(6, dtype=np.int64), 1.0)
         with pytest.raises(ContractError):
             decode(build_model(CFG), [plan], video, [1], 0, MeanLogits())
+
+    @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_matches_recompute(self, backend_kind, seed):
+        # unequal segment lengths, some past one 128-query chunk
+        video = _full_video(60, 4, needles=frozenset({seed, 30 + seed}), seed=seed)
+        cfg = SamplerConfig(
+            total_frames=60, frames_per_trial=40, tokens_per_frame=4,
+            trials=3, ratios=(0.9, 0.4, 0.05),
+        )
+        plans = build_trial_plans(cfg, Rng(seed))
+        backend = (
+            build_model(CFG) if backend_kind == "transformer"
+            else NeedleProbe(needle_direction(CFG.model_dim), 7, CFG.vocab, seed=seed)
+        )
+        text = [seed + 1, 2]
+        for strategy in (MeanLogits(), ConfidenceWeighted()):
+            want = recompute_decode(backend, plans, video, text, 6, strategy)
+            assert decode(backend, plans, video, text, 6, strategy) == want
+            stop = want[2]
+            stopped = recompute_decode(backend, plans, video, text, 6, strategy, stop)
+            assert stopped == want[: want.index(stop) + 1]
+            assert decode(backend, plans, video, text, 6, strategy, stop) == stopped
+
+    def test_max_positions_at_same_step_as_recompute(self):
+        video = _full_video(6, 2)
+        plans = [
+            TrialPlan(np.arange(6, dtype=np.int64), np.arange(12, dtype=np.int64), 1.0),
+            TrialPlan(np.arange(3, dtype=np.int64), np.arange(5, dtype=np.int64), 1.0),
+        ]
+        prompt = (12 + 2) + (5 + 2)
+        # room for exactly two appended tokens per segment
+        model = build_model(dataclasses.replace(CFG, max_positions=prompt + 2 * 2 + 1))
+        fits = decode(model, plans, video, [1, 2], 3, MeanLogits())
+        assert fits == recompute_decode(model, plans, video, [1, 2], 3, MeanLogits())
+        for run in (decode, recompute_decode):
+            with pytest.raises(ContractError, match="max_positions"):
+                run(model, plans, video, [1, 2], 4, MeanLogits())
+
+    def test_empty_segment_rejected(self):
+        # a trial that keeps no token would fuse another trial's logits
+        video = _full_video(2, 2)
+        cfg = SamplerConfig(
+            total_frames=2, frames_per_trial=2, tokens_per_frame=2,
+            trials=2, ratios=(0.1, 1.0),
+        )
+        plans = build_trial_plans(cfg, Rng(0))
+        with pytest.raises(ContractError, match="trial 0"):
+            decode(build_model(CFG), plans, video, [], 1, MeanLogits())

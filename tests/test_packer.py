@@ -12,6 +12,7 @@ from t3s.packer import (
     last_positions,
     pack,
     slice_segment,
+    token_per_segment,
 )
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import VideoTokenStream
@@ -137,6 +138,35 @@ class TestPack:
         plan = TrialPlan(np.array(frames), np.array(keep), 0.5)
         with pytest.raises(ContractError):
             pack([plan], tagged_video(3, 2), [])
+
+
+    def test_empty_segment_rejected(self):
+        # alpha * N * M < 1 keeps no token; with no text the trial's segment
+        # would be empty and last_positions would point into its neighbour
+        cfg = SamplerConfig(
+            total_frames=2, frames_per_trial=2, tokens_per_frame=2,
+            trials=2, ratios=(0.1, 1.0),
+        )
+        plans = build_trial_plans(cfg, Rng(0))
+        assert len(plans[0].token_keep) == 0
+        with pytest.raises(ContractError, match="trial 0"):
+            pack(plans, tagged_video(2, 2), [])
+        packed = pack(plans, tagged_video(2, 2), [7])
+        assert [s.length for s in packed.segments] == [1, 5]
+        assert last_positions(packed) == [0, 5]
+
+
+class TestTokenPerSegment:
+    def test_layout(self):
+        step = token_per_segment(9, 3, DIM)
+        assert [tuple(s) for s in step.segments] == [(0, 1), (1, 1), (2, 1)]
+        assert step.token_ids.tolist() == [9, 9, 9]
+        assert step.embeddings.shape == (3, DIM) and not step.embeddings.any()
+        assert last_positions(step) == [0, 1, 2]
+
+    def test_negative_token_rejected(self):
+        with pytest.raises(ContractError):
+            token_per_segment(-1, 2, DIM)
 
 
 class TestAppendToken:

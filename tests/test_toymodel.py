@@ -11,13 +11,21 @@ import pytest
 
 from t3s.errors import ConfigError, ContractError, ShapeError
 from t3s.numkernel import Rng, layer_norm, mix64
-from t3s.packer import append_token, last_positions, pack, slice_segment
+from t3s.packer import (
+    PackedSequence,
+    Segment,
+    append_token,
+    last_positions,
+    pack,
+    slice_segment,
+)
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import (
     _QUERY_CHUNK,
     ModelConfig,
     NeedleProbe,
     SeededTransformer,
+    SegmentCache,
     StreamSpec,
     VideoTokenStream,
     _gelu,
@@ -266,6 +274,71 @@ class TestDenseOracles:
         fast = probe.forward(packed)
         assert np.array_equal(fast.logits, probe_oracle_logits(probe, packed, allowed))
         assert fast.pair_count == int(allowed.sum())
+
+
+def segments_of(parts):
+    """One packed segment per (embeddings, token_ids) part, back to back."""
+    starts = np.cumsum([0] + [len(ids) for _, ids in parts])
+    return PackedSequence(
+        tuple(Segment(int(b), len(ids)) for b, (_, ids) in zip(starts, parts)),
+        np.concatenate([emb for emb, _ in parts]),
+        np.concatenate([ids for _, ids in parts]),
+    )
+
+
+def mixed_segment(g, length, dim):
+    """Visual rows, some on the needle direction, mixed with vocabulary ids."""
+    ids = np.where(g.random(length) < 0.3, g.integers(0, CFG.vocab, length), -1)
+    emb = g.standard_normal((length, dim)) / math.sqrt(dim)
+    emb[g.random(length) < 0.1] = needle_direction(dim)
+    emb[ids >= 0] = 0.0
+    return emb, ids
+
+
+class TestSegmentCache:
+    @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
+    @pytest.mark.parametrize("length", [127, 128, 129, 256, 257])
+    def test_extensions_match_full_forward(self, backend_kind, length):
+        # each segment is forwarded in three pieces through one cache; the
+        # pieces differ across segments and land on both sides of each
+        # 128-query chunk seam, as cached keys and as new queries
+        pieces = [(37, length, 2), (5, length // 2 + 1, 1), (length, 1, 3)]
+        g = Rng(length).generator()
+        parts = [mixed_segment(g, sum(p), CFG.model_dim) for p in pieces]
+        full = segments_of(parts)
+        backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
+        want = backend.forward(full).logits
+        factor = CFG.layers * CFG.heads if backend_kind == "transformer" else 1
+        cache = SegmentCache()
+        for k in range(3):
+            cuts = [(sum(p[:k]), sum(p[: k + 1])) for p in pieces]
+            got = backend.forward(
+                segments_of([(e[lo:hi], i[lo:hi]) for (e, i), (lo, hi) in zip(parts, cuts)]),
+                cache,
+            )
+            rows = np.concatenate(
+                [s.start + np.arange(lo, hi) for s, (lo, hi) in zip(full.segments, cuts)]
+            )
+            if backend_kind == "transformer":
+                assert np.abs(got.logits - want[rows]).max() < 1e-9
+            else:
+                assert np.array_equal(got.logits, want[rows])
+            # n new queries after c cached keys: n*c + n(n+1)/2 entries
+            triangles = sum((hi - lo) * lo + (hi - lo) * (hi - lo + 1) // 2 for lo, hi in cuts)
+            assert got.pair_count == factor * triangles
+            assert cache.lengths == [hi for _, hi in cuts]
+
+    @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
+    def test_failed_extension_leaves_cache_unchanged(self, backend_kind):
+        packed, _, _ = make_packed(trials=2)
+        backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
+        cache = SegmentCache()
+        backend.forward(packed, cache)
+        lengths, states = list(cache.lengths), cache.states
+        three = segments_of([(np.zeros((1, CFG.model_dim)), np.array([4]))] * 3)
+        with pytest.raises(ContractError, match="cache holds 2 segments"):
+            backend.forward(three, cache)
+        assert cache.lengths == lengths and cache.states is states
 
 
 def textbook_gelu(x):
