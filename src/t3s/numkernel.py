@@ -110,22 +110,17 @@ def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
 def sample_without_replacement(population: int, take: int, rng: Rng) -> np.ndarray:
     """Uniform `take`-subset of [0, population), returned ascending.
 
-    Partial Fisher-Yates: draw `take` uniform doubles u_i in one generator
-    call, swap position i with i + floor(u_i * (population - i)), keep the
-    prefix, sort. Every subset of size `take` is equiprobable.
+    One `Generator.choice(..., replace=False, shuffle=False)` call on the
+    stream's generator: numpy's partial Fisher-Yates (it shuffles the last
+    `take` slots of the population in C), then sorted. Every subset of size
+    `take` is equiprobable. The draw follows numpy's `choice`, so the
+    pinned-output test in tests/test_numkernel.py fails if a numpy release
+    changes it.
     """
     if population < 0 or take < 0 or take > population:
         raise ContractError(
             f"need 0 <= take <= population, got take={take}, population={population}"
         )
-    if take == 0:
-        return np.empty(0, dtype=np.int64)
-    pool = np.arange(population, dtype=np.int64)
-    u = rng.generator().random(take)
-    for i in range(take):
-        span = population - i
-        j = i + min(int(u[i] * span), span - 1)
-        pool[i], pool[j] = pool[j], pool[i]
-    out = pool[:take].copy()
+    out = rng.generator().choice(population, take, replace=False, shuffle=False)
     out.sort()
     return out

@@ -142,7 +142,8 @@ class SegmentCache:
     and every later forward must pack that many segments. `lengths[i]` is the
     number of tokens segment i holds so far; `states[i]` is the backend's
     summary of them (the transformer's per-layer keys and values, the needle
-    probe's last hash and needle count), so a cache serves one backend.
+    probe's prefix XOR at its last position and needle count), so a cache
+    serves one backend.
     """
 
     def __init__(self):
@@ -350,6 +351,7 @@ def build_model(cfg: ModelConfig) -> SeededTransformer:
 
 _SIG_ID_TAG = 0xA5A5A5A5A5A5A5A5
 _SIG_SEED_TAG = 0xC3C3C3C3C3C3C3C3
+_SIG_POS_TAG = 0x3C3C3C3C3C3C3C3C
 
 
 class NeedleProbe:
@@ -359,6 +361,15 @@ class NeedleProbe:
     surviving needle tokens at or before p in p's segment); all other logits
     are noise in [-noise_scale, noise_scale] seeded purely by the segment's
     content prefix, so packed and solo forwards agree exactly.
+
+    The prefix hash is an order-sensitive prefix XOR. Position j of a
+    segment (counted from the segment's first token, cached ones included)
+    contributes keyed[j] = mix64(sig[j] ^ mix64(j ^ _SIG_POS_TAG)), where
+    sig[j] is the token's content signature; position p's prefix is
+    acc[p] = keyed[0] ^ ... ^ keyed[p], and its noise is seeded by
+    mix64(acc[p] ^ mix64(seed ^ _SIG_SEED_TAG)). Given a `SegmentCache`, a
+    forward keeps each segment's acc at its last position and its needle
+    count.
     """
 
     max_positions: Optional[int] = None
@@ -414,32 +425,38 @@ class NeedleProbe:
     def forward(
         self, packed: PackedSequence, cache: Optional[SegmentCache] = None
     ) -> ForwardResult:
+        # per segment: the prefix XOR of its keyed signatures and its needle count
+        cached, past = (cache or SegmentCache()).continued(packed, (0, 0))
+        positions = packed.pos_in_segment + np.repeat(
+            cached, [s.length for s in packed.segments]
+        )
+        keyed = mix64(
+            self._signatures(packed)
+            ^ mix64(positions.astype(np.uint64) ^ np.uint64(_SIG_POS_TAG))
+        )
         is_needle = self._needle_mask(packed)
-        sig = self._signatures(packed)
-        total = packed.total_length
-        logits = np.empty((total, self.vocab))
-        dmix = mix64(np.arange(7, 7 + self.vocab, dtype=np.uint64))
-        # per segment: the hash of its content prefix and its needle count
-        seed_mixed = mix64((self.seed & ((1 << 64) - 1)) ^ _SIG_SEED_TAG)
-        cached, past = (cache or SegmentCache()).continued(packed, (seed_mixed, 0))
-
-        counts = np.empty(total, dtype=np.int64)
-        hashes = np.empty(total, dtype=np.uint64)
+        acc = np.empty(packed.total_length, dtype=np.uint64)
+        counts = np.empty(packed.total_length, dtype=np.int64)
         ends = []
-        for s, (h, needles) in zip(packed.segments, past):
-            b, e = s.start, s.start + s.length
-            counts[b:e] = needles + np.cumsum(is_needle[b:e])
-            for p in range(b, e):
-                h = mix64(h ^ int(sig[p]))
-                hashes[p] = h
-            ends.append((h, needles + int(is_needle[b:e].sum())))
+        for s, (state, needles) in zip(packed.segments, past):
+            seg = slice(s.start, s.start + s.length)
+            acc[seg] = np.bitwise_xor.accumulate(keyed[seg]) ^ np.uint64(state)
+            counts[seg] = needles + np.cumsum(is_needle[seg])
+            ends.append(
+                (
+                    state ^ int(np.bitwise_xor.reduce(keyed[seg])),
+                    needles + int(is_needle[seg].sum()),
+                )
+            )
         if cache is not None:
             cache.extend(packed, ends)
 
+        seed_mixed = mix64((self.seed & ((1 << 64) - 1)) ^ _SIG_SEED_TAG)
+        hashes = mix64(acc ^ np.uint64(seed_mixed))
+        dmix = mix64(np.arange(7, 7 + self.vocab, dtype=np.uint64))
         u = (mix64(hashes[:, None] ^ dmix[None, :]) >> np.uint64(11)).astype(
             np.float64
         ) * (1.0 / (1 << 53))
-        logits[:] = u * (2.0 * self.noise_scale) - self.noise_scale
+        logits = u * (2.0 * self.noise_scale) - self.noise_scale
         logits[:, self.answer_token] = self.gain * counts
         return ForwardResult(logits, _segment_pair_count(packed, cached))
-

@@ -185,6 +185,30 @@ class TestBuildTrialPlans:
             assert np.array_equal(pa.frame_indices, pb.frame_indices)
             assert np.array_equal(pa.token_keep, pb.token_keep)
 
+    @pytest.mark.parametrize("reuse", [False, True])
+    @pytest.mark.parametrize("strategy", [TokenStrategy.RAND_TOK, TokenStrategy.RAND_FRM])
+    def test_trial_streams_nest_across_m(self, strategy, reuse):
+        # criterion 4's m-sweep relies on this: with m + 1 trials and the same
+        # ratio prefix, trials 0..m-1 are exactly the m-trial plans
+        ratios = (0.5, 0.3, 0.7, 0.25, 0.6)
+
+        def plans(m):
+            cfg = SamplerConfig(
+                total_frames=40,
+                frames_per_trial=10,
+                tokens_per_frame=4,
+                trials=m,
+                ratios=ratios[:m],
+                token_strategy=strategy,
+                reuse_frames=reuse,
+            )
+            return build_trial_plans(cfg, Rng(17))
+
+        for m in range(1, len(ratios)):
+            for a, b in zip(plans(m), plans(m + 1)[:m], strict=True):
+                assert np.array_equal(a.frame_indices, b.frame_indices)
+                assert np.array_equal(a.token_keep, b.token_keep)
+
     def test_attn_top_requires_provider(self):
         cfg = SamplerConfig(
             total_frames=8,

@@ -212,19 +212,22 @@ class TestPackedVsSoloEquivalence:
 
 def probe_oracle_logits(probe, packed, allowed):
     """Oracle for NeedleProbe.forward: position p's answer logit counts the
-    needle tokens it may attend, and its noise is seeded by hashing, in
-    order, the signature of every position it may attend."""
-    from t3s.toymodel import _SIG_SEED_TAG
+    needle tokens it may attend, and its noise is seeded by XOR-ing the
+    position-keyed signature of every position it may attend, then mixing in
+    the probe's seed."""
+    from t3s.toymodel import _SIG_POS_TAG, _SIG_SEED_TAG
 
     is_needle = probe._needle_mask(packed)
     sig = probe._signatures(packed)
     seed_mixed = mix64((probe.seed & ((1 << 64) - 1)) ^ _SIG_SEED_TAG)
+    # q attends itself and every earlier position of its segment
+    pos = allowed.sum(axis=1) - 1
     hashes = np.empty(packed.total_length, dtype=np.uint64)
     for p in range(packed.total_length):
-        h = seed_mixed
+        acc = 0
         for q in np.flatnonzero(allowed[p]):
-            h = mix64(h ^ int(sig[q]))
-        hashes[p] = h
+            acc ^= mix64(int(sig[q]) ^ mix64(int(pos[q]) ^ _SIG_POS_TAG))
+        hashes[p] = mix64(acc ^ seed_mixed)
     dmix = mix64(np.arange(7, 7 + probe.vocab, dtype=np.uint64))
     u = (mix64(hashes[:, None] ^ dmix[None, :]) >> np.uint64(11)).astype(
         np.float64
@@ -460,6 +463,23 @@ class TestNeedleProbe:
         assert np.abs(others).max() <= 0.07
         again = probe.forward(packed).logits
         assert np.array_equal(logits, again)
+
+    def test_noise_depends_on_token_order(self):
+        # swap two visual tokens of one segment: the noise before the first
+        # is unchanged and every row from the first on changes, including
+        # the rows from the second on, whose prefixes hold the same tokens
+        # in another order
+        g = Rng(6).generator()
+        emb = g.standard_normal((12, CFG.model_dim)) / math.sqrt(CFG.model_dim)
+        ids = np.full(12, -1)
+        first, second = 3, 8
+        swapped = emb.copy()
+        swapped[[first, second]] = emb[[second, first]]
+        probe = _probe_for(CFG)
+        logits = [probe.forward(segments_of([(e, ids)])).logits for e in (emb, swapped)]
+        noise = [np.delete(x, probe.answer_token, axis=1) for x in logits]
+        assert np.array_equal(noise[0][:first], noise[1][:first])
+        assert (noise[0][first:] != noise[1][first:]).any(axis=1).all()
 
     def test_noise_scale_must_stay_below_gain(self):
         with pytest.raises(ConfigError):
