@@ -144,10 +144,6 @@ def decode(
     """
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
-    if isinstance(strategy, CrossRefine) and len(plans) != 2:
-        raise ConfigError(
-            f"cross-refinement needs exactly 2 trials, got {len(plans)}"
-        )
     packed = pack(plans, video, text)
     cache = SegmentCache()
     out: list[int] = []

@@ -20,6 +20,7 @@ from .harness import (
     config_from_dict,
     coverage_report,
     default_experiment_config,
+    report_csv_row,
     run_experiment,
     sweep,
 )
@@ -48,14 +49,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg = default_experiment_config()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    cfg.validate()
     return cfg
-
-
-def _report_rows(report) -> list[dict]:
-    from .harness import report_csv_row  # single source for the column layout
-
-    return [report_csv_row("", "", report)]
 
 
 def _cmd_run(args) -> int:
@@ -66,7 +60,7 @@ def _cmd_run(args) -> int:
     if args.format == "json":
         _write_json(out / "report.json", report.to_json_dict())
     else:
-        _write_csv(out / "report.csv", _report_rows(report), CSV_COLUMNS)
+        _write_csv(out / "report.csv", [report_csv_row("", "", report)], CSV_COLUMNS)
     print(f"accuracy={report.accuracy:.4f} coverage={report.any_trial_coverage:.4f}")
     return 0
 
@@ -159,7 +153,6 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = replace(_load_config(args), backend="seeded_transformer", repeats=1)
-    cfg.validate()
     if args.repeats < 3:
         raise ConfigError(f"--repeats must be >= 3, got {args.repeats}")
     out = Path(args.out_dir)
@@ -168,7 +161,7 @@ def _cmd_bench(args) -> int:
     cost = report.cost
     _write_json(out / "cost_report.json", cost.to_json_dict())
     if args.format == "csv":
-        _write_csv(out / "cost_report.csv", _report_rows(report), CSV_COLUMNS)
+        _write_csv(out / "cost_report.csv", [report_csv_row("", "", report)], CSV_COLUMNS)
     print(
         f"theoretical={cost.theoretical_speedup:.3f}x "
         f"measured={cost.measured_speedup:.3f}x "

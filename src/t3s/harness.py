@@ -15,6 +15,7 @@ import json
 import typing
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -86,6 +87,9 @@ class TaskParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's whole setup, checked on every construction (each
+    `dataclasses.replace` included), so an invalid one cannot exist."""
+
     sampler: SamplerConfig
     model: ModelConfig
     strategy: AggregationStrategy
@@ -93,6 +97,9 @@ class ExperimentConfig:
     backend: str = "needle_probe"  # or "seeded_transformer"
     repeats: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.backend not in ("needle_probe", "seeded_transformer"):
@@ -230,7 +237,6 @@ def config_from_dict(data) -> ExperimentConfig:
         cfg = _from_json(ExperimentConfig, merged, "config")
     except ShapeError as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
-    cfg.validate()
     return cfg
 
 
@@ -353,7 +359,6 @@ def run_experiment(
     """Execute `repeats` independent task instances and aggregate accuracy,
     coverage diagnostics, and a cost report. With `latency_repeats`, the cost
     report also holds median first-token latencies over that many runs."""
-    cfg.validate()
     s = cfg.sampler
     transformer, backend_for = _backends(cfg)
     root = Rng(cfg.seed)
@@ -474,73 +479,52 @@ STRATEGY_MATRIX = (
 )
 
 
-def _sweep_points(axis: str, base: ExperimentConfig, values) -> list[tuple[str, dict]]:
-    """(label, config overrides) per grid point; override application is
-    deferred so a malformed point fails inside its own row, not the sweep."""
+def _sweep_points(
+    axis: str, base: ExperimentConfig, values
+) -> list[tuple[str, Callable[[], ExperimentConfig]]]:
+    """(label, build) per grid point. `build()` makes the point's config,
+    sampler and strategy together, so a malformed point fails inside its own
+    row, not the sweep."""
     s = base.sampler
     two_trial_ratios = s.ratios[:2] if s.trials >= 2 else (s.ratios[0],) * 2
-    points: list[tuple[str, dict]] = []
+
+    # the strategy comes from a factory so that CrossRefine(0) fails in its row
+    def build(strategy=lambda: base.strategy, **sampler):
+        return lambda: replace(base, sampler=replace(s, **sampler), strategy=strategy())
+
     if axis == "alpha_grid":
-        grid = tuple(values) if values else DEFAULT_ALPHA_GRID
-        for a1 in grid:
-            for a2 in grid:
-                points.append(
-                    (
-                        f"{a1:g},{a2:g}",
-                        {"sampler": {"trials": 2, "ratios": (a1, a2)}},
-                    )
-                )
-    elif axis == "m_values":
-        for m in tuple(values) if values else DEFAULT_M_VALUES:
-            points.append(
-                (
-                    f"m={m}",
-                    {
-                        "sampler": {"trials": int(m), "ratios": (s.ratios[0],) * int(m)},
-                        "strategy": MeanLogits(),
-                    },
-                )
+        grid = tuple(values or DEFAULT_ALPHA_GRID)
+        return [
+            (f"{a1:g},{a2:g}", build(trials=2, ratios=(a1, a2)))
+            for a1 in grid
+            for a2 in grid
+        ]
+    if axis == "m_values":
+        return [
+            (f"m={m}", build(MeanLogits, trials=int(m), ratios=(s.ratios[0],) * int(m)))
+            for m in (values or DEFAULT_M_VALUES)
+        ]
+    if axis == "k_values":
+        ks = [min(int(k), base.model.vocab) for k in (values or DEFAULT_K_VALUES)]
+        return [
+            (f"k={k}", build(partial(CrossRefine, k), trials=2, ratios=two_trial_ratios))
+            for k in ks
+        ]
+    if axis == "strategy_matrix":
+        return [
+            (
+                name,
+                build(
+                    trials=2,
+                    ratios=two_trial_ratios,
+                    frame_method=fm,
+                    token_strategy=ts,
+                    reuse_frames=reuse,
+                ),
             )
-    elif axis == "k_values":
-        ks = tuple(values) if values else DEFAULT_K_VALUES
-        for k in ks:
-            k = min(int(k), base.model.vocab)
-            points.append(
-                (
-                    f"k={k}",
-                    {
-                        "sampler": {"trials": 2, "ratios": two_trial_ratios},
-                        "strategy": CrossRefine(k),
-                    },
-                )
-            )
-    elif axis == "strategy_matrix":
-        for name, fm, ts, reuse in STRATEGY_MATRIX:
-            points.append(
-                (
-                    name,
-                    {
-                        "sampler": {
-                            "trials": 2,
-                            "ratios": two_trial_ratios,
-                            "frame_method": fm,
-                            "token_strategy": ts,
-                            "reuse_frames": reuse,
-                        }
-                    },
-                )
-            )
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    return points
-
-
-def _apply_point(base: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    sampler = replace(base.sampler, **overrides.get("sampler", {}))
-    extra = {k: v for k, v in overrides.items() if k != "sampler"}
-    cfg = replace(base, sampler=sampler, **extra)
-    cfg.validate()
-    return cfg
+            for name, fm, ts, reuse in STRATEGY_MATRIX
+        ]
+    raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
 
 
 def report_csv_row(axis: str, point: str, report: ExperimentReport) -> dict:
@@ -566,10 +550,9 @@ def sweep(
     """One experiment per grid point, in grid order. A failing point yields a
     row with its error recorded; the sweep continues."""
     rows = []
-    for point, overrides in _sweep_points(axis, base, values):
+    for point, build in _sweep_points(axis, base, values):
         try:
-            cfg = _apply_point(base, overrides)
-            rows.append(report_csv_row(axis, point, run_experiment(cfg)))
+            rows.append(report_csv_row(axis, point, run_experiment(build())))
         except Exception as exc:  # recorded, never silently dropped
             rows.append(
                 {

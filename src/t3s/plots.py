@@ -37,6 +37,22 @@ def _svg(body: list[str], title: str) -> str:
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
+def _axis_labels(x_label: str, y_label: str) -> list[str]:
+    """The x-axis title under the plot and the y-axis title rotated along its
+    left edge; an empty label is left out."""
+    labels = []
+    if x_label:
+        labels.append(
+            f'<text x="{WIDTH // 2}" y="{HEIGHT - 16}" text-anchor="middle">{x_label}</text>'
+        )
+    if y_label:
+        labels.append(
+            f'<text x="20" y="{HEIGHT // 2}" text-anchor="middle" '
+            f'transform="rotate(-90 20 {HEIGHT // 2})">{y_label}</text>'
+        )
+    return labels
+
+
 def render_heatmap(
     path,
     x_values: Sequence,
@@ -79,15 +95,7 @@ def render_heatmap(
             f'<text x="{MARGIN - 8}" y="{MARGIN + (i + 0.5) * ch + 4:.1f}" '
             f'text-anchor="end">{yv}</text>'
         )
-    if x_label:
-        body.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT - 16}" text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        body.append(
-            f'<text x="20" y="{HEIGHT // 2}" text-anchor="middle" '
-            f'transform="rotate(-90 20 {HEIGHT // 2})">{y_label}</text>'
-        )
+    body += _axis_labels(x_label, y_label)
     Path(path).write_text(_svg(body, title))
 
 
@@ -148,13 +156,5 @@ def render_line_chart(
             f'<text x="{WIDTH - MARGIN}" y="{MARGIN + 16 * idx}" text-anchor="end" '
             f'fill="{color}">{name}</text>'
         )
-    if x_label:
-        body.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT - 16}" text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        body.append(
-            f'<text x="20" y="{HEIGHT // 2}" text-anchor="middle" '
-            f'transform="rotate(-90 20 {HEIGHT // 2})">{y_label}</text>'
-        )
+    body += _axis_labels(x_label, y_label)
     Path(path).write_text(_svg(body, title))

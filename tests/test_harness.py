@@ -251,15 +251,27 @@ class TestSweep:
         assert abs(float(diag["theoretical_speedup"]) - 1 / 0.72) < 1e-6
         assert all(r["error"] == "" for r in rows)
 
-    def test_failed_point_recorded_not_raised(self):
+    @pytest.mark.parametrize(
+        "axis, values, n_rows, n_errors, message, clean",
+        [
+            # every point touching ratio 0.0
+            ("alpha_grid", [0.5, 0.0], 4, 3, "ratio", "0.5,0.5"),
+            # the point's strategy, not only its sampler, is built in its row
+            ("k_values", [0, 2], 2, 1, "top_k", "k=2"),
+        ],
+        ids=["alpha_grid", "k_values"],
+    )
+    def test_failed_point_recorded_not_raised(
+        self, axis, values, n_rows, n_errors, message, clean
+    ):
         base = small_config(repeats=5)
-        rows = sweep("alpha_grid", base, values=[0.5, 0.0])
-        assert len(rows) == 4
+        rows = sweep(axis, base, values=values)
+        assert len(rows) == n_rows
         errors = [r for r in rows if r["error"]]
-        assert len(errors) == 3  # every point touching ratio 0.0
-        assert all("ratio" in r["error"] for r in errors)
+        assert len(errors) == n_errors
+        assert all(message in r["error"] for r in errors)
         ok = [r for r in rows if not r["error"]]
-        assert len(ok) == 1 and ok[0]["point"] == "0.5,0.5"
+        assert len(ok) == 1 and ok[0]["point"] == clean
 
     def test_m_values_rows(self):
         base = small_config(repeats=10)
@@ -409,18 +421,52 @@ class TestConfigCodec:
 
     def test_cross_refine_requires_two_trials(self):
         cfg = small_config()
-        bad = replace(
-            cfg,
-            strategy=CrossRefine(2),
-            sampler=replace(cfg.sampler, trials=3, ratios=(0.5,) * 3),
-        )
         with pytest.raises(ConfigError):
-            bad.validate()
+            replace(
+                cfg,
+                strategy=CrossRefine(2),
+                sampler=replace(cfg.sampler, trials=3, ratios=(0.5,) * 3),
+            )
 
     def test_packed_length_budget(self):
-        cfg = small_config(model=replace(MODEL, max_positions=8))
         with pytest.raises(ConfigError):
-            cfg.validate()
+            small_config(model=replace(MODEL, max_positions=8))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (lambda c: {"backend": "quantum"}, "unknown backend"),
+            (lambda c: {"repeats": 0}, "repeats must be >= 1"),
+            (
+                lambda c: {
+                    "strategy": CrossRefine(2),
+                    "sampler": replace(c.sampler, trials=3, ratios=(0.5,) * 3),
+                },
+                "exactly 2 trials",
+            ),
+            (lambda c: {"strategy": CrossRefine(c.model.vocab + 1)}, "top_k exceeds"),
+            (
+                lambda c: {
+                    "task": replace(c.task, needle_count=c.sampler.total_frames + 1)
+                },
+                "needle_count exceeds",
+            ),
+            (lambda c: {"model": replace(c.model, max_positions=8)}, "max_positions"),
+        ],
+        ids=[
+            "backend",
+            "repeats",
+            "cross_refine_trials",
+            "top_k_over_vocab",
+            "needles_over_frames",
+            "packed_length",
+        ],
+    )
+    def test_invalid_config_cannot_be_built(self, overrides, message):
+        # every replace re-checks the whole config, so no caller need validate
+        cfg = small_config()
+        with pytest.raises(ConfigError, match=message):
+            replace(cfg, **overrides(cfg))
 
     def test_unknown_backend(self):
         with pytest.raises(ConfigError):
