@@ -104,7 +104,7 @@ def _emit_sweep_plots(axis: str, rows: list[dict], out: Path) -> None:
         render_line_chart(
             out / name,
             xs,
-            {"accuracy": acc},
+            acc,
             title=f"accuracy vs {label}",
             x_label=label,
             y_label="accuracy",

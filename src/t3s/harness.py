@@ -29,7 +29,7 @@ from .aggregator import (
     decode,
 )
 from .costmodel import CostReport, measure
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 from .numkernel import Rng, mix64
 from .packer import pack
 from .sampler import (
@@ -44,7 +44,6 @@ from .sampler import (
 from .toymodel import (
     ModelConfig,
     NeedleProbe,
-    SeededTransformer,
     StreamSpec,
     VideoTokenStream,
     build_model,
@@ -155,45 +154,36 @@ _STRATEGY_KINDS = {
     "confidence_weighted": ConfidenceWeighted,
     "cross_refine": CrossRefine,
 }
+_KIND_OF = {cls: kind for kind, cls in _STRATEGY_KINDS.items()}
 
 
-def strategy_to_dict(s: AggregationStrategy) -> dict:
-    for kind, cls in _STRATEGY_KINDS.items():
-        if type(s) is cls:
-            return {"kind": kind, **dataclasses.asdict(s)}
-    raise ConfigError(f"unknown strategy {s!r}")
-
-
-def strategy_from_dict(d) -> AggregationStrategy:
-    if not isinstance(d, dict):
-        raise ConfigError(f"strategy must be an object, got {d!r}")
-    fields = dict(d)
-    kind = fields.pop("kind", None)
-    cls = _STRATEGY_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ConfigError(f"unknown strategy kind {kind!r}")
-    return _from_json(cls, fields, "strategy")
-
-
-def _from_json(hint, value, where: str):
+def _from_json(hint, value, where: str, default=None):
     """`value`, parsed from JSON, as the type annotation `hint` declares.
 
-    Dataclasses are built from objects field by field; a value of the wrong
-    JSON type raises ConfigError naming its path. Ints pass where floats are
-    declared and are kept as ints, so config hashes stay as written.
+    Dataclasses are built from objects field by field, over `default` when
+    one is given; a strategy is picked by its `kind` and replaced whole. A
+    value of the wrong JSON type raises ConfigError naming its path. Ints
+    pass where floats are declared and are kept as ints, so config hashes
+    stay as written.
     """
-    if dataclasses.is_dataclass(hint):
+    if dataclasses.is_dataclass(hint) or hint == AggregationStrategy:
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be an object, got {value!r}")
+        if hint == AggregationStrategy:
+            kind = value.get("kind")
+            hint = _STRATEGY_KINDS.get(kind) if isinstance(kind, str) else None
+            if hint is None:
+                raise ConfigError(f"unknown strategy kind {kind!r}")
+            value, default = {k: v for k, v in value.items() if k != "kind"}, None
         hints = typing.get_type_hints(hint)
         unknown = set(value) - set(hints)
         if unknown:
             raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
-        return hint(
-            **{k: _from_json(hints[k], v, f"{where}.{k}") for k, v in value.items()}
-        )
-    if hint == AggregationStrategy:
-        return strategy_from_dict(value)
+        fields = {
+            k: _from_json(hints[k], v, f"{where}.{k}", getattr(default, k, None))
+            for k, v in value.items()
+        }
+        return hint(**fields) if default is None else replace(default, **fields)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -212,32 +202,31 @@ def _from_json(hint, value, where: str):
     return value
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["sampler"]["frame_method"] = cfg.sampler.frame_method.value
-    d["sampler"]["token_strategy"] = cfg.sampler.token_strategy.value
-    d["sampler"]["ratios"] = list(cfg.sampler.ratios)
-    d["strategy"] = strategy_to_dict(cfg.strategy)
-    return d
+def config_to_dict(value):
+    """The JSON form of a config, the inverse of `_from_json`: a dataclass
+    becomes an object (a strategy also names its `kind`), an Enum its value
+    and a tuple a list."""
+    if dataclasses.is_dataclass(value):
+        fields = {
+            f.name: config_to_dict(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+        kind = _KIND_OF.get(type(value))
+        return fields if kind is None else {"kind": kind, **fields}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [config_to_dict(v) for v in value]
+    return value
 
 
 def config_from_dict(data) -> ExperimentConfig:
     """An experiment config from its JSON form: the given fields over the
-    defaults, nested configs merged field by field, the strategy replaced
-    whole. Any malformed input raises ConfigError."""
+    defaults, nested configs field by field, the strategy replaced whole.
+    Any malformed input raises ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError(f"config must be an object, got {type(data).__name__}")
-    base = config_to_dict(default_experiment_config())
-    hints = typing.get_type_hints(ExperimentConfig)
-    merged = {**base, **data}
-    for key, value in data.items():
-        if dataclasses.is_dataclass(hints.get(key)) and isinstance(value, dict):
-            merged[key] = {**base[key], **value}
-    try:
-        cfg = _from_json(ExperimentConfig, merged, "config")
-    except ShapeError as exc:
-        raise ConfigError(f"bad experiment config: {exc}") from exc
-    return cfg
+    return _from_json(ExperimentConfig, data, "config", default_experiment_config())
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -321,36 +310,17 @@ class ExperimentReport:
         return dataclasses.asdict(self)
 
 
-def _attn_scores_fn(cfg: ExperimentConfig, task: SyntheticTask, transformer):
-    def fn(frame_indices: np.ndarray) -> np.ndarray:
-        full = TrialPlan(
-            frame_indices,
-            np.arange(
-                len(frame_indices) * cfg.sampler.tokens_per_frame, dtype=np.int64
-            ),
-            1.0,
-        )
-        packed = pack([full], task.video, task.question)
-        scores = transformer.attention_received(packed)
-        return scores[: len(frame_indices) * cfg.sampler.tokens_per_frame]
-
-    return fn
+def _attn_scores(task: SyntheticTask, transformer, frame_indices) -> np.ndarray:
+    """Attention each visual token of the given frames receives when all of
+    them are packed, in full, ahead of the question."""
+    tokens = len(frame_indices) * task.video.tokens_per_frame
+    full = TrialPlan(frame_indices, np.arange(tokens, dtype=np.int64), 1.0)
+    packed = pack([full], task.video, task.question)
+    return transformer.attention_received(packed)[:tokens]
 
 
 def _task_seed(seed: int, rep: int) -> int:
     return int(mix64((seed & _MASK64) ^ mix64(rep + 1)))
-
-
-def _backends(cfg: ExperimentConfig) -> tuple[Optional[SeededTransformer], Callable]:
-    """The experiment's seeded transformer (None when nothing uses it) and
-    task -> the backend that decodes it. The transformer backend is that one
-    shared model; the needle-probe backend is a fresh probe per task."""
-    if cfg.backend == "seeded_transformer":
-        transformer = build_model(cfg.model)
-        return transformer, lambda task: transformer
-    needs_scores = cfg.sampler.token_strategy is TokenStrategy.ATTN_TOP
-    transformer = build_model(cfg.model) if needs_scores else None
-    return transformer, lambda task: probe_for_task(task, cfg.model)
 
 
 def run_experiment(
@@ -358,17 +328,19 @@ def run_experiment(
 ) -> ExperimentReport:
     """Execute `repeats` independent task instances and aggregate accuracy,
     coverage diagnostics, and a cost report. With `latency_repeats`, the cost
-    report also holds median first-token latencies over that many runs."""
+    report also holds median first-token latencies over that many runs.
+
+    The transformer backend is one shared model; the needle-probe backend is
+    a fresh probe per task."""
     s = cfg.sampler
-    transformer, backend_for = _backends(cfg)
+    on_transformer = cfg.backend == "seeded_transformer"
+    attn_top = s.token_strategy is TokenStrategy.ATTN_TOP
+    transformer = build_model(cfg.model) if on_transformer or attn_top else None
     root = Rng(cfg.seed)
 
-    hits = 0
-    covered_any = 0
+    hits = covered_any = 0
     trial_cover = np.zeros(s.trials, dtype=np.int64)
     trial_survive = np.zeros(s.trials, dtype=np.float64)
-    first_task = None
-    first_plans = None
 
     for rep in range(cfg.repeats):
         task = gen_task(
@@ -380,31 +352,24 @@ def run_experiment(
             noise_scale=cfg.task.noise_scale,
             question_len=cfg.task.question_len,
         )
-        scores_fn = (
-            _attn_scores_fn(cfg, task, transformer)
-            if s.token_strategy is TokenStrategy.ATTN_TOP
-            else None
-        )
+        scores_fn = partial(_attn_scores, task, transformer) if attn_top else None
         plans = build_trial_plans(s, root.child(rep), attn_scores_fn=scores_fn)
-        backend = backend_for(task)
+        backend = transformer if on_transformer else probe_for_task(task, cfg.model)
         tokens = decode(
             backend, plans, task.video, task.question, steps=1, strategy=cfg.strategy
         )
         hits += int(tokens[0] == task.answer)
 
-        any_cover = False
-        for i, plan in enumerate(plans):
-            cov = bool(np.isin(plan.frame_indices, list(task.needle_frames)).any())
-            trial_cover[i] += int(cov)
-            trial_survive[i] += surviving_needle_tokens(plan, task)
-            any_cover = any_cover or cov
-        covered_any += int(any_cover)
+        needles = list(task.needle_frames)
+        covers = [bool(np.isin(p.frame_indices, needles).any()) for p in plans]
+        trial_cover += covers
+        trial_survive += [surviving_needle_tokens(p, task) for p in plans]
+        covered_any += any(covers)
         if rep == 0:
-            first_task, first_plans = task, plans
+            first = (task, plans, backend)
 
-    cost = _cost_report(
-        cfg, first_task, first_plans, backend_for(first_task), latency_repeats
-    )
+    # kept after the loop: made during rep 0, it moved peak RSS ~2% by allocation order
+    cost = _cost_report(cfg, *first, latency_repeats)
     per_trial = [
         {
             "trial": i,
@@ -479,42 +444,57 @@ STRATEGY_MATRIX = (
 )
 
 
+def _label(convert: Callable, value) -> str:
+    """`convert(value)` as text, or `value` as given when it does not convert."""
+    try:
+        return str(convert(value))
+    except (TypeError, ValueError):
+        return str(value)
+
+
 def _sweep_points(
     axis: str, base: ExperimentConfig, values
 ) -> list[tuple[str, Callable[[], ExperimentConfig]]]:
-    """(label, build) per grid point. `build()` makes the point's config,
-    sampler and strategy together, so a malformed point fails inside its own
-    row, not the sweep."""
+    """(label, build) per grid point. `build()` converts the point's values
+    and makes its config, sampler and strategy together, so a malformed point
+    fails inside its own row, not the sweep; a value that does not convert is
+    labelled as given."""
     s = base.sampler
     two_trial_ratios = s.ratios[:2] if s.trials >= 2 else (s.ratios[0],) * 2
 
-    # the strategy comes from a factory so that CrossRefine(0) fails in its row
-    def build(strategy=lambda: base.strategy, **sampler):
-        return lambda: replace(base, sampler=replace(s, **sampler), strategy=strategy())
+    def build(strategy=None, **sampler) -> ExperimentConfig:
+        return replace(base, sampler=replace(s, **sampler), strategy=strategy or base.strategy)
+
+    def m_point(m) -> ExperimentConfig:
+        return build(MeanLogits(), trials=int(m), ratios=(s.ratios[0],) * int(m))
+
+    def top_k(k) -> int:
+        return min(int(k), base.model.vocab)
+
+    def k_point(k) -> ExperimentConfig:
+        return build(CrossRefine(top_k(k)), trials=2, ratios=two_trial_ratios)
 
     if axis == "alpha_grid":
         grid = tuple(values or DEFAULT_ALPHA_GRID)
+        g = partial(_label, lambda a: format(a, "g"))
         return [
-            (f"{a1:g},{a2:g}", build(trials=2, ratios=(a1, a2)))
+            (f"{g(a1)},{g(a2)}", partial(build, trials=2, ratios=(a1, a2)))
             for a1 in grid
             for a2 in grid
         ]
     if axis == "m_values":
-        return [
-            (f"m={m}", build(MeanLogits, trials=int(m), ratios=(s.ratios[0],) * int(m)))
-            for m in (values or DEFAULT_M_VALUES)
-        ]
+        return [(f"m={m}", partial(m_point, m)) for m in values or DEFAULT_M_VALUES]
     if axis == "k_values":
-        ks = [min(int(k), base.model.vocab) for k in (values or DEFAULT_K_VALUES)]
         return [
-            (f"k={k}", build(partial(CrossRefine, k), trials=2, ratios=two_trial_ratios))
-            for k in ks
+            (f"k={_label(top_k, k)}", partial(k_point, k))
+            for k in values or DEFAULT_K_VALUES
         ]
     if axis == "strategy_matrix":
         return [
             (
                 name,
-                build(
+                partial(
+                    build,
                     trials=2,
                     ratios=two_trial_ratios,
                     frame_method=fm,

@@ -38,6 +38,9 @@ class PackedSequence:
     token_ids: np.ndarray  # (total,) int64, -1 where the payload is an embedding
 
     def __post_init__(self):
+        # every segment has a last position, where its logits and cache state are read
+        if any(s.length < 1 for s in self.segments):
+            raise ContractError("a packed segment must hold at least one token")
         self.embeddings.flags.writeable = False
         self.token_ids.flags.writeable = False
 

@@ -39,18 +39,12 @@ def _svg(body: list[str], title: str) -> str:
 
 def _axis_labels(x_label: str, y_label: str) -> list[str]:
     """The x-axis title under the plot and the y-axis title rotated along its
-    left edge; an empty label is left out."""
-    labels = []
-    if x_label:
-        labels.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT - 16}" text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        labels.append(
-            f'<text x="20" y="{HEIGHT // 2}" text-anchor="middle" '
-            f'transform="rotate(-90 20 {HEIGHT // 2})">{y_label}</text>'
-        )
-    return labels
+    left edge."""
+    return [
+        f'<text x="{WIDTH // 2}" y="{HEIGHT - 16}" text-anchor="middle">{x_label}</text>',
+        f'<text x="20" y="{HEIGHT // 2}" text-anchor="middle" '
+        f'transform="rotate(-90 20 {HEIGHT // 2})">{y_label}</text>',
+    ]
 
 
 def render_heatmap(
@@ -59,8 +53,8 @@ def render_heatmap(
     y_values: Sequence,
     grid: Sequence[Sequence[Optional[float]]],
     title: str,
-    x_label: str = "",
-    y_label: str = "",
+    x_label: str,
+    y_label: str,
 ) -> None:
     """grid[i][j] is the cell for (y_values[i], x_values[j]); None renders gray."""
     flat = [v for row in grid for v in row if v is not None]
@@ -102,16 +96,14 @@ def render_heatmap(
 def render_line_chart(
     path,
     x_values: Sequence[float],
-    series: dict[str, Sequence[Optional[float]]],
+    y_values: Sequence[float],
     title: str,
-    x_label: str = "",
-    y_label: str = "",
+    x_label: str,
+    y_label: str,
 ) -> None:
-    points = [
-        v for ys in series.values() for v in ys if v is not None
-    ]
-    lo = min(points) if points else 0.0
-    hi = max(points) if points else 1.0
+    """One series of points (x_values[i], y_values[i]), joined by a line and
+    named by `y_label` in the legend."""
+    lo, hi = min(y_values), max(y_values)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     x_lo, x_hi = min(x_values), max(x_values)
@@ -123,7 +115,7 @@ def render_line_chart(
     def sy(y):
         return HEIGHT - MARGIN - (y - lo) / (hi - lo) * (HEIGHT - 2 * MARGIN)
 
-    palette = ("rgb(40,60,130)", "rgb(200,80,60)", "rgb(60,140,90)", "rgb(150,90,160)")
+    color = "rgb(40,60,130)"
     body = [
         f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
@@ -140,21 +132,17 @@ def render_line_chart(
         body.append(
             f'<text x="{MARGIN - 8}" y="{sy(yv) + 4:.1f}" text-anchor="end">{yv:.3g}</text>'
         )
-    for idx, (name, ys) in enumerate(series.items()):
-        color = palette[idx % len(palette)]
-        pts = [
-            (sx(x), sy(y)) for x, y in zip(x_values, ys) if y is not None
-        ]
-        if len(pts) > 1:
-            path_d = " ".join(f"{px:.1f},{py:.1f}" for px, py in pts)
-            body.append(
-                f'<polyline points="{path_d}" fill="none" stroke="{color}" stroke-width="2"/>'
-            )
-        for px, py in pts:
-            body.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" fill="{color}"/>')
+    pts = [(sx(x), sy(y)) for x, y in zip(x_values, y_values)]
+    if len(pts) > 1:
+        path_d = " ".join(f"{px:.1f},{py:.1f}" for px, py in pts)
         body.append(
-            f'<text x="{WIDTH - MARGIN}" y="{MARGIN + 16 * idx}" text-anchor="end" '
-            f'fill="{color}">{name}</text>'
+            f'<polyline points="{path_d}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
+    for px, py in pts:
+        body.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" fill="{color}"/>')
+    body.append(
+        f'<text x="{WIDTH - MARGIN}" y="{MARGIN}" text-anchor="end" '
+        f'fill="{color}">{y_label}</text>'
+    )
     body += _axis_labels(x_label, y_label)
     Path(path).write_text(_svg(body, title))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .numkernel import Rng, layer_norm, mix64
-from .packer import PackedSequence
+from .packer import PackedSequence, last_positions
 
 _NEG_INF = float("-inf")
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -50,7 +50,7 @@ class ModelConfig:
                 "layers, model_dim, heads and max_positions must be >= 1"
             )
         if self.model_dim % self.heads != 0:
-            raise ShapeError(
+            raise ConfigError(
                 f"model_dim={self.model_dim} not divisible by heads={self.heads}"
             )
         if self.vocab < 4:
@@ -437,19 +437,12 @@ class NeedleProbe:
         is_needle = self._needle_mask(packed)
         acc = np.empty(packed.total_length, dtype=np.uint64)
         counts = np.empty(packed.total_length, dtype=np.int64)
-        ends = []
         for s, (state, needles) in zip(packed.segments, past):
             seg = slice(s.start, s.start + s.length)
             acc[seg] = np.bitwise_xor.accumulate(keyed[seg]) ^ np.uint64(state)
             counts[seg] = needles + np.cumsum(is_needle[seg])
-            ends.append(
-                (
-                    state ^ int(np.bitwise_xor.reduce(keyed[seg])),
-                    needles + int(is_needle[seg].sum()),
-                )
-            )
         if cache is not None:
-            cache.extend(packed, ends)
+            cache.extend(packed, [(int(acc[p]), int(counts[p])) for p in last_positions(packed)])
 
         seed_mixed = mix64((self.seed & ((1 << 64) - 1)) ^ _SIG_SEED_TAG)
         hashes = mix64(acc ^ np.uint64(seed_mixed))

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import t3s
-from t3s.aggregator import CrossRefine, MeanLogits
+from t3s.aggregator import ConfidenceWeighted, CrossRefine, MeanLogits
 from t3s.errors import ConfigError, ContractError
 from t3s.harness import (
     CSV_COLUMNS,
@@ -30,7 +30,7 @@ from t3s.harness import (
     sweep,
 )
 from t3s.numkernel import Rng
-from t3s.sampler import SamplerConfig, TrialPlan
+from t3s.sampler import FrameMethod, SamplerConfig, TokenStrategy, TrialPlan
 from t3s.toymodel import ModelConfig, build_model, embed_frames, StreamSpec
 
 from helpers import baseline_greedy_decode, single_sequence
@@ -252,21 +252,45 @@ class TestSweep:
         assert all(r["error"] == "" for r in rows)
 
     @pytest.mark.parametrize(
-        "axis, values, n_rows, n_errors, message, clean",
+        "axis, values, labels, n_errors, message, clean",
         [
             # every point touching ratio 0.0
-            ("alpha_grid", [0.5, 0.0], 4, 3, "ratio", "0.5,0.5"),
+            (
+                "alpha_grid",
+                [0.5, 0.0],
+                ["0.5,0.5", "0.5,0", "0,0.5", "0,0"],
+                3,
+                "ratio",
+                "0.5,0.5",
+            ),
             # the point's strategy, not only its sampler, is built in its row
-            ("k_values", [0, 2], 2, 1, "top_k", "k=2"),
+            ("k_values", [0, 2], ["k=0", "k=2"], 1, "top_k", "k=2"),
+            # values that do not convert fail in their rows, labelled as given
+            ("m_values", ["two", 1], ["m=two", "m=1"], 1, "invalid literal", "m=1"),
+            ("k_values", [None, 2], ["k=None", "k=2"], 1, "NoneType", "k=2"),
+            (
+                "alpha_grid",
+                ["x", 0.5],
+                ["x,x", "x,0.5", "0.5,x", "0.5,0.5"],
+                3,
+                "not supported",
+                "0.5,0.5",
+            ),
         ],
-        ids=["alpha_grid", "k_values"],
+        ids=[
+            "alpha_grid",
+            "k_values",
+            "m_unconvertible",
+            "k_unconvertible",
+            "alpha_unconvertible",
+        ],
     )
     def test_failed_point_recorded_not_raised(
-        self, axis, values, n_rows, n_errors, message, clean
+        self, axis, values, labels, n_errors, message, clean
     ):
         base = small_config(repeats=5)
         rows = sweep(axis, base, values=values)
-        assert len(rows) == n_rows
+        assert [r["point"] for r in rows] == labels
         errors = [r for r in rows if r["error"]]
         assert len(errors) == n_errors
         assert all(message in r["error"] for r in errors)
@@ -408,11 +432,41 @@ def _with_field(path, value) -> dict:
 
 
 class TestConfigCodec:
-    def test_round_trip(self):
-        cfg = small_config(strategy=CrossRefine(3))
-        again = config_from_dict(config_to_dict(cfg))
-        assert config_to_dict(again) == config_to_dict(cfg)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"strategy": CrossRefine(3)},
+            {"strategy": MeanLogits()},
+            {"strategy": ConfidenceWeighted(0.25)},
+            *({"sampler": {"frame_method": m}} for m in FrameMethod),
+            *({"sampler": {"token_strategy": t}} for t in TokenStrategy),
+            {"sampler": {"reuse_frames": True}},
+        ],
+        ids=[
+            "cross_refine",
+            "mean_logits",
+            "confidence_weighted",
+            *(m.value for m in FrameMethod),
+            *(t.value for t in TokenStrategy),
+            "reuse_frames",
+        ],
+    )
+    def test_round_trip(self, overrides):
+        cfg = small_config()
+        cfg = replace(
+            cfg,
+            strategy=overrides.get("strategy", cfg.strategy),
+            sampler=replace(cfg.sampler, **overrides.get("sampler", {})),
+        )
+        data = config_to_dict(cfg)
+        again = config_from_dict(json.loads(json.dumps(data)))
+        assert again == cfg
+        assert config_to_dict(again) == data
         assert config_hash(again) == config_hash(cfg)
+
+    def test_default_hash_pinned(self):
+        # the canonical JSON form of the default config, key by key
+        assert config_hash(default_experiment_config()) == "b613a391d0e7"
 
     def test_partial_dict_fills_defaults(self):
         cfg = config_from_dict({"seed": 123})

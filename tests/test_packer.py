@@ -8,6 +8,8 @@ import pytest
 from t3s.errors import ContractError
 from t3s.numkernel import Rng
 from t3s.packer import (
+    PackedSequence,
+    Segment,
     append_token,
     last_positions,
     pack,
@@ -151,6 +153,13 @@ class TestPack:
         assert len(plans[0].token_keep) == 0
         with pytest.raises(ContractError, match="trial 0"):
             pack(plans, tagged_video(2, 2), [])
+        # built directly, an empty segment is rejected as well
+        with pytest.raises(ContractError, match="at least one token"):
+            PackedSequence(
+                segments=(Segment(0, 2), Segment(2, 0)),
+                embeddings=np.zeros((2, 4)),
+                token_ids=np.array([1, 2]),
+            )
         packed = pack(plans, tagged_video(2, 2), [7])
         assert [s.length for s in packed.segments] == [1, 5]
         assert last_positions(packed) == [0, 5]

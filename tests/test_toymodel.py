@@ -68,7 +68,7 @@ def block_causal_matrix(packed):
 
 class TestModelConfig:
     def test_heads_must_divide_dim(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             ModelConfig(layers=1, model_dim=10, heads=3, vocab=8, max_positions=64)
 
     def test_vocab_floor(self):
