@@ -9,7 +9,6 @@ the fused vector is bit-identical under any permutation of the trials.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -22,7 +21,7 @@ from .sampler import TrialPlan
 from .toymodel import SegmentCache
 
 # Entropy floor: inverse-entropy weights blow up on one-hot distributions.
-DEFAULT_ENTROPY_FLOOR = 1e-8
+_ENTROPY_FLOOR = 1e-8
 DEFAULT_TOP_K = 2
 
 
@@ -31,18 +30,9 @@ class MeanLogits:
     pass
 
 
-def _check_entropy_floor(floor: float) -> None:
-    # NaN and infinite floors would turn every weight into NaN
-    if not 0.0 < floor < math.inf:
-        raise ConfigError(f"entropy_floor must be finite and > 0, got {floor}")
-
-
 @dataclass(frozen=True)
 class ConfidenceWeighted:
-    entropy_floor: float = DEFAULT_ENTROPY_FLOOR
-
-    def __post_init__(self):
-        _check_entropy_floor(self.entropy_floor)
+    pass
 
 
 @dataclass(frozen=True)
@@ -78,15 +68,12 @@ def mean_logits(logits) -> tuple[np.ndarray, int]:
     return fused, int(np.argmax(fused))
 
 
-def confidence_weighted(
-    logits, entropy_floor: float = DEFAULT_ENTROPY_FLOOR
-) -> tuple[np.ndarray, int]:
+def confidence_weighted(logits) -> tuple[np.ndarray, int]:
     """Trials weighted by inverse predictive entropy, normalized to sum 1."""
     o = _check_trial_logits(logits)
-    _check_entropy_floor(entropy_floor)
     probs = softmax_rows(o)
     h = np.array([entropy(row) for row in probs])
-    inv = 1.0 / np.maximum(h, entropy_floor)
+    inv = 1.0 / np.maximum(h, _ENTROPY_FLOOR)
     weights = inv / np.add.reduce(np.sort(inv))
     fused = _ordered_sum(weights[:, None] * o)
     return fused, int(np.argmax(fused))
@@ -114,7 +101,7 @@ def fuse_token(logits, strategy: AggregationStrategy) -> int:
     if isinstance(strategy, MeanLogits):
         return mean_logits(o)[1]
     if isinstance(strategy, ConfidenceWeighted):
-        return confidence_weighted(o, strategy.entropy_floor)[1]
+        return confidence_weighted(o)[1]
     if isinstance(strategy, CrossRefine):
         if o.shape[0] != 2:
             raise ConfigError(

@@ -48,12 +48,9 @@ from .toymodel import (
     VideoTokenStream,
     build_model,
     embed_frames,
-    needle_direction,
 )
 
 _MASK64 = (1 << 64) - 1
-
-PROBE_GAIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -72,14 +69,14 @@ class SyntheticTask:
 @dataclass(frozen=True)
 class TaskParams:
     needle_count: int = 1
-    noise_scale: float = 0.1  # relative to the probe gain of 1.0
+    noise_scale: float = 0.1  # probe noise, under the 1 each needle token adds
     question_len: int = 4
 
     def __post_init__(self):
         if self.needle_count < 0:
             raise ConfigError("needle_count must be >= 0")
-        if self.noise_scale < 0:
-            raise ConfigError("noise_scale must be >= 0")
+        if not (0.0 <= self.noise_scale < 1.0):
+            raise ConfigError(f"noise_scale must lie in [0, 1), got {self.noise_scale}")
         if self.question_len < 1:
             raise ConfigError("question_len must be >= 1")
 
@@ -128,7 +125,7 @@ class ExperimentConfig:
 
 def default_experiment_config(**overrides) -> ExperimentConfig:
     """Reference desk-scale setup: F=256, M=16, N=64, one needle frame,
-    D=64, noise 0.1 of gain, two trials at ratios (0.5, 0.3)."""
+    D=64, probe noise 0.1, two trials at ratios (0.5, 0.3)."""
     cfg = ExperimentConfig(
         sampler=SamplerConfig(
             total_frames=256,
@@ -269,14 +266,7 @@ def gen_task(
 
 
 def probe_for_task(task: SyntheticTask, model: ModelConfig) -> NeedleProbe:
-    return NeedleProbe(
-        needle_direction(model.model_dim),
-        task.answer,
-        model.vocab,
-        gain=PROBE_GAIN,
-        noise_scale=task.noise_scale,
-        seed=task.seed,
-    )
+    return NeedleProbe(task.answer, model.vocab, task.noise_scale, task.seed)
 
 
 def surviving_needle_tokens(plan: TrialPlan, task: SyntheticTask) -> int:
@@ -430,9 +420,12 @@ CSV_COLUMNS = [
     "error",
 ]
 
-DEFAULT_ALPHA_GRID = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-DEFAULT_M_VALUES = (1, 2, 3, 4)
-DEFAULT_K_VALUES = (1, 2, 5, 10, 100)
+# the grid of each numeric axis when `sweep` is given no values
+DEFAULT_GRIDS = {
+    "alpha_grid": (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+    "m_values": (1, 2, 3, 4),
+    "k_values": (1, 2, 5, 10, 100),
+}
 
 STRATEGY_MATRIX = (
     ("rand-tok-m2", FrameMethod.RANDOM, TokenStrategy.RAND_TOK, False),
@@ -474,8 +467,14 @@ def _sweep_points(
     def k_point(k) -> ExperimentConfig:
         return build(CrossRefine(top_k(k)), trials=2, ratios=two_trial_ratios)
 
+    if axis in DEFAULT_GRIDS:
+        if values is None:
+            grid = DEFAULT_GRIDS[axis]
+        else:  # numpy scalars would reach the config hash unconverted
+            grid = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if not grid:
+            raise ConfigError(f"sweep axis {axis!r} got an empty grid")
     if axis == "alpha_grid":
-        grid = tuple(values or DEFAULT_ALPHA_GRID)
         g = partial(_label, lambda a: format(a, "g"))
         return [
             (f"{g(a1)},{g(a2)}", partial(build, trials=2, ratios=(a1, a2)))
@@ -483,12 +482,9 @@ def _sweep_points(
             for a2 in grid
         ]
     if axis == "m_values":
-        return [(f"m={m}", partial(m_point, m)) for m in values or DEFAULT_M_VALUES]
+        return [(f"m={m}", partial(m_point, m)) for m in grid]
     if axis == "k_values":
-        return [
-            (f"k={_label(top_k, k)}", partial(k_point, k))
-            for k in values or DEFAULT_K_VALUES
-        ]
+        return [(f"k={_label(top_k, k)}", partial(k_point, k)) for k in grid]
     if axis == "strategy_matrix":
         return [
             (
@@ -527,8 +523,9 @@ def report_csv_row(axis: str, point: str, report: ExperimentReport) -> dict:
 def sweep(
     axis: str, base: ExperimentConfig, values: Optional[Sequence] = None
 ) -> list[dict]:
-    """One experiment per grid point, in grid order. A failing point yields a
-    row with its error recorded; the sweep continues."""
+    """One experiment per grid point, in grid order. `values` replaces the
+    axis's default grid and must not be empty. A failing point yields a row
+    with its error recorded; the sweep continues."""
     rows = []
     for point, build in _sweep_points(axis, base, values):
         try:

@@ -357,10 +357,11 @@ _SIG_POS_TAG = 0x3C3C3C3C3C3C3C3C
 class NeedleProbe:
     """Hand-constructed backend with a controllable answer signal.
 
-    At every position p the answer-token logit equals gain * (number of
-    surviving needle tokens at or before p in p's segment); all other logits
-    are noise in [-noise_scale, noise_scale] seeded purely by the segment's
-    content prefix, so packed and solo forwards agree exactly.
+    At every position p the answer-token logit equals the number of
+    surviving needle tokens (visual rows along `needle_direction`) at or
+    before p in p's segment; all other logits are noise in [-noise_scale,
+    noise_scale], noise_scale < 1, seeded purely by the segment's content
+    prefix, so packed and solo forwards agree exactly.
 
     The prefix hash is an order-sensitive prefix XOR. Position j of a
     segment (counted from the segment's first token, cached ones included)
@@ -375,35 +376,21 @@ class NeedleProbe:
     max_positions: Optional[int] = None
 
     def __init__(
-        self,
-        needle_dir: np.ndarray,
-        answer_token: int,
-        vocab: int,
-        gain: float = 1.0,
-        noise_scale: float = 0.1,
-        seed: int = 0,
+        self, answer_token: int, vocab: int, noise_scale: float = 0.1, seed: int = 0
     ):
-        if gain <= 0.0:
-            raise ConfigError(f"gain must be > 0, got {gain}")
-        if not (0.0 <= noise_scale < gain):
-            raise ConfigError(
-                f"noise_scale must satisfy 0 <= noise_scale < gain, "
-                f"got noise_scale={noise_scale}, gain={gain}"
-            )
+        if not (0.0 <= noise_scale < 1.0):
+            raise ConfigError(f"noise_scale must lie in [0, 1), got {noise_scale}")
         if not (0 <= answer_token < vocab):
             raise ConfigError(f"answer_token {answer_token} outside vocab {vocab}")
-        self.needle_dir = np.asarray(needle_dir, dtype=np.float64)
-        self.needle_dir = self.needle_dir / np.linalg.norm(self.needle_dir)
         self.answer_token = answer_token
         self.vocab = vocab
-        self.gain = gain
         self.noise_scale = noise_scale
         self.seed = seed
 
     def _needle_mask(self, packed: PackedSequence) -> np.ndarray:
         emb = packed.embeddings
         norms = np.linalg.norm(emb, axis=1)
-        proj = emb @ self.needle_dir
+        proj = emb @ needle_direction(packed.model_dim)
         with np.errstate(invalid="ignore", divide="ignore"):
             cos = np.where(norms > 0, proj / np.where(norms > 0, norms, 1.0), 0.0)
         return (packed.token_ids < 0) & (cos > 0.9999)
@@ -451,5 +438,5 @@ class NeedleProbe:
             np.float64
         ) * (1.0 / (1 << 53))
         logits = u * (2.0 * self.noise_scale) - self.noise_scale
-        logits[:, self.answer_token] = self.gain * counts
+        logits[:, self.answer_token] = counts
         return ForwardResult(logits, _segment_pair_count(packed, cached))

@@ -1,8 +1,8 @@
 """Test-only reference code: a direct single-sequence greedy baseline that
 shares no code with the sampler or the multi-trial packer paths, the
-multi-trial decode that recomputes the whole packed sequence every step, a
-structural dump of packed sequences for golden tests, and each position's
-segment id."""
+multi-trial decode that recomputes the whole packed sequence every step, the
+sampler's trial-plan postcondition, a structural dump of packed sequences for
+golden tests, and each position's segment id."""
 
 from typing import Optional, Sequence
 
@@ -10,6 +10,7 @@ import numpy as np
 
 from t3s.aggregator import fuse_token
 from t3s.packer import PackedSequence, Segment, append_token, last_positions, pack
+from t3s.sampler import SamplerConfig, TrialPlan, kept_tokens
 from t3s.toymodel import VideoTokenStream
 
 
@@ -76,6 +77,22 @@ def recompute_decode(
         if step + 1 < steps:
             packed = append_token(packed, token, max_positions=backend.max_positions)
     return out
+
+
+def check_plan(plan: TrialPlan, cfg: SamplerConfig) -> None:
+    """Postcondition of `build_trial_plans`: N frame indices inside the video
+    and floor(alpha * N * M) token positions inside the trial, both strictly
+    ascending."""
+    f, k = plan.frame_indices, plan.token_keep
+    n, m = cfg.frames_per_trial, cfg.tokens_per_frame
+    assert len(f) == n, f"expected {n} frame indices, got {len(f)}"
+    assert 0 <= f[0] and f[-1] < cfg.total_frames, "frame index out of range"
+    assert np.all(np.diff(f) > 0), "frame indices must be strictly ascending"
+    want = kept_tokens(plan.alpha, n * m)
+    assert len(k) == want, f"expected {want} kept tokens, got {len(k)}"
+    if len(k):
+        assert 0 <= k[0] and k[-1] < n * m, "token index out of range"
+    assert np.all(np.diff(k) > 0), "token indices must be strictly ascending"
 
 
 def to_debug_json(packed: PackedSequence) -> dict:

@@ -50,7 +50,6 @@ from t3s.toymodel import (
     StreamSpec,
     build_model,
     embed_frames,
-    needle_direction,
 )
 
 from helpers import baseline_greedy_decode
@@ -115,7 +114,6 @@ def test_criterion_1_packed_equivalence_suite():
             backends = [
                 build_model(model_cfg),
                 NeedleProbe(
-                    needle_direction(model_cfg.model_dim),
                     answer_token=3,
                     vocab=model_cfg.vocab,
                     noise_scale=0.1,

@@ -22,7 +22,6 @@ from t3s.toymodel import (
     StreamSpec,
     build_model,
     embed_frames,
-    needle_direction,
 )
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=8192, init_seed=2)
@@ -108,9 +107,7 @@ class TestPairCounts:
         # integer identity: pairs_multi * L(L+1) == pairs_base * sum(l_i(l_i+1))
         for ratios in [(0.5, 0.3), (0.6, 0.6), (0.9, 0.2, 0.4)]:
             _, baseline, multi, _, L = _setup(ratios=ratios)
-            probe = NeedleProbe(
-                needle_direction(CFG.model_dim), 1, CFG.vocab, noise_scale=0.0
-            )
+            probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
             pairs_base = probe.forward(baseline).pair_count
             pairs_multi = probe.forward(multi).pair_count
             num = sum(int(a * L) * (int(a * L) + 1) for a in ratios)
@@ -125,9 +122,7 @@ class TestPairCounts:
 
     def test_invariant_under_segment_reordering(self):
         video, _, _, plans, _ = _setup(ratios=(0.7, 0.4, 0.2))
-        probe = NeedleProbe(
-            needle_direction(CFG.model_dim), 1, CFG.vocab, noise_scale=0.0
-        )
+        probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
         forward_order = probe.forward(pack(plans, video, [1])).pair_count
         reverse_order = probe.forward(pack(plans[::-1], video, [1])).pair_count
         assert forward_order == reverse_order
@@ -136,9 +131,7 @@ class TestPairCounts:
 class TestMeasure:
     def test_report_fields_and_bounds(self):
         _, baseline, multi, _, L = _setup()
-        probe = NeedleProbe(
-            needle_direction(CFG.model_dim), 1, CFG.vocab, noise_scale=0.0
-        )
+        probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
         report = measure(probe, baseline, multi, [0.5, 0.3], repeats=3)
         assert report.L == L
         assert report.alpha == [0.5, 0.3]
@@ -148,17 +141,13 @@ class TestMeasure:
 
     def test_repeats_floor(self):
         _, baseline, multi, _, _ = _setup()
-        probe = NeedleProbe(
-            needle_direction(CFG.model_dim), 1, CFG.vocab, noise_scale=0.0
-        )
+        probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
         with pytest.raises(ContractError):
             measure(probe, baseline, multi, [0.5, 0.3], repeats=2)
 
     def test_baseline_must_be_single_segment(self):
         _, baseline, multi, _, _ = _setup()
-        probe = NeedleProbe(
-            needle_direction(CFG.model_dim), 1, CFG.vocab, noise_scale=0.0
-        )
+        probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
         with pytest.raises(ContractError):
             measure(probe, multi, multi, [0.5, 0.3], repeats=3)
 

@@ -362,6 +362,27 @@ class TestSweep:
         b = sweep("m_values", base, values=[1, 2])
         assert a == b
 
+    @pytest.mark.parametrize("axis", ["alpha_grid", "m_values", "k_values"])
+    def test_empty_grid_raises(self, axis):
+        with pytest.raises(ConfigError, match=axis):
+            sweep(axis, small_config(repeats=5), values=[])
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("alpha_grid", np.array([0.4, 0.6])),
+            ("alpha_grid", np.array([1])),
+            ("m_values", np.array([1, 2])),
+            ("k_values", np.array([1, 2])),
+        ],
+        ids=["alpha_float", "alpha_int", "m_values", "k_values"],
+    )
+    def test_numpy_grid_matches_list(self, axis, values):
+        base = small_config(repeats=5)
+        rows = sweep(axis, base, values=values)
+        assert rows == sweep(axis, base, values=values.tolist())
+        assert all(r["error"] == "" for r in rows)
+
 
 class TestCoverageReport:
     def test_reference_point(self):
@@ -437,7 +458,7 @@ class TestConfigCodec:
         [
             {"strategy": CrossRefine(3)},
             {"strategy": MeanLogits()},
-            {"strategy": ConfidenceWeighted(0.25)},
+            {"strategy": ConfidenceWeighted()},
             *({"sampler": {"frame_method": m}} for m in FrameMethod),
             *({"sampler": {"token_strategy": t}} for t in TokenStrategy),
             {"sampler": {"reuse_frames": True}},
@@ -467,6 +488,8 @@ class TestConfigCodec:
     def test_default_hash_pinned(self):
         # the canonical JSON form of the default config, key by key
         assert config_hash(default_experiment_config()) == "b613a391d0e7"
+        cw = default_experiment_config(strategy=ConfidenceWeighted())
+        assert config_hash(cw) == "dc04d1a7de41"
 
     def test_partial_dict_fills_defaults(self):
         cfg = config_from_dict({"seed": 123})
@@ -559,6 +582,11 @@ class TestConfigCodec:
             {"strategy": {"kind": "confidence_weighted", "entropy_floor": math.inf}},
             {"model": {"model_dim": 0}},
             {"model": {"model_dim": -4}},
+            # the entropy floor is a constant, not a field
+            {"strategy": {"kind": "confidence_weighted", "entropy_floor": 1e-8}},
+            # probe noise must stay under the 1 a needle token adds
+            {"task": {"noise_scale": 1.5}},
+            {"task": {"noise_scale": 1}},
         ],
     )
     def test_malformed_config_raises_config_error(self, data):
@@ -623,6 +651,18 @@ class TestCli:
         res = run_cli("run", "--config", str(bad), cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr
+
+    def test_probe_noise_of_one_or_more_exits_two(self, tmp_path, run_cli):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"task": {"noise_scale": 1.5}}))
+        out = tmp_path / "out"
+        res = run_cli(
+            "sweep", "--axis", "m_values", "--config", str(bad), "--out-dir", str(out),
+            cwd=tmp_path,
+        )
+        assert res.returncode == 2, res.stderr
+        assert "noise_scale" in res.stderr
+        assert not out.exists()
 
     def test_missing_config_exits_two(self, tmp_path, run_cli):
         res = run_cli("run", "--config", str(tmp_path / "absent.json"), cwd=tmp_path)

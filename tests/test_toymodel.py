@@ -163,10 +163,7 @@ class TestForwardContract:
 
 
 def _probe_for(cfg, answer=3, noise=0.05, seed=11):
-    return NeedleProbe(
-        needle_direction(cfg.model_dim), answer, cfg.vocab,
-        noise_scale=noise, seed=seed,
-    )
+    return NeedleProbe(answer, cfg.vocab, noise_scale=noise, seed=seed)
 
 
 class TestPackedVsSoloEquivalence:
@@ -233,7 +230,7 @@ def probe_oracle_logits(probe, packed, allowed):
         np.float64
     ) * (1.0 / (1 << 53))
     logits = u * (2.0 * probe.noise_scale) - probe.noise_scale
-    logits[:, probe.answer_token] = probe.gain * (allowed @ is_needle.astype(np.int64))
+    logits[:, probe.answer_token] = allowed @ is_needle.astype(np.int64)
     return logits
 
 
@@ -435,9 +432,7 @@ class TestAttentionReceived:
 class TestNeedleProbe:
     def test_no_needles_zero_noise_all_zero(self):
         packed, _, _ = make_packed(trials=2)
-        probe = NeedleProbe(
-            needle_direction(CFG.model_dim), 3, CFG.vocab, noise_scale=0.0, seed=1
-        )
+        probe = NeedleProbe(3, CFG.vocab, noise_scale=0.0, seed=1)
         logits = probe.forward(packed).logits[last_positions(packed)]
         assert np.array_equal(logits, np.zeros_like(logits))
         assert int(np.argmax(logits[0])) == 0  # tie-break to token 0
@@ -448,10 +443,7 @@ class TestNeedleProbe:
         # keep exactly 3 needle tokens: frames (0,1), all 6 tokens kept
         plan = TrialPlan(np.array([0, 1]), np.arange(6, dtype=np.int64), 1.0)
         packed = pack([plan], video, [5])
-        probe = NeedleProbe(
-            needle_direction(cfg.model_dim), 3, cfg.vocab, gain=1.0,
-            noise_scale=0.0, seed=1,
-        )
+        probe = NeedleProbe(3, cfg.vocab, noise_scale=0.0, seed=1)
         logits = probe.forward(packed).logits[last_positions(packed)]
         assert logits[0, 3] == 3.0
 
@@ -481,11 +473,9 @@ class TestNeedleProbe:
         assert np.array_equal(noise[0][:first], noise[1][:first])
         assert (noise[0][first:] != noise[1][first:]).any(axis=1).all()
 
-    def test_noise_scale_must_stay_below_gain(self):
+    def test_noise_scale_must_stay_below_one(self):
         with pytest.raises(ConfigError):
-            NeedleProbe(
-                needle_direction(8), 1, 16, gain=1.0, noise_scale=1.0, seed=0
-            )
+            NeedleProbe(1, 16, noise_scale=1.0, seed=0)
 
     def test_accuracy_matches_closed_form_coverage(self):
         # 10k random plan draws on one fixed task; MeanLogits aggregation.
@@ -501,9 +491,7 @@ class TestNeedleProbe:
         video = embed_frames(
             StreamSpec(total_frames, tokens_per_frame, frozenset({37})), cfg, Rng(1)
         )
-        probe = NeedleProbe(
-            needle_direction(cfg.model_dim), 3, cfg.vocab, noise_scale=0.05, seed=2
-        )
+        probe = NeedleProbe(3, cfg.vocab, noise_scale=0.05, seed=2)
         sampler = SamplerConfig(
             total_frames=total_frames,
             frames_per_trial=per_trial,
