@@ -10,7 +10,7 @@ the fused vector is bit-identical under any permutation of the trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -118,16 +118,15 @@ def decode(
     text: Sequence[int],
     steps: int,
     strategy: AggregationStrategy,
-    stop_token: Optional[int] = None,
 ) -> list[int]:
     """Greedy multi-trial decoding.
 
     Packs the plans and forwards the packed prompt once into an empty
     per-segment cache, then per step: read each segment's final logits,
     aggregate to one token, and forward only that token, once per segment,
-    as the continuation of the cache. Stops at `stop_token` or after `steps`
-    tokens; raises ContractError once the packed total would exceed the
-    backend's `max_positions`.
+    as the continuation of the cache. Returns `steps` tokens; raises
+    ContractError once the packed total would exceed the backend's
+    `max_positions`.
     """
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
@@ -139,8 +138,6 @@ def decode(
         trial_logits = logits[last_positions(packed)]
         token = fuse_token(trial_logits, strategy)
         out.append(token)
-        if stop_token is not None and token == stop_token:
-            break
         if step + 1 < steps:
             packed = token_per_segment(token, packed.num_segments, packed.model_dim)
     return out

@@ -9,7 +9,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -25,6 +25,7 @@ from .harness import (
     sweep,
 )
 from .plots import render_heatmap, render_line_chart
+from .sampler import FrameMethod
 
 
 def _write_json(path: Path, obj) -> None:
@@ -58,7 +59,7 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report = run_experiment(cfg)
     if args.format == "json":
-        _write_json(out / "report.json", report.to_json_dict())
+        _write_json(out / "report.json", asdict(report))
     else:
         _write_csv(out / "report.csv", [report_csv_row("", "", report)], CSV_COLUMNS)
     print(f"accuracy={report.accuracy:.4f} coverage={report.any_trial_coverage:.4f}")
@@ -128,21 +129,24 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_coverage(args) -> int:
     cfg = _load_config(args)
+    s = cfg.sampler
+    # the closed form and the Monte-Carlo draws assume independent random frames
+    if s.frame_method is not FrameMethod.RANDOM or s.reuse_frames:
+        raise ConfigError(
+            "coverage needs sampler.frame_method 'random' and sampler.reuse_frames "
+            f"false, got {s.frame_method.value!r} and {str(s.reuse_frames).lower()}"
+        )
     if args.draws < 10000:
         raise ConfigError(f"--draws must be >= 10000, got {args.draws}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rep = coverage_report(
-        cfg.sampler.total_frames,
-        cfg.sampler.frames_per_trial,
-        cfg.sampler.trials,
-        args.draws,
-        seed=cfg.seed,
+        s.total_frames, s.frames_per_trial, s.trials, args.draws, seed=cfg.seed
     )
+    d = asdict(rep)
     if args.format == "json":
-        _write_json(out / "coverage.json", rep.to_json_dict())
+        _write_json(out / "coverage.json", d)
     else:
-        d = rep.to_json_dict()
         _write_csv(out / "coverage.csv", [{k: str(v) for k, v in d.items()}], list(d))
     print(
         f"empirical={rep.empirical:.4f} closed_form={rep.closed_form:.4f} "
@@ -159,7 +163,7 @@ def _cmd_bench(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report = run_experiment(cfg, latency_repeats=args.repeats)
     cost = report.cost
-    _write_json(out / "cost_report.json", cost.to_json_dict())
+    _write_json(out / "cost_report.json", asdict(cost))
     if args.format == "csv":
         _write_csv(out / "cost_report.csv", [report_csv_row("", "", report)], CSV_COLUMNS)
     print(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .aggregator import AggregationStrategy, MeanLogits, fuse_token
@@ -32,9 +32,6 @@ class CostReport:
     tau1: Optional[float] = None  # baseline first-token latency, seconds
     tau2: Optional[float] = None  # multi-trial first-token latency, seconds
     measured_speedup: Optional[float] = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def theoretical_costs(L: int, alphas: Sequence[float]) -> tuple[float, float, float]:

@@ -16,7 +16,7 @@ import typing
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -296,9 +296,6 @@ class ExperimentReport:
     cost: CostReport
     backend: str
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _attn_scores(task: SyntheticTask, transformer, frame_indices) -> np.ndarray:
     """Attention each visual token of the given frames receives when all of
@@ -420,8 +417,8 @@ CSV_COLUMNS = [
     "error",
 ]
 
-# the grid of each numeric axis when `sweep` is given no values
-DEFAULT_GRIDS = {
+# the grid of each numeric axis
+GRIDS = {
     "alpha_grid": (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
     "m_values": (1, 2, 3, 4),
     "k_values": (1, 2, 5, 10, 100),
@@ -437,54 +434,37 @@ STRATEGY_MATRIX = (
 )
 
 
-def _label(convert: Callable, value) -> str:
-    """`convert(value)` as text, or `value` as given when it does not convert."""
-    try:
-        return str(convert(value))
-    except (TypeError, ValueError):
-        return str(value)
-
-
 def _sweep_points(
-    axis: str, base: ExperimentConfig, values
+    axis: str, base: ExperimentConfig
 ) -> list[tuple[str, Callable[[], ExperimentConfig]]]:
-    """(label, build) per grid point. `build()` converts the point's values
-    and makes its config, sampler and strategy together, so a malformed point
-    fails inside its own row, not the sweep; a value that does not convert is
-    labelled as given."""
+    """(label, build) per grid point. `build()` makes the point's config,
+    sampler and strategy together, so a point that does not fit the base
+    (an m whose packed length exceeds `max_positions`) fails inside its own
+    row, not the sweep."""
     s = base.sampler
     two_trial_ratios = s.ratios[:2] if s.trials >= 2 else (s.ratios[0],) * 2
 
     def build(strategy=None, **sampler) -> ExperimentConfig:
         return replace(base, sampler=replace(s, **sampler), strategy=strategy or base.strategy)
 
-    def m_point(m) -> ExperimentConfig:
-        return build(MeanLogits(), trials=int(m), ratios=(s.ratios[0],) * int(m))
-
-    def top_k(k) -> int:
-        return min(int(k), base.model.vocab)
-
-    def k_point(k) -> ExperimentConfig:
-        return build(CrossRefine(top_k(k)), trials=2, ratios=two_trial_ratios)
-
-    if axis in DEFAULT_GRIDS:
-        if values is None:
-            grid = DEFAULT_GRIDS[axis]
-        else:  # numpy scalars would reach the config hash unconverted
-            grid = values.tolist() if isinstance(values, np.ndarray) else list(values)
-        if not grid:
-            raise ConfigError(f"sweep axis {axis!r} got an empty grid")
     if axis == "alpha_grid":
-        g = partial(_label, lambda a: format(a, "g"))
+        grid = GRIDS[axis]
         return [
-            (f"{g(a1)},{g(a2)}", partial(build, trials=2, ratios=(a1, a2)))
+            (f"{a1:g},{a2:g}", partial(build, trials=2, ratios=(a1, a2)))
             for a1 in grid
             for a2 in grid
         ]
     if axis == "m_values":
-        return [(f"m={m}", partial(m_point, m)) for m in grid]
+        return [
+            (f"m={m}", partial(build, MeanLogits(), trials=m, ratios=(s.ratios[0],) * m))
+            for m in GRIDS[axis]
+        ]
     if axis == "k_values":
-        return [(f"k={_label(top_k, k)}", partial(k_point, k)) for k in grid]
+        ks = [min(k, base.model.vocab) for k in GRIDS[axis]]
+        return [
+            (f"k={k}", partial(build, CrossRefine(k), trials=2, ratios=two_trial_ratios))
+            for k in ks
+        ]
     if axis == "strategy_matrix":
         return [
             (
@@ -520,14 +500,11 @@ def report_csv_row(axis: str, point: str, report: ExperimentReport) -> dict:
     }
 
 
-def sweep(
-    axis: str, base: ExperimentConfig, values: Optional[Sequence] = None
-) -> list[dict]:
-    """One experiment per grid point, in grid order. `values` replaces the
-    axis's default grid and must not be empty. A failing point yields a row
-    with its error recorded; the sweep continues."""
+def sweep(axis: str, base: ExperimentConfig) -> list[dict]:
+    """One experiment per point of the axis's fixed grid, in grid order. A
+    failing point yields a row with its error recorded; the sweep continues."""
     rows = []
-    for point, build in _sweep_points(axis, base, values):
+    for point, build in _sweep_points(axis, base):
         try:
             rows.append(report_csv_row(axis, point, run_experiment(build())))
         except Exception as exc:  # recorded, never silently dropped
@@ -556,9 +533,6 @@ class CoverageReport:
     empirical: float
     closed_form: float
     z_score: float
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def coverage_report(

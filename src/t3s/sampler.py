@@ -186,18 +186,15 @@ def build_trial_plans(
     if cfg.token_strategy is TokenStrategy.ATTN_TOP and attn_scores_fn is None:
         raise ContractError("ATTN_TOP plans need an attn_scores_fn")
     plans: list[TrialPlan] = []
-    shared_frames: Optional[np.ndarray] = None
     for i in range(cfg.trials):
         frame_rng = rng.child(2 * i)
         token_rng = rng.child(2 * i + 1)
-        if cfg.reuse_frames and shared_frames is not None:
-            frames = shared_frames
+        if cfg.reuse_frames and plans:
+            frames = plans[0].frame_indices
         else:
             frames = sample_frame_indices(
                 cfg.total_frames, cfg.frames_per_trial, cfg.frame_method, frame_rng
             )
-            if cfg.reuse_frames:
-                shared_frames = frames
         scores = attn_scores_fn(frames) if attn_scores_fn is not None else None
         keep = subsample_tokens(
             cfg.tokens_per_trial,

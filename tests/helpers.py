@@ -4,7 +4,7 @@ multi-trial decode that recomputes the whole packed sequence every step, the
 sampler's trial-plan postcondition, a structural dump of packed sequences for
 golden tests, and each position's segment id."""
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ def baseline_greedy_decode(
     video: VideoTokenStream,
     text: Sequence[int],
     steps: int,
-    stop_token: Optional[int] = None,
 ) -> list[int]:
     """Plain greedy decoding of the single full sequence."""
     seq = single_sequence(video, text)
@@ -48,8 +47,6 @@ def baseline_greedy_decode(
         logits, _ = backend.forward(seq)
         token = int(np.argmax(logits[-1]))
         out.append(token)
-        if stop_token is not None and token == stop_token:
-            break
         if step + 1 < steps:
             seq = _append_single(seq, token)
     return out
@@ -62,7 +59,6 @@ def recompute_decode(
     text: Sequence[int],
     steps: int,
     strategy,
-    stop_token: Optional[int] = None,
 ) -> list[int]:
     """Oracle for `aggregator.decode`: every step forwards the whole packed
     sequence without a cache, then appends the fused token to each segment."""
@@ -72,8 +68,6 @@ def recompute_decode(
         logits, _ = backend.forward(packed)
         token = fuse_token(logits[last_positions(packed)], strategy)
         out.append(token)
-        if stop_token is not None and token == stop_token:
-            break
         if step + 1 < steps:
             packed = append_token(packed, token, max_positions=backend.max_positions)
     return out

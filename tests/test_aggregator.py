@@ -270,14 +270,6 @@ class TestDecode:
         miss = decode(probe, [without, without], video, [1], 1, MeanLogits())
         assert miss != [7]
 
-    def test_stop_token_halts(self):
-        video = _full_video(3, 2)
-        model = build_model(CFG)
-        plan = TrialPlan(np.arange(3, dtype=np.int64), np.arange(6, dtype=np.int64), 1.0)
-        free = decode(model, [plan], video, [1], 6, MeanLogits())
-        stopped = decode(model, [plan], video, [1], 6, MeanLogits(), stop_token=free[0])
-        assert stopped == [free[0]]
-
     def test_determinism(self):
         video = _full_video(6, 2)
         model = build_model(CFG)
@@ -320,10 +312,6 @@ class TestDecode:
         for strategy in (MeanLogits(), ConfidenceWeighted()):
             want = recompute_decode(backend, plans, video, text, 6, strategy)
             assert decode(backend, plans, video, text, 6, strategy) == want
-            stop = want[2]
-            stopped = recompute_decode(backend, plans, video, text, 6, strategy, stop)
-            assert stopped == want[: want.index(stop) + 1]
-            assert decode(backend, plans, video, text, 6, strategy, stop) == stopped
 
     def test_max_positions_at_same_step_as_recompute(self):
         video = _full_video(6, 2)

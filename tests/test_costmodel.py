@@ -2,6 +2,7 @@
 ratios, and first-token measurement."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestCostReportJson:
             measured_pairs_base=55,
             measured_pairs_multi=15,
         )
-        d = report.to_json_dict()
+        d = asdict(report)
         assert list(d) == [
             "L",
             "alpha",

@@ -4,7 +4,7 @@ and the CLI surface."""
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -191,8 +191,8 @@ class TestRunExperiment:
 
     def test_reports_reproducible(self):
         cfg = small_config(repeats=50)
-        a = run_experiment(cfg).to_json_dict()
-        b = run_experiment(cfg).to_json_dict()
+        a = asdict(run_experiment(cfg))
+        b = asdict(run_experiment(cfg))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_attn_top_strategy_end_to_end(self):
@@ -242,65 +242,32 @@ class TestBaselineReduction:
 
 class TestSweep:
     def test_alpha_grid_rows_and_reference_point(self):
-        base = small_config(repeats=10)
-        rows = sweep("alpha_grid", base, values=[0.4, 0.6])
-        assert len(rows) == 4
-        labels = [r["point"] for r in rows]
-        assert labels == ["0.4,0.4", "0.4,0.6", "0.6,0.4", "0.6,0.6"]
-        diag = rows[3]
+        base = small_config(repeats=2)
+        rows = sweep("alpha_grid", base)
+        ratios = ["0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1"]
+        assert [r["point"] for r in rows] == [f"{a},{b}" for a in ratios for b in ratios]
+        diag = next(r for r in rows if r["point"] == "0.6,0.6")
         assert abs(float(diag["theoretical_speedup"]) - 1 / 0.72) < 1e-6
         assert all(r["error"] == "" for r in rows)
 
-    @pytest.mark.parametrize(
-        "axis, values, labels, n_errors, message, clean",
-        [
-            # every point touching ratio 0.0
-            (
-                "alpha_grid",
-                [0.5, 0.0],
-                ["0.5,0.5", "0.5,0", "0,0.5", "0,0"],
-                3,
-                "ratio",
-                "0.5,0.5",
-            ),
-            # the point's strategy, not only its sampler, is built in its row
-            ("k_values", [0, 2], ["k=0", "k=2"], 1, "top_k", "k=2"),
-            # values that do not convert fail in their rows, labelled as given
-            ("m_values", ["two", 1], ["m=two", "m=1"], 1, "invalid literal", "m=1"),
-            ("k_values", [None, 2], ["k=None", "k=2"], 1, "NoneType", "k=2"),
-            (
-                "alpha_grid",
-                ["x", 0.5],
-                ["x,x", "x,0.5", "0.5,x", "0.5,0.5"],
-                3,
-                "not supported",
-                "0.5,0.5",
-            ),
-        ],
-        ids=[
-            "alpha_grid",
-            "k_values",
-            "m_unconvertible",
-            "k_unconvertible",
-            "alpha_unconvertible",
-        ],
-    )
-    def test_failed_point_recorded_not_raised(
-        self, axis, values, labels, n_errors, message, clean
-    ):
-        base = small_config(repeats=5)
-        rows = sweep(axis, base, values=values)
-        assert [r["point"] for r in rows] == labels
-        errors = [r for r in rows if r["error"]]
-        assert len(errors) == n_errors
-        assert all(message in r["error"] for r in errors)
-        ok = [r for r in rows if not r["error"]]
-        assert len(ok) == 1 and ok[0]["point"] == clean
+    def test_failed_point_recorded_not_raised(self):
+        # one trial packs to 36 positions, so m=3 and m=4 exceed 80
+        base = small_config(
+            sampler=replace(small_config().sampler, trials=1, ratios=(1.0,)),
+            model=replace(MODEL, max_positions=80),
+            repeats=5,
+        )
+        rows = sweep("m_values", base)
+        assert [r["point"] for r in rows] == ["m=1", "m=2", "m=3", "m=4"]
+        assert [r["error"] for r in rows[:2]] == ["", ""]
+        for row in rows[2:]:
+            assert "max_positions" in row["error"]
+            assert row["config_hash"] == config_hash(base)
 
     def test_m_values_rows(self):
         base = small_config(repeats=10)
-        rows = sweep("m_values", base, values=[1, 2, 3])
-        assert [r["point"] for r in rows] == ["m=1", "m=2", "m=3"]
+        rows = sweep("m_values", base)
+        assert [r["point"] for r in rows] == ["m=1", "m=2", "m=3", "m=4"]
         assert all(r["error"] == "" for r in rows)
 
     def test_k_values_clip_to_vocab(self):
@@ -358,30 +325,7 @@ class TestSweep:
 
     def test_rows_deterministic(self):
         base = small_config(repeats=20)
-        a = sweep("m_values", base, values=[1, 2])
-        b = sweep("m_values", base, values=[1, 2])
-        assert a == b
-
-    @pytest.mark.parametrize("axis", ["alpha_grid", "m_values", "k_values"])
-    def test_empty_grid_raises(self, axis):
-        with pytest.raises(ConfigError, match=axis):
-            sweep(axis, small_config(repeats=5), values=[])
-
-    @pytest.mark.parametrize(
-        "axis, values",
-        [
-            ("alpha_grid", np.array([0.4, 0.6])),
-            ("alpha_grid", np.array([1])),
-            ("m_values", np.array([1, 2])),
-            ("k_values", np.array([1, 2])),
-        ],
-        ids=["alpha_float", "alpha_int", "m_values", "k_values"],
-    )
-    def test_numpy_grid_matches_list(self, axis, values):
-        base = small_config(repeats=5)
-        rows = sweep(axis, base, values=values)
-        assert rows == sweep(axis, base, values=values.tolist())
-        assert all(r["error"] == "" for r in rows)
+        assert sweep("m_values", base) == sweep("m_values", base)
 
 
 class TestCoverageReport:
@@ -734,6 +678,24 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         rep = json.loads((out / "coverage.json").read_text())
         assert abs(rep["z_score"]) < 3.0
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [{"frame_method": "uniform"}, {"reuse_frames": True}],
+        ids=["frame_method", "reuse_frames"],
+    )
+    def test_coverage_needs_independent_random_frames(self, tmp_path, run_cli, sampler):
+        # 1-(1-N/F)^m describes neither a frame stride nor one shared draw
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sampler": sampler}))
+        out = tmp_path / "cov"
+        res = run_cli(
+            "coverage", "--config", str(cfg), "--out-dir", str(out), cwd=tmp_path
+        )
+        assert res.returncode == 2, res.stderr
+        assert "sampler.frame_method" in res.stderr
+        assert "sampler.reuse_frames" in res.stderr
+        assert not out.exists()
 
     def test_runtime_failure_exits_one(self, tmp_path, tiny_config, run_cli):
         # an output directory that cannot be made is a runtime error, not a
