@@ -460,7 +460,8 @@ def _sweep_points(
             for m in GRIDS[axis]
         ]
     if axis == "k_values":
-        ks = [min(k, base.model.vocab) for k in GRIDS[axis]]
+        # clipping to vocab can repeat a value; each k runs once, in grid order
+        ks = dict.fromkeys(min(k, base.model.vocab) for k in GRIDS[axis])
         return [
             (f"k={k}", partial(build, CrossRefine(k), trials=2, ratios=two_trial_ratios))
             for k in ks

@@ -28,10 +28,13 @@ _NEG_INF = float("-inf")
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 # Queries are processed in fixed-size chunks with keys truncated at the
-# chunk's causal horizon: temporaries stay small, so wall clock tracks the
-# evaluated score-entry count instead of cache spills. Keys before a chunk
-# are all allowed, so only its diagonal block is masked, by this triangle.
-_QUERY_CHUNK = 128
+# chunk's causal horizon. Each chunk's (heads, chunk, horizon) float64 score
+# tile is read and written by several passes (mask, max, subtract, exp, PV),
+# so it is sized to a 2 MiB per-core L2: at 4 heads a 32-query tile is 1 MB
+# at horizon 1028 and 2 MB at 2052, where a 128-query one spilled at 4-8 MB.
+# Keys before a chunk are all allowed, so only its diagonal block is masked,
+# by this triangle.
+_QUERY_CHUNK = 32
 _FUTURE_KEYS = np.triu(np.ones((_QUERY_CHUNK, _QUERY_CHUNK), dtype=bool), k=1)
 
 
@@ -141,9 +144,11 @@ class SegmentCache:
     A new cache is empty; the first forward given it fixes the segment count
     and every later forward must pack that many segments. `lengths[i]` is the
     number of tokens segment i holds so far; `states[i]` is the backend's
-    summary of them (the transformer's per-layer keys and values, the needle
-    probe's prefix XOR at its last position and needle count), so a cache
-    serves one backend.
+    summary of them, so a cache serves one backend. The transformer keeps,
+    per layer, the (keys, values) pair `_attend_segment` reads: keys as
+    (heads, head_dim, tokens), values as (heads, tokens, head_dim + 1) with
+    a ones last column. The needle probe keeps its prefix XOR at the last
+    position and its needle count.
     """
 
     def __init__(self):
@@ -178,25 +183,27 @@ def _segment_pair_count(packed: PackedSequence, cached: list[int]) -> int:
     )
 
 
-def _attend_segment(q, k, v, ctx, received):
+def _attend_segment(q, kt, va, ctx, received):
     # q: (heads, n, head_dim) one segment's new queries, already scaled by
-    # 1/sqrt(head_dim); k, v: (heads, c + n, head_dim), its c cached keys
-    # and values followed by the n new ones; ctx: (n, model_dim) output
-    cached = k.shape[1] - q.shape[1]
+    # 1/sqrt(head_dim); kt: (heads, head_dim, c + n) its c cached keys then
+    # the n new ones, transposed as the score matmul reads them; va: (heads,
+    # c + n, head_dim + 1) the matching values with a ones last column, so
+    # the PV matmul also returns each row's softmax denominator; ctx: (n,
+    # model_dim) output
+    cached = kt.shape[2] - q.shape[1]
     for c0 in range(0, q.shape[1], _QUERY_CHUNK):
         c1 = min(c0 + _QUERY_CHUNK, q.shape[1])
         horizon = cached + c1
-        scores = q[:, c0:c1] @ k[:, :horizon].transpose(0, 2, 1)
+        scores = q[:, c0:c1] @ kt[:, :, :horizon]
         future = _FUTURE_KEYS[: c1 - c0, : c1 - c0]
         np.copyto(scores[:, :, cached + c0 :], _NEG_INF, where=future)
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        sums = scores.sum(axis=-1, keepdims=True)
+        heads_ctx = scores @ va[:, :horizon]
+        sums = heads_ctx[:, :, -1:]
         if received is not None:
             received[:horizon] += (scores / sums).sum(axis=(0, 1))
-        heads_ctx = scores @ v[:, :horizon]
-        heads_ctx /= sums
-        ctx[c0:c1] = _merge_heads(heads_ctx)
+        ctx[c0:c1] = _merge_heads(heads_ctx[:, :, :-1] / sums)
 
 
 class SeededTransformer:
@@ -261,8 +268,9 @@ class SeededTransformer:
         pair_count = cfg.layers * cfg.heads * _segment_pair_count(packed, cached)
         received = np.zeros(packed.total_length) if collect_received else None
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
-        # per segment, per layer: (keys, values) of (heads, tokens, head_dim)
+        # per segment, per layer: (keys, values) as `_attend_segment` reads them
         kept = [[] for _ in blocks]
+        heads, hd = cfg.heads, self.head_dim
 
         for layer in range(cfg.layers):
             h = layer_norm(x)
@@ -270,15 +278,16 @@ class SeededTransformer:
             q *= inv_sqrt
             k = h @ w[f"layer{layer}.attn_key"]
             v = h @ w[f"layer{layer}.attn_value"]
-            qh = _split_heads(q, cfg.heads, self.head_dim)
-            kh = _split_heads(k, cfg.heads, self.head_dim)
-            vh = _split_heads(v, cfg.heads, self.head_dim)
+            qh = _split_heads(q, heads, hd)
+            kt = np.ascontiguousarray(k.reshape(-1, heads, hd).transpose(1, 2, 0))
+            va = np.ones((heads, len(v), hd + 1))
+            va[:, :, :hd] = _split_heads(v, heads, hd)
             ctx = np.empty_like(q)
             for i, (b, e) in enumerate(blocks):
-                k_seg, v_seg = kh[:, b:e], vh[:, b:e]
+                k_seg, v_seg = kt[:, :, b:e], va[:, b:e]
                 if cached[i]:
                     k_past, v_past = past[i][layer]
-                    k_seg = np.concatenate([k_past, k_seg], axis=1)
+                    k_seg = np.concatenate([k_past, k_seg], axis=2)
                     v_seg = np.concatenate([v_past, v_seg], axis=1)
                 if cache is not None:
                     kept[i].append((k_seg, v_seg))

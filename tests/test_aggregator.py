@@ -297,7 +297,7 @@ class TestDecode:
     @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
     @pytest.mark.parametrize("seed", range(4))
     def test_cached_matches_recompute(self, backend_kind, seed):
-        # unequal segment lengths, some past one 128-query chunk
+        # unequal segment lengths, some past several query chunks
         video = _full_video(60, 4, needles=frozenset({seed, 30 + seed}), seed=seed)
         cfg = SamplerConfig(
             total_frames=60, frames_per_trial=40, tokens_per_frame=4,

@@ -282,6 +282,14 @@ class TestSweep:
         ]
         assert all(r["error"] == "" for r in rows)
 
+    def test_k_values_clipped_duplicates_run_once(self):
+        base = small_config(
+            repeats=10, strategy=CrossRefine(2), model=replace(MODEL, vocab=4)
+        )
+        rows = sweep("k_values", base)
+        assert [r["point"] for r in rows] == ["k=1", "k=2", "k=4"]
+        assert all(r["error"] == "" for r in rows)
+
     def test_k_sweep_flat_when_needles_abundant(self):
         # with needles in half the frames every trial carries signal, so the
         # re-ranking depth barely matters and accuracy stays in a tight band

@@ -38,6 +38,14 @@ from helpers import segment_ids
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=1024, init_seed=3)
 
+# segment lengths below, on and just past the first two query-chunk seams,
+# and around the fourth and eighth, where the key horizon spans many chunks
+_C = _QUERY_CHUNK
+SEAM_LENGTHS = [
+    _C - 1, _C, _C + 1, 2 * _C, 2 * _C + 1,
+    4 * _C - 1, 4 * _C, 4 * _C + 1, 8 * _C, 8 * _C + 1,
+]
+
 
 def make_packed(seed=0, trials=2, total_frames=10, frames_per_trial=6,
                 tokens_per_frame=2, ratios=None, text=(1, 2, 3), needles=frozenset(),
@@ -236,10 +244,11 @@ def probe_oracle_logits(probe, packed, allowed):
 
 class TestDenseOracles:
     def test_chunked_forward_matches_dense_oracle(self):
-        # two segments longer than one query chunk cover the chunk seams
+        # two segments span chunk seams (about 3 and 2 chunks long) and the
+        # third fits in one chunk
         packed, _, _ = make_packed(
-            trials=3, total_frames=80, frames_per_trial=70, tokens_per_frame=3,
-            ratios=(1.0, 0.7, 0.3),
+            trials=3, total_frames=_QUERY_CHUNK + 10, frames_per_trial=_QUERY_CHUNK,
+            tokens_per_frame=3, ratios=(1.0, 0.7, 0.3),
         )
         long = [s for s in packed.segments if s.length > _QUERY_CHUNK]
         assert len(long) == 2
@@ -250,7 +259,7 @@ class TestDenseOracles:
         triangles = sum(s.length * (s.length + 1) // 2 for s in packed.segments)
         assert fast.pair_count == CFG.layers * CFG.heads * triangles
 
-    @pytest.mark.parametrize("length", [1, 127, 128, 129, 256, 257])
+    @pytest.mark.parametrize("length", [1] + SEAM_LENGTHS)
     def test_chunk_seams_match_dense_oracle(self, length):
         # one segment per length: below, on and just past each chunk seam,
         # where the diagonal block's triangle must line up with its keys
@@ -297,11 +306,11 @@ def mixed_segment(g, length, dim):
 
 class TestSegmentCache:
     @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
-    @pytest.mark.parametrize("length", [127, 128, 129, 256, 257])
+    @pytest.mark.parametrize("length", SEAM_LENGTHS)
     def test_extensions_match_full_forward(self, backend_kind, length):
         # each segment is forwarded in three pieces through one cache; the
         # pieces differ across segments and land on both sides of each
-        # 128-query chunk seam, as cached keys and as new queries
+        # query-chunk seam, as cached keys and as new queries
         pieces = [(37, length, 2), (5, length // 2 + 1, 1), (length, 1, 3)]
         g = Rng(length).generator()
         parts = [mixed_segment(g, sum(p), CFG.model_dim) for p in pieces]
@@ -395,15 +404,22 @@ def received_oracle(mats, mask_matrix):
 
 class TestAttentionReceived:
     def test_matches_full_materialization_oracle(self):
-        packed, _, _ = make_packed(trials=2, ratios=(0.8, 0.5))
+        # short segments, then segments spanning more than two query chunks,
+        # whose row sums come from the PV matmul chunk by chunk
+        short, _, _ = make_packed(trials=2, ratios=(0.8, 0.5))
+        long, _, _ = make_packed(
+            trials=2, total_frames=_QUERY_CHUNK, frames_per_trial=_QUERY_CHUNK,
+            tokens_per_frame=3, ratios=(1.0, 0.8),
+        )
+        assert all(s.length > 2 * _QUERY_CHUNK for s in long.segments)
         model = build_model(CFG)
-        got = model.attention_received(packed)
-
-        mask_matrix = block_causal_matrix(packed)
-        mats, _ = materialized_attention(model, packed, mask_matrix)
-        oracle = received_oracle(mats, mask_matrix)
-        assert np.abs(got - oracle).max() < 1e-9
-        assert (got >= 0.0).all()
+        for packed in (short, long):
+            got = model.attention_received(packed)
+            mask_matrix = block_causal_matrix(packed)
+            mats, _ = materialized_attention(model, packed, mask_matrix)
+            oracle = received_oracle(mats, mask_matrix)
+            assert np.abs(got - oracle).max() < 1e-9
+            assert (got >= 0.0).all()
 
     def test_rows_are_distributions(self):
         packed, _, _ = make_packed(trials=2)
