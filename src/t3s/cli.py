@@ -53,10 +53,19 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _out_dir(args) -> Path:
+    """--out-dir, created with its parents if missing."""
+    out = Path(args.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out-dir {args.out_dir}: {exc}") from exc
+    return out
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     report = run_experiment(cfg)
     if args.format == "json":
         _write_json(out / "report.json", asdict(report))
@@ -114,8 +123,7 @@ def _emit_sweep_plots(axis: str, rows: list[dict], out: Path) -> None:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     rows = sweep(args.axis, cfg)
     _write_csv(out / f"sweep_{args.axis}.csv", rows, CSV_COLUMNS)
     if args.format == "json":
@@ -138,8 +146,7 @@ def _cmd_coverage(args) -> int:
         )
     if args.draws < 10000:
         raise ConfigError(f"--draws must be >= 10000, got {args.draws}")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     rep = coverage_report(
         s.total_frames, s.frames_per_trial, s.trials, args.draws, seed=cfg.seed
     )
@@ -159,8 +166,7 @@ def _cmd_bench(args) -> int:
     cfg = replace(_load_config(args), backend="seeded_transformer", repeats=1)
     if args.repeats < 3:
         raise ConfigError(f"--repeats must be >= 3, got {args.repeats}")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     report = run_experiment(cfg, latency_repeats=args.repeats)
     cost = report.cost
     _write_json(out / "cost_report.json", asdict(cost))

@@ -4,11 +4,14 @@ All matrix values are 64-bit floats in row-major (C) order. Every operation is
 pure; given identical inputs it returns identical results on a fixed platform
 and numpy build. The random source is counter-based (Philox 4x64-10) keyed by
 a (seed, stream) pair, so identical keys reproduce identical draws on every
-platform, and distinct streams are independent by construction.
+platform, and distinct streams are independent by construction. Where values
+must be drawn one by one in any order, `counter_normals` hashes a counter
+instead of advancing a generator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +30,17 @@ def mix64(x):
     """splitmix64 finalizer: a pinned 64-bit bijective mixing function.
 
     Accepts a Python int or a uint64 ndarray; returns the same kind. Used for
-    stream-id derivation and for hash-seeded noise, never for statistics that
-    the Philox generator backs.
+    stream-id derivation, hash-seeded noise and `counter_normals`.
     """
     if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore"):
-            z = x + np.uint64(_GOLDEN)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-            return z ^ (z >> np.uint64(31))
+        # in place after the first add: one fresh array, not nine
+        z = x + np.uint64(_GOLDEN)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX_A)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX_B)
+        z ^= z >> np.uint64(31)
+        return z
     z = (x + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
@@ -64,6 +69,44 @@ class Rng:
             raise ContractError(f"child index must be >= 0, got {index}")
         derived = mix64((self.stream & _MASK64) ^ mix64(index + 1))
         return Rng(self.seed, derived)
+
+    @property
+    def key(self) -> int:
+        """(seed, stream) folded into one 64-bit key for `counter_normals`."""
+        return mix64(mix64(self.seed & _MASK64) ^ (self.stream & _MASK64))
+
+
+# Box-Muller angles come from a grid of 2^12 per turn, read from tables: a
+# table read costs a fraction of a cos and a sin, and on this grid every
+# moment of (cos, sin) below order 4096 equals that of the continuous circle.
+_ANGLE_BITS = 12
+_TURN = 2.0 * math.pi * np.arange(1 << _ANGLE_BITS) / (1 << _ANGLE_BITS)
+_COS, _SIN = np.cos(_TURN), np.sin(_TURN)
+
+
+def counter_normals(key: int, counter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two standard-normal arrays shaped like `counter`, each entry a pure
+    function of (key, counter), so any subset of counters can be read in any
+    order and reads the same values.
+
+    Entry c is Box-Muller on the splitmix64 word w = mix64(key + c * golden),
+    output c + 1 of the splitmix64 generator seeded by `key`: the high 32
+    bits of w set the radius, the low 12 bits the angle, on the grid above.
+    The pinned-digest test in tests/test_toymodel.py fails if the stream
+    changes.
+    """
+    state = np.asarray(counter, dtype=np.uint64) * np.uint64(_GOLDEN)
+    state += np.uint64(key & _MASK64)
+    words = mix64(state)
+    # (high + 1/2) / 2^32 lies in (0, 1), so the log is finite
+    radius = (words >> np.uint64(32)).astype(np.float64)
+    radius += 0.5
+    radius *= 2.0**-32
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = words & np.uint64((1 << _ANGLE_BITS) - 1)
+    return radius * _COS[angle], radius * _SIN[angle]
 
 
 def _require_matrix(m: np.ndarray, name: str) -> np.ndarray:

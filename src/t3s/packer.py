@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .sampler import TrialPlan
 
 
@@ -64,19 +64,6 @@ class PackedSequence:
         )
 
 
-def _build(
-    parts_embeddings: list[np.ndarray], parts_ids: list[np.ndarray]
-) -> PackedSequence:
-    """One segment per part, laid out back to back in part order."""
-    lengths = [len(ids) for ids in parts_ids]
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(int)
-    return PackedSequence(
-        segments=tuple(Segment(int(s), int(l)) for s, l in zip(starts, lengths)),
-        embeddings=np.concatenate(parts_embeddings, axis=0),
-        token_ids=np.concatenate(parts_ids),
-    )
-
-
 def pack(
     plans: Sequence[TrialPlan],
     video,
@@ -84,42 +71,42 @@ def pack(
 ) -> PackedSequence:
     """Assemble one packed sequence from trial plans plus a text prompt.
 
-    Segment i carries the video tokens gathered frame-major from
-    `video.frame_embeddings[plan.frame_indices]` and filtered by
-    `plan.token_keep` (ascending original order), followed by a full copy of
-    `text`. `video` needs `frame_embeddings` of shape (F, M, model_dim).
+    Segment i carries the video rows plan i keeps, followed by a full copy of
+    `text`. Kept position k of the plan's frame-major token sequence is row
+    f*M + k % M of the video, f = plan.frame_indices[k // M], in ascending k.
+    Only those rows are drawn: every segment's rows are read in one
+    `video.rows(index)` call, which returns a (len(index), model_dim) array;
+    `video` also needs `num_frames`, `tokens_per_frame` and `model_dim`.
     """
     if len(plans) == 0:
         raise ContractError("pack requires at least one trial plan")
-    frames = np.asarray(video.frame_embeddings, dtype=np.float64)
-    if frames.ndim != 3:
-        raise ShapeError(f"frame_embeddings must be 3-D, got ndim={frames.ndim}")
-    num_frames, tokens_per_frame, model_dim = frames.shape
+    m = video.tokens_per_frame
     text_ids = np.asarray(list(text), dtype=np.int64)
     if len(text_ids) and text_ids.min() < 0:
         raise ContractError("text token ids must be non-negative")
 
-    parts_embeddings: list[np.ndarray] = []
+    kept_rows: list[np.ndarray] = []
     parts_ids: list[np.ndarray] = []
     for i, plan in enumerate(plans):
         f, k = plan.frame_indices, plan.token_keep
-        if len(f) and not (0 <= f.min() and f.max() < num_frames):
+        if len(f) and not (0 <= f.min() and f.max() < video.num_frames):
             raise ContractError("plan references a frame outside the video")
-        local = frames[f].reshape(-1, model_dim)
-        if len(k) and not (0 <= k.min() and k.max() < len(local)):
+        if len(k) and not (0 <= k.min() and k.max() < len(f) * m):
             raise ContractError("plan keeps a token outside the trial range")
-        kept = local[k]
-        if len(kept) + len(text_ids) == 0:
+        if len(k) + len(text_ids) == 0:
             raise ContractError(f"trial {i} keeps no tokens and the text is empty")
-        seg_emb = np.concatenate(
-            [kept, np.zeros((len(text_ids), model_dim))], axis=0
-        )
-        seg_ids = np.concatenate(
-            [np.full(len(kept), -1, dtype=np.int64), text_ids]
-        )
-        parts_embeddings.append(seg_emb)
-        parts_ids.append(seg_ids)
-    return _build(parts_embeddings, parts_ids)
+        kept_rows.append(f[k // m] * m + k % m)
+        parts_ids.append(np.concatenate([np.full(len(k), -1, dtype=np.int64), text_ids]))
+    token_ids = np.concatenate(parts_ids)
+    embeddings = np.zeros((len(token_ids), video.model_dim))
+    embeddings[token_ids < 0] = video.rows(np.concatenate(kept_rows))
+    lengths = [len(ids) for ids in parts_ids]
+    starts = np.cumsum([0, *lengths[:-1]])
+    return PackedSequence(
+        segments=tuple(Segment(int(s), l) for s, l in zip(starts, lengths)),
+        embeddings=embeddings,
+        token_ids=token_ids,
+    )
 
 
 def append_token(
@@ -169,4 +156,8 @@ def slice_segment(packed: PackedSequence, index: int) -> PackedSequence:
         raise ContractError(f"segment index {index} out of range")
     s = packed.segments[index]
     sel = slice(s.start, s.start + s.length)
-    return _build([packed.embeddings[sel]], [packed.token_ids[sel]])
+    return PackedSequence(
+        segments=(Segment(0, s.length),),
+        embeddings=packed.embeddings[sel].copy(),
+        token_ids=packed.token_ids[sel].copy(),
+    )

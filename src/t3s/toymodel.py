@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .numkernel import Rng, layer_norm, mix64
+from .numkernel import Rng, counter_normals, layer_norm, mix64
 from .packer import PackedSequence, last_positions
 
 _NEG_INF = float("-inf")
@@ -75,29 +75,65 @@ class StreamSpec:
             raise ConfigError("needle frame index out of range")
 
 
+# `VideoTokenStream.rows` draws this many normal pairs per block, so each
+# block's temporaries (64 KiB) stay under glibc's 128 KiB mmap threshold and
+# reuse heap memory instead of faulting in fresh pages; at 800 rows one
+# unblocked draw spent about half its time on those faults.
+_DRAW_WORDS = 8192
+
+
 @dataclass(frozen=True)
 class VideoTokenStream:
-    frame_embeddings: np.ndarray  # (F, M, model_dim) float64
+    """A seeded synthetic video whose (frame, patch) rows are drawn on read.
+
+    Row r = f*M + p is a pure function of (`key`, r): ordinary rows are
+    standard normals scaled by 1/sqrt(model_dim), so they have roughly unit
+    norm, and every patch of a needle frame is exactly `needle_direction`.
+    Nothing is drawn until `rows` is read, so a task costs in proportion to
+    the rows its trials keep, and a frame's content does not depend on which
+    frames carry the needle.
+    """
+
+    spec: StreamSpec
+    model_dim: int
+    key: int
 
     def __post_init__(self):
-        if self.frame_embeddings.ndim != 3:
-            raise ShapeError(
-                f"frame_embeddings must be 3-D (F, M, model_dim), "
-                f"got shape {self.frame_embeddings.shape}"
-            )
-        self.frame_embeddings.flags.writeable = False
+        if self.model_dim < 1:
+            raise ConfigError(f"model_dim must be >= 1, got {self.model_dim}")
 
     @property
     def num_frames(self) -> int:
-        return self.frame_embeddings.shape[0]
+        return self.spec.num_frames
 
     @property
     def tokens_per_frame(self) -> int:
-        return self.frame_embeddings.shape[1]
+        return self.spec.tokens_per_frame
 
-    @property
-    def model_dim(self) -> int:
-        return self.frame_embeddings.shape[2]
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """(len(index), model_dim) float64 rows r = f*M + p, in index order.
+
+        Row r's column j < ceil(D/2) is the cosine normal of counter
+        r*ceil(D/2) + j of `counter_normals`, and column ceil(D/2) + j its
+        sine normal.
+        """
+        index = np.asarray(index, dtype=np.int64)
+        m, dim = self.tokens_per_frame, self.model_dim
+        if len(index) and not (0 <= index.min() and index.max() < self.num_frames * m):
+            raise ContractError("row index outside the video")
+        pairs = (dim + 1) // 2
+        scale = 1.0 / math.sqrt(dim)
+        out = np.empty((len(index), dim))
+        step = max(1, _DRAW_WORDS // pairs)
+        for b in range(0, len(index), step):
+            block = slice(b, b + step)
+            counter = index[block, None] * pairs + np.arange(pairs)
+            cos, sin = counter_normals(self.key, counter)
+            np.multiply(cos, scale, out=out[block, :pairs])
+            np.multiply(sin[:, : dim - pairs], scale, out=out[block, pairs:])
+        if self.spec.needle_frames:
+            out[np.isin(index // m, list(self.spec.needle_frames))] = needle_direction(dim)
+        return out
 
 
 def needle_direction(model_dim: int) -> np.ndarray:
@@ -106,20 +142,9 @@ def needle_direction(model_dim: int) -> np.ndarray:
 
 
 def embed_frames(spec: StreamSpec, cfg: ModelConfig, rng: Rng) -> VideoTokenStream:
-    """Synthesize per-(frame, patch) embeddings.
-
-    Ordinary patches draw from the stream's generator in one frame-major
-    pass, scaled so rows have roughly unit norm; every patch of a needle
-    frame is exactly the reserved needle direction (cosine 1.0). A frame's
-    content does not depend on which frames carry the needle.
-    """
-    dim = cfg.model_dim
-    scale = 1.0 / math.sqrt(dim)
-    g = rng.generator()
-    frames = g.standard_normal((spec.num_frames, spec.tokens_per_frame, dim)) * scale
-    if spec.needle_frames:
-        frames[sorted(spec.needle_frames)] = needle_direction(dim)
-    return VideoTokenStream(frames)
+    """The video `spec` describes at width `cfg.model_dim`, keyed by `rng`;
+    it draws nothing until its rows are read."""
+    return VideoTokenStream(spec, cfg.model_dim, rng.key)
 
 
 class ForwardResult(NamedTuple):
@@ -375,7 +400,9 @@ class NeedleProbe:
     The prefix hash is an order-sensitive prefix XOR. Position j of a
     segment (counted from the segment's first token, cached ones included)
     contributes keyed[j] = mix64(sig[j] ^ mix64(j ^ _SIG_POS_TAG)), where
-    sig[j] is the token's content signature; position p's prefix is
+    sig[j] is the token's content signature: for a visual row,
+    mix64(sum_c w[c] * (mix64(c + 1) | 1) mod 2^64) over its float64 words
+    w[c]; for a vocabulary id t, mix64(t ^ _SIG_ID_TAG). Position p's prefix is
     acc[p] = keyed[0] ^ ... ^ keyed[p], and its noise is seeded by
     mix64(acc[p] ^ mix64(seed ^ _SIG_SEED_TAG)). Given a `SegmentCache`, a
     forward keeps each segment's acc at its last position and its needle
@@ -405,17 +432,13 @@ class NeedleProbe:
         return (packed.token_ids < 0) & (cos > 0.9999)
 
     def _signatures(self, packed: PackedSequence) -> np.ndarray:
-        total = packed.total_length
-        sig = np.empty(total, dtype=np.uint64)
-        vis = packed.token_ids < 0
-        if vis.any():
-            bits = np.ascontiguousarray(packed.embeddings[vis]).view(np.uint64)
-            col = mix64(np.arange(1, bits.shape[1] + 1, dtype=np.uint64))
-            sig[vis] = mix64(np.bitwise_xor.reduce(mix64(bits ^ col[None, :]), axis=1))
-        idx = ~vis
-        if idx.any():
-            ids = packed.token_ids[idx].astype(np.uint64)
-            sig[idx] = mix64(ids ^ np.uint64(_SIG_ID_TAG))
+        # a visual row's 64-bit words, times odd per-column constants, summed
+        # mod 2^64 and mixed once: one wide pass over the rows
+        words = np.ascontiguousarray(packed.embeddings).view(np.uint64)
+        col = mix64(np.arange(1, words.shape[1] + 1, dtype=np.uint64)) | np.uint64(1)
+        sig = mix64((words * col).sum(axis=1, dtype=np.uint64))
+        ids = packed.token_ids >= 0
+        sig[ids] = mix64(packed.token_ids[ids].astype(np.uint64) ^ np.uint64(_SIG_ID_TAG))
         return sig
 
     def forward(

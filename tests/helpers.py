@@ -1,4 +1,5 @@
-"""Test-only reference code: a direct single-sequence greedy baseline that
+"""Test-only reference code: a video given as an explicit array, the whole of
+a lazy video drawn at once, a direct single-sequence greedy baseline that
 shares no code with the sampler or the multi-trial packer paths, the
 multi-trial decode that recomputes the whole packed sequence every step, the
 sampler's trial-plan postcondition, a structural dump of packed sequences for
@@ -14,6 +15,24 @@ from t3s.sampler import SamplerConfig, TrialPlan, kept_tokens
 from t3s.toymodel import VideoTokenStream
 
 
+class ArrayVideo:
+    """A video whose rows are an explicit (F, M, model_dim) array, read
+    through the same `rows` method as `VideoTokenStream`."""
+
+    def __init__(self, frames: np.ndarray):
+        self.frames = np.asarray(frames, dtype=np.float64)
+        self.num_frames, self.tokens_per_frame, self.model_dim = self.frames.shape
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        return self.frames.reshape(-1, self.model_dim)[index]
+
+
+def materialise(video) -> np.ndarray:
+    """Every row of `video` drawn in one read, as (F, M, model_dim)."""
+    f, m = video.num_frames, video.tokens_per_frame
+    return video.rows(np.arange(f * m)).reshape(f, m, video.model_dim)
+
+
 def _one_segment(embeddings, token_ids) -> PackedSequence:
     return PackedSequence((Segment(0, len(token_ids)),), embeddings, token_ids)
 
@@ -21,7 +40,7 @@ def _one_segment(embeddings, token_ids) -> PackedSequence:
 def single_sequence(video: VideoTokenStream, text: Sequence[int]) -> PackedSequence:
     """The plain <video, text> sequence, built without trial plans or packing."""
     dim = video.model_dim
-    visual = video.frame_embeddings.reshape(-1, dim)
+    visual = materialise(video).reshape(-1, dim)
     text_ids = np.asarray(list(text), dtype=np.int64)
     embeddings = np.concatenate([visual, np.zeros((len(text_ids), dim))], axis=0)
     token_ids = np.concatenate([np.full(len(visual), -1, dtype=np.int64), text_ids])

@@ -33,7 +33,7 @@ from t3s.numkernel import Rng
 from t3s.sampler import FrameMethod, SamplerConfig, TokenStrategy, TrialPlan
 from t3s.toymodel import ModelConfig, build_model, embed_frames, StreamSpec
 
-from helpers import baseline_greedy_decode, single_sequence
+from helpers import baseline_greedy_decode, materialise, single_sequence
 
 MODEL = ModelConfig(layers=2, model_dim=16, heads=2, vocab=64, max_positions=4096, init_seed=4)
 
@@ -63,9 +63,8 @@ class TestGenTask:
         assert a.needle_frames == b.needle_frames
         assert a.question == b.question
         assert a.answer == b.answer
-        assert np.array_equal(
-            a.video.frame_embeddings, b.video.frame_embeddings
-        )
+        assert a.video == b.video
+        assert np.array_equal(materialise(a.video), materialise(b.video))
 
     def test_answer_avoids_tie_break_winner(self):
         for seed in range(40):
@@ -706,20 +705,30 @@ class TestCli:
         assert not out.exists()
 
     def test_runtime_failure_exits_one(self, tmp_path, tiny_config, run_cli):
-        # an output directory that cannot be made is a runtime error, not a
-        # config error
-        blocker = tmp_path / "cov"
-        blocker.write_text("a file, not a directory")
+        # a report that cannot be written into a valid output directory is a
+        # runtime error, not a config error
+        out = tmp_path / "cov"
+        (out / "coverage.json").mkdir(parents=True)
         res = run_cli(
             "coverage",
             "--config",
             str(tiny_config),
             "--out-dir",
-            str(blocker),
+            str(out),
             cwd=tmp_path,
         )
         assert res.returncode == 1, res.stderr
-        assert "FileExistsError" in res.stderr
+        assert "error: IsADirectoryError" in res.stderr
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "coverage", "bench"])
+    def test_out_dir_naming_a_file_exits_two(self, tmp_path, run_cli, command):
+        blocker = tmp_path / "out"
+        blocker.write_text("a file, not a directory")
+        args = ("--axis", "m_values") if command == "sweep" else ()
+        res = run_cli(command, *args, "--out-dir", str(blocker), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "config error: cannot create --out-dir" in res.stderr
+        assert blocker.read_text() == "a file, not a directory"
 
     def test_bench_subcommand(self, tmp_path, tiny_config, run_cli):
         out = tmp_path / "bench"

@@ -15,6 +15,7 @@ from t3s.numkernel import (
     Rng,
     entropy,
     layer_norm,
+    mix64,
     sample_without_replacement,
     softmax_rows,
 )
@@ -178,6 +179,14 @@ class TestRng:
         g = Rng(42).child(1).generator()
         got = [int(v) for v in g.integers(0, 2**32, 4)]
         assert got == [1841365776, 720829166, 2750249479, 4119444810]
+
+    def test_mix64_array_matches_int_and_keeps_input(self):
+        # the array path works in place on its own copy, never on the input
+        x = np.array([0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64)
+        before = x.copy()
+        got = mix64(x)
+        assert np.array_equal(x, before)
+        assert [int(v) for v in got] == [mix64(int(v)) for v in before]
 
     def test_negative_child_index_rejected(self):
         with pytest.raises(ContractError):

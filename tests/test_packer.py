@@ -17,9 +17,8 @@ from t3s.packer import (
     token_per_segment,
 )
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
-from t3s.toymodel import VideoTokenStream
 
-from helpers import segment_ids, to_debug_json
+from helpers import ArrayVideo, segment_ids, to_debug_json
 
 DIM = 4
 
@@ -30,7 +29,7 @@ def tagged_video(num_frames, tokens_per_frame):
     for f in range(num_frames):
         for p in range(tokens_per_frame):
             frames[f, p, 0] = f * 100 + p
-    return VideoTokenStream(frames)
+    return ArrayVideo(frames)
 
 
 def full_plan(num_frames, tokens_per_frame):
@@ -60,7 +59,7 @@ class TestPack:
     def test_single_full_trial_matches_plain_sequence(self):
         video = tagged_video(3, 2)
         packed = pack([full_plan(3, 2)], video, [4, 5])
-        flat = video.frame_embeddings.reshape(-1, DIM)
+        flat = video.frames.reshape(-1, DIM)
         assert np.array_equal(packed.embeddings[:6], flat)
         assert np.array_equal(packed.token_ids, [-1, -1, -1, -1, -1, -1, 4, 5])
         assert packed.segments == ((0, 8),)

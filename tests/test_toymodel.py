@@ -5,11 +5,16 @@ semantics."""
 import dataclasses
 import hashlib
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from t3s.errors import ConfigError, ContractError, ShapeError
+from t3s.errors import ConfigError, ContractError
+from t3s.harness import gen_task
 from t3s.numkernel import Rng, layer_norm, mix64
 from t3s.packer import (
     PackedSequence,
@@ -34,7 +39,7 @@ from t3s.toymodel import (
     needle_direction,
 )
 
-from helpers import segment_ids
+from helpers import materialise, segment_ids
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=1024, init_seed=3)
 
@@ -117,26 +122,120 @@ class TestEmbedFrames:
         spec = StreamSpec(4, 3)
         a = embed_frames(spec, CFG, Rng(5))
         b = embed_frames(spec, CFG, Rng(5))
-        assert np.array_equal(a.frame_embeddings, b.frame_embeddings)
+        assert np.array_equal(materialise(a), materialise(b))
+        c = embed_frames(spec, CFG, Rng(5).child(0))
+        assert not np.array_equal(materialise(a), materialise(c))
 
     def test_shape(self):
-        v = embed_frames(StreamSpec(2, 3), CFG, Rng(0))
-        assert v.frame_embeddings.shape == (2, 3, CFG.model_dim)
-        assert (v.num_frames, v.tokens_per_frame, v.model_dim) == v.frame_embeddings.shape
-        with pytest.raises(ShapeError):
-            VideoTokenStream(np.zeros((2, 3)))
+        v = VideoTokenStream(StreamSpec(2, 3), CFG.model_dim, key=7)
+        assert materialise(v).shape == (2, 3, CFG.model_dim)
+        assert (v.num_frames, v.tokens_per_frame) == (2, 3)
+        assert v.rows(np.array([5, 0, 5])).shape == (3, CFG.model_dim)
+        assert v.rows(np.array([], dtype=np.int64)).shape == (0, CFG.model_dim)
+        with pytest.raises(ConfigError):
+            VideoTokenStream(StreamSpec(2, 3), 0, key=7)
+        for outside in (-1, 6):
+            with pytest.raises(ContractError):
+                v.rows(np.array([0, outside]))
+
+    def test_odd_width(self):
+        # ceil(D/2) normal pairs per row; the last sine normal is dropped
+        v = VideoTokenStream(StreamSpec(3, 2), 5, key=1)
+        wide = VideoTokenStream(StreamSpec(3, 2), 6, key=1)
+        got, pairs = v.rows(np.arange(6)), wide.rows(np.arange(6))
+        assert got.shape == (6, 5)
+        scale = math.sqrt(6 / 5)
+        assert np.allclose(got[:, :3], pairs[:, :3] * scale, rtol=1e-15, atol=0)
+        assert np.allclose(got[:, 3:], pairs[:, 3:5] * scale, rtol=1e-15, atol=0)
 
     def test_needle_frames_have_unit_cosine(self):
-        v = embed_frames(StreamSpec(5, 4, frozenset({1, 3})), CFG, Rng(0))
+        spec = StreamSpec(5, 4, frozenset({1, 3}))
+        v = materialise(embed_frames(spec, CFG, Rng(0)))
         direction = needle_direction(CFG.model_dim)
         for f in (1, 3):
-            rows = v.frame_embeddings[f]
-            cos = rows @ direction / np.linalg.norm(rows, axis=1)
+            assert (v[f] == direction).all()
+            cos = v[f] @ direction / np.linalg.norm(v[f], axis=1)
             assert np.abs(cos - 1.0).max() < 1e-12
-        # ordinary frames are far from the reserved direction
-        rows = v.frame_embeddings[0]
+        # ordinary frames are far from the reserved direction, and do not
+        # depend on which frames carry the needle
+        rows = v[0]
         cos = rows @ direction / np.linalg.norm(rows, axis=1)
         assert np.abs(cos).max() < 0.99
+        plain = materialise(embed_frames(StreamSpec(5, 4), CFG, Rng(0)))
+        assert np.array_equal(v[[0, 2, 4]], plain[[0, 2, 4]])
+
+    def test_pinned_rows(self):
+        # freezes the first rows of one key. Values are rounded to 1e-9
+        # before hashing, so a last-bit difference in log, cos or sin between
+        # platforms does not trip it, but a change to the stream does
+        v = VideoTokenStream(StreamSpec(4, 2, frozenset({3})), 16, key=0x5EED)
+        rows = np.round(v.rows(np.arange(8)), 9)
+        got = hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest()[:16]
+        assert got == "a25a53c629671bb9", rows[0]
+
+    def test_lazy_at_a_million_frames(self):
+        # an eager draw of this video would hold 10^6 * 16 * 64 float64s (8 GB)
+        model = ModelConfig(layers=1, model_dim=64, heads=1, vocab=16, max_positions=64)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            task = gen_task(1_000_000, 16, 1, seed=3, model=model)
+            seconds = time.perf_counter() - start
+            plan = TrialPlan(np.array([0, 999_999]), np.array([0, 17, 31]), 1.0)
+            packed = pack([plan], task.video, task.question)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seconds < 0.5
+        assert peak < 4 * 2**20
+        last = task.video.rows(np.array([999_999 * 16 + 15]))
+        assert np.array_equal(packed.embeddings[2], last[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 5), min_size=1, max_size=4),
+                st.lists(st.integers(0, 11), max_size=8),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_packed_rows_match_materialised_video(self, key, trials):
+        # frames in any order, repeated or not, and kept positions in any
+        # order: every visual row pack reads equals the same row of the
+        # whole video drawn at once
+        video = VideoTokenStream(StreamSpec(6, 3, frozenset({4})), 8, key)
+        whole = materialise(video)
+        plans = []
+        for frames, keep in trials:
+            f = np.array(frames, dtype=np.int64)
+            k = np.array([p for p in keep if p < 3 * len(f)], dtype=np.int64)
+            plans.append(TrialPlan(f, k, 1.0))
+        packed = pack(plans, video, [1])
+        for seg, plan in zip(packed.segments, plans):
+            k = plan.token_keep
+            want = whole[plan.frame_indices[k // 3], k % 3]
+            assert np.array_equal(packed.embeddings[seg.start : seg.start + len(k)], want)
+
+    def test_distribution(self):
+        # 8192 rows x 64 columns of one key. Under iid N(0, 1/D) entries each
+        # statistic below is a z-score; the bound 4.5 holds for every one of
+        # them (2147 in all) with probability above 0.98
+        D = 64
+        x = VideoTokenStream(StreamSpec(512, 16), D, key=0xD157).rows(np.arange(8192))
+        n = len(x)
+        assert abs(x.mean() * math.sqrt(n * D * D)) < 4.5
+        col_mean_z = x.mean(axis=0) * math.sqrt(n * D)
+        assert np.abs(col_mean_z).max() < 4.5
+        var_z = (x.var(axis=0, ddof=1) * D - 1.0) / math.sqrt(2.0 / (n - 1))
+        assert np.abs(var_z).max() < 4.5
+        corr = np.corrcoef(x, rowvar=False)[np.triu_indices(D, k=1)]
+        assert np.abs(corr * math.sqrt(n)).max() < 4.5
+        for lag in (1, 16):  # the next patch, the same patch of the next frame
+            lagged = (x[:-lag] * x[lag:]).mean() * D
+            assert abs(lagged * math.sqrt((n - lag) * D)) < 4.5
 
 
 class TestForwardContract:
