@@ -53,10 +53,8 @@ from .toymodel import (
     NeedleProbe,
     SeededTransformer,
     SegmentCache,
-    StreamSpec,
     VideoTokenStream,
     build_model,
-    embed_frames,
     needle_direction,
 )
 

@@ -86,6 +86,7 @@ def cross_refine(first, second, top_k: int) -> int:
     o2 = np.asarray(second, dtype=np.float64).ravel()
     if o1.shape != o2.shape:
         raise ContractError(f"trial logits differ in size: {o1.shape} vs {o2.shape}")
+    o1, o2 = _check_trial_logits(np.stack([o1, o2]))
     vocab = len(o1)
     if not (1 <= top_k <= vocab):
         raise ContractError(f"top_k must be in [1, {vocab}], got {top_k}")

@@ -41,14 +41,7 @@ from .sampler import (
     closed_form_coverage,
     sample_frame_indices,
 )
-from .toymodel import (
-    ModelConfig,
-    NeedleProbe,
-    StreamSpec,
-    VideoTokenStream,
-    build_model,
-    embed_frames,
-)
+from .toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,11 +52,14 @@ class SyntheticTask:
     answerability of a short seeded question."""
 
     video: VideoTokenStream
-    needle_frames: frozenset[int]
     question: tuple[int, ...]
     answer: int
     noise_scale: float
     seed: int
+
+    @property
+    def needle_frames(self) -> frozenset[int]:
+        return self.video.needle_frames
 
 
 @dataclass(frozen=True)
@@ -244,8 +240,8 @@ def gen_task(
     noise_scale: float = 0.1,
     question_len: int = 4,
 ) -> SyntheticTask:
-    """Seeded needle task: needle frames drawn uniformly, embeddings from the
-    synthetic embedder, a short question, and a nonzero answer id."""
+    """Seeded needle task: needle frames drawn uniformly, a video that plants
+    them, a short question, and a nonzero answer id."""
     if needle_count > total_frames:
         raise ContractError("needle_count exceeds total_frames")
     rng = Rng(seed)
@@ -255,14 +251,14 @@ def gen_task(
             total_frames, needle_count, FrameMethod.RANDOM, rng.child(0)
         )
     )
-    video = embed_frames(
-        StreamSpec(total_frames, tokens_per_frame, needles), model, rng.child(1)
+    video = VideoTokenStream(
+        total_frames, tokens_per_frame, model.model_dim, rng.child(1).key, needles
     )
     g = rng.child(2).generator()
     # token 0 wins all-zero ties, so the answer id avoids it
     answer = int(g.integers(1, model.vocab))
     question = tuple(int(t) for t in g.integers(0, model.vocab, question_len))
-    return SyntheticTask(video, needles, question, answer, noise_scale, seed)
+    return SyntheticTask(video, question, answer, noise_scale, seed)
 
 
 def probe_for_task(task: SyntheticTask, model: ModelConfig) -> NeedleProbe:
@@ -271,14 +267,8 @@ def probe_for_task(task: SyntheticTask, model: ModelConfig) -> NeedleProbe:
 
 def surviving_needle_tokens(plan: TrialPlan, task: SyntheticTask) -> int:
     """Needle tokens that outlive both frame sampling and token subsampling."""
-    m = task.video.tokens_per_frame
-    needle_slots = np.flatnonzero(
-        np.isin(plan.frame_indices, list(task.needle_frames))
-    )
-    if len(needle_slots) == 0 or len(plan.token_keep) == 0:
-        return 0
-    blocks = (needle_slots[:, None] * m + np.arange(m)).ravel()
-    return int(np.isin(plan.token_keep, blocks).sum())
+    hit = task.video.needle_mask[plan.frame_indices]
+    return int(hit[plan.token_keep // task.video.tokens_per_frame].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +337,7 @@ def run_experiment(
         )
         hits += int(tokens[0] == task.answer)
 
-        needles = list(task.needle_frames)
-        covers = [bool(np.isin(p.frame_indices, needles).any()) for p in plans]
+        covers = [bool(task.video.needle_mask[p.frame_indices].any()) for p in plans]
         trial_cover += covers
         trial_survive += [surviving_needle_tokens(p, task) for p in plans]
         covered_any += any(covers)

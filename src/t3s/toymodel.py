@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,21 +61,6 @@ class ModelConfig:
             raise ConfigError(f"vocab must be >= 4, got {self.vocab}")
 
 
-@dataclass(frozen=True)
-class StreamSpec:
-    """What to synthesize: frame/patch counts and which frames carry the needle."""
-
-    num_frames: int
-    tokens_per_frame: int
-    needle_frames: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.num_frames < 1 or self.tokens_per_frame < 1:
-            raise ConfigError("num_frames and tokens_per_frame must be >= 1")
-        if any(not (0 <= f < self.num_frames) for f in self.needle_frames):
-            raise ConfigError("needle frame index out of range")
-
-
 # `VideoTokenStream.rows` draws this many normal pairs per block, so each
 # block's temporaries (64 KiB) stay under glibc's 128 KiB mmap threshold and
 # reuse heap memory instead of faulting in fresh pages; at 800 rows one
@@ -88,27 +74,33 @@ class VideoTokenStream:
 
     Row r = f*M + p is a pure function of (`key`, r): ordinary rows are
     standard normals scaled by 1/sqrt(model_dim), so they have roughly unit
-    norm, and every patch of a needle frame is exactly `needle_direction`.
-    Nothing is drawn until `rows` is read, so a task costs in proportion to
-    the rows its trials keep, and a frame's content does not depend on which
-    frames carry the needle.
+    norm, and every patch of a frame in `needle_frames` is exactly
+    `needle_direction`. Nothing is drawn until `rows` is read, so a task
+    costs in proportion to the rows its trials keep, and a frame's content
+    does not depend on which frames carry the needle.
     """
 
-    spec: StreamSpec
+    num_frames: int
+    tokens_per_frame: int
     model_dim: int
     key: int
+    needle_frames: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        if self.num_frames < 1 or self.tokens_per_frame < 1:
+            raise ConfigError("num_frames and tokens_per_frame must be >= 1")
         if self.model_dim < 1:
             raise ConfigError(f"model_dim must be >= 1, got {self.model_dim}")
+        if any(not (0 <= f < self.num_frames) for f in self.needle_frames):
+            raise ConfigError("needle frame index out of range")
 
-    @property
-    def num_frames(self) -> int:
-        return self.spec.num_frames
-
-    @property
-    def tokens_per_frame(self) -> int:
-        return self.spec.tokens_per_frame
+    @cached_property
+    def needle_mask(self) -> np.ndarray:
+        """(num_frames,) read-only bool array, True at the needle frames."""
+        mask = np.zeros(self.num_frames, dtype=bool)
+        mask[list(self.needle_frames)] = True
+        mask.flags.writeable = False
+        return mask
 
     def rows(self, index: np.ndarray) -> np.ndarray:
         """(len(index), model_dim) float64 rows r = f*M + p, in index order.
@@ -131,20 +123,13 @@ class VideoTokenStream:
             cos, sin = counter_normals(self.key, counter)
             np.multiply(cos, scale, out=out[block, :pairs])
             np.multiply(sin[:, : dim - pairs], scale, out=out[block, pairs:])
-        if self.spec.needle_frames:
-            out[np.isin(index // m, list(self.spec.needle_frames))] = needle_direction(dim)
+        out[self.needle_mask[index // m]] = needle_direction(dim)
         return out
 
 
 def needle_direction(model_dim: int) -> np.ndarray:
     """The reserved unit direction that marks needle-frame patches."""
     return np.ones(model_dim) / math.sqrt(model_dim)
-
-
-def embed_frames(spec: StreamSpec, cfg: ModelConfig, rng: Rng) -> VideoTokenStream:
-    """The video `spec` describes at width `cfg.model_dim`, keyed by `rng`;
-    it draws nothing until its rows are read."""
-    return VideoTokenStream(spec, cfg.model_dim, rng.key)
 
 
 class ForwardResult(NamedTuple):
@@ -198,6 +183,11 @@ class SegmentCache:
         cached, _ = self.continued(packed, None)
         self.lengths = [c + s.length for c, s in zip(cached, packed.segments)]
         self.states = states
+
+
+def _continued_positions(packed: PackedSequence, cached: list[int]) -> np.ndarray:
+    # a segment's new tokens continue its cached positions
+    return packed.pos_in_segment + np.repeat(cached, [s.length for s in packed.segments])
 
 
 def _segment_pair_count(packed: PackedSequence, cached: list[int]) -> int:
@@ -278,11 +268,7 @@ class SeededTransformer:
         x = packed.embeddings.copy()
         id_pos = ids >= 0
         x[id_pos] = self.weights["token_embedding"][ids[id_pos]]
-        # a segment's new tokens continue its cached positions
-        positions = packed.pos_in_segment + np.repeat(
-            cached, [s.length for s in packed.segments]
-        )
-        return x + _sinusoidal(positions, cfg.model_dim)
+        return x + _sinusoidal(_continued_positions(packed, cached), cfg.model_dim)
 
     def _run(self, packed, collect_received, cache=None):
         cfg = self.config
@@ -446,12 +432,9 @@ class NeedleProbe:
     ) -> ForwardResult:
         # per segment: the prefix XOR of its keyed signatures and its needle count
         cached, past = (cache or SegmentCache()).continued(packed, (0, 0))
-        positions = packed.pos_in_segment + np.repeat(
-            cached, [s.length for s in packed.segments]
-        )
+        positions = _continued_positions(packed, cached).astype(np.uint64)
         keyed = mix64(
-            self._signatures(packed)
-            ^ mix64(positions.astype(np.uint64) ^ np.uint64(_SIG_POS_TAG))
+            self._signatures(packed) ^ mix64(positions ^ np.uint64(_SIG_POS_TAG))
         )
         is_needle = self._needle_mask(packed)
         acc = np.empty(packed.total_length, dtype=np.uint64)

@@ -44,13 +44,7 @@ from t3s.harness import (
 from t3s.numkernel import Rng
 from t3s.packer import last_positions, pack, slice_segment
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans, kept_tokens
-from t3s.toymodel import (
-    ModelConfig,
-    NeedleProbe,
-    StreamSpec,
-    build_model,
-    embed_frames,
-)
+from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model
 
 from helpers import baseline_greedy_decode
 
@@ -89,8 +83,8 @@ def _random_equivalence_case(case_rng: Rng, index: int):
         int(f) for f in g.choice(total_frames, size=min(2, total_frames), replace=False)
     )
     model_cfg = replace(DESK, init_seed=index)
-    video = embed_frames(
-        StreamSpec(total_frames, tokens_per_frame, needles), model_cfg, case_rng.child(1)
+    video = VideoTokenStream(
+        total_frames, tokens_per_frame, model_cfg.model_dim, case_rng.child(1).key, needles
     )
     sampler = SamplerConfig(
         total_frames=total_frames,
@@ -153,9 +147,7 @@ def test_criterion_3_measured_speedup_bound():
         ratios = (0.5, 0.3)
         length = per_trial * tokens_per_frame
         model = build_model(DESK)
-        video = embed_frames(
-            StreamSpec(total_frames, tokens_per_frame), DESK, Rng(31)
-        )
+        video = VideoTokenStream(total_frames, tokens_per_frame, DESK.model_dim, Rng(31).key)
         full = TrialPlan(
             np.arange(total_frames, dtype=np.int64),
             np.arange(length, dtype=np.int64),

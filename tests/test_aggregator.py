@@ -20,13 +20,7 @@ from t3s.aggregator import (
 from t3s.errors import ConfigError, ContractError
 from t3s.numkernel import Rng
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
-from t3s.toymodel import (
-    ModelConfig,
-    NeedleProbe,
-    StreamSpec,
-    build_model,
-    embed_frames,
-)
+from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model
 
 from helpers import baseline_greedy_decode, recompute_decode
 
@@ -175,6 +169,16 @@ class TestCrossRefine:
         with pytest.raises(ContractError):
             cross_refine([1.0, 2.0], [0.0, 0.0], 0)
 
+    def test_non_finite_rejected(self):
+        nan = float("nan")
+        for first, second in (
+            ([0.0, 1.0, 2.0, 3.0], [nan] * 4),
+            ([nan, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]),
+            ([0.0, 1.0], [np.inf, 0.0]),
+        ):
+            with pytest.raises(ContractError):
+                cross_refine(first, second, 2)
+
     def test_asymmetry_witness(self):
         # documented counterexample: swapping the trials changes the winner
         o1 = np.array([3.0, 0.0, 0.0])
@@ -232,8 +236,8 @@ CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=2048,
 
 
 def _full_video(total_frames, tokens_per_frame, needles=frozenset(), seed=0):
-    return embed_frames(
-        StreamSpec(total_frames, tokens_per_frame, needles), CFG, Rng(seed)
+    return VideoTokenStream(
+        total_frames, tokens_per_frame, CFG.model_dim, Rng(seed).key, needles
     )
 
 

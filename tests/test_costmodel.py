@@ -17,19 +17,13 @@ from t3s.errors import ContractError
 from t3s.numkernel import Rng
 from t3s.packer import pack
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
-from t3s.toymodel import (
-    ModelConfig,
-    NeedleProbe,
-    StreamSpec,
-    build_model,
-    embed_frames,
-)
+from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=8192, init_seed=2)
 
 
 def _setup(total_frames=16, tokens_per_frame=4, per_trial=16, ratios=(0.5, 0.3), seed=0):
-    video = embed_frames(StreamSpec(total_frames, tokens_per_frame), CFG, Rng(seed))
+    video = VideoTokenStream(total_frames, tokens_per_frame, CFG.model_dim, Rng(seed).key)
     L = per_trial * tokens_per_frame
     full = TrialPlan(
         np.arange(per_trial, dtype=np.int64), np.arange(L, dtype=np.int64), 1.0

@@ -20,6 +20,7 @@ from t3s.harness import (
     ExperimentConfig,
     TaskParams,
     config_from_dict,
+    _task_seed,
     config_hash,
     config_to_dict,
     coverage_report,
@@ -30,8 +31,14 @@ from t3s.harness import (
     sweep,
 )
 from t3s.numkernel import Rng
-from t3s.sampler import FrameMethod, SamplerConfig, TokenStrategy, TrialPlan
-from t3s.toymodel import ModelConfig, build_model, embed_frames, StreamSpec
+from t3s.sampler import (
+    FrameMethod,
+    SamplerConfig,
+    TokenStrategy,
+    TrialPlan,
+    build_trial_plans,
+)
+from t3s.toymodel import ModelConfig, VideoTokenStream, build_model
 
 from helpers import baseline_greedy_decode, materialise, single_sequence
 
@@ -96,9 +103,8 @@ class TestGenTask:
 
 class TestSurvivingNeedleTokens:
     def test_counts_intersection(self):
-        video = embed_frames(StreamSpec(4, 3, frozenset({1})), MODEL, Rng(0))
         task = gen_task(4, 3, 0, seed=1, model=MODEL)
-        task = replace(task, video=video, needle_frames=frozenset({1}))
+        task = replace(task, video=replace(task.video, needle_frames=frozenset({1})))
         plan = TrialPlan(
             np.array([0, 1]), np.array([0, 3, 4]), 0.5
         )  # keeps tokens 3,4 of frame 1's block [3,6)
@@ -106,9 +112,66 @@ class TestSurvivingNeedleTokens:
 
     def test_zero_when_frame_not_sampled(self):
         task = gen_task(4, 3, 0, seed=1, model=MODEL)
-        task = replace(task, needle_frames=frozenset({3}))
+        task = replace(task, video=replace(task.video, needle_frames=frozenset({3})))
         plan = TrialPlan(np.array([0, 1]), np.arange(6, dtype=np.int64), 1.0)
         assert surviving_needle_tokens(plan, task) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        frame_method=st.sampled_from([FrameMethod.RANDOM, FrameMethod.UNIFORM]),
+        reuse_frames=st.booleans(),
+        token_strategy=st.sampled_from([TokenStrategy.RAND_TOK, TokenStrategy.RAND_FRM]),
+        tokens_per_frame=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_set_oracle(
+        self, data, frame_method, reuse_frames, token_strategy, tokens_per_frame, seed
+    ):
+        # per trial, the (frame, patch) pairs a plan keeps against those the
+        # task's needle frames fill: surviving_needle_tokens counts their
+        # intersection, and a trial covers the needle when it samples one
+        # of its frames
+        total_frames = data.draw(st.integers(1, 8))
+        trials = data.draw(st.integers(1, 3))
+        ratios = data.draw(st.lists(st.floats(0.05, 1.0), min_size=trials, max_size=trials))
+        sampler = SamplerConfig(
+            total_frames=total_frames,
+            frames_per_trial=data.draw(st.integers(1, total_frames)),
+            tokens_per_frame=tokens_per_frame,
+            trials=trials,
+            ratios=tuple(ratios),
+            frame_method=frame_method,
+            token_strategy=token_strategy,
+            reuse_frames=reuse_frames,
+        )
+        needle_count = data.draw(st.integers(0, min(3, total_frames)))
+        cfg = small_config(
+            sampler=sampler,
+            task=TaskParams(needle_count=needle_count, question_len=3),
+            repeats=2,
+            seed=seed,
+        )
+        cover = np.zeros(trials)
+        survive = np.zeros(trials)
+        m = tokens_per_frame
+        for rep in range(cfg.repeats):
+            task = gen_task(
+                total_frames, m, needle_count, _task_seed(seed, rep), MODEL, question_len=3
+            )
+            needle_tokens = {(f, p) for f in task.needle_frames for p in range(m)}
+            for i, plan in enumerate(build_trial_plans(sampler, Rng(seed).child(rep))):
+                frames = [int(f) for f in plan.frame_indices]
+                kept = {(frames[k // m], k % m) for k in plan.token_keep.tolist()}
+                survived = len(kept & needle_tokens)
+                assert surviving_needle_tokens(plan, task) == survived
+                cover[i] += bool(set(frames) & task.needle_frames)
+                survive[i] += survived
+        report = run_experiment(cfg)
+        assert [t["coverage"] for t in report.per_trial] == list(cover / cfg.repeats)
+        assert [t["mean_surviving_needle_tokens"] for t in report.per_trial] == list(
+            survive / cfg.repeats
+        )
 
 
 class TestRunExperiment:
@@ -232,7 +295,7 @@ class TestBaselineReduction:
         assert multi_path == direct
 
     def test_single_sequence_layout(self):
-        video = embed_frames(StreamSpec(3, 2), MODEL, Rng(1))
+        video = VideoTokenStream(3, 2, MODEL.model_dim, Rng(1).key)
         seq = single_sequence(video, [4, 5])
         assert seq.total_length == 8
         assert seq.num_segments == 1

@@ -31,11 +31,9 @@ from t3s.toymodel import (
     NeedleProbe,
     SeededTransformer,
     SegmentCache,
-    StreamSpec,
     VideoTokenStream,
     _gelu,
     build_model,
-    embed_frames,
     needle_direction,
 )
 
@@ -56,8 +54,8 @@ def make_packed(seed=0, trials=2, total_frames=10, frames_per_trial=6,
                 tokens_per_frame=2, ratios=None, text=(1, 2, 3), needles=frozenset(),
                 cfg=CFG):
     rng = Rng(seed)
-    video = embed_frames(
-        StreamSpec(total_frames, tokens_per_frame, needles), cfg, rng.child(0)
+    video = VideoTokenStream(
+        total_frames, tokens_per_frame, cfg.model_dim, rng.child(0).key, needles
     )
     sampler = SamplerConfig(
         total_frames=total_frames,
@@ -119,29 +117,34 @@ class TestBuildModel:
 
 class TestEmbedFrames:
     def test_deterministic(self):
-        spec = StreamSpec(4, 3)
-        a = embed_frames(spec, CFG, Rng(5))
-        b = embed_frames(spec, CFG, Rng(5))
+        a = VideoTokenStream(4, 3, CFG.model_dim, Rng(5).key)
+        b = VideoTokenStream(4, 3, CFG.model_dim, Rng(5).key)
         assert np.array_equal(materialise(a), materialise(b))
-        c = embed_frames(spec, CFG, Rng(5).child(0))
+        c = VideoTokenStream(4, 3, CFG.model_dim, Rng(5).child(0).key)
         assert not np.array_equal(materialise(a), materialise(c))
 
     def test_shape(self):
-        v = VideoTokenStream(StreamSpec(2, 3), CFG.model_dim, key=7)
+        v = VideoTokenStream(2, 3, CFG.model_dim, key=7)
         assert materialise(v).shape == (2, 3, CFG.model_dim)
-        assert (v.num_frames, v.tokens_per_frame) == (2, 3)
         assert v.rows(np.array([5, 0, 5])).shape == (3, CFG.model_dim)
         assert v.rows(np.array([], dtype=np.int64)).shape == (0, CFG.model_dim)
-        with pytest.raises(ConfigError):
-            VideoTokenStream(StreamSpec(2, 3), 0, key=7)
+        for bad in (
+            dict(num_frames=0),
+            dict(tokens_per_frame=0),
+            dict(model_dim=0),
+            dict(needle_frames=frozenset({2})),
+            dict(needle_frames=frozenset({-1})),
+        ):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(v, **bad)
         for outside in (-1, 6):
             with pytest.raises(ContractError):
                 v.rows(np.array([0, outside]))
 
     def test_odd_width(self):
         # ceil(D/2) normal pairs per row; the last sine normal is dropped
-        v = VideoTokenStream(StreamSpec(3, 2), 5, key=1)
-        wide = VideoTokenStream(StreamSpec(3, 2), 6, key=1)
+        v = VideoTokenStream(3, 2, 5, key=1)
+        wide = VideoTokenStream(3, 2, 6, key=1)
         got, pairs = v.rows(np.arange(6)), wide.rows(np.arange(6))
         assert got.shape == (6, 5)
         scale = math.sqrt(6 / 5)
@@ -149,8 +152,10 @@ class TestEmbedFrames:
         assert np.allclose(got[:, 3:], pairs[:, 3:5] * scale, rtol=1e-15, atol=0)
 
     def test_needle_frames_have_unit_cosine(self):
-        spec = StreamSpec(5, 4, frozenset({1, 3}))
-        v = materialise(embed_frames(spec, CFG, Rng(0)))
+        video = VideoTokenStream(5, 4, CFG.model_dim, Rng(0).key, frozenset({1, 3}))
+        assert video.needle_mask.tolist() == [False, True, False, True, False]
+        assert not video.needle_mask.flags.writeable
+        v = materialise(video)
         direction = needle_direction(CFG.model_dim)
         for f in (1, 3):
             assert (v[f] == direction).all()
@@ -161,14 +166,14 @@ class TestEmbedFrames:
         rows = v[0]
         cos = rows @ direction / np.linalg.norm(rows, axis=1)
         assert np.abs(cos).max() < 0.99
-        plain = materialise(embed_frames(StreamSpec(5, 4), CFG, Rng(0)))
+        plain = materialise(dataclasses.replace(video, needle_frames=frozenset()))
         assert np.array_equal(v[[0, 2, 4]], plain[[0, 2, 4]])
 
     def test_pinned_rows(self):
         # freezes the first rows of one key. Values are rounded to 1e-9
         # before hashing, so a last-bit difference in log, cos or sin between
         # platforms does not trip it, but a change to the stream does
-        v = VideoTokenStream(StreamSpec(4, 2, frozenset({3})), 16, key=0x5EED)
+        v = VideoTokenStream(4, 2, 16, key=0x5EED, needle_frames=frozenset({3}))
         rows = np.round(v.rows(np.arange(8)), 9)
         got = hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest()[:16]
         assert got == "a25a53c629671bb9", rows[0]
@@ -206,7 +211,7 @@ class TestEmbedFrames:
         # frames in any order, repeated or not, and kept positions in any
         # order: every visual row pack reads equals the same row of the
         # whole video drawn at once
-        video = VideoTokenStream(StreamSpec(6, 3, frozenset({4})), 8, key)
+        video = VideoTokenStream(6, 3, 8, key, frozenset({4}))
         whole = materialise(video)
         plans = []
         for frames, keep in trials:
@@ -224,7 +229,7 @@ class TestEmbedFrames:
         # statistic below is a z-score; the bound 4.5 holds for every one of
         # them (2147 in all) with probability above 0.98
         D = 64
-        x = VideoTokenStream(StreamSpec(512, 16), D, key=0xD157).rows(np.arange(8192))
+        x = VideoTokenStream(512, 16, D, key=0xD157).rows(np.arange(8192))
         n = len(x)
         assert abs(x.mean() * math.sqrt(n * D * D)) < 4.5
         col_mean_z = x.mean(axis=0) * math.sqrt(n * D)
@@ -554,7 +559,7 @@ class TestNeedleProbe:
 
     def test_answer_logit_counts_surviving_needles(self):
         cfg = CFG
-        video = embed_frames(StreamSpec(4, 3, frozenset({1})), cfg, Rng(2))
+        video = VideoTokenStream(4, 3, cfg.model_dim, Rng(2).key, frozenset({1}))
         # keep exactly 3 needle tokens: frames (0,1), all 6 tokens kept
         plan = TrialPlan(np.array([0, 1]), np.arange(6, dtype=np.int64), 1.0)
         packed = pack([plan], video, [5])
@@ -603,8 +608,8 @@ class TestNeedleProbe:
             layers=1, model_dim=8, heads=1, vocab=16, max_positions=4096, init_seed=0
         )
         total_frames, per_trial, trials, tokens_per_frame = 100, 25, 2, 8
-        video = embed_frames(
-            StreamSpec(total_frames, tokens_per_frame, frozenset({37})), cfg, Rng(1)
+        video = VideoTokenStream(
+            total_frames, tokens_per_frame, cfg.model_dim, Rng(1).key, frozenset({37})
         )
         probe = NeedleProbe(3, cfg.vocab, noise_scale=0.05, seed=2)
         sampler = SamplerConfig(
