@@ -273,6 +273,27 @@ class TestForwardContract:
         b = build_model(CFG).forward(packed).logits
         assert np.array_equal(a, b)
 
+    def test_pinned_logits(self):
+        # freezes every position's logits on one fixed packed input, rounded
+        # to 1e-9 before hashing as in test_pinned_rows, so a change to the
+        # video rows, the packing or the forward shows
+        got = hashlib.sha256(
+            np.round(build_model(CFG).forward(pinned_packed()).logits, 9)
+            .astype("<f8").tobytes()
+        ).hexdigest()[:16]
+        assert got == "e18fadfef9312935"
+
+
+def pinned_packed():
+    """Two trials over a 6-frame video with a needle in frame 2, then a text
+    prompt and one appended token."""
+    video = VideoTokenStream(6, 3, CFG.model_dim, key=0x5EED, needle_frames=frozenset({2}))
+    plans = [
+        TrialPlan(np.array([0, 2, 5]), np.array([0, 1, 4, 6, 8]), 0.5),
+        TrialPlan(np.array([1, 2, 3, 4]), np.array([2, 3, 7, 11]), 0.3),
+    ]
+    return append_token(pack(plans, video, [1, 2, 3]), 4)
+
 
 def _probe_for(cfg, answer=3, noise=0.05, seed=11):
     return NeedleProbe(answer, cfg.vocab, noise_scale=noise, seed=seed)
