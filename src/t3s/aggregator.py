@@ -140,5 +140,5 @@ def decode(
         token = fuse_token(trial_logits, strategy)
         out.append(token)
         if step + 1 < steps:
-            packed = token_per_segment(token, packed.num_segments, packed.model_dim)
+            packed = token_per_segment(token, packed)
     return out

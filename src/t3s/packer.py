@@ -10,7 +10,7 @@ segment and q <= p, that is, only inside its own segment and only backwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,22 +27,31 @@ class Segment(NamedTuple):
 class PackedSequence:
     """Immutable flat layout of m trial segments.
 
-    Per position, exactly one of two payloads applies: a visual embedding row
-    (token_ids[p] == -1) or a vocabulary id (embeddings[p] is all-zero and
-    ignored). The segment table alone fixes each position's segment and its
-    index inside it. `append_token` returns a new value; arrays are read-only.
+    Per position, exactly one of two payloads applies: a row id of `video`
+    (token_ids[p] == -1) or a vocabulary id. `rows` holds the row ids of the
+    visual positions in position order; no float is stored. The segment table
+    alone fixes each position's segment and its index inside it.
+    `append_token` returns a new value; arrays are read-only.
     """
 
     segments: tuple[Segment, ...]
-    embeddings: np.ndarray  # (total, model_dim) float64
-    token_ids: np.ndarray  # (total,) int64, -1 where the payload is an embedding
+    token_ids: np.ndarray  # (total,) int64, -1 where the payload is a video row
+    rows: np.ndarray  # (visual,) int64 row id of each visual position, in order
+    video: Any  # its `rows(index)`, `model_dim`, `key`, `tokens_per_frame`, `needle_mask`
 
     def __post_init__(self):
-        # every segment has a last position, where its logits and cache state are read
-        if any(s.length < 1 for s in self.segments):
-            raise ContractError("a packed segment must hold at least one token")
-        self.embeddings.flags.writeable = False
+        ends = [0]
+        for s in self.segments:
+            # every segment has a last position, where its logits and cache state are read
+            if s.length < 1:
+                raise ContractError("a packed segment must hold at least one token")
+            ends.append(ends[-1] + s.length)
+        if [s.start for s in self.segments] + [len(self.token_ids)] != ends:
+            raise ContractError("segments must tile the positions back to back from 0")
+        if len(self.rows) != np.count_nonzero(self.token_ids < 0):
+            raise ContractError("need one row id per visual position")
         self.token_ids.flags.writeable = False
+        self.rows.flags.writeable = False
 
     @property
     def total_length(self) -> int:
@@ -53,8 +62,12 @@ class PackedSequence:
         return len(self.segments)
 
     @property
-    def model_dim(self) -> int:
-        return self.embeddings.shape[1]
+    def embeddings(self) -> np.ndarray:
+        """(total, model_dim) float64: the video's rows at visual positions
+        and zeros at vocabulary positions, drawn on each read."""
+        out = np.zeros((self.total_length, self.video.model_dim))
+        out[self.token_ids < 0] = self.video.rows(self.rows)
+        return out
 
     @property
     def pos_in_segment(self) -> np.ndarray:
@@ -74,9 +87,9 @@ def pack(
     Segment i carries the video rows plan i keeps, followed by a full copy of
     `text`. Kept position k of the plan's frame-major token sequence is row
     f*M + k % M of the video, f = plan.frame_indices[k // M], in ascending k.
-    Only those rows are drawn: every segment's rows are read in one
-    `video.rows(index)` call, which returns a (len(index), model_dim) array;
-    `video` also needs `num_frames`, `tokens_per_frame` and `model_dim`.
+    Only the row ids are recorded; nothing is drawn. `video` needs
+    `num_frames` and `tokens_per_frame` here, and what `PackedSequence.video`
+    lists for the backends that read it.
     """
     if len(plans) == 0:
         raise ContractError("pack requires at least one trial plan")
@@ -97,15 +110,13 @@ def pack(
             raise ContractError(f"trial {i} keeps no tokens and the text is empty")
         kept_rows.append(f[k // m] * m + k % m)
         parts_ids.append(np.concatenate([np.full(len(k), -1, dtype=np.int64), text_ids]))
-    token_ids = np.concatenate(parts_ids)
-    embeddings = np.zeros((len(token_ids), video.model_dim))
-    embeddings[token_ids < 0] = video.rows(np.concatenate(kept_rows))
     lengths = [len(ids) for ids in parts_ids]
     starts = np.cumsum([0, *lengths[:-1]])
     return PackedSequence(
         segments=tuple(Segment(int(s), l) for s, l in zip(starts, lengths)),
-        embeddings=embeddings,
-        token_ids=token_ids,
+        token_ids=np.concatenate(parts_ids),
+        rows=np.concatenate(kept_rows),
+        video=video,
     )
 
 
@@ -126,22 +137,22 @@ def append_token(
         segments=tuple(
             Segment(s.start + i, s.length + 1) for i, s in enumerate(packed.segments)
         ),
-        embeddings=np.insert(packed.embeddings, ends, 0.0, axis=0),
         token_ids=np.insert(packed.token_ids, ends, token_id),
+        rows=packed.rows,
+        video=packed.video,
     )
 
 
-def token_per_segment(
-    token_id: int, num_segments: int, model_dim: int
-) -> PackedSequence:
-    """`token_id` as the one token of each of `num_segments` segments: the
-    extension that appends it to every segment of a cached sequence."""
+def token_per_segment(token_id: int, packed: PackedSequence) -> PackedSequence:
+    """`token_id` as the one token of each segment of `packed`: the extension
+    that appends it to every segment of a cache holding `packed`."""
     if token_id < 0:
         raise ContractError(f"token id must be non-negative, got {token_id}")
     return PackedSequence(
-        segments=tuple(Segment(i, 1) for i in range(num_segments)),
-        embeddings=np.zeros((num_segments, model_dim)),
-        token_ids=np.full(num_segments, token_id, dtype=np.int64),
+        segments=tuple(Segment(i, 1) for i in range(packed.num_segments)),
+        token_ids=np.full(packed.num_segments, token_id, dtype=np.int64),
+        rows=np.empty(0, dtype=np.int64),
+        video=packed.video,
     )
 
 
@@ -155,9 +166,11 @@ def slice_segment(packed: PackedSequence, index: int) -> PackedSequence:
     if not (0 <= index < packed.num_segments):
         raise ContractError(f"segment index {index} out of range")
     s = packed.segments[index]
-    sel = slice(s.start, s.start + s.length)
+    ids = packed.token_ids[s.start : s.start + s.length]
+    first = np.count_nonzero(packed.token_ids[: s.start] < 0)
     return PackedSequence(
         segments=(Segment(0, s.length),),
-        embeddings=packed.embeddings[sel].copy(),
-        token_ids=packed.token_ids[sel].copy(),
+        token_ids=ids.copy(),
+        rows=packed.rows[first : first + np.count_nonzero(ids < 0)].copy(),
+        video=packed.video,
     )

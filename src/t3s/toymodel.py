@@ -258,14 +258,14 @@ class SeededTransformer:
             raise ContractError(
                 f"sequence length {total} exceeds max_positions={cfg.max_positions}"
             )
-        if packed.model_dim != cfg.model_dim:
+        if packed.video.model_dim != cfg.model_dim:
             raise ShapeError(
-                f"packed model_dim {packed.model_dim} != config {cfg.model_dim}"
+                f"video model_dim {packed.video.model_dim} != config {cfg.model_dim}"
             )
         ids = packed.token_ids
         if ids.max(initial=-1) >= cfg.vocab:
             raise ContractError("token id outside vocabulary")
-        x = packed.embeddings.copy()
+        x = packed.embeddings
         id_pos = ids >= 0
         x[id_pos] = self.weights["token_embedding"][ids[id_pos]]
         return x + _sinusoidal(_continued_positions(packed, cached), cfg.model_dim)
@@ -370,6 +370,7 @@ def build_model(cfg: ModelConfig) -> SeededTransformer:
 
 
 _SIG_ID_TAG = 0xA5A5A5A5A5A5A5A5
+_SIG_ROW_TAG = 0x5A5A5A5A5A5A5A5A
 _SIG_SEED_TAG = 0xC3C3C3C3C3C3C3C3
 _SIG_POS_TAG = 0x3C3C3C3C3C3C3C3C
 
@@ -378,17 +379,18 @@ class NeedleProbe:
     """Hand-constructed backend with a controllable answer signal.
 
     At every position p the answer-token logit equals the number of
-    surviving needle tokens (visual rows along `needle_direction`) at or
-    before p in p's segment; all other logits are noise in [-noise_scale,
-    noise_scale], noise_scale < 1, seeded purely by the segment's content
-    prefix, so packed and solo forwards agree exactly.
+    surviving needle tokens (visual rows of a frame in the video's
+    `needle_mask`) at or before p in p's segment; all other logits are noise
+    in [-noise_scale, noise_scale], noise_scale < 1, seeded purely by the
+    segment's content prefix, so packed and solo forwards agree exactly. The
+    probe reads row ids only and never draws a row.
 
     The prefix hash is an order-sensitive prefix XOR. Position j of a
     segment (counted from the segment's first token, cached ones included)
     contributes keyed[j] = mix64(sig[j] ^ mix64(j ^ _SIG_POS_TAG)), where
-    sig[j] is the token's content signature: for a visual row,
-    mix64(sum_c w[c] * (mix64(c + 1) | 1) mod 2^64) over its float64 words
-    w[c]; for a vocabulary id t, mix64(t ^ _SIG_ID_TAG). Position p's prefix is
+    sig[j] is the token's content signature: for row r of a video with key
+    K, mix64(r ^ mix64(K ^ _SIG_ROW_TAG)); for a vocabulary id t,
+    mix64(t ^ _SIG_ID_TAG). Position p's prefix is
     acc[p] = keyed[0] ^ ... ^ keyed[p], and its noise is seeded by
     mix64(acc[p] ^ mix64(seed ^ _SIG_SEED_TAG)). Given a `SegmentCache`, a
     forward keeps each segment's acc at its last position and its needle
@@ -409,34 +411,18 @@ class NeedleProbe:
         self.noise_scale = noise_scale
         self.seed = seed
 
-    def _needle_mask(self, packed: PackedSequence) -> np.ndarray:
-        emb = packed.embeddings
-        norms = np.linalg.norm(emb, axis=1)
-        proj = emb @ needle_direction(packed.model_dim)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos = np.where(norms > 0, proj / np.where(norms > 0, norms, 1.0), 0.0)
-        return (packed.token_ids < 0) & (cos > 0.9999)
-
-    def _signatures(self, packed: PackedSequence) -> np.ndarray:
-        # a visual row's 64-bit words, times odd per-column constants, summed
-        # mod 2^64 and mixed once: one wide pass over the rows
-        words = np.ascontiguousarray(packed.embeddings).view(np.uint64)
-        col = mix64(np.arange(1, words.shape[1] + 1, dtype=np.uint64)) | np.uint64(1)
-        sig = mix64((words * col).sum(axis=1, dtype=np.uint64))
-        ids = packed.token_ids >= 0
-        sig[ids] = mix64(packed.token_ids[ids].astype(np.uint64) ^ np.uint64(_SIG_ID_TAG))
-        return sig
-
     def forward(
         self, packed: PackedSequence, cache: Optional[SegmentCache] = None
     ) -> ForwardResult:
         # per segment: the prefix XOR of its keyed signatures and its needle count
         cached, past = (cache or SegmentCache()).continued(packed, (0, 0))
+        video, rows, visual = packed.video, packed.rows, packed.token_ids < 0
+        sig = mix64(packed.token_ids.astype(np.uint64) ^ np.uint64(_SIG_ID_TAG))
+        sig[visual] = mix64(rows.astype(np.uint64) ^ np.uint64(mix64(video.key ^ _SIG_ROW_TAG)))
+        is_needle = np.zeros(packed.total_length, dtype=bool)
+        is_needle[visual] = video.needle_mask[rows // video.tokens_per_frame]
         positions = _continued_positions(packed, cached).astype(np.uint64)
-        keyed = mix64(
-            self._signatures(packed) ^ mix64(positions ^ np.uint64(_SIG_POS_TAG))
-        )
-        is_needle = self._needle_mask(packed)
+        keyed = mix64(sig ^ mix64(positions ^ np.uint64(_SIG_POS_TAG)))
         acc = np.empty(packed.total_length, dtype=np.uint64)
         counts = np.empty(packed.total_length, dtype=np.int64)
         for s, (state, needles) in zip(packed.segments, past):

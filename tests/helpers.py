@@ -1,9 +1,10 @@
 """Test-only reference code: a video given as an explicit array, the whole of
-a lazy video drawn at once, a direct single-sequence greedy baseline that
-shares no code with the sampler or the multi-trial packer paths, the
-multi-trial decode that recomputes the whole packed sequence every step, the
-sampler's trial-plan postcondition, a structural dump of packed sequences for
-golden tests, and each position's segment id."""
+a lazy video drawn at once, packed sequences built directly from row and
+vocabulary ids, a direct single-sequence greedy baseline that shares no code
+with the sampler or the multi-trial packer paths, the multi-trial decode that
+recomputes the whole packed sequence every step, the sampler's trial-plan
+postcondition, a structural dump of packed sequences for golden tests, and
+each position's segment id."""
 
 from typing import Sequence
 
@@ -17,11 +18,14 @@ from t3s.toymodel import VideoTokenStream
 
 class ArrayVideo:
     """A video whose rows are an explicit (F, M, model_dim) array, read
-    through the same `rows` method as `VideoTokenStream`."""
+    through the same `rows`, `key` and `needle_mask` as `VideoTokenStream`;
+    its key is 0 and it has no needle frames."""
 
     def __init__(self, frames: np.ndarray):
         self.frames = np.asarray(frames, dtype=np.float64)
         self.num_frames, self.tokens_per_frame, self.model_dim = self.frames.shape
+        self.key = 0
+        self.needle_mask = np.zeros(self.num_frames, dtype=bool)
 
     def rows(self, index: np.ndarray) -> np.ndarray:
         return self.frames.reshape(-1, self.model_dim)[index]
@@ -33,24 +37,23 @@ def materialise(video) -> np.ndarray:
     return video.rows(np.arange(f * m)).reshape(f, m, video.model_dim)
 
 
-def _one_segment(embeddings, token_ids) -> PackedSequence:
-    return PackedSequence((Segment(0, len(token_ids)),), embeddings, token_ids)
+def segments_of(video, parts) -> PackedSequence:
+    """One packed segment per part, back to back. A part holds one int per
+    position: a vocabulary id t >= 0, or -1 - r for row r of `video`."""
+    codes = np.concatenate([np.asarray(p, dtype=np.int64) for p in parts])
+    starts = np.cumsum([0] + [len(p) for p in parts])
+    return PackedSequence(
+        tuple(Segment(int(b), len(p)) for b, p in zip(starts, parts)),
+        np.maximum(codes, -1),
+        -1 - codes[codes < 0],
+        video,
+    )
 
 
 def single_sequence(video: VideoTokenStream, text: Sequence[int]) -> PackedSequence:
     """The plain <video, text> sequence, built without trial plans or packing."""
-    dim = video.model_dim
-    visual = materialise(video).reshape(-1, dim)
-    text_ids = np.asarray(list(text), dtype=np.int64)
-    embeddings = np.concatenate([visual, np.zeros((len(text_ids), dim))], axis=0)
-    token_ids = np.concatenate([np.full(len(visual), -1, dtype=np.int64), text_ids])
-    return _one_segment(embeddings, token_ids)
-
-
-def _append_single(seq: PackedSequence, token_id: int) -> PackedSequence:
-    embeddings = np.concatenate([seq.embeddings, np.zeros((1, seq.model_dim))], axis=0)
-    token_ids = np.concatenate([seq.token_ids, [token_id]])
-    return _one_segment(embeddings, token_ids)
+    rows = np.arange(video.num_frames * video.tokens_per_frame, dtype=np.int64)
+    return segments_of(video, [np.concatenate([-1 - rows, np.asarray(text, dtype=np.int64)])])
 
 
 def baseline_greedy_decode(
@@ -60,14 +63,13 @@ def baseline_greedy_decode(
     steps: int,
 ) -> list[int]:
     """Plain greedy decoding of the single full sequence."""
-    seq = single_sequence(video, text)
+    ids = list(text)
     out: list[int] = []
-    for step in range(steps):
-        logits, _ = backend.forward(seq)
+    for _ in range(steps):
+        logits, _ = backend.forward(single_sequence(video, ids))
         token = int(np.argmax(logits[-1]))
         out.append(token)
-        if step + 1 < steps:
-            seq = _append_single(seq, token)
+        ids.append(token)
     return out
 
 

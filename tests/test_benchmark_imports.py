@@ -1,9 +1,15 @@
 """The benchmark under perfbench/ is not collected by this suite, so these
-tests check that every t3s name it imports still resolves."""
+tests check that every t3s name it imports still resolves, and that each of
+its workloads still runs and passes its own checks at tiny sizes."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+import pytest
+
+import t3s
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,3 +41,35 @@ def test_patched_layer_norm_exists():
     from t3s import toymodel
 
     assert callable(toymodel.layer_norm)
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's `workloads` and `spans` modules, imported with this
+    process's t3s and without writing bytecode under perfbench/."""
+    src = str(Path(t3s.__file__).resolve().parents[1])
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path[:0] = [src, str(PERFBENCH)]
+    sys.dont_write_bytecode = True
+    try:
+        yield importlib.import_module("workloads"), importlib.import_module("spans")
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+        for name in ("workloads", "spans"):
+            sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_workloads_run_and_check_at_tiny_sizes(bench, traced):
+    # what each workload reads of t3s, down to attributes: prepare, one op
+    # and one reference op with its correctness checks on; `finish` is left
+    # out, as its coverage_report call takes most of a second
+    workloads, spans = bench
+    for name, workload in workloads.WORKLOADS.items():
+        tracer = spans.Tracer() if traced else spans.NULL
+        w = workload(0, workloads.TINY_SIZES[name])
+        inputs = w.prepare(0, tracer)
+        assert w.op(inputs, 0, tracer, True) > 0.0
+        assert w.ref(inputs, 0, tracer, True) > 0.0
+        assert w.op_pass is not None and w.base_pass is not None
+        assert tracer.enabled == traced

@@ -156,25 +156,60 @@ class TestPack:
         with pytest.raises(ContractError, match="at least one token"):
             PackedSequence(
                 segments=(Segment(0, 2), Segment(2, 0)),
-                embeddings=np.zeros((2, 4)),
                 token_ids=np.array([1, 2]),
+                rows=np.array([], dtype=np.int64),
+                video=tagged_video(2, 2),
             )
         packed = pack(plans, tagged_video(2, 2), [7])
         assert [s.length for s in packed.segments] == [1, 5]
         assert last_positions(packed) == [0, 5]
 
 
+class TestLayoutChecks:
+    @pytest.mark.parametrize(
+        "segments, ids, rows",
+        [
+            (((0, 2), (3, 1)), [-1, 1, 2, 3], [0]),
+            (((1, 2),), [-1, 1, 2], [0]),
+            (((0, 2),), [-1, 1, 2], [0]),
+            (((0, 3),), [-1, 1, 2], [0, 1]),
+            (((0, 3),), [-1, -1, 2], [0]),
+        ],
+        ids=["gap", "late_start", "short", "extra_row", "missing_row"],
+    )
+    def test_malformed_layout_rejected(self, segments, ids, rows):
+        with pytest.raises(ContractError):
+            PackedSequence(
+                tuple(Segment(*s) for s in segments),
+                np.array(ids),
+                np.array(rows, dtype=np.int64),
+                tagged_video(2, 2),
+            )
+
+    def test_records_row_ids_and_draws_on_read(self):
+        video = tagged_video(4, 3)
+        plan = TrialPlan(np.array([1, 3]), np.array([0, 2, 4]), 0.5)
+        packed = pack([plan], video, [7])
+        assert packed.rows.tolist() == [3, 5, 10]
+        assert not packed.rows.flags.writeable
+        assert packed.embeddings[:, 0].tolist() == [100, 102, 301, 0]
+        assert packed.embeddings is not packed.embeddings
+
+
 class TestTokenPerSegment:
     def test_layout(self):
-        step = token_per_segment(9, 3, DIM)
+        packed = pack([full_plan(2, 2)] * 3, tagged_video(2, 2), [1])
+        step = token_per_segment(9, packed)
         assert [tuple(s) for s in step.segments] == [(0, 1), (1, 1), (2, 1)]
         assert step.token_ids.tolist() == [9, 9, 9]
+        assert step.video is packed.video and len(step.rows) == 0
         assert step.embeddings.shape == (3, DIM) and not step.embeddings.any()
         assert last_positions(step) == [0, 1, 2]
 
     def test_negative_token_rejected(self):
+        packed = pack([full_plan(2, 2)], tagged_video(2, 2), [1])
         with pytest.raises(ContractError):
-            token_per_segment(-1, 2, DIM)
+            token_per_segment(-1, packed)
 
 
 class TestAppendToken:
@@ -286,6 +321,8 @@ class TestMaskSpec:
         packed = pack([full_plan(2, 2)], tagged_video(2, 2), [1])
         with pytest.raises(ValueError):
             packed.token_ids[0] = 5
+        with pytest.raises(ValueError):
+            packed.rows[0] = 5
 
 
 class TestSliceSegment:
@@ -305,6 +342,7 @@ class TestSliceSegment:
             span = slice(seg.start, seg.start + seg.length)
             assert np.array_equal(solo.embeddings, packed.embeddings[span])
             assert np.array_equal(solo.token_ids, packed.token_ids[span])
+            assert solo.video is packed.video
             assert np.array_equal(solo.pos_in_segment, np.arange(seg.length))
 
     def test_index_out_of_range(self):

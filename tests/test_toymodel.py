@@ -13,17 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t3s.errors import ConfigError, ContractError
+from t3s.errors import ConfigError, ContractError, ShapeError
 from t3s.harness import gen_task
 from t3s.numkernel import Rng, layer_norm, mix64
-from t3s.packer import (
-    PackedSequence,
-    Segment,
-    append_token,
-    last_positions,
-    pack,
-    slice_segment,
-)
+from t3s.packer import append_token, last_positions, pack, slice_segment
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import (
     _QUERY_CHUNK,
@@ -37,7 +30,7 @@ from t3s.toymodel import (
     needle_direction,
 )
 
-from helpers import materialise, segment_ids
+from helpers import materialise, segment_ids, segments_of
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=1024, init_seed=3)
 
@@ -262,6 +255,11 @@ class TestForwardContract:
         with pytest.raises(ContractError):
             SeededTransformer(tiny).forward(packed)
 
+    def test_video_width_must_match_model(self):
+        packed, _, _ = make_packed(cfg=dataclasses.replace(CFG, model_dim=8, heads=1))
+        with pytest.raises(ShapeError, match="video model_dim 8 != config 16"):
+            build_model(CFG).forward(packed)
+
     def test_token_id_outside_vocab_rejected(self):
         packed, _, _ = make_packed(text=(CFG.vocab,))
         with pytest.raises(ContractError):
@@ -315,16 +313,21 @@ class TestPackedVsSoloEquivalence:
 
     @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
     def test_perturbing_one_segment_leaves_others_unchanged(self, backend_kind):
-        packed, _, _ = make_packed(trials=3, needles=frozenset({1}))
+        packed, _, video = make_packed(trials=3, needles=frozenset({1}))
         backend = (
             build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
         )
+        # segment 1 opens with visual rows: move its first three to other rows
         target = packed.segments[1]
-        emb = packed.embeddings.copy()
-        emb[target.start : target.start + 3] += 2.5
-        poked = dataclasses.replace(packed, embeddings=emb)
+        first = np.count_nonzero(packed.token_ids[: target.start] < 0)
+        rows = packed.rows.copy()
+        n = video.num_frames * video.tokens_per_frame
+        rows[first : first + 3] = (rows[first : first + 3] + 5) % n
+        poked = dataclasses.replace(packed, rows=rows)
         before = backend.forward(packed).logits
         after = backend.forward(poked).logits
+        span = slice(target.start, target.start + target.length)
+        assert (before[span] != after[span]).any()
         for j in (0, 2):
             seg = packed.segments[j]
             span = slice(seg.start, seg.start + seg.length)
@@ -341,29 +344,40 @@ class TestPackedVsSoloEquivalence:
 
 
 def probe_oracle_logits(probe, packed, allowed):
-    """Oracle for NeedleProbe.forward: position p's answer logit counts the
-    needle tokens it may attend, and its noise is seeded by XOR-ing the
-    position-keyed signature of every position it may attend, then mixing in
-    the probe's seed."""
-    from t3s.toymodel import _SIG_POS_TAG, _SIG_SEED_TAG
+    """Oracle for NeedleProbe.forward, from its docstring, one Python int per
+    position: a visual position's signature comes from its video's key and
+    its row id, and it is a needle token when its row's frame is one of the
+    video's needle frames; a vocabulary position's signature comes from its
+    id. Position p's answer logit counts the needle tokens it may attend, and
+    its noise is seeded by XOR-ing the position-keyed signature of every
+    position it may attend, then mixing in the probe's seed."""
+    from t3s.toymodel import _SIG_ID_TAG, _SIG_POS_TAG, _SIG_ROW_TAG, _SIG_SEED_TAG
 
-    is_needle = probe._needle_mask(packed)
-    sig = probe._signatures(packed)
+    video = packed.video
+    rows = iter(packed.rows.tolist())
+    sig, needle = [], []
+    for t in packed.token_ids.tolist():
+        if t >= 0:
+            sig.append(mix64(t ^ _SIG_ID_TAG))
+            needle.append(0)
+        else:
+            r = next(rows)
+            sig.append(mix64(r ^ mix64(video.key ^ _SIG_ROW_TAG)))
+            needle.append(int(r // video.tokens_per_frame in video.needle_frames))
     seed_mixed = mix64((probe.seed & ((1 << 64) - 1)) ^ _SIG_SEED_TAG)
     # q attends itself and every earlier position of its segment
     pos = allowed.sum(axis=1) - 1
-    hashes = np.empty(packed.total_length, dtype=np.uint64)
+    logits = np.empty((packed.total_length, probe.vocab))
     for p in range(packed.total_length):
+        attended = np.flatnonzero(allowed[p]).tolist()
         acc = 0
-        for q in np.flatnonzero(allowed[p]):
-            acc ^= mix64(int(sig[q]) ^ mix64(int(pos[q]) ^ _SIG_POS_TAG))
-        hashes[p] = mix64(acc ^ seed_mixed)
-    dmix = mix64(np.arange(7, 7 + probe.vocab, dtype=np.uint64))
-    u = (mix64(hashes[:, None] ^ dmix[None, :]) >> np.uint64(11)).astype(
-        np.float64
-    ) * (1.0 / (1 << 53))
-    logits = u * (2.0 * probe.noise_scale) - probe.noise_scale
-    logits[:, probe.answer_token] = allowed @ is_needle.astype(np.int64)
+        for q in attended:
+            acc ^= mix64(sig[q] ^ mix64(int(pos[q]) ^ _SIG_POS_TAG))
+        h = mix64(acc ^ seed_mixed)
+        for d in range(probe.vocab):
+            u = (mix64(h ^ mix64(7 + d)) >> 11) / (1 << 53)
+            logits[p, d] = u * (2.0 * probe.noise_scale) - probe.noise_scale
+        logits[p, probe.answer_token] = sum(needle[q] for q in attended)
     return logits
 
 
@@ -410,23 +424,19 @@ class TestDenseOracles:
         assert fast.pair_count == int(allowed.sum())
 
 
-def segments_of(parts):
-    """One packed segment per (embeddings, token_ids) part, back to back."""
-    starts = np.cumsum([0] + [len(ids) for _, ids in parts])
-    return PackedSequence(
-        tuple(Segment(int(b), len(ids)) for b, (_, ids) in zip(starts, parts)),
-        np.concatenate([emb for emb, _ in parts]),
-        np.concatenate([ids for _, ids in parts]),
+# a video whose every tenth frame carries the needle
+MIXED_VIDEO = VideoTokenStream(
+    40, 4, CFG.model_dim, key=0xC0DE, needle_frames=frozenset(range(0, 40, 10))
+)
+
+
+def mixed_segment(g, length):
+    """`segments_of` codes of MIXED_VIDEO rows in any order, some on a needle
+    frame, mixed with vocabulary ids."""
+    rows = MIXED_VIDEO.num_frames * MIXED_VIDEO.tokens_per_frame
+    return np.where(
+        g.random(length) < 0.3, g.integers(0, CFG.vocab, length), -1 - g.integers(0, rows, length)
     )
-
-
-def mixed_segment(g, length, dim):
-    """Visual rows, some on the needle direction, mixed with vocabulary ids."""
-    ids = np.where(g.random(length) < 0.3, g.integers(0, CFG.vocab, length), -1)
-    emb = g.standard_normal((length, dim)) / math.sqrt(dim)
-    emb[g.random(length) < 0.1] = needle_direction(dim)
-    emb[ids >= 0] = 0.0
-    return emb, ids
 
 
 class TestSegmentCache:
@@ -438,8 +448,8 @@ class TestSegmentCache:
         # query-chunk seam, as cached keys and as new queries
         pieces = [(37, length, 2), (5, length // 2 + 1, 1), (length, 1, 3)]
         g = Rng(length).generator()
-        parts = [mixed_segment(g, sum(p), CFG.model_dim) for p in pieces]
-        full = segments_of(parts)
+        parts = [mixed_segment(g, sum(p)) for p in pieces]
+        full = segments_of(MIXED_VIDEO, parts)
         backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
         want = backend.forward(full).logits
         factor = CFG.layers * CFG.heads if backend_kind == "transformer" else 1
@@ -447,7 +457,7 @@ class TestSegmentCache:
         for k in range(3):
             cuts = [(sum(p[:k]), sum(p[: k + 1])) for p in pieces]
             got = backend.forward(
-                segments_of([(e[lo:hi], i[lo:hi]) for (e, i), (lo, hi) in zip(parts, cuts)]),
+                segments_of(MIXED_VIDEO, [c[lo:hi] for c, (lo, hi) in zip(parts, cuts)]),
                 cache,
             )
             rows = np.concatenate(
@@ -469,7 +479,7 @@ class TestSegmentCache:
         cache = SegmentCache()
         backend.forward(packed, cache)
         lengths, states = list(cache.lengths), cache.states
-        three = segments_of([(np.zeros((1, CFG.model_dim)), np.array([4]))] * 3)
+        three = segments_of(MIXED_VIDEO, [[4]] * 3)
         with pytest.raises(ContractError, match="cache holds 2 segments"):
             backend.forward(three, cache)
         assert cache.lengths == lengths and cache.states is states
@@ -602,17 +612,44 @@ class TestNeedleProbe:
         # is unchanged and every row from the first on changes, including
         # the rows from the second on, whose prefixes hold the same tokens
         # in another order
-        g = Rng(6).generator()
-        emb = g.standard_normal((12, CFG.model_dim)) / math.sqrt(CFG.model_dim)
-        ids = np.full(12, -1)
+        codes = -1 - np.arange(12)
         first, second = 3, 8
-        swapped = emb.copy()
-        swapped[[first, second]] = emb[[second, first]]
+        swapped = codes.copy()
+        swapped[[first, second]] = codes[[second, first]]
         probe = _probe_for(CFG)
-        logits = [probe.forward(segments_of([(e, ids)])).logits for e in (emb, swapped)]
+        logits = [probe.forward(segments_of(MIXED_VIDEO, [c])).logits for c in (codes, swapped)]
         noise = [np.delete(x, probe.answer_token, axis=1) for x in logits]
         assert np.array_equal(noise[0][:first], noise[1][:first])
         assert (noise[0][first:] != noise[1][first:]).any(axis=1).all()
+
+    def test_pinned_logits(self):
+        # freezes the probe's logits on test_pinned_logits's fixed input, so
+        # a change to its signature or noise stream shows. The probe takes
+        # no transcendental function, so its logits are hashed unrounded
+        logits = _probe_for(CFG).forward(pinned_packed()).logits
+        got = hashlib.sha256(logits.astype("<f8").tobytes()).hexdigest()[:16]
+        assert got == "ae76122d60f16569"
+
+    def test_probe_path_draws_no_rows(self, monkeypatch):
+        from t3s.aggregator import MeanLogits, decode
+        from t3s.harness import default_experiment_config, run_experiment
+        from t3s.sampler import TokenStrategy
+
+        def no_draw(self, index):
+            raise AssertionError("the probe path drew video rows")
+
+        monkeypatch.setattr(VideoTokenStream, "rows", no_draw)
+        packed, plans, video = make_packed(trials=2, needles=frozenset({2}))
+        probe = _probe_for(CFG)
+        assert probe.forward(packed).logits.shape == (packed.total_length, CFG.vocab)
+        assert len(decode(probe, plans, video, [1, 2], 3, MeanLogits())) == 3
+        base = default_experiment_config(repeats=3)
+        cfg = dataclasses.replace(
+            base,
+            sampler=dataclasses.replace(base.sampler, token_strategy=TokenStrategy.RAND_TOK),
+        )
+        assert cfg.backend == "needle_probe"
+        assert run_experiment(cfg).accuracy >= 0.0
 
     def test_noise_scale_must_stay_below_one(self):
         with pytest.raises(ConfigError):
