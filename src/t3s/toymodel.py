@@ -30,13 +30,19 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 # Queries are processed in fixed-size chunks with keys truncated at the
 # chunk's causal horizon. Each chunk's (heads, chunk, horizon) float64 score
-# tile is read and written by several passes (mask, max, subtract, exp, PV),
-# so it is sized to a 2 MiB per-core L2: at 4 heads a 32-query tile is 1 MB
-# at horizon 1028 and 2 MB at 2052, where a 128-query one spilled at 4-8 MB.
-# Keys before a chunk are all allowed, so only its diagonal block is masked,
-# by this triangle.
+# tile is read and written by three passes (mask, exp, PV), so it is sized to
+# a 2 MiB per-core L2: at 4 heads a 32-query tile is 1 MB at horizon 1028 and
+# 2 MB at 2052, where a 128-query one spilled at 4-8 MB. Keys before a chunk
+# are all allowed, so only its diagonal block is masked, by this triangle.
 _QUERY_CHUNK = 32
 _FUTURE_KEYS = np.triu(np.ones((_QUERY_CHUNK, _QUERY_CHUNK), dtype=bool), k=1)
+
+# Scores reach `exp` already shifted by a per-row bound b >= every score of
+# the row (see `_shift_by_bound`), and no score lies below -b, so a row's
+# largest term is at least exp(-2b). Up to this bound that stays inside the
+# normal double range (exp(-708)); past it a row sum could round to 0 and
+# give NaN.
+_MAX_SCORE_BOUND = 300.0
 
 
 @dataclass(frozen=True)
@@ -155,10 +161,12 @@ class SegmentCache:
     and every later forward must pack that many segments. `lengths[i]` is the
     number of tokens segment i holds so far; `states[i]` is the backend's
     summary of them, so a cache serves one backend. The transformer keeps,
-    per layer, the (keys, values) pair `_attend_segment` reads: keys as
-    (heads, head_dim, tokens), values as (heads, tokens, head_dim + 1) with
-    a ones last column. The needle probe keeps its prefix XOR at the last
-    position and its needle count.
+    per layer, the (keys, values) pair `_attend_segment` reads, keys as
+    (heads, head_dim + 1, tokens) with a ones last row and values as
+    (heads, tokens, head_dim + 1) with a ones last column, plus the (heads,)
+    largest squared key norm among those tokens, so a continuing forward's
+    score bound covers the cached keys. The needle probe keeps its prefix
+    XOR at the last position and its needle count.
     """
 
     def __init__(self):
@@ -198,27 +206,53 @@ def _segment_pair_count(packed: PackedSequence, cached: list[int]) -> int:
     )
 
 
-def _attend_segment(q, kt, va, ctx, received):
-    # q: (heads, n, head_dim) one segment's new queries, already scaled by
-    # 1/sqrt(head_dim); kt: (heads, head_dim, c + n) its c cached keys then
-    # the n new ones, transposed as the score matmul reads them; va: (heads,
-    # c + n, head_dim + 1) the matching values with a ones last column, so
-    # the PV matmul also returns each row's softmax denominator; ctx: (n,
-    # model_dim) output
-    cached = kt.shape[2] - q.shape[1]
-    for c0 in range(0, q.shape[1], _QUERY_CHUNK):
-        c1 = min(c0 + _QUERY_CHUNK, q.shape[1])
+def _attend_segment(qa, kt, va, ctx, received):
+    # qa: (heads, n, head_dim + 1) one segment's new queries, scaled by
+    # 1/sqrt(head_dim), with -b (each row's score bound) as the last column;
+    # kt: (heads, head_dim + 1, c + n) its c cached keys then the n new ones,
+    # transposed as the score matmul reads them, with a ones last row, so
+    # the matmul returns each score minus its row's bound, all <= 0 and
+    # ready for `exp` without a max or subtract pass; va: (heads, c + n,
+    # head_dim + 1) the matching values with a ones last column, so the PV
+    # matmul also returns each row's softmax denominator; ctx: (heads, n,
+    # head_dim) output, a strided view of the (n, model_dim) context rows
+    cached = kt.shape[2] - qa.shape[1]
+    for c0 in range(0, qa.shape[1], _QUERY_CHUNK):
+        c1 = min(c0 + _QUERY_CHUNK, qa.shape[1])
         horizon = cached + c1
-        scores = q[:, c0:c1] @ kt[:, :, :horizon]
+        scores = qa[:, c0:c1] @ kt[:, :, :horizon]
         future = _FUTURE_KEYS[: c1 - c0, : c1 - c0]
         np.copyto(scores[:, :, cached + c0 :], _NEG_INF, where=future)
-        scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         heads_ctx = scores @ va[:, :horizon]
         sums = heads_ctx[:, :, -1:]
         if received is not None:
             received[:horizon] += (scores / sums).sum(axis=(0, 1))
-        ctx[c0:c1] = _merge_heads(heads_ctx[:, :, :-1] / sums)
+        np.divide(heads_ctx[:, :, :-1], sums, out=ctx[:, c0:c1])
+
+
+def _shift_by_bound(qa, kt, starts, lengths, past_sq_max, layer):
+    # writes -b_i into qa's last column, where b_i = |q_i| * max |k_j| over
+    # the keys of row i's segment, cached ones included, so q_i.k_j <= b_i
+    # (Cauchy-Schwarz); qa and kt as `_attend_segment` reads them, with
+    # segments starting at `starts`; past_sq_max: None, or per segment the
+    # (heads,) largest squared norm among its cached keys. Returns the
+    # (heads, segments) largest squared key norms, cached ones included.
+    hd = qa.shape[2] - 1
+    q_sq = np.einsum("htd,htd->ht", qa[:, :, :hd], qa[:, :, :hd])
+    k_sq = np.einsum("hdt,hdt->ht", kt[:, :hd], kt[:, :hd])
+    k_sq_max = np.maximum.reduceat(k_sq, starts, axis=1)
+    if past_sq_max is not None:
+        np.maximum(k_sq_max, np.array(past_sq_max).T, out=k_sq_max)
+    bound = np.sqrt(q_sq * np.repeat(k_sq_max, lengths, axis=1))
+    top = bound.max()
+    if top > _MAX_SCORE_BOUND:
+        raise ContractError(
+            f"layer {layer}: attention score bound {top:.4g} exceeds "
+            f"{_MAX_SCORE_BOUND:g}; exp of the shifted scores would underflow"
+        )
+    np.negative(bound, out=qa[:, :, hd])
+    return k_sq_max
 
 
 class SeededTransformer:
@@ -279,31 +313,38 @@ class SeededTransformer:
         pair_count = cfg.layers * cfg.heads * _segment_pair_count(packed, cached)
         received = np.zeros(packed.total_length) if collect_received else None
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
-        # per segment, per layer: (keys, values) as `_attend_segment` reads them
+        # per segment, per layer: (keys, values, largest squared key norm)
         kept = [[] for _ in blocks]
         heads, hd = cfg.heads, self.head_dim
+        starts = [b for b, _ in blocks]
+        lengths = [e - b for b, e in blocks]
 
         for layer in range(cfg.layers):
             h = layer_norm(x)
             q = h @ w[f"layer{layer}.attn_query"]
-            q *= inv_sqrt
+            qa = np.empty((heads, len(q), hd + 1))
+            np.multiply(_split_heads(q, heads, hd), inv_sqrt, out=qa[:, :, :hd])
+            del q
             k = h @ w[f"layer{layer}.attn_key"]
             v = h @ w[f"layer{layer}.attn_value"]
-            qh = _split_heads(q, heads, hd)
-            kt = np.ascontiguousarray(k.reshape(-1, heads, hd).transpose(1, 2, 0))
+            kt = np.ones((heads, hd + 1, len(k)))
+            kt[:, :hd] = k.reshape(-1, heads, hd).transpose(1, 2, 0)
             va = np.ones((heads, len(v), hd + 1))
             va[:, :, :hd] = _split_heads(v, heads, hd)
-            ctx = np.empty_like(q)
+            past_sq_max = [p[layer][2] for p in past] if any(cached) else None
+            k_sq_max = _shift_by_bound(qa, kt, starts, lengths, past_sq_max, layer)
+            ctx = np.empty((len(v), cfg.model_dim))
+            ctx_heads = _split_heads(ctx, heads, hd)
             for i, (b, e) in enumerate(blocks):
                 k_seg, v_seg = kt[:, :, b:e], va[:, b:e]
                 if cached[i]:
-                    k_past, v_past = past[i][layer]
+                    k_past, v_past, _ = past[i][layer]
                     k_seg = np.concatenate([k_past, k_seg], axis=2)
                     v_seg = np.concatenate([v_past, v_seg], axis=1)
                 if cache is not None:
-                    kept[i].append((k_seg, v_seg))
+                    kept[i].append((k_seg, v_seg, k_sq_max[:, i]))
                 seg_received = None if received is None else received[b:e]
-                _attend_segment(qh[:, b:e], k_seg, v_seg, ctx[b:e], seg_received)
+                _attend_segment(qa[:, b:e], k_seg, v_seg, ctx_heads[:, b:e], seg_received)
             x = x + ctx @ w[f"layer{layer}.attn_out"]
             h2 = layer_norm(x)
             x = x + _gelu(h2 @ w[f"layer{layer}.ffn_in"]) @ w[f"layer{layer}.ffn_out"]
@@ -324,11 +365,6 @@ class SeededTransformer:
 
 def _split_heads(x: np.ndarray, heads: int, head_dim: int) -> np.ndarray:
     return x.reshape(len(x), heads, head_dim).transpose(1, 0, 2)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    heads, length, head_dim = x.shape
-    return x.transpose(1, 0, 2).reshape(length, heads * head_dim)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:

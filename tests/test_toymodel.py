@@ -485,6 +485,123 @@ class TestSegmentCache:
         assert cache.lengths == lengths and cache.states is states
 
 
+def scaled_scores(scale, layers=None):
+    """A CFG model whose query and key weights are each multiplied by
+    sqrt(scale) in `layers` (default: every layer), so its attention scores
+    are `scale` times the seeded model's there."""
+    model = build_model(CFG)
+    for layer in range(CFG.layers) if layers is None else layers:
+        for name in ("attn_query", "attn_key"):
+            model.weights[f"layer{layer}.{name}"] *= math.sqrt(scale)
+    return model
+
+
+def layer0_norms(model, packed):
+    """(total, heads) squared norms of every position's layer-0 queries
+    (scaled by 1/sqrt(head_dim)) and keys, computed directly from the
+    weights."""
+    from t3s.toymodel import _sinusoidal
+
+    cfg, w = model.config, model.weights
+    x = packed.embeddings.copy()
+    ids = packed.token_ids
+    x[ids >= 0] = w["token_embedding"][ids[ids >= 0]]
+    h = layer_norm(x + _sinusoidal(packed.pos_in_segment, cfg.model_dim))
+    q, k = (h @ w[f"layer0.attn_{name}"] for name in ("query", "key"))
+    norms = [(a.reshape(len(a), cfg.heads, -1) ** 2).sum(axis=2) for a in (q, k)]
+    return norms[0] / model.head_dim, norms[1]
+
+
+class TestScoreBound:
+    """Scores reach `exp` shifted by a per-row Cauchy-Schwarz bound instead of
+    the row max; the softmax must not change, whatever the score scale."""
+
+    @pytest.mark.parametrize("scale", [1, 8, 30])
+    def test_large_scores_match_dense_oracle(self, scale):
+        # the largest bound is about 7 at scale 1 and 240 at scale 30, below
+        # the guard's 300; the segments sit on and around chunk seams,
+        # several per pass, so each gets its own bound
+        model = scaled_scores(scale)
+        g = Rng(scale).generator()
+        for lengths in (SEAM_LENGTHS[:5], SEAM_LENGTHS[5:]):
+            packed = segments_of(MIXED_VIDEO, [mixed_segment(g, n) for n in lengths])
+            mask_matrix = block_causal_matrix(packed)
+            mats, logits = materialized_attention(model, packed, mask_matrix)
+            assert np.abs(model.forward(packed).logits - logits).max() < 1e-9
+            oracle = received_oracle(mats, mask_matrix)
+            assert np.abs(model.attention_received(packed) - oracle).max() < 1e-9
+
+    def test_bound_past_the_limit_raises(self):
+        # layer 1's scores scaled 150x put its largest bound near 620, past
+        # the 300 the guard allows: the forward names the layer instead of
+        # returning NaN logits
+        model = scaled_scores(150, layers=[1])
+        packed, _, _ = make_packed(trials=2)
+        with pytest.raises(ContractError, match="layer 1: attention score bound"):
+            model.forward(packed)
+        with pytest.raises(ContractError, match="layer 1: attention score bound"):
+            model.attention_received(packed)
+
+    def test_cached_bound_grows(self):
+        # segment 0 is continued by a token whose layer-0 key is longer than
+        # every cached key's, then by an ordinary one; the cache must keep
+        # the grown key-norm maximum, so the ordinary token's bound still
+        # covers the long key, and every step must match a cache-free forward
+        model = scaled_scores(8)
+        # tokens whose layer-0 head-0 key or query is as long as the weights
+        # allow: the top left singular vector of the head's block, centred
+        # since layer norm output has zero mean
+        long_key, long_query = 9, 10
+        for token, name in ((long_key, "key"), (long_query, "query")):
+            block = model.weights[f"layer0.attn_{name}"][:, : model.head_dim]
+            top = np.linalg.svd(block - block.mean(axis=0))[0][:, 0]
+            model.weights["token_embedding"][token] = 30.0 * top
+        rows = MIXED_VIDEO.num_frames * MIXED_VIDEO.tokens_per_frame
+        g = Rng(5).generator()
+        steps = [
+            [-1 - g.integers(0, rows, 40), -1 - g.integers(0, rows, 37)],
+            [[long_key], [2]],
+            [[3], [4]],
+        ]
+        cache = SegmentCache()
+        parts = [np.empty(0, dtype=np.int64)] * 2
+        for k, step in enumerate(steps):
+            parts = [np.concatenate([p, s]) for p, s in zip(parts, step)]
+            full = segments_of(MIXED_VIDEO, parts)
+            got = model.forward(segments_of(MIXED_VIDEO, step), cache).logits
+            new_rows = np.concatenate(
+                [np.arange(s.start + s.length - len(n), s.start + s.length)
+                 for s, n in zip(full.segments, step)]
+            )
+            assert np.abs(got - model.forward(full).logits[new_rows]).max() < 1e-9
+            _, k_sq = layer0_norms(model, full)
+            for i, s in enumerate(full.segments):
+                seg = k_sq[s.start : s.start + s.length]
+                if k == 1 and i == 0:
+                    # the premise: the new key outgrows every cached one
+                    assert seg[-1].max() > 2.0 * seg[:-1].max()
+                assert np.allclose(cache.states[i][0][2], seg.max(axis=0), rtol=1e-12)
+
+        # one more token per segment, a long query in segment 0, with layer
+        # 0's queries scaled so that only that query's product with the
+        # cached long key passes the guard: the bound must read the cache
+        step = [[long_query], [6]]
+        full = segments_of(MIXED_VIDEO, [np.concatenate([p, s]) for p, s in zip(parts, step)])
+        q_sq, k_sq = layer0_norms(model, full)
+        last = [s.start + s.length - 1 for s in full.segments]
+        long_at = full.segments[0].start + len(steps[0][0])
+        with_long = (q_sq[last[0]] * k_sq[long_at]).max()
+        k_sq[long_at] = 0.0
+        others = max(
+            (q_sq[p] * k_sq[s.start : p + 1].max(axis=0)).max()
+            for s, p in zip(full.segments, last)
+        )
+        assert with_long > 1.1 * others
+        model.weights["layer0.attn_query"] *= 300.0 / math.sqrt(math.sqrt(with_long * others))
+        with pytest.raises(ContractError, match="layer 0: attention score bound"):
+            model.forward(segments_of(MIXED_VIDEO, step), cache)
+
+
 def textbook_gelu(x):
     return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
