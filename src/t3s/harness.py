@@ -27,6 +27,7 @@ from .aggregator import (
     CrossRefine,
     MeanLogits,
     decode,
+    fuse_token,
 )
 from .costmodel import CostReport, measure
 from .errors import ConfigError, ContractError
@@ -41,9 +42,19 @@ from .sampler import (
     closed_form_coverage,
     sample_frame_indices,
 )
-from .toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model
+from .toymodel import (
+    ModelConfig,
+    NeedleProbe,
+    VideoTokenStream,
+    build_model,
+    probe_last_logits,
+)
 
 _MASK64 = (1 << 64) - 1
+
+# Needle-probe tasks per `probe_last_logits` pass: it bounds the pass's
+# memory, and no result depends on it.
+_PROBE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -307,8 +318,12 @@ def run_experiment(
     coverage diagnostics, and a cost report. With `latency_repeats`, the cost
     report also holds median first-token latencies over that many runs.
 
-    The transformer backend is one shared model; the needle-probe backend is
-    a fresh probe per task."""
+    Tasks are drawn in blocks of `_PROBE_BLOCK` repeats. The transformer
+    backend is one shared model that decodes each task's trials in turn. The
+    needle-probe backend packs each task's trials, takes every segment's
+    last-position logits from one `probe_last_logits` pass per block, and
+    fuses them per task; the tokens are those a fresh probe per task would
+    `decode`."""
     s = cfg.sampler
     on_transformer = cfg.backend == "seeded_transformer"
     attn_top = s.token_strategy is TokenStrategy.ATTN_TOP
@@ -319,33 +334,34 @@ def run_experiment(
     trial_cover = np.zeros(s.trials, dtype=np.int64)
     trial_survive = np.zeros(s.trials, dtype=np.float64)
 
-    for rep in range(cfg.repeats):
-        task = gen_task(
-            s.total_frames,
-            s.tokens_per_frame,
-            cfg.task.needle_count,
-            _task_seed(cfg.seed, rep),
-            cfg.model,
-            noise_scale=cfg.task.noise_scale,
-            question_len=cfg.task.question_len,
-        )
-        scores_fn = partial(_attn_scores, task, transformer) if attn_top else None
-        plans = build_trial_plans(s, root.child(rep), attn_scores_fn=scores_fn)
-        backend = transformer if on_transformer else probe_for_task(task, cfg.model)
-        tokens = decode(
-            backend, plans, task.video, task.question, steps=1, strategy=cfg.strategy
-        )
-        hits += int(tokens[0] == task.answer)
+    for block_start in range(0, cfg.repeats, _PROBE_BLOCK):
+        block = []
+        for rep in range(block_start, min(block_start + _PROBE_BLOCK, cfg.repeats)):
+            task = gen_task(
+                s.total_frames,
+                s.tokens_per_frame,
+                cfg.task.needle_count,
+                _task_seed(cfg.seed, rep),
+                cfg.model,
+                noise_scale=cfg.task.noise_scale,
+                question_len=cfg.task.question_len,
+            )
+            scores_fn = partial(_attn_scores, task, transformer) if attn_top else None
+            plans = build_trial_plans(s, root.child(rep), attn_scores_fn=scores_fn)
+            block.append((task, plans))
 
-        covers = [bool(task.video.needle_mask[p.frame_indices].any()) for p in plans]
-        trial_cover += covers
-        trial_survive += [surviving_needle_tokens(p, task) for p in plans]
-        covered_any += any(covers)
-        if rep == 0:
-            first = (task, plans, backend)
+            covers = [bool(task.video.needle_mask[p.frame_indices].any()) for p in plans]
+            trial_cover += covers
+            trial_survive += [surviving_needle_tokens(p, task) for p in plans]
+            covered_any += any(covers)
+        if block_start == 0:
+            first = block[0]
+        tokens = _first_tokens(cfg, transformer, block)
+        hits += sum(token == task.answer for token, (task, _) in zip(tokens, block))
 
     # kept after the loop: made during rep 0, it moved peak RSS ~2% by allocation order
-    cost = _cost_report(cfg, *first, latency_repeats)
+    backend = transformer if on_transformer else probe_for_task(first[0], cfg.model)
+    cost = _cost_report(cfg, *first, backend, latency_repeats)
     per_trial = [
         {
             "trial": i,
@@ -364,6 +380,21 @@ def run_experiment(
         cost=cost,
         backend=cfg.backend,
     )
+
+
+def _first_tokens(cfg, transformer, block) -> list[int]:
+    """The fused first token of each (task, plans) of a block."""
+    if cfg.backend == "seeded_transformer":
+        return [
+            decode(transformer, plans, task.video, task.question, 1, cfg.strategy)[0]
+            for task, plans in block
+        ]
+    rows = probe_last_logits(
+        [probe_for_task(task, cfg.model) for task, _ in block],
+        [pack(plans, task.video, task.question) for task, plans in block],
+    )
+    m = cfg.sampler.trials
+    return [fuse_token(rows[b : b + m], cfg.strategy) for b in range(0, len(rows), m)]
 
 
 def _cost_report(cfg, task, plans, backend, latency_repeats) -> CostReport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -409,6 +409,34 @@ _SIG_ID_TAG = 0xA5A5A5A5A5A5A5A5
 _SIG_ROW_TAG = 0x5A5A5A5A5A5A5A5A
 _SIG_SEED_TAG = 0xC3C3C3C3C3C3C3C3
 _SIG_POS_TAG = 0x3C3C3C3C3C3C3C3C
+_MASK64 = (1 << 64) - 1
+
+
+def _row_key(video) -> int:
+    # the word every row signature of `video` is mixed with
+    return mix64(video.key ^ _SIG_ROW_TAG)
+
+
+def _keyed_signatures(token_ids, rows, row_keys, positions) -> np.ndarray:
+    # keyed[j] of NeedleProbe's docstring at every position: token_ids and
+    # rows as a PackedSequence holds them, row_keys the `_row_key` of each
+    # visual position's video (one uint64, or one per visual position), and
+    # positions each position's index in its segment, cached tokens included
+    sig = mix64(token_ids.astype(np.uint64) ^ np.uint64(_SIG_ID_TAG))
+    sig[token_ids < 0] = mix64(rows.astype(np.uint64) ^ row_keys)
+    return mix64(sig ^ mix64(positions.astype(np.uint64) ^ np.uint64(_SIG_POS_TAG)))
+
+
+def _noise_logits(acc, seeds, noise_scale, vocab: int) -> np.ndarray:
+    # (len(acc), vocab) noise in [-noise_scale, noise_scale], row i seeded by
+    # its prefix XOR acc[i] and its probe's seed; seeds (uint64, each seed
+    # & _MASK64) and noise_scale broadcast against the rows
+    hashes = mix64(acc ^ mix64(seeds ^ np.uint64(_SIG_SEED_TAG)))
+    dmix = mix64(np.arange(7, 7 + vocab, dtype=np.uint64))
+    u = (mix64(hashes[:, None] ^ dmix[None, :]) >> np.uint64(11)).astype(
+        np.float64
+    ) * (1.0 / (1 << 53))
+    return u * (2.0 * noise_scale) - noise_scale
 
 
 class NeedleProbe:
@@ -430,7 +458,8 @@ class NeedleProbe:
     acc[p] = keyed[0] ^ ... ^ keyed[p], and its noise is seeded by
     mix64(acc[p] ^ mix64(seed ^ _SIG_SEED_TAG)). Given a `SegmentCache`, a
     forward keeps each segment's acc at its last position and its needle
-    count.
+    count. `probe_last_logits` gives the last positions' rows of many
+    forwards at once.
     """
 
     max_positions: Optional[int] = None
@@ -453,12 +482,12 @@ class NeedleProbe:
         # per segment: the prefix XOR of its keyed signatures and its needle count
         cached, past = (cache or SegmentCache()).continued(packed, (0, 0))
         video, rows, visual = packed.video, packed.rows, packed.token_ids < 0
-        sig = mix64(packed.token_ids.astype(np.uint64) ^ np.uint64(_SIG_ID_TAG))
-        sig[visual] = mix64(rows.astype(np.uint64) ^ np.uint64(mix64(video.key ^ _SIG_ROW_TAG)))
+        keyed = _keyed_signatures(
+            packed.token_ids, rows, np.uint64(_row_key(video)),
+            _continued_positions(packed, cached),
+        )
         is_needle = np.zeros(packed.total_length, dtype=bool)
         is_needle[visual] = video.needle_mask[rows // video.tokens_per_frame]
-        positions = _continued_positions(packed, cached).astype(np.uint64)
-        keyed = mix64(sig ^ mix64(positions ^ np.uint64(_SIG_POS_TAG)))
         acc = np.empty(packed.total_length, dtype=np.uint64)
         counts = np.empty(packed.total_length, dtype=np.int64)
         for s, (state, needles) in zip(packed.segments, past):
@@ -468,12 +497,62 @@ class NeedleProbe:
         if cache is not None:
             cache.extend(packed, [(int(acc[p]), int(counts[p])) for p in last_positions(packed)])
 
-        seed_mixed = mix64((self.seed & ((1 << 64) - 1)) ^ _SIG_SEED_TAG)
-        hashes = mix64(acc ^ np.uint64(seed_mixed))
-        dmix = mix64(np.arange(7, 7 + self.vocab, dtype=np.uint64))
-        u = (mix64(hashes[:, None] ^ dmix[None, :]) >> np.uint64(11)).astype(
-            np.float64
-        ) * (1.0 / (1 << 53))
-        logits = u * (2.0 * self.noise_scale) - self.noise_scale
+        seed = np.array([self.seed & _MASK64], dtype=np.uint64)
+        logits = _noise_logits(acc, seed, self.noise_scale, self.vocab)
         logits[:, self.answer_token] = counts
         return ForwardResult(logits, _segment_pair_count(packed, cached))
+
+
+def probe_last_logits(
+    probes: Sequence[NeedleProbe],
+    packs: Sequence[PackedSequence],
+    caches: Optional[Sequence[Optional[SegmentCache]]] = None,
+) -> np.ndarray:
+    """`probe.forward(packed, cache).logits[last_positions(packed)]` for each
+    (probe, packed, cache) in order, stacked into one (segments, vocab)
+    array, bit for bit.
+
+    One pass over every position of every sequence gives each segment's end
+    state: its prefix XOR by `np.bitwise_xor.reduceat` and its needle count
+    by `np.add.reduceat` over the segment starts, so noise is drawn for the
+    last rows only. `caches`, one per sequence (None for none), are read and
+    not extended. The probes must share one vocabulary.
+    """
+    if len({p.vocab for p in probes}) != 1 or len(probes) != len(packs):
+        raise ContractError("need one probe per packed sequence, all of one vocabulary")
+    caches = caches or [None] * len(packs)
+    lengths, cached, states, needles = [], [], [], []
+    for packed, cache in zip(packs, caches):
+        seen, past = (cache or SegmentCache()).continued(packed, (0, 0))
+        lengths += [s.length for s in packed.segments]
+        cached += seen
+        states += [state for state, _ in past]
+        needles += [count for _, count in past]
+    starts = np.cumsum(lengths) - lengths
+    token_ids = np.concatenate([p.token_ids for p in packs])
+    visual = [len(p.rows) for p in packs]
+    keyed = _keyed_signatures(
+        token_ids,
+        np.concatenate([p.rows for p in packs]),
+        np.repeat(np.array([_row_key(p.video) for p in packs], dtype=np.uint64), visual),
+        np.arange(len(token_ids)) - np.repeat(starts - cached, lengths),
+    )
+    acc = np.bitwise_xor.reduceat(keyed, starts) ^ np.array(states, dtype=np.uint64)
+    is_needle = np.zeros(len(token_ids), dtype=np.int64)
+    is_needle[token_ids < 0] = np.concatenate(
+        [p.video.needle_mask[p.rows // p.video.tokens_per_frame] for p in packs]
+    )
+    counts = np.add.reduceat(is_needle, starts) + needles
+
+    per_segment = [p.num_segments for p in packs]
+    seeds = np.array([p.seed & _MASK64 for p in probes], dtype=np.uint64)
+    noise = np.array([p.noise_scale for p in probes])
+    logits = _noise_logits(
+        acc,
+        np.repeat(seeds, per_segment),
+        np.repeat(noise, per_segment)[:, None],
+        probes[0].vocab,
+    )
+    answers = np.repeat([p.answer_token for p in probes], per_segment)
+    logits[np.arange(len(acc)), answers] = counts
+    return logits

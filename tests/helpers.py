@@ -3,17 +3,30 @@ a lazy video drawn at once, packed sequences built directly from row and
 vocabulary ids, a direct single-sequence greedy baseline that shares no code
 with the sampler or the multi-trial packer paths, the multi-trial decode that
 recomputes the whole packed sequence every step, the sampler's trial-plan
-postcondition, a structural dump of packed sequences for golden tests, and
-each position's segment id."""
+postcondition, a structural dump of packed sequences for golden tests,
+each position's segment id, and `run_experiment` as a loop of one task at a
+time."""
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from t3s.aggregator import fuse_token
+from t3s.aggregator import decode, fuse_token
+from t3s.harness import (
+    ExperimentReport,
+    _attn_scores,
+    _cost_report,
+    _task_seed,
+    config_hash,
+    gen_task,
+    probe_for_task,
+    surviving_needle_tokens,
+)
+from t3s.numkernel import Rng
 from t3s.packer import PackedSequence, Segment, append_token, last_positions, pack
-from t3s.sampler import SamplerConfig, TrialPlan, kept_tokens
-from t3s.toymodel import VideoTokenStream
+from t3s.sampler import SamplerConfig, TokenStrategy, TrialPlan, build_trial_plans, kept_tokens
+from t3s.toymodel import VideoTokenStream, build_model
 
 
 class ArrayVideo:
@@ -122,4 +135,52 @@ def segment_ids(packed: PackedSequence) -> np.ndarray:
     """The segment of each flat position, read off the segment table."""
     return np.repeat(
         np.arange(packed.num_segments), [s.length for s in packed.segments]
+    )
+
+
+def per_task_experiment(cfg) -> ExperimentReport:
+    """Oracle for `run_experiment`: one task at a time, drawn, planned and
+    decoded for one step on its own backend (the shared transformer, or a
+    fresh needle probe), with the same cost report."""
+    s = cfg.sampler
+    attn_top = s.token_strategy is TokenStrategy.ATTN_TOP
+    on_transformer = cfg.backend == "seeded_transformer"
+    transformer = build_model(cfg.model) if on_transformer or attn_top else None
+    hits = covered_any = 0
+    trial_cover = np.zeros(s.trials, dtype=np.int64)
+    trial_survive = np.zeros(s.trials, dtype=np.float64)
+    for rep in range(cfg.repeats):
+        task = gen_task(
+            s.total_frames, s.tokens_per_frame, cfg.task.needle_count,
+            _task_seed(cfg.seed, rep), cfg.model,
+            noise_scale=cfg.task.noise_scale, question_len=cfg.task.question_len,
+        )
+        scores_fn = partial(_attn_scores, task, transformer) if attn_top else None
+        plans = build_trial_plans(s, Rng(cfg.seed).child(rep), attn_scores_fn=scores_fn)
+        backend = transformer if on_transformer else probe_for_task(task, cfg.model)
+        token = decode(backend, plans, task.video, task.question, steps=1, strategy=cfg.strategy)[0]
+        hits += int(token == task.answer)
+        covers = [bool(task.video.needle_mask[p.frame_indices].any()) for p in plans]
+        trial_cover += covers
+        trial_survive += [surviving_needle_tokens(p, task) for p in plans]
+        covered_any += any(covers)
+        if rep == 0:
+            first = (task, plans, backend)
+    per_trial = [
+        {
+            "trial": i,
+            "coverage": trial_cover[i] / cfg.repeats,
+            "mean_surviving_needle_tokens": trial_survive[i] / cfg.repeats,
+        }
+        for i in range(s.trials)
+    ]
+    return ExperimentReport(
+        config_hash=config_hash(cfg),
+        seed=cfg.seed,
+        repeats=cfg.repeats,
+        accuracy=hits / cfg.repeats,
+        any_trial_coverage=covered_any / cfg.repeats,
+        per_trial=per_trial,
+        cost=_cost_report(cfg, *first, None),
+        backend=cfg.backend,
     )

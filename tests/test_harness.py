@@ -4,6 +4,7 @@ and the CLI surface."""
 import csv
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from t3s.sampler import (
 )
 from t3s.toymodel import ModelConfig, VideoTokenStream, build_model
 
-from helpers import baseline_greedy_decode, materialise, single_sequence
+from helpers import baseline_greedy_decode, materialise, per_task_experiment, single_sequence
 
 MODEL = ModelConfig(layers=2, model_dim=16, heads=2, vocab=64, max_positions=4096, init_seed=4)
 
@@ -300,6 +301,98 @@ class TestBaselineReduction:
         assert seq.total_length == 8
         assert seq.num_segments == 1
         assert list(seq.token_ids[-2:]) == [4, 5]
+
+
+TINY_MODEL = ModelConfig(layers=1, model_dim=8, heads=2, vocab=8, max_positions=256)
+
+
+@st.composite
+def tiny_experiments(draw) -> ExperimentConfig:
+    """Small configs over every fusion rule (cross_refine at k = 1, 2 and
+    vocab), 1-4 trials, both frame methods, frame reuse, every token
+    strategy, 0-2 needles, probe noise 0 and 0.1, and 1-5 question tokens."""
+    trials = draw(st.integers(1, 4))
+    total_frames = draw(st.integers(1, 8))
+    vocab = draw(st.sampled_from([4, 8]))
+    strategies = [MeanLogits(), ConfidenceWeighted()]
+    if trials == 2:
+        strategies += [CrossRefine(1), CrossRefine(2), CrossRefine(vocab)]
+    return ExperimentConfig(
+        sampler=SamplerConfig(
+            total_frames=total_frames,
+            frames_per_trial=draw(st.integers(1, total_frames)),
+            tokens_per_frame=draw(st.integers(1, 3)),
+            trials=trials,
+            ratios=tuple(draw(st.sampled_from([0.1, 0.3, 0.5, 1.0])) for _ in range(trials)),
+            frame_method=draw(st.sampled_from(FrameMethod)),
+            token_strategy=draw(st.sampled_from(TokenStrategy)),
+            reuse_frames=draw(st.booleans()),
+        ),
+        model=replace(TINY_MODEL, vocab=vocab),
+        strategy=draw(st.sampled_from(strategies)),
+        task=TaskParams(
+            needle_count=draw(st.integers(0, min(2, total_frames))),
+            noise_scale=draw(st.sampled_from([0.0, 0.1])),
+            question_len=draw(st.integers(1, 5)),
+        ),
+        repeats=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestProbeBlocks:
+    """The needle-probe backend runs a block of tasks per end-state pass;
+    its reports equal those of one task at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=tiny_experiments())
+    def test_matches_per_task_reference(self, cfg):
+        assert run_experiment(cfg) == per_task_experiment(cfg)
+
+    @pytest.mark.parametrize("block", [1, 3, 1000])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            small_config(repeats=40, strategy=CrossRefine(2), sampler=replace(
+                small_config().sampler, ratios=(0.5, 0.3))),
+            small_config(repeats=25, seed=3, sampler=replace(
+                small_config().sampler, trials=3, ratios=(0.3, 0.5, 1.0))),
+        ],
+        ids=["cross_refine", "mean_3_trials"],
+    )
+    def test_block_size_leaves_report_unchanged(self, monkeypatch, cfg, block):
+        want = per_task_experiment(cfg)
+        monkeypatch.setattr(t3s.harness, "_PROBE_BLOCK", block)
+        assert run_experiment(cfg) == want
+
+    def test_peak_memory_does_not_grow_with_repeats(self):
+        # each block is freed before the next is drawn; one pass over every
+        # repeat at once would hold about 3 MB more per 1000 repeats here
+        cfg = small_config(
+            sampler=SamplerConfig(
+                total_frames=8,
+                frames_per_trial=2,
+                tokens_per_frame=2,
+                trials=1,
+                ratios=(1.0,),
+                frame_method=FrameMethod.UNIFORM,
+                token_strategy=TokenStrategy.UNI_TOK,
+            ),
+            task=TaskParams(question_len=1),
+        )
+
+        def peak(repeats):
+            tracemalloc.reset_peak()
+            run_experiment(replace(cfg, repeats=repeats))
+            return tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            peak(20)  # first-use allocations
+            small, large = peak(200), peak(2000)
+        finally:
+            tracemalloc.stop()
+        assert large - small < 256 * 1024, (small, large)
 
 
 class TestSweep:

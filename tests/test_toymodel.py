@@ -28,6 +28,7 @@ from t3s.toymodel import (
     _gelu,
     build_model,
     needle_direction,
+    probe_last_logits,
 )
 
 from helpers import materialise, segment_ids, segments_of
@@ -695,6 +696,65 @@ class TestAttentionReceived:
             expected = [np.mean(1.0 / np.arange(j + 1, n + 1)) for j in range(n)]
             span = slice(seg.start, seg.start + n)
             assert np.abs(got[span] - expected).max() < 1e-12
+
+
+def random_probe_inputs(seed, continued):
+    """Per flag of `continued`: a probe, a packed sequence and its cache (or
+    None). Each sequence has its own video, needle frames, segment count and
+    probe parameters; a True flag first forwards a random prefix of every
+    segment into a new cache, which the sequence then continues."""
+    g = Rng(seed).generator()
+    probes, packs, caches = [], [], []
+    for cont in continued:
+        frames, per_frame = int(g.integers(1, 9)), int(g.integers(1, 4))
+        needles = frozenset(int(f) for f in np.flatnonzero(g.random(frames) < 0.3))
+        video = VideoTokenStream(frames, per_frame, CFG.model_dim, int(g.integers(0, 2**63)), needles)
+        probe = NeedleProbe(
+            int(g.integers(0, CFG.vocab)), CFG.vocab,
+            noise_scale=float(g.choice([0.0, 0.05, 0.5])), seed=int(g.integers(-(2**62), 2**62)),
+        )
+        segments = int(g.integers(1, 4))
+
+        def parts():
+            lengths = g.integers(1, 12, segments)
+            return [
+                np.where(g.random(n) < 0.3, g.integers(0, CFG.vocab, n), -1 - g.integers(0, frames * per_frame, n))
+                for n in lengths
+            ]
+
+        cache = None
+        if cont:
+            cache = SegmentCache()
+            probe.forward(segments_of(video, parts()), cache)
+        probes.append(probe)
+        packs.append(segments_of(video, parts()))
+        caches.append(cache)
+    return probes, packs, caches
+
+
+class TestProbeLastLogits:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        continued=st.lists(st.booleans(), min_size=1, max_size=5),
+    )
+    def test_rows_equal_forward_at_last_positions(self, seed, continued):
+        probes, packs, caches = random_probe_inputs(seed, continued)
+        before = [(c.lengths, c.states) if c else None for c in caches]
+        got = probe_last_logits(probes, packs, caches)
+        # the pass reads the caches and leaves them as they were
+        assert [(c.lengths, c.states) if c else None for c in caches] == before
+        want = [
+            probe.forward(packed, cache).logits[last_positions(packed)]
+            for probe, packed, cache in zip(probes, packs, caches)
+        ]
+        assert np.array_equal(got, np.concatenate(want))
+
+    def test_one_vocabulary(self):
+        packed, _, _ = make_packed()
+        probes = [_probe_for(CFG), NeedleProbe(3, CFG.vocab + 1)]
+        with pytest.raises(ContractError):
+            probe_last_logits(probes, [packed, packed])
 
 
 class TestNeedleProbe:
