@@ -3,8 +3,8 @@ and first-token wall-clock measurement, gathered into one CostReport.
 
 The theoretical model prices a length-L causal pass at L^2 and the m-trial
 pass at L^2 * sum(alpha_i^2); the exact counterpart counts the causal
-triangles the block-diagonal causal rule allows, which the forward
-instrumentation reports as integers.
+triangles the block-diagonal causal rule allows, as integers that each
+backend's `pair_count` reads off the segment layout, without a forward.
 """
 
 from __future__ import annotations
@@ -73,9 +73,10 @@ def measure(
     """The cost report of a single-segment baseline and a multi-trial pass.
 
     L is the baseline's visual tokens (the question is not L); pair counts
-    come from one untimed forward per path. With `repeats`, tau1/tau2 are
-    the medians of that many timed runs per path, each from forward start to
-    the first aggregated token; without, they stay None.
+    come from `backend.pair_count`, without a forward. With `repeats`, each
+    path gets one untimed forward, then tau1/tau2 are the medians of that
+    many timed runs per path, each from forward start to the first
+    aggregated token; without, they stay None and nothing is forwarded.
     """
     if repeats is not None and repeats < 3:
         raise ContractError(f"repeats must be >= 3, got {repeats}")
@@ -84,12 +85,13 @@ def measure(
     strategy = strategy or MeanLogits()
     L = int((baseline_packed.token_ids < 0).sum())
     base, multi, speedup = theoretical_costs(L, alphas)
-    # the counting forwards double as warmups, keeping allocator effects
-    # out of the medians
-    pairs_base = backend.forward(baseline_packed).pair_count
-    pairs_multi = backend.forward(multi_packed).pair_count
+    pairs_base = backend.pair_count(baseline_packed)
+    pairs_multi = backend.pair_count(multi_packed)
     tau1 = tau2 = None
     if repeats is not None:
+        # warmups, keeping allocator effects out of the medians
+        backend.forward(baseline_packed)
+        backend.forward(multi_packed)
         # interleaved, so drift in machine speed hits both paths alike
         samples = [
             (

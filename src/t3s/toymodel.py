@@ -3,13 +3,16 @@
 Both backends share one forward contract: given a packed sequence they return
 per-position logits plus the exact count of attention score entries the
 block-diagonal causal rule permits (each position attends only backwards
-inside its own segment). Segment positions restart at zero, so the logits a
-segment produces are the same whether it is forwarded packed with other
-segments or alone.
+inside its own segment); `pair_count` gives that count from the segment
+layout alone. Segment positions restart at zero, so the logits a segment
+produces are the same whether it is forwarded packed with other segments or
+alone.
 
 Given a `SegmentCache`, a forward continues the cached segments: segment i of
 its packed sequence extends cached segment i, whose tokens it attends but
-does not recompute, and the cache then holds both.
+does not recompute, and the cache then holds both. The needle probe's
+`forward` and `probe_last_logits`, which gives the last rows of many
+sequences at once, share one kernel.
 """
 
 from __future__ import annotations
@@ -198,8 +201,9 @@ def _continued_positions(packed: PackedSequence, cached: list[int]) -> np.ndarra
     return packed.pos_in_segment + np.repeat(cached, [s.length for s in packed.segments])
 
 
-def _segment_pair_count(packed: PackedSequence, cached: list[int]) -> int:
+def _segment_pair_count(packed: PackedSequence, cache: Optional[SegmentCache]) -> int:
     # n new queries after c cached keys: n*c + n(n+1)/2 allowed entries
+    cached, _ = (cache or SegmentCache()).continued(packed, None)
     return sum(
         s.length * c + s.length * (s.length + 1) // 2
         for s, c in zip(packed.segments, cached)
@@ -279,6 +283,10 @@ class SeededTransformer:
         logits, pairs, _ = self._run(packed, collect_received=False, cache=cache)
         return ForwardResult(logits, pairs)
 
+    def pair_count(self, packed: PackedSequence, cache: Optional[SegmentCache] = None) -> int:
+        """`forward(packed, cache).pair_count`, from the segment layout alone."""
+        return self.config.layers * self.config.heads * _segment_pair_count(packed, cache)
+
     def attention_received(self, packed: PackedSequence) -> np.ndarray:
         """Per-position mean attention weight received, averaged over every
         layer, head, and same-segment query allowed to attend the position."""
@@ -310,7 +318,7 @@ class SeededTransformer:
         cached, past = (cache or SegmentCache()).continued(packed, None)
         x = self._embed(packed, cached)
         blocks = [(s.start, s.start + s.length) for s in packed.segments]
-        pair_count = cfg.layers * cfg.heads * _segment_pair_count(packed, cached)
+        pair_count = self.pair_count(packed, cache)
         received = np.zeros(packed.total_length) if collect_received else None
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
         # per segment, per layer: (keys, values, largest squared key norm)
@@ -412,19 +420,35 @@ _SIG_POS_TAG = 0x3C3C3C3C3C3C3C3C
 _MASK64 = (1 << 64) - 1
 
 
-def _row_key(video) -> int:
-    # the word every row signature of `video` is mixed with
-    return mix64(video.key ^ _SIG_ROW_TAG)
-
-
-def _keyed_signatures(token_ids, rows, row_keys, positions) -> np.ndarray:
-    # keyed[j] of NeedleProbe's docstring at every position: token_ids and
-    # rows as a PackedSequence holds them, row_keys the `_row_key` of each
-    # visual position's video (one uint64, or one per visual position), and
-    # positions each position's index in its segment, cached tokens included
+def _probe_pass(packs, caches):
+    # every position of `packs`, concatenated: keyed[j] of NeedleProbe's
+    # docstring and a 0/1 needle flag; and per segment its start in that
+    # concatenation, its length, and the (prefix XOR, needle count) of its
+    # tokens in `caches` (one per sequence, None for none), (0, 0) on none
+    lengths, cached, past = [], [], []
+    for packed, cache in zip(packs, caches):
+        seen, states = (cache or SegmentCache()).continued(packed, (0, 0))
+        lengths += [s.length for s in packed.segments]
+        cached += seen
+        past += states
+    starts = np.cumsum(lengths) - lengths
+    token_ids = np.concatenate([p.token_ids for p in packs])
+    visual = token_ids < 0
+    row_keys = [mix64(p.video.key ^ _SIG_ROW_TAG) for p in packs]
     sig = mix64(token_ids.astype(np.uint64) ^ np.uint64(_SIG_ID_TAG))
-    sig[token_ids < 0] = mix64(rows.astype(np.uint64) ^ row_keys)
-    return mix64(sig ^ mix64(positions.astype(np.uint64) ^ np.uint64(_SIG_POS_TAG)))
+    sig[visual] = mix64(
+        np.concatenate([p.rows for p in packs]).astype(np.uint64)
+        ^ np.repeat(np.array(row_keys, dtype=np.uint64), [len(p.rows) for p in packs])
+    )
+    positions = np.arange(len(token_ids)) - np.repeat(starts - cached, lengths)
+    keyed = mix64(sig ^ mix64(positions.astype(np.uint64) ^ np.uint64(_SIG_POS_TAG)))
+    is_needle = np.zeros(len(token_ids), dtype=np.int64)
+    is_needle[visual] = np.concatenate(
+        [p.video.needle_mask[p.rows // p.video.tokens_per_frame] for p in packs]
+    )
+    states = np.array([state for state, _ in past], dtype=np.uint64)
+    needles = np.array([count for _, count in past], dtype=np.int64)
+    return keyed, is_needle, starts, lengths, states, needles
 
 
 def _noise_logits(acc, seeds, noise_scale, vocab: int) -> np.ndarray:
@@ -458,8 +482,8 @@ class NeedleProbe:
     acc[p] = keyed[0] ^ ... ^ keyed[p], and its noise is seeded by
     mix64(acc[p] ^ mix64(seed ^ _SIG_SEED_TAG)). Given a `SegmentCache`, a
     forward keeps each segment's acc at its last position and its needle
-    count. `probe_last_logits` gives the last positions' rows of many
-    forwards at once.
+    count. `forward` and `probe_last_logits` read one pass, which builds
+    every position's keyed signature and needle flag.
     """
 
     max_positions: Optional[int] = None
@@ -479,80 +503,50 @@ class NeedleProbe:
     def forward(
         self, packed: PackedSequence, cache: Optional[SegmentCache] = None
     ) -> ForwardResult:
-        # per segment: the prefix XOR of its keyed signatures and its needle count
-        cached, past = (cache or SegmentCache()).continued(packed, (0, 0))
-        video, rows, visual = packed.video, packed.rows, packed.token_ids < 0
-        keyed = _keyed_signatures(
-            packed.token_ids, rows, np.uint64(_row_key(video)),
-            _continued_positions(packed, cached),
-        )
-        is_needle = np.zeros(packed.total_length, dtype=bool)
-        is_needle[visual] = video.needle_mask[rows // video.tokens_per_frame]
-        acc = np.empty(packed.total_length, dtype=np.uint64)
-        counts = np.empty(packed.total_length, dtype=np.int64)
-        for s, (state, needles) in zip(packed.segments, past):
-            seg = slice(s.start, s.start + s.length)
-            acc[seg] = np.bitwise_xor.accumulate(keyed[seg]) ^ np.uint64(state)
-            counts[seg] = needles + np.cumsum(is_needle[seg])
+        keyed, is_needle, starts, lengths, states, needles = _probe_pass([packed], [cache])
+        # one prefix over the whole sequence, re-based at each segment start:
+        # what it held before the start is XORed out (XOR undoes XOR) or
+        # subtracted, and the segment's cached state put in its place
+        acc = np.bitwise_xor.accumulate(keyed)
+        acc ^= np.repeat(acc[starts] ^ keyed[starts] ^ states, lengths)
+        counts = np.cumsum(is_needle)
+        counts += np.repeat(needles - counts[starts] + is_needle[starts], lengths)
+        pairs = self.pair_count(packed, cache)
         if cache is not None:
             cache.extend(packed, [(int(acc[p]), int(counts[p])) for p in last_positions(packed)])
 
         seed = np.array([self.seed & _MASK64], dtype=np.uint64)
         logits = _noise_logits(acc, seed, self.noise_scale, self.vocab)
         logits[:, self.answer_token] = counts
-        return ForwardResult(logits, _segment_pair_count(packed, cached))
+        return ForwardResult(logits, pairs)
+
+    def pair_count(self, packed: PackedSequence, cache: Optional[SegmentCache] = None) -> int:
+        """`forward(packed, cache).pair_count`, from the segment layout alone."""
+        return _segment_pair_count(packed, cache)
 
 
 def probe_last_logits(
-    probes: Sequence[NeedleProbe],
-    packs: Sequence[PackedSequence],
-    caches: Optional[Sequence[Optional[SegmentCache]]] = None,
+    probes: Sequence[NeedleProbe], packs: Sequence[PackedSequence]
 ) -> np.ndarray:
-    """`probe.forward(packed, cache).logits[last_positions(packed)]` for each
-    (probe, packed, cache) in order, stacked into one (segments, vocab)
-    array, bit for bit.
+    """`probe.forward(packed).logits[last_positions(packed)]` for each
+    (probe, packed) in order, stacked into one (segments, vocab) array, bit
+    for bit.
 
-    One pass over every position of every sequence gives each segment's end
-    state: its prefix XOR by `np.bitwise_xor.reduceat` and its needle count
-    by `np.add.reduceat` over the segment starts, so noise is drawn for the
-    last rows only. `caches`, one per sequence (None for none), are read and
-    not extended. The probes must share one vocabulary.
+    Each segment's end state comes from the pass `forward` reads: its prefix
+    XOR by `np.bitwise_xor.reduceat` and its needle count by `np.add.reduceat`
+    over the segment starts, so noise is drawn for the last rows only. The
+    probes must share one vocabulary.
     """
     if len({p.vocab for p in probes}) != 1 or len(probes) != len(packs):
         raise ContractError("need one probe per packed sequence, all of one vocabulary")
-    caches = caches or [None] * len(packs)
-    lengths, cached, states, needles = [], [], [], []
-    for packed, cache in zip(packs, caches):
-        seen, past = (cache or SegmentCache()).continued(packed, (0, 0))
-        lengths += [s.length for s in packed.segments]
-        cached += seen
-        states += [state for state, _ in past]
-        needles += [count for _, count in past]
-    starts = np.cumsum(lengths) - lengths
-    token_ids = np.concatenate([p.token_ids for p in packs])
-    visual = [len(p.rows) for p in packs]
-    keyed = _keyed_signatures(
-        token_ids,
-        np.concatenate([p.rows for p in packs]),
-        np.repeat(np.array([_row_key(p.video) for p in packs], dtype=np.uint64), visual),
-        np.arange(len(token_ids)) - np.repeat(starts - cached, lengths),
-    )
-    acc = np.bitwise_xor.reduceat(keyed, starts) ^ np.array(states, dtype=np.uint64)
-    is_needle = np.zeros(len(token_ids), dtype=np.int64)
-    is_needle[token_ids < 0] = np.concatenate(
-        [p.video.needle_mask[p.rows // p.video.tokens_per_frame] for p in packs]
-    )
-    counts = np.add.reduceat(is_needle, starts) + needles
+    keyed, is_needle, starts, _, _, _ = _probe_pass(packs, [None] * len(packs))
+    acc = np.bitwise_xor.reduceat(keyed, starts)
+    counts = np.add.reduceat(is_needle, starts)
 
     per_segment = [p.num_segments for p in packs]
     seeds = np.array([p.seed & _MASK64 for p in probes], dtype=np.uint64)
-    noise = np.array([p.noise_scale for p in probes])
-    logits = _noise_logits(
-        acc,
-        np.repeat(seeds, per_segment),
-        np.repeat(noise, per_segment)[:, None],
-        probes[0].vocab,
-    )
+    noise = np.repeat([p.noise_scale for p in probes], per_segment)[:, None]
+    logits = _noise_logits(acc, np.repeat(seeds, per_segment), noise, probes[0].vocab)
     answers = np.repeat([p.answer_token for p in probes], per_segment)
     logits[np.arange(len(acc)), answers] = counts
     return logits

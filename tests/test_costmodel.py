@@ -3,10 +3,12 @@ ratios, and first-token measurement."""
 
 import math
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from t3s import costmodel
 from t3s.costmodel import (
     CostReport,
     exact_pair_ratio,
@@ -15,9 +17,11 @@ from t3s.costmodel import (
 )
 from t3s.errors import ContractError
 from t3s.numkernel import Rng
-from t3s.packer import pack
+from t3s.packer import pack, token_per_segment
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
-from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model
+from t3s.toymodel import ModelConfig, NeedleProbe, SegmentCache, VideoTokenStream, build_model
+
+from helpers import segments_of
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=8192, init_seed=2)
 
@@ -145,6 +149,61 @@ class TestMeasure:
         probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
         with pytest.raises(ContractError):
             measure(probe, multi, multi, [0.5, 0.3], repeats=3)
+
+
+def _backend(kind):
+    return build_model(CFG) if kind == "transformer" else NeedleProbe(1, CFG.vocab, noise_scale=0.1)
+
+
+def logged(backend, log, names):
+    """`backend` with each forward logged as its sequence's name in `names`."""
+    forward = backend.forward
+
+    def logged_forward(packed, cache=None):
+        log.append(names[id(packed)])
+        return forward(packed, cache)
+
+    backend.forward = logged_forward
+    return backend
+
+
+@pytest.mark.parametrize("kind", ["transformer", "probe"])
+class TestMeasureForwards:
+    def test_no_forward_without_repeats(self, kind):
+        _, baseline, multi, _, _ = _setup()
+        log = []
+        backend = logged(_backend(kind), log, {id(baseline): "base", id(multi): "multi"})
+        report = measure(backend, baseline, multi, [0.5, 0.3])
+        assert log == []
+        assert report.measured_pairs_base == backend.forward(baseline).pair_count
+        assert report.measured_pairs_multi == backend.forward(multi).pair_count
+
+    def test_pair_count_equals_forward(self, kind):
+        video, baseline, multi, _, _ = _setup()
+        backend = _backend(kind)
+        for packed in (baseline, multi):
+            assert backend.pair_count(packed) == backend.forward(packed).pair_count
+        # sequences that continue a cache: counted before the forward extends it
+        cache = SegmentCache()
+        backend.forward(multi, cache)
+        for ext in (segments_of(video, [[1, -3, 2], [-5]]), token_per_segment(4, multi)):
+            pairs = backend.pair_count(ext, cache)
+            assert pairs == backend.forward(ext, cache).pair_count
+
+    def test_one_untimed_forward_per_path_first(self, kind, monkeypatch):
+        _, baseline, multi, _, _ = _setup()
+        log = []
+        backend = logged(_backend(kind), log, {id(baseline): "base", id(multi): "multi"})
+        clock = iter(range(1, 100))
+
+        def perf_counter():
+            log.append("clock")
+            return float(next(clock))
+
+        monkeypatch.setattr(costmodel, "time", SimpleNamespace(perf_counter=perf_counter))
+        measure(backend, baseline, multi, [0.5, 0.3], repeats=3)
+        timed = ["clock", "base", "clock", "clock", "multi", "clock"]
+        assert log == ["base", "multi"] + timed * 3
 
 
 class TestCostReportJson:

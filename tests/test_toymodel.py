@@ -698,56 +698,34 @@ class TestAttentionReceived:
             assert np.abs(got[span] - expected).max() < 1e-12
 
 
-def random_probe_inputs(seed, continued):
-    """Per flag of `continued`: a probe, a packed sequence and its cache (or
-    None). Each sequence has its own video, needle frames, segment count and
-    probe parameters; a True flag first forwards a random prefix of every
-    segment into a new cache, which the sequence then continues."""
+def random_probe_inputs(seed, sequences):
+    """`sequences` probes and packed sequences. Each sequence has its own
+    video, needle frames, segment count and probe parameters."""
     g = Rng(seed).generator()
-    probes, packs, caches = [], [], []
-    for cont in continued:
+    probes, packs = [], []
+    for _ in range(sequences):
         frames, per_frame = int(g.integers(1, 9)), int(g.integers(1, 4))
         needles = frozenset(int(f) for f in np.flatnonzero(g.random(frames) < 0.3))
         video = VideoTokenStream(frames, per_frame, CFG.model_dim, int(g.integers(0, 2**63)), needles)
-        probe = NeedleProbe(
+        probes.append(NeedleProbe(
             int(g.integers(0, CFG.vocab)), CFG.vocab,
             noise_scale=float(g.choice([0.0, 0.05, 0.5])), seed=int(g.integers(-(2**62), 2**62)),
-        )
-        segments = int(g.integers(1, 4))
-
-        def parts():
-            lengths = g.integers(1, 12, segments)
-            return [
-                np.where(g.random(n) < 0.3, g.integers(0, CFG.vocab, n), -1 - g.integers(0, frames * per_frame, n))
-                for n in lengths
-            ]
-
-        cache = None
-        if cont:
-            cache = SegmentCache()
-            probe.forward(segments_of(video, parts()), cache)
-        probes.append(probe)
-        packs.append(segments_of(video, parts()))
-        caches.append(cache)
-    return probes, packs, caches
+        ))
+        lengths = g.integers(1, 12, int(g.integers(1, 4)))
+        packs.append(segments_of(video, [
+            np.where(g.random(n) < 0.3, g.integers(0, CFG.vocab, n), -1 - g.integers(0, frames * per_frame, n))
+            for n in lengths
+        ]))
+    return probes, packs
 
 
 class TestProbeLastLogits:
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        continued=st.lists(st.booleans(), min_size=1, max_size=5),
-    )
-    def test_rows_equal_forward_at_last_positions(self, seed, continued):
-        probes, packs, caches = random_probe_inputs(seed, continued)
-        before = [(c.lengths, c.states) if c else None for c in caches]
-        got = probe_last_logits(probes, packs, caches)
-        # the pass reads the caches and leaves them as they were
-        assert [(c.lengths, c.states) if c else None for c in caches] == before
-        want = [
-            probe.forward(packed, cache).logits[last_positions(packed)]
-            for probe, packed, cache in zip(probes, packs, caches)
-        ]
+    @given(seed=st.integers(0, 2**32 - 1), sequences=st.integers(1, 5))
+    def test_rows_equal_forward_at_last_positions(self, seed, sequences):
+        probes, packs = random_probe_inputs(seed, sequences)
+        got = probe_last_logits(probes, packs)
+        want = [probe.forward(packed).logits[last_positions(packed)] for probe, packed in zip(probes, packs)]
         assert np.array_equal(got, np.concatenate(want))
 
     def test_one_vocabulary(self):
@@ -835,8 +813,10 @@ class TestNeedleProbe:
     def test_accuracy_matches_closed_form_coverage(self):
         # 10k random plan draws on one fixed task; MeanLogits aggregation.
         # P(hit) ~ 1 - (1 - N/F)^m up to the negligible chance that token
-        # subsampling drops every needle token of a covered frame.
-        from t3s.aggregator import MeanLogits, decode
+        # subsampling drops every needle token of a covered frame. The first
+        # tokens are those `decode(probe, plans, video, [1, 2], 1, ...)`
+        # gives, taken from `probe_last_logits` rows block by block.
+        from t3s.aggregator import MeanLogits, fuse_token
         from t3s.sampler import closed_form_coverage
 
         cfg = ModelConfig(
@@ -854,13 +834,19 @@ class TestNeedleProbe:
             trials=trials,
             ratios=(0.5, 0.5),
         )
-        draws = 10_000
+        draws, block = 10_000, 500
         root = Rng(99)
         hits = 0
-        for d in range(draws):
-            plans = build_trial_plans(sampler, root.child(d))
-            token = decode(probe, plans, video, [1, 2], 1, MeanLogits())[0]
-            hits += int(token == 3)
+        for b in range(0, draws, block):
+            packs = [
+                pack(build_trial_plans(sampler, root.child(d)), video, [1, 2])
+                for d in range(b, b + block)
+            ]
+            rows = probe_last_logits([probe] * block, packs)
+            hits += sum(
+                fuse_token(rows[k : k + trials], MeanLogits()) == 3
+                for k in range(0, len(rows), trials)
+            )
         p = closed_form_coverage(total_frames, per_trial, trials)
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(hits / draws - p) < 3 * sigma
