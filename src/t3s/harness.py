@@ -26,7 +26,6 @@ from .aggregator import (
     ConfidenceWeighted,
     CrossRefine,
     MeanLogits,
-    decode,
     fuse_token,
 )
 from .costmodel import CostReport, measure
@@ -47,26 +46,26 @@ from .toymodel import (
     NeedleProbe,
     VideoTokenStream,
     build_model,
-    probe_last_logits,
+    needle_answer,
 )
 
 _MASK64 = (1 << 64) - 1
 
-# Needle-probe tasks per `probe_last_logits` pass: it bounds the pass's
-# memory, and no result depends on it.
-_PROBE_BLOCK = 64
+# Tasks per `last_logits` call, on either backend: it bounds the packed
+# sequences held at once, and no result depends on it.
+_TASK_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class SyntheticTask:
     """One needle-retrieval instance: a video whose needle frames decide the
-    answerability of a short seeded question."""
+    answerability of a short seeded question, and whose key fixes the
+    answer id, `needle_answer(video.key, vocab)`."""
 
     video: VideoTokenStream
     question: tuple[int, ...]
     answer: int
     noise_scale: float
-    seed: int
 
     @property
     def needle_frames(self) -> frozenset[int]:
@@ -252,7 +251,7 @@ def gen_task(
     question_len: int = 4,
 ) -> SyntheticTask:
     """Seeded needle task: needle frames drawn uniformly, a video that plants
-    them, a short question, and a nonzero answer id."""
+    them, a short question, and the video's nonzero answer id."""
     if needle_count > total_frames:
         raise ContractError("needle_count exceeds total_frames")
     rng = Rng(seed)
@@ -265,15 +264,15 @@ def gen_task(
     video = VideoTokenStream(
         total_frames, tokens_per_frame, model.model_dim, rng.child(1).key, needles
     )
-    g = rng.child(2).generator()
-    # token 0 wins all-zero ties, so the answer id avoids it
-    answer = int(g.integers(1, model.vocab))
-    question = tuple(int(t) for t in g.integers(0, model.vocab, question_len))
-    return SyntheticTask(video, question, answer, noise_scale, seed)
+    question = rng.child(2).generator().integers(0, model.vocab, question_len)
+    answer = needle_answer(video.key, model.vocab)
+    return SyntheticTask(video, tuple(int(t) for t in question), answer, noise_scale)
 
 
 def probe_for_task(task: SyntheticTask, model: ModelConfig) -> NeedleProbe:
-    return NeedleProbe(task.answer, model.vocab, task.noise_scale, task.seed)
+    """The probe `run_experiment` builds for `task`'s experiment. Only
+    perfbench's replay of `run_experiment` calls it; ROADMAP item 2 drops it."""
+    return NeedleProbe(model.vocab, task.noise_scale)
 
 
 def surviving_needle_tokens(plan: TrialPlan, task: SyntheticTask) -> int:
@@ -318,25 +317,26 @@ def run_experiment(
     coverage diagnostics, and a cost report. With `latency_repeats`, the cost
     report also holds median first-token latencies over that many runs.
 
-    Tasks are drawn in blocks of `_PROBE_BLOCK` repeats. The transformer
-    backend is one shared model that decodes each task's trials in turn. The
-    needle-probe backend packs each task's trials, takes every segment's
-    last-position logits from one `probe_last_logits` pass per block, and
-    fuses them per task; the tokens are those a fresh probe per task would
-    `decode`."""
+    One backend serves every task: the seeded transformer or one needle
+    probe, plus a transformer for the `attn_top` scores when the backend is
+    the probe. Tasks are drawn in blocks of `_TASK_BLOCK` repeats; each
+    task's trials are packed, every segment's last-position logits come
+    from one `last_logits` call per block, and they are fused per task. The
+    tokens are those `decode` gives for one step."""
     s = cfg.sampler
     on_transformer = cfg.backend == "seeded_transformer"
     attn_top = s.token_strategy is TokenStrategy.ATTN_TOP
     transformer = build_model(cfg.model) if on_transformer or attn_top else None
+    backend = transformer if on_transformer else NeedleProbe(cfg.model.vocab, cfg.task.noise_scale)
     root = Rng(cfg.seed)
 
     hits = covered_any = 0
     trial_cover = np.zeros(s.trials, dtype=np.int64)
     trial_survive = np.zeros(s.trials, dtype=np.float64)
 
-    for block_start in range(0, cfg.repeats, _PROBE_BLOCK):
+    for block_start in range(0, cfg.repeats, _TASK_BLOCK):
         block = []
-        for rep in range(block_start, min(block_start + _PROBE_BLOCK, cfg.repeats)):
+        for rep in range(block_start, min(block_start + _TASK_BLOCK, cfg.repeats)):
             task = gen_task(
                 s.total_frames,
                 s.tokens_per_frame,
@@ -356,11 +356,9 @@ def run_experiment(
             covered_any += any(covers)
         if block_start == 0:
             first = block[0]
-        tokens = _first_tokens(cfg, transformer, block)
+        tokens = _first_tokens(cfg, backend, block)
         hits += sum(token == task.answer for token, (task, _) in zip(tokens, block))
 
-    # kept after the loop: made during rep 0, it moved peak RSS ~2% by allocation order
-    backend = transformer if on_transformer else probe_for_task(first[0], cfg.model)
     cost = _cost_report(cfg, *first, backend, latency_repeats)
     per_trial = [
         {
@@ -382,17 +380,9 @@ def run_experiment(
     )
 
 
-def _first_tokens(cfg, transformer, block) -> list[int]:
+def _first_tokens(cfg, backend, block) -> list[int]:
     """The fused first token of each (task, plans) of a block."""
-    if cfg.backend == "seeded_transformer":
-        return [
-            decode(transformer, plans, task.video, task.question, 1, cfg.strategy)[0]
-            for task, plans in block
-        ]
-    rows = probe_last_logits(
-        [probe_for_task(task, cfg.model) for task, _ in block],
-        [pack(plans, task.video, task.question) for task, plans in block],
-    )
+    rows = backend.last_logits([pack(plans, task.video, task.question) for task, plans in block])
     m = cfg.sampler.trials
     return [fuse_token(rows[b : b + m], cfg.strategy) for b in range(0, len(rows), m)]
 

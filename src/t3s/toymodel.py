@@ -10,9 +10,10 @@ alone.
 
 Given a `SegmentCache`, a forward continues the cached segments: segment i of
 its packed sequence extends cached segment i, whose tokens it attends but
-does not recompute, and the cache then holds both. The needle probe's
-`forward` and `probe_last_logits`, which gives the last rows of many
-sequences at once, share one kernel.
+does not recompute, and the cache then holds both. Both backends also give
+`last_logits(packs)`, the logits at every segment's last position of many
+sequences at once. Each is a pure function of what it reads (the probe's
+answer id is `needle_answer` of the video's key), so one serves a whole run.
 """
 
 from __future__ import annotations
@@ -287,6 +288,11 @@ class SeededTransformer:
         """`forward(packed, cache).pair_count`, from the segment layout alone."""
         return self.config.layers * self.config.heads * _segment_pair_count(packed, cache)
 
+    def last_logits(self, packs: Sequence[PackedSequence]) -> np.ndarray:
+        """`forward(packed).logits[last_positions(packed)]` for each packed
+        sequence in order, stacked into one (segments, vocab) array."""
+        return np.concatenate([self.forward(p).logits[last_positions(p)] for p in packs])
+
     def attention_received(self, packed: PackedSequence) -> np.ndarray:
         """Per-position mean attention weight received, averaged over every
         layer, head, and same-segment query allowed to attend the position."""
@@ -417,7 +423,14 @@ _SIG_ID_TAG = 0xA5A5A5A5A5A5A5A5
 _SIG_ROW_TAG = 0x5A5A5A5A5A5A5A5A
 _SIG_SEED_TAG = 0xC3C3C3C3C3C3C3C3
 _SIG_POS_TAG = 0x3C3C3C3C3C3C3C3C
+_ANSWER_TAG = 0x9E9E9E9E9E9E9E9E
 _MASK64 = (1 << 64) - 1
+
+
+def needle_answer(video_key: int, vocab: int) -> int:
+    """The answer id of every needle task on the video with key `video_key`;
+    it avoids token 0, which wins all-zero ties."""
+    return 1 + mix64(video_key ^ _ANSWER_TAG) % (vocab - 1)
 
 
 def _probe_pass(packs, caches):
@@ -451,11 +464,11 @@ def _probe_pass(packs, caches):
     return keyed, is_needle, starts, lengths, states, needles
 
 
-def _noise_logits(acc, seeds, noise_scale, vocab: int) -> np.ndarray:
+def _noise_logits(acc, keys, noise_scale, vocab: int) -> np.ndarray:
     # (len(acc), vocab) noise in [-noise_scale, noise_scale], row i seeded by
-    # its prefix XOR acc[i] and its probe's seed; seeds (uint64, each seed
-    # & _MASK64) and noise_scale broadcast against the rows
-    hashes = mix64(acc ^ mix64(seeds ^ np.uint64(_SIG_SEED_TAG)))
+    # its prefix XOR acc[i] and its video's key; keys (uint64, each key &
+    # _MASK64) broadcast against the rows
+    hashes = mix64(acc ^ mix64(keys ^ np.uint64(_SIG_SEED_TAG)))
     dmix = mix64(np.arange(7, 7 + vocab, dtype=np.uint64))
     u = (mix64(hashes[:, None] ^ dmix[None, :]) >> np.uint64(11)).astype(
         np.float64
@@ -466,12 +479,13 @@ def _noise_logits(acc, seeds, noise_scale, vocab: int) -> np.ndarray:
 class NeedleProbe:
     """Hand-constructed backend with a controllable answer signal.
 
-    At every position p the answer-token logit equals the number of
-    surviving needle tokens (visual rows of a frame in the video's
-    `needle_mask`) at or before p in p's segment; all other logits are noise
-    in [-noise_scale, noise_scale], noise_scale < 1, seeded purely by the
-    segment's content prefix, so packed and solo forwards agree exactly. The
-    probe reads row ids only and never draws a row.
+    At every position p the logit of the answer id, `needle_answer` of the
+    video's key, equals the number of surviving needle tokens (visual rows of
+    a frame in the video's `needle_mask`) at or before p in p's segment; all
+    other logits are noise in [-noise_scale, noise_scale], noise_scale < 1,
+    seeded purely by the video's key and the segment's content prefix, so
+    packed and solo forwards agree exactly. The probe reads row ids only and
+    never draws a row.
 
     The prefix hash is an order-sensitive prefix XOR. Position j of a
     segment (counted from the segment's first token, cached ones included)
@@ -480,25 +494,19 @@ class NeedleProbe:
     K, mix64(r ^ mix64(K ^ _SIG_ROW_TAG)); for a vocabulary id t,
     mix64(t ^ _SIG_ID_TAG). Position p's prefix is
     acc[p] = keyed[0] ^ ... ^ keyed[p], and its noise is seeded by
-    mix64(acc[p] ^ mix64(seed ^ _SIG_SEED_TAG)). Given a `SegmentCache`, a
+    mix64(acc[p] ^ mix64(K ^ _SIG_SEED_TAG)). Given a `SegmentCache`, a
     forward keeps each segment's acc at its last position and its needle
-    count. `forward` and `probe_last_logits` read one pass, which builds
-    every position's keyed signature and needle flag.
+    count. `forward` and `last_logits` read one pass, which builds every
+    position's keyed signature and needle flag.
     """
 
     max_positions: Optional[int] = None
 
-    def __init__(
-        self, answer_token: int, vocab: int, noise_scale: float = 0.1, seed: int = 0
-    ):
+    def __init__(self, vocab: int, noise_scale: float = 0.1):
         if not (0.0 <= noise_scale < 1.0):
             raise ConfigError(f"noise_scale must lie in [0, 1), got {noise_scale}")
-        if not (0 <= answer_token < vocab):
-            raise ConfigError(f"answer_token {answer_token} outside vocab {vocab}")
-        self.answer_token = answer_token
         self.vocab = vocab
         self.noise_scale = noise_scale
-        self.seed = seed
 
     def forward(
         self, packed: PackedSequence, cache: Optional[SegmentCache] = None
@@ -515,38 +523,28 @@ class NeedleProbe:
         if cache is not None:
             cache.extend(packed, [(int(acc[p]), int(counts[p])) for p in last_positions(packed)])
 
-        seed = np.array([self.seed & _MASK64], dtype=np.uint64)
-        logits = _noise_logits(acc, seed, self.noise_scale, self.vocab)
-        logits[:, self.answer_token] = counts
+        key = np.array([packed.video.key & _MASK64], dtype=np.uint64)
+        logits = _noise_logits(acc, key, self.noise_scale, self.vocab)
+        logits[:, needle_answer(packed.video.key, self.vocab)] = counts
         return ForwardResult(logits, pairs)
+
+    def last_logits(self, packs: Sequence[PackedSequence]) -> np.ndarray:
+        """`forward(packed).logits[last_positions(packed)]` for each packed
+        sequence in order, stacked into one (segments, vocab) array, bit for
+        bit. Each segment's prefix XOR and needle count come from `reduceat`
+        over the pass's segment starts, so noise is drawn for last rows only.
+        """
+        keyed, is_needle, starts, _, _, _ = _probe_pass(packs, [None] * len(packs))
+        acc = np.bitwise_xor.reduceat(keyed, starts)
+        counts = np.add.reduceat(is_needle, starts)
+
+        per_segment = [p.num_segments for p in packs]
+        keys = np.array([p.video.key & _MASK64 for p in packs], dtype=np.uint64)
+        logits = _noise_logits(acc, np.repeat(keys, per_segment), self.noise_scale, self.vocab)
+        answers = np.repeat([needle_answer(p.video.key, self.vocab) for p in packs], per_segment)
+        logits[np.arange(len(acc)), answers] = counts
+        return logits
 
     def pair_count(self, packed: PackedSequence, cache: Optional[SegmentCache] = None) -> int:
         """`forward(packed, cache).pair_count`, from the segment layout alone."""
         return _segment_pair_count(packed, cache)
-
-
-def probe_last_logits(
-    probes: Sequence[NeedleProbe], packs: Sequence[PackedSequence]
-) -> np.ndarray:
-    """`probe.forward(packed).logits[last_positions(packed)]` for each
-    (probe, packed) in order, stacked into one (segments, vocab) array, bit
-    for bit.
-
-    Each segment's end state comes from the pass `forward` reads: its prefix
-    XOR by `np.bitwise_xor.reduceat` and its needle count by `np.add.reduceat`
-    over the segment starts, so noise is drawn for the last rows only. The
-    probes must share one vocabulary.
-    """
-    if len({p.vocab for p in probes}) != 1 or len(probes) != len(packs):
-        raise ContractError("need one probe per packed sequence, all of one vocabulary")
-    keyed, is_needle, starts, _, _, _ = _probe_pass(packs, [None] * len(packs))
-    acc = np.bitwise_xor.reduceat(keyed, starts)
-    counts = np.add.reduceat(is_needle, starts)
-
-    per_segment = [p.num_segments for p in packs]
-    seeds = np.array([p.seed & _MASK64 for p in probes], dtype=np.uint64)
-    noise = np.repeat([p.noise_scale for p in probes], per_segment)[:, None]
-    logits = _noise_logits(acc, np.repeat(seeds, per_segment), noise, probes[0].vocab)
-    answers = np.repeat([p.answer_token for p in probes], per_segment)
-    logits[np.arange(len(acc)), answers] = counts
-    return logits

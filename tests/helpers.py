@@ -20,13 +20,12 @@ from t3s.harness import (
     _task_seed,
     config_hash,
     gen_task,
-    probe_for_task,
     surviving_needle_tokens,
 )
 from t3s.numkernel import Rng
 from t3s.packer import PackedSequence, Segment, append_token, last_positions, pack
 from t3s.sampler import SamplerConfig, TokenStrategy, TrialPlan, build_trial_plans, kept_tokens
-from t3s.toymodel import VideoTokenStream, build_model
+from t3s.toymodel import NeedleProbe, VideoTokenStream, build_model
 
 
 class ArrayVideo:
@@ -141,7 +140,7 @@ def segment_ids(packed: PackedSequence) -> np.ndarray:
 def per_task_experiment(cfg) -> ExperimentReport:
     """Oracle for `run_experiment`: one task at a time, drawn, planned and
     decoded for one step on its own backend (the shared transformer, or a
-    fresh needle probe), with the same cost report."""
+    fresh needle probe per task), with the same cost report."""
     s = cfg.sampler
     attn_top = s.token_strategy is TokenStrategy.ATTN_TOP
     on_transformer = cfg.backend == "seeded_transformer"
@@ -157,7 +156,8 @@ def per_task_experiment(cfg) -> ExperimentReport:
         )
         scores_fn = partial(_attn_scores, task, transformer) if attn_top else None
         plans = build_trial_plans(s, Rng(cfg.seed).child(rep), attn_scores_fn=scores_fn)
-        backend = transformer if on_transformer else probe_for_task(task, cfg.model)
+        probe = NeedleProbe(cfg.model.vocab, cfg.task.noise_scale)
+        backend = transformer if on_transformer else probe
         token = decode(backend, plans, task.video, task.question, steps=1, strategy=cfg.strategy)[0]
         hits += int(token == task.answer)
         covers = [bool(task.video.needle_mask[p.frame_indices].any()) for p in plans]

@@ -107,12 +107,7 @@ def test_criterion_1_packed_equivalence_suite():
             model_cfg, packed = _random_equivalence_case(root.child(index), index)
             backends = [
                 build_model(model_cfg),
-                NeedleProbe(
-                    answer_token=3,
-                    vocab=model_cfg.vocab,
-                    noise_scale=0.1,
-                    seed=index,
-                ),
+                NeedleProbe(vocab=model_cfg.vocab, noise_scale=0.1),
             ]
             finals = last_positions(packed)
             for backend in backends:

@@ -20,7 +20,7 @@ from t3s.aggregator import (
 from t3s.errors import ConfigError, ContractError
 from t3s.numkernel import Rng
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
-from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model
+from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model, needle_answer
 
 from helpers import baseline_greedy_decode, recompute_decode
 
@@ -266,13 +266,14 @@ class TestDecode:
 
     def test_probe_hit_iff_needle_survives(self):
         video = _full_video(4, 2, needles=frozenset({0}))
-        probe = NeedleProbe(7, CFG.vocab, noise_scale=0.05, seed=3)
+        probe = NeedleProbe(CFG.vocab, noise_scale=0.05)
+        answer = needle_answer(video.key, CFG.vocab)
         with_needle = TrialPlan(np.array([0, 1]), np.arange(4, dtype=np.int64), 1.0)
         without = TrialPlan(np.array([2, 3]), np.arange(4, dtype=np.int64), 1.0)
         hit = decode(probe, [with_needle, without], video, [1], 1, MeanLogits())
-        assert hit == [7]
+        assert hit == [answer]
         miss = decode(probe, [without, without], video, [1], 1, MeanLogits())
-        assert miss != [7]
+        assert miss != [answer]
 
     def test_determinism(self):
         video = _full_video(6, 2)
@@ -310,7 +311,7 @@ class TestDecode:
         plans = build_trial_plans(cfg, Rng(seed))
         backend = (
             build_model(CFG) if backend_kind == "transformer"
-            else NeedleProbe(7, CFG.vocab, seed=seed)
+            else NeedleProbe(CFG.vocab)
         )
         text = [seed + 1, 2]
         for strategy in (MeanLogits(), ConfidenceWeighted()):

@@ -106,7 +106,7 @@ class TestPairCounts:
         # integer identity: pairs_multi * L(L+1) == pairs_base * sum(l_i(l_i+1))
         for ratios in [(0.5, 0.3), (0.6, 0.6), (0.9, 0.2, 0.4)]:
             _, baseline, multi, _, L = _setup(ratios=ratios)
-            probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
+            probe = NeedleProbe(CFG.vocab, noise_scale=0.0)
             pairs_base = probe.forward(baseline).pair_count
             pairs_multi = probe.forward(multi).pair_count
             num = sum(int(a * L) * (int(a * L) + 1) for a in ratios)
@@ -121,7 +121,7 @@ class TestPairCounts:
 
     def test_invariant_under_segment_reordering(self):
         video, _, _, plans, _ = _setup(ratios=(0.7, 0.4, 0.2))
-        probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
+        probe = NeedleProbe(CFG.vocab, noise_scale=0.0)
         forward_order = probe.forward(pack(plans, video, [1])).pair_count
         reverse_order = probe.forward(pack(plans[::-1], video, [1])).pair_count
         assert forward_order == reverse_order
@@ -130,7 +130,7 @@ class TestPairCounts:
 class TestMeasure:
     def test_report_fields_and_bounds(self):
         _, baseline, multi, _, L = _setup()
-        probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
+        probe = NeedleProbe(CFG.vocab, noise_scale=0.0)
         report = measure(probe, baseline, multi, [0.5, 0.3], repeats=3)
         assert report.L == L
         assert report.alpha == [0.5, 0.3]
@@ -140,19 +140,19 @@ class TestMeasure:
 
     def test_repeats_floor(self):
         _, baseline, multi, _, _ = _setup()
-        probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
+        probe = NeedleProbe(CFG.vocab, noise_scale=0.0)
         with pytest.raises(ContractError):
             measure(probe, baseline, multi, [0.5, 0.3], repeats=2)
 
     def test_baseline_must_be_single_segment(self):
         _, baseline, multi, _, _ = _setup()
-        probe = NeedleProbe(1, CFG.vocab, noise_scale=0.0)
+        probe = NeedleProbe(CFG.vocab, noise_scale=0.0)
         with pytest.raises(ContractError):
             measure(probe, multi, multi, [0.5, 0.3], repeats=3)
 
 
 def _backend(kind):
-    return build_model(CFG) if kind == "transformer" else NeedleProbe(1, CFG.vocab, noise_scale=0.1)
+    return build_model(CFG) if kind == "transformer" else NeedleProbe(CFG.vocab, noise_scale=0.1)
 
 
 def logged(backend, log, names):

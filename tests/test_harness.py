@@ -39,7 +39,14 @@ from t3s.sampler import (
     TrialPlan,
     build_trial_plans,
 )
-from t3s.toymodel import ModelConfig, VideoTokenStream, build_model
+from t3s.toymodel import (
+    ModelConfig,
+    NeedleProbe,
+    SeededTransformer,
+    VideoTokenStream,
+    build_model,
+    needle_answer,
+)
 
 from helpers import baseline_greedy_decode, materialise, per_task_experiment, single_sequence
 
@@ -78,6 +85,7 @@ class TestGenTask:
         for seed in range(40):
             task = gen_task(8, 2, 1, seed=seed, model=MODEL)
             assert 1 <= task.answer < MODEL.vocab
+            assert task.answer == needle_answer(task.video.key, MODEL.vocab)
 
     def test_needle_count_bounds(self):
         with pytest.raises(ContractError):
@@ -308,9 +316,10 @@ TINY_MODEL = ModelConfig(layers=1, model_dim=8, heads=2, vocab=8, max_positions=
 
 @st.composite
 def tiny_experiments(draw) -> ExperimentConfig:
-    """Small configs over every fusion rule (cross_refine at k = 1, 2 and
-    vocab), 1-4 trials, both frame methods, frame reuse, every token
-    strategy, 0-2 needles, probe noise 0 and 0.1, and 1-5 question tokens."""
+    """Small configs over both backends, every fusion rule (cross_refine at
+    k = 1, 2 and vocab), 1-4 trials, both frame methods, frame reuse, every
+    token strategy, 0-2 needles, probe noise 0 and 0.1, and 1-5 question
+    tokens."""
     trials = draw(st.integers(1, 4))
     total_frames = draw(st.integers(1, 8))
     vocab = draw(st.sampled_from([4, 8]))
@@ -335,14 +344,15 @@ def tiny_experiments(draw) -> ExperimentConfig:
             noise_scale=draw(st.sampled_from([0.0, 0.1])),
             question_len=draw(st.integers(1, 5)),
         ),
+        backend=draw(st.sampled_from(["needle_probe", "seeded_transformer"])),
         repeats=draw(st.integers(1, 12)),
         seed=draw(st.integers(0, 2**64 - 1)),
     )
 
 
 class TestProbeBlocks:
-    """The needle-probe backend runs a block of tasks per end-state pass;
-    its reports equal those of one task at a time."""
+    """Either backend runs a block of tasks per `last_logits` call; its
+    reports equal those of one task at a time."""
 
     @settings(max_examples=80, deadline=None)
     @given(cfg=tiny_experiments())
@@ -362,8 +372,39 @@ class TestProbeBlocks:
     )
     def test_block_size_leaves_report_unchanged(self, monkeypatch, cfg, block):
         want = per_task_experiment(cfg)
-        monkeypatch.setattr(t3s.harness, "_PROBE_BLOCK", block)
+        monkeypatch.setattr(t3s.harness, "_TASK_BLOCK", block)
         assert run_experiment(cfg) == want
+
+    @pytest.mark.parametrize(
+        "backend, token_strategy, probes, transformers",
+        [
+            ("needle_probe", TokenStrategy.RAND_TOK, 1, 0),
+            ("needle_probe", TokenStrategy.ATTN_TOP, 1, 1),
+            ("seeded_transformer", TokenStrategy.RAND_TOK, 0, 1),
+            ("seeded_transformer", TokenStrategy.ATTN_TOP, 0, 1),
+        ],
+    )
+    def test_one_backend_per_experiment(
+        self, monkeypatch, backend, token_strategy, probes, transformers
+    ):
+        # several blocks, yet one backend built per call; only attn_top on
+        # the probe needs a transformer besides it, for its scores
+        built = []
+        for cls in (NeedleProbe, SeededTransformer):
+            def spy(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        monkeypatch.setattr(t3s.harness, "_TASK_BLOCK", 2)
+        cfg = small_config(
+            backend=backend,
+            repeats=5,
+            sampler=replace(small_config().sampler, token_strategy=token_strategy),
+        )
+        run_experiment(cfg)
+        assert built.count(NeedleProbe) == probes
+        assert built.count(SeededTransformer) == transformers
 
     def test_peak_memory_does_not_grow_with_repeats(self):
         # each block is freed before the next is drawn; one pass over every

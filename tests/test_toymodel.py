@@ -27,8 +27,8 @@ from t3s.toymodel import (
     VideoTokenStream,
     _gelu,
     build_model,
+    needle_answer,
     needle_direction,
-    probe_last_logits,
 )
 
 from helpers import materialise, segment_ids, segments_of
@@ -294,8 +294,8 @@ def pinned_packed():
     return append_token(pack(plans, video, [1, 2, 3]), 4)
 
 
-def _probe_for(cfg, answer=3, noise=0.05, seed=11):
-    return NeedleProbe(answer, cfg.vocab, noise_scale=noise, seed=seed)
+def _probe_for(cfg, noise=0.05):
+    return NeedleProbe(cfg.vocab, noise_scale=noise)
 
 
 class TestPackedVsSoloEquivalence:
@@ -349,10 +349,11 @@ def probe_oracle_logits(probe, packed, allowed):
     position: a visual position's signature comes from its video's key and
     its row id, and it is a needle token when its row's frame is one of the
     video's needle frames; a vocabulary position's signature comes from its
-    id. Position p's answer logit counts the needle tokens it may attend, and
+    id. Position p's logit at the video's answer id, 1 + mix64(key ^
+    _ANSWER_TAG) % (vocab - 1), counts the needle tokens it may attend, and
     its noise is seeded by XOR-ing the position-keyed signature of every
-    position it may attend, then mixing in the probe's seed."""
-    from t3s.toymodel import _SIG_ID_TAG, _SIG_POS_TAG, _SIG_ROW_TAG, _SIG_SEED_TAG
+    position it may attend, then mixing in the video's key."""
+    from t3s.toymodel import _ANSWER_TAG, _SIG_ID_TAG, _SIG_POS_TAG, _SIG_ROW_TAG, _SIG_SEED_TAG
 
     video = packed.video
     rows = iter(packed.rows.tolist())
@@ -365,7 +366,8 @@ def probe_oracle_logits(probe, packed, allowed):
             r = next(rows)
             sig.append(mix64(r ^ mix64(video.key ^ _SIG_ROW_TAG)))
             needle.append(int(r // video.tokens_per_frame in video.needle_frames))
-    seed_mixed = mix64((probe.seed & ((1 << 64) - 1)) ^ _SIG_SEED_TAG)
+    seed_mixed = mix64(video.key ^ _SIG_SEED_TAG)
+    answer = 1 + mix64(video.key ^ _ANSWER_TAG) % (probe.vocab - 1)
     # q attends itself and every earlier position of its segment
     pos = allowed.sum(axis=1) - 1
     logits = np.empty((packed.total_length, probe.vocab))
@@ -378,7 +380,7 @@ def probe_oracle_logits(probe, packed, allowed):
         for d in range(probe.vocab):
             u = (mix64(h ^ mix64(7 + d)) >> 11) / (1 << 53)
             logits[p, d] = u * (2.0 * probe.noise_scale) - probe.noise_scale
-        logits[p, probe.answer_token] = sum(needle[q] for q in attended)
+        logits[p, answer] = sum(needle[q] for q in attended)
     return logits
 
 
@@ -698,47 +700,45 @@ class TestAttentionReceived:
             assert np.abs(got[span] - expected).max() < 1e-12
 
 
-def random_probe_inputs(seed, sequences):
-    """`sequences` probes and packed sequences. Each sequence has its own
-    video, needle frames, segment count and probe parameters."""
+def random_packs(seed, sequences):
+    """`sequences` packed sequences, each on its own video with its own key,
+    needle frames and segment count."""
     g = Rng(seed).generator()
-    probes, packs = [], []
+    packs = []
     for _ in range(sequences):
         frames, per_frame = int(g.integers(1, 9)), int(g.integers(1, 4))
         needles = frozenset(int(f) for f in np.flatnonzero(g.random(frames) < 0.3))
         video = VideoTokenStream(frames, per_frame, CFG.model_dim, int(g.integers(0, 2**63)), needles)
-        probes.append(NeedleProbe(
-            int(g.integers(0, CFG.vocab)), CFG.vocab,
-            noise_scale=float(g.choice([0.0, 0.05, 0.5])), seed=int(g.integers(-(2**62), 2**62)),
-        ))
         lengths = g.integers(1, 12, int(g.integers(1, 4)))
         packs.append(segments_of(video, [
             np.where(g.random(n) < 0.3, g.integers(0, CFG.vocab, n), -1 - g.integers(0, frames * per_frame, n))
             for n in lengths
         ]))
-    return probes, packs
+    return packs
 
 
 class TestProbeLastLogits:
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), sequences=st.integers(1, 5))
-    def test_rows_equal_forward_at_last_positions(self, seed, sequences):
-        probes, packs = random_probe_inputs(seed, sequences)
-        got = probe_last_logits(probes, packs)
-        want = [probe.forward(packed).logits[last_positions(packed)] for probe, packed in zip(probes, packs)]
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sequences=st.integers(1, 5),
+        backend_kind=st.sampled_from(["transformer", "probe"]),
+        noise=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_rows_equal_forward_at_last_positions(self, seed, sequences, backend_kind, noise):
+        # one backend over packs of different videos, so each pack's rows
+        # must read its own video's key, answer id and needles
+        packs = random_packs(seed, sequences)
+        backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG, noise)
+        got = backend.last_logits(packs)
+        want = [backend.forward(packed).logits[last_positions(packed)] for packed in packs]
         assert np.array_equal(got, np.concatenate(want))
-
-    def test_one_vocabulary(self):
-        packed, _, _ = make_packed()
-        probes = [_probe_for(CFG), NeedleProbe(3, CFG.vocab + 1)]
-        with pytest.raises(ContractError):
-            probe_last_logits(probes, [packed, packed])
 
 
 class TestNeedleProbe:
     def test_no_needles_zero_noise_all_zero(self):
         packed, _, _ = make_packed(trials=2)
-        probe = NeedleProbe(3, CFG.vocab, noise_scale=0.0, seed=1)
+        probe = _probe_for(CFG, noise=0.0)
         logits = probe.forward(packed).logits[last_positions(packed)]
         assert np.array_equal(logits, np.zeros_like(logits))
         assert int(np.argmax(logits[0])) == 0  # tie-break to token 0
@@ -749,15 +749,16 @@ class TestNeedleProbe:
         # keep exactly 3 needle tokens: frames (0,1), all 6 tokens kept
         plan = TrialPlan(np.array([0, 1]), np.arange(6, dtype=np.int64), 1.0)
         packed = pack([plan], video, [5])
-        probe = NeedleProbe(3, cfg.vocab, noise_scale=0.0, seed=1)
+        probe = _probe_for(cfg, noise=0.0)
         logits = probe.forward(packed).logits[last_positions(packed)]
-        assert logits[0, 3] == 3.0
+        assert logits[0, needle_answer(video.key, cfg.vocab)] == 3.0
+        assert np.count_nonzero(logits) == 1
 
     def test_noise_bounded_and_content_seeded(self):
         packed, _, _ = make_packed(trials=2, needles=frozenset({2}))
-        probe = _probe_for(CFG, noise=0.07, seed=5)
+        probe = _probe_for(CFG, noise=0.07)
         logits = probe.forward(packed).logits
-        others = np.delete(logits, probe.answer_token, axis=1)
+        others = np.delete(logits, needle_answer(packed.video.key, CFG.vocab), axis=1)
         assert np.abs(others).max() <= 0.07
         again = probe.forward(packed).logits
         assert np.array_equal(logits, again)
@@ -773,17 +774,19 @@ class TestNeedleProbe:
         swapped[[first, second]] = codes[[second, first]]
         probe = _probe_for(CFG)
         logits = [probe.forward(segments_of(MIXED_VIDEO, [c])).logits for c in (codes, swapped)]
-        noise = [np.delete(x, probe.answer_token, axis=1) for x in logits]
+        answer = needle_answer(MIXED_VIDEO.key, CFG.vocab)
+        noise = [np.delete(x, answer, axis=1) for x in logits]
         assert np.array_equal(noise[0][:first], noise[1][:first])
         assert (noise[0][first:] != noise[1][first:]).any(axis=1).all()
 
     def test_pinned_logits(self):
         # freezes the probe's logits on test_pinned_logits's fixed input, so
         # a change to its signature or noise stream shows. The probe takes
-        # no transcendental function, so its logits are hashed unrounded
+        # no transcendental function, so its logits are hashed unrounded.
+        # `probe_oracle_logits` gives the same digest
         logits = _probe_for(CFG).forward(pinned_packed()).logits
         got = hashlib.sha256(logits.astype("<f8").tobytes()).hexdigest()[:16]
-        assert got == "ae76122d60f16569"
+        assert got == "9e9d91c62207029c"
 
     def test_probe_path_draws_no_rows(self, monkeypatch):
         from t3s.aggregator import MeanLogits, decode
@@ -808,14 +811,14 @@ class TestNeedleProbe:
 
     def test_noise_scale_must_stay_below_one(self):
         with pytest.raises(ConfigError):
-            NeedleProbe(1, 16, noise_scale=1.0, seed=0)
+            NeedleProbe(16, noise_scale=1.0)
 
     def test_accuracy_matches_closed_form_coverage(self):
         # 10k random plan draws on one fixed task; MeanLogits aggregation.
         # P(hit) ~ 1 - (1 - N/F)^m up to the negligible chance that token
         # subsampling drops every needle token of a covered frame. The first
         # tokens are those `decode(probe, plans, video, [1, 2], 1, ...)`
-        # gives, taken from `probe_last_logits` rows block by block.
+        # gives, taken from `last_logits` rows block by block.
         from t3s.aggregator import MeanLogits, fuse_token
         from t3s.sampler import closed_form_coverage
 
@@ -826,7 +829,8 @@ class TestNeedleProbe:
         video = VideoTokenStream(
             total_frames, tokens_per_frame, cfg.model_dim, Rng(1).key, frozenset({37})
         )
-        probe = NeedleProbe(3, cfg.vocab, noise_scale=0.05, seed=2)
+        probe = NeedleProbe(cfg.vocab, noise_scale=0.05)
+        answer = needle_answer(video.key, cfg.vocab)
         sampler = SamplerConfig(
             total_frames=total_frames,
             frames_per_trial=per_trial,
@@ -842,9 +846,9 @@ class TestNeedleProbe:
                 pack(build_trial_plans(sampler, root.child(d)), video, [1, 2])
                 for d in range(b, b + block)
             ]
-            rows = probe_last_logits([probe] * block, packs)
+            rows = probe.last_logits(packs)
             hits += sum(
-                fuse_token(rows[k : k + trials], MeanLogits()) == 3
+                fuse_token(rows[k : k + trials], MeanLogits()) == answer
                 for k in range(0, len(rows), trials)
             )
         p = closed_form_coverage(total_frames, per_trial, trials)
