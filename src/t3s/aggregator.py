@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .numkernel import entropy, softmax_rows
-from .packer import last_positions, pack, token_per_segment
+from .packer import pack, token_per_segment
 from .sampler import TrialPlan
 from .toymodel import SegmentCache
 
@@ -122,12 +122,12 @@ def decode(
 ) -> list[int]:
     """Greedy multi-trial decoding.
 
-    Packs the plans and forwards the packed prompt once into an empty
-    per-segment cache, then per step: read each segment's final logits,
-    aggregate to one token, and forward only that token, once per segment,
-    as the continuation of the cache. Returns `steps` tokens; raises
+    Packs the plans, then per step: read each segment's last-position
+    logits through `backend.last_logits`, which continues one per-segment
+    cache, fuse them to one token, and pack only that token, once per
+    segment, for the next step. Returns `steps` tokens; raises
     ContractError once the packed total would exceed the backend's
-    `max_positions`.
+    `max_positions`, on a backend that has one (the probe has none).
     """
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
@@ -135,9 +135,7 @@ def decode(
     cache = SegmentCache()
     out: list[int] = []
     for step in range(steps):
-        logits, _ = backend.forward(packed, cache)
-        trial_logits = logits[last_positions(packed)]
-        token = fuse_token(trial_logits, strategy)
+        token = fuse_token(backend.last_logits([packed], [cache]), strategy)
         out.append(token)
         if step + 1 < steps:
             packed = token_per_segment(token, packed)

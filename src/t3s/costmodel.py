@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .aggregator import AggregationStrategy, MeanLogits, fuse_token
 from .errors import ContractError
-from .packer import PackedSequence, last_positions
+from .packer import PackedSequence
 from .sampler import kept_tokens
 
 
@@ -57,8 +57,7 @@ def _first_token_seconds(
     backend, packed: PackedSequence, strategy: AggregationStrategy
 ) -> float:
     start = time.perf_counter()
-    logits, _ = backend.forward(packed)
-    fuse_token(logits[last_positions(packed)], strategy)
+    fuse_token(backend.last_logits([packed]), strategy)
     return time.perf_counter() - start
 
 
@@ -74,9 +73,10 @@ def measure(
 
     L is the baseline's visual tokens (the question is not L); pair counts
     come from `backend.pair_count`, without a forward. With `repeats`, each
-    path gets one untimed forward, then tau1/tau2 are the medians of that
-    many timed runs per path, each from forward start to the first
-    aggregated token; without, they stay None and nothing is forwarded.
+    path gets one untimed `last_logits` call, then tau1/tau2 are the medians
+    of that many timed runs per path, each from the start of a `last_logits`
+    call (the path experiments run) to the first aggregated token; without,
+    they stay None and nothing runs.
     """
     if repeats is not None and repeats < 3:
         raise ContractError(f"repeats must be >= 3, got {repeats}")
@@ -90,8 +90,8 @@ def measure(
     tau1 = tau2 = None
     if repeats is not None:
         # warmups, keeping allocator effects out of the medians
-        backend.forward(baseline_packed)
-        backend.forward(multi_packed)
+        backend.last_logits([baseline_packed])
+        backend.last_logits([multi_packed])
         # interleaved, so drift in machine speed hits both paths alike
         samples = [
             (

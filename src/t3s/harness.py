@@ -49,8 +49,6 @@ from .toymodel import (
     needle_answer,
 )
 
-_MASK64 = (1 << 64) - 1
-
 # Tasks per `last_logits` call, on either backend: it bounds the packed
 # sequences held at once, and no result depends on it.
 _TASK_BLOCK = 64
@@ -108,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if isinstance(self.strategy, CrossRefine):
             if self.sampler.trials != 2:
                 raise ConfigError(
@@ -307,7 +307,7 @@ def _attn_scores(task: SyntheticTask, transformer, frame_indices) -> np.ndarray:
 
 
 def _task_seed(seed: int, rep: int) -> int:
-    return int(mix64((seed & _MASK64) ^ mix64(rep + 1)))
+    return int(mix64(seed ^ mix64(rep + 1)))
 
 
 def run_experiment(

@@ -1,19 +1,18 @@
 """Desk-scale decoding backends: a seeded causal transformer and a needle probe.
 
-Both backends share one forward contract: given a packed sequence they return
-per-position logits plus the exact count of attention score entries the
-block-diagonal causal rule permits (each position attends only backwards
-inside its own segment); `pair_count` gives that count from the segment
-layout alone. Segment positions restart at zero, so the logits a segment
-produces are the same whether it is forwarded packed with other segments or
-alone.
+Both backends share one contract. `forward(packed)` covers every position of
+a packed sequence and keeps no state: it returns per-position logits plus the
+exact count of attention score entries the block-diagonal causal rule permits
+(each position attends only backwards inside its own segment), which
+`pair_count(packed)` gives from the segment layout alone. Segment positions
+restart at zero, so a segment's logits are the same packed or alone.
 
-Given a `SegmentCache`, a forward continues the cached segments: segment i of
-its packed sequence extends cached segment i, whose tokens it attends but
-does not recompute, and the cache then holds both. Both backends also give
-`last_logits(packs)`, the logits at every segment's last position of many
-sequences at once. Each is a pure function of what it reads (the probe's
-answer id is `needle_answer` of the video's key), so one serves a whole run.
+`last_logits(packs, caches=None)` returns the logits at every segment's last
+position of many sequences at once, and is the only method that holds a
+`SegmentCache`: segment i of a sequence given a cache extends cached segment
+i, whose tokens it attends but does not recompute, and the cache then holds
+both. Each backend is a pure function of what it reads (the probe's answer id
+is `needle_answer` of the video's key), so one serves a whole run.
 """
 
 from __future__ import annotations
@@ -69,6 +68,8 @@ class ModelConfig:
             )
         if self.vocab < 4:
             raise ConfigError(f"vocab must be >= 4, got {self.vocab}")
+        if not 0 <= self.init_seed < 2**64:
+            raise ConfigError(f"init_seed must lie in [0, 2**64), got {self.init_seed}")
 
 
 # `VideoTokenStream.rows` draws this many normal pairs per block, so each
@@ -159,16 +160,16 @@ def _sinusoidal(positions: np.ndarray, dim: int) -> np.ndarray:
 
 
 class SegmentCache:
-    """Per-segment state that forwards extend, one entry per trial segment.
+    """Per-segment state that `last_logits` extends, one entry per segment.
 
-    A new cache is empty; the first forward given it fixes the segment count
-    and every later forward must pack that many segments. `lengths[i]` is the
+    A new cache is empty; the first call given it fixes the segment count
+    and every later call must pack that many segments. `lengths[i]` is the
     number of tokens segment i holds so far; `states[i]` is the backend's
     summary of them, so a cache serves one backend. The transformer keeps,
     per layer, the (keys, values) pair `_attend_segment` reads, keys as
     (heads, head_dim + 1, tokens) with a ones last row and values as
     (heads, tokens, head_dim + 1) with a ones last column, plus the (heads,)
-    largest squared key norm among those tokens, so a continuing forward's
+    largest squared key norm among those tokens, so a continuing pass's
     score bound covers the cached keys. The needle probe keeps its prefix
     XOR at the last position and its needle count.
     """
@@ -197,18 +198,9 @@ class SegmentCache:
         self.states = states
 
 
-def _continued_positions(packed: PackedSequence, cached: list[int]) -> np.ndarray:
-    # a segment's new tokens continue its cached positions
-    return packed.pos_in_segment + np.repeat(cached, [s.length for s in packed.segments])
-
-
-def _segment_pair_count(packed: PackedSequence, cache: Optional[SegmentCache]) -> int:
-    # n new queries after c cached keys: n*c + n(n+1)/2 allowed entries
-    cached, _ = (cache or SegmentCache()).continued(packed, None)
-    return sum(
-        s.length * c + s.length * (s.length + 1) // 2
-        for s, c in zip(packed.segments, cached)
-    )
+def _segment_pair_count(packed: PackedSequence) -> int:
+    # n queries of a segment: n(n+1)/2 allowed entries
+    return sum(s.length * (s.length + 1) // 2 for s in packed.segments)
 
 
 def _attend_segment(qa, kt, va, ctx, received):
@@ -265,8 +257,8 @@ class SeededTransformer:
 
     Blocks are LN -> multi-head attention -> residual, LN -> 4x GELU MLP ->
     residual, with a final LN before the vocabulary projection. No biases.
-    A forward given a `SegmentCache` keeps each segment's per-layer keys and
-    values, so the next forward computes only the tokens it appends.
+    `last_logits` given a `SegmentCache` keeps each segment's per-layer keys
+    and values, so the next call computes only the tokens it appends.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -278,26 +270,29 @@ class SeededTransformer:
     def max_positions(self) -> int:
         return self.config.max_positions
 
-    def forward(
-        self, packed: PackedSequence, cache: Optional[SegmentCache] = None
-    ) -> ForwardResult:
-        logits, pairs, _ = self._run(packed, collect_received=False, cache=cache)
-        return ForwardResult(logits, pairs)
+    def forward(self, packed: PackedSequence) -> ForwardResult:
+        return ForwardResult(self._run(packed)[0], self.pair_count(packed))
 
-    def pair_count(self, packed: PackedSequence, cache: Optional[SegmentCache] = None) -> int:
-        """`forward(packed, cache).pair_count`, from the segment layout alone."""
-        return self.config.layers * self.config.heads * _segment_pair_count(packed, cache)
+    def pair_count(self, packed: PackedSequence) -> int:
+        """`forward(packed).pair_count`, from the segment layout alone."""
+        return self.config.layers * self.config.heads * _segment_pair_count(packed)
 
-    def last_logits(self, packs: Sequence[PackedSequence]) -> np.ndarray:
+    def last_logits(
+        self, packs: Sequence[PackedSequence], caches: Optional[Sequence] = None
+    ) -> np.ndarray:
         """`forward(packed).logits[last_positions(packed)]` for each packed
-        sequence in order, stacked into one (segments, vocab) array."""
-        return np.concatenate([self.forward(p).logits[last_positions(p)] for p in packs])
+        sequence in order, stacked into one (segments, vocab) array; given
+        `caches`, one `SegmentCache` per sequence, each continues its own."""
+        caches = caches or [None] * len(packs)
+        return np.concatenate([
+            self._run(p, cache=c)[0][last_positions(p)]
+            for p, c in zip(packs, caches, strict=True)
+        ])
 
     def attention_received(self, packed: PackedSequence) -> np.ndarray:
         """Per-position mean attention weight received, averaged over every
         layer, head, and same-segment query allowed to attend the position."""
-        _, _, received = self._run(packed, collect_received=True)
-        return received
+        return self._run(packed, collect_received=True)[1]
 
     def _embed(self, packed: PackedSequence, cached: list[int]) -> np.ndarray:
         cfg = self.config
@@ -316,15 +311,16 @@ class SeededTransformer:
         x = packed.embeddings
         id_pos = ids >= 0
         x[id_pos] = self.weights["token_embedding"][ids[id_pos]]
-        return x + _sinusoidal(_continued_positions(packed, cached), cfg.model_dim)
+        # a segment's new tokens continue its cached positions
+        positions = packed.pos_in_segment + np.repeat(cached, [s.length for s in packed.segments])
+        return x + _sinusoidal(positions, cfg.model_dim)
 
-    def _run(self, packed, collect_received, cache=None):
+    def _run(self, packed, collect_received=False, cache=None):
         cfg = self.config
         w = self.weights
         cached, past = (cache or SegmentCache()).continued(packed, None)
         x = self._embed(packed, cached)
         blocks = [(s.start, s.start + s.length) for s in packed.segments]
-        pair_count = self.pair_count(packed, cache)
         received = np.zeros(packed.total_length) if collect_received else None
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
         # per segment, per layer: (keys, values, largest squared key norm)
@@ -374,7 +370,7 @@ class SeededTransformer:
                 [np.arange(s.length, 0, -1) for s in packed.segments]
             )
             received = received / (cfg.layers * cfg.heads * attending)
-        return logits, pair_count, received
+        return logits, received
 
 
 def _split_heads(x: np.ndarray, heads: int, head_dim: int) -> np.ndarray:
@@ -439,7 +435,7 @@ def _probe_pass(packs, caches):
     # concatenation, its length, and the (prefix XOR, needle count) of its
     # tokens in `caches` (one per sequence, None for none), (0, 0) on none
     lengths, cached, past = [], [], []
-    for packed, cache in zip(packs, caches):
+    for packed, cache in zip(packs, caches, strict=True):
         seen, states = (cache or SegmentCache()).continued(packed, (0, 0))
         lengths += [s.length for s in packed.segments]
         cached += seen
@@ -494,10 +490,10 @@ class NeedleProbe:
     K, mix64(r ^ mix64(K ^ _SIG_ROW_TAG)); for a vocabulary id t,
     mix64(t ^ _SIG_ID_TAG). Position p's prefix is
     acc[p] = keyed[0] ^ ... ^ keyed[p], and its noise is seeded by
-    mix64(acc[p] ^ mix64(K ^ _SIG_SEED_TAG)). Given a `SegmentCache`, a
-    forward keeps each segment's acc at its last position and its needle
-    count. `forward` and `last_logits` read one pass, which builds every
-    position's keyed signature and needle flag.
+    mix64(acc[p] ^ mix64(K ^ _SIG_SEED_TAG)). Given a `SegmentCache`,
+    `last_logits` keeps each segment's acc at its last position and its
+    needle count. `forward` and `last_logits` read one pass, which builds
+    every position's keyed signature and needle flag.
     """
 
     max_positions: Optional[int] = None
@@ -508,43 +504,47 @@ class NeedleProbe:
         self.vocab = vocab
         self.noise_scale = noise_scale
 
-    def forward(
-        self, packed: PackedSequence, cache: Optional[SegmentCache] = None
-    ) -> ForwardResult:
-        keyed, is_needle, starts, lengths, states, needles = _probe_pass([packed], [cache])
-        # one prefix over the whole sequence, re-based at each segment start:
-        # what it held before the start is XORed out (XOR undoes XOR) or
-        # subtracted, and the segment's cached state put in its place
+    def forward(self, packed: PackedSequence) -> ForwardResult:
+        keyed, is_needle, starts, lengths, _, _ = _probe_pass([packed], [None])
+        # one prefix over the whole sequence, re-based at each segment start
+        # by XORing out (XOR undoes XOR) or subtracting what it held before
         acc = np.bitwise_xor.accumulate(keyed)
-        acc ^= np.repeat(acc[starts] ^ keyed[starts] ^ states, lengths)
+        acc ^= np.repeat(acc[starts] ^ keyed[starts], lengths)
         counts = np.cumsum(is_needle)
-        counts += np.repeat(needles - counts[starts] + is_needle[starts], lengths)
-        pairs = self.pair_count(packed, cache)
-        if cache is not None:
-            cache.extend(packed, [(int(acc[p]), int(counts[p])) for p in last_positions(packed)])
+        counts -= np.repeat(counts[starts] - is_needle[starts], lengths)
 
         key = np.array([packed.video.key & _MASK64], dtype=np.uint64)
         logits = _noise_logits(acc, key, self.noise_scale, self.vocab)
         logits[:, needle_answer(packed.video.key, self.vocab)] = counts
-        return ForwardResult(logits, pairs)
+        return ForwardResult(logits, self.pair_count(packed))
 
-    def last_logits(self, packs: Sequence[PackedSequence]) -> np.ndarray:
+    def last_logits(
+        self, packs: Sequence[PackedSequence], caches: Optional[Sequence] = None
+    ) -> np.ndarray:
         """`forward(packed).logits[last_positions(packed)]` for each packed
         sequence in order, stacked into one (segments, vocab) array, bit for
-        bit. Each segment's prefix XOR and needle count come from `reduceat`
-        over the pass's segment starts, so noise is drawn for last rows only.
-        """
-        keyed, is_needle, starts, _, _, _ = _probe_pass(packs, [None] * len(packs))
+        bit; given `caches`, one `SegmentCache` per sequence, each continues
+        its own. Each segment's prefix XOR and needle count are a `reduceat`
+        over its new tokens folded into its cached state, so noise is drawn
+        for last rows only."""
+        caches = caches or [None] * len(packs)
+        keyed, is_needle, starts, _, states, needles = _probe_pass(packs, caches)
         acc = np.bitwise_xor.reduceat(keyed, starts)
+        acc ^= states
         counts = np.add.reduceat(is_needle, starts)
-
+        counts += needles
         per_segment = [p.num_segments for p in packs]
+        for packed, cache, end in zip(packs, caches, np.cumsum(per_segment)):
+            if cache is not None:
+                seg = slice(end - packed.num_segments, end)
+                cache.extend(packed, list(zip(acc[seg].tolist(), counts[seg].tolist())))
+
         keys = np.array([p.video.key & _MASK64 for p in packs], dtype=np.uint64)
         logits = _noise_logits(acc, np.repeat(keys, per_segment), self.noise_scale, self.vocab)
         answers = np.repeat([needle_answer(p.video.key, self.vocab) for p in packs], per_segment)
         logits[np.arange(len(acc)), answers] = counts
         return logits
 
-    def pair_count(self, packed: PackedSequence, cache: Optional[SegmentCache] = None) -> int:
-        """`forward(packed, cache).pair_count`, from the segment layout alone."""
-        return _segment_pair_count(packed, cache)
+    def pair_count(self, packed: PackedSequence) -> int:
+        """`forward(packed).pair_count`, from the segment layout alone."""
+        return _segment_pair_count(packed)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from t3s import costmodel
+from t3s import costmodel, toymodel
 from t3s.costmodel import (
     CostReport,
     exact_pair_ratio,
@@ -17,11 +17,9 @@ from t3s.costmodel import (
 )
 from t3s.errors import ContractError
 from t3s.numkernel import Rng
-from t3s.packer import pack, token_per_segment
+from t3s.packer import pack
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
-from t3s.toymodel import ModelConfig, NeedleProbe, SegmentCache, VideoTokenStream, build_model
-
-from helpers import segments_of
+from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=8192, init_seed=2)
 
@@ -156,14 +154,15 @@ def _backend(kind):
 
 
 def logged(backend, log, names):
-    """`backend` with each forward logged as its sequence's name in `names`."""
-    forward = backend.forward
+    """`backend` with each sequence a `last_logits` call reads logged as its
+    name in `names`."""
+    last_logits = backend.last_logits
 
-    def logged_forward(packed, cache=None):
-        log.append(names[id(packed)])
-        return forward(packed, cache)
+    def logged_last_logits(packs, caches=None):
+        log.extend(names[id(p)] for p in packs)
+        return last_logits(packs, caches)
 
-    backend.forward = logged_forward
+    backend.last_logits = logged_last_logits
     return backend
 
 
@@ -179,16 +178,10 @@ class TestMeasureForwards:
         assert report.measured_pairs_multi == backend.forward(multi).pair_count
 
     def test_pair_count_equals_forward(self, kind):
-        video, baseline, multi, _, _ = _setup()
+        _, baseline, multi, _, _ = _setup()
         backend = _backend(kind)
         for packed in (baseline, multi):
             assert backend.pair_count(packed) == backend.forward(packed).pair_count
-        # sequences that continue a cache: counted before the forward extends it
-        cache = SegmentCache()
-        backend.forward(multi, cache)
-        for ext in (segments_of(video, [[1, -3, 2], [-5]]), token_per_segment(4, multi)):
-            pairs = backend.pair_count(ext, cache)
-            assert pairs == backend.forward(ext, cache).pair_count
 
     def test_one_untimed_forward_per_path_first(self, kind, monkeypatch):
         _, baseline, multi, _, _ = _setup()
@@ -204,6 +197,22 @@ class TestMeasureForwards:
         measure(backend, baseline, multi, [0.5, 0.3], repeats=3)
         timed = ["clock", "base", "clock", "clock", "multi", "clock"]
         assert log == ["base", "multi"] + timed * 3
+
+
+def test_probe_timing_draws_noise_for_last_rows_only(monkeypatch):
+    # tau1/tau2 time the path experiments run: the probe draws noise for
+    # each segment's last row, never a (total, vocab) table
+    _, baseline, multi, _, _ = _setup()
+    rows = []
+    noise_logits = toymodel._noise_logits
+
+    def spy(acc, *args):
+        rows.append(len(acc))
+        return noise_logits(acc, *args)
+
+    monkeypatch.setattr(toymodel, "_noise_logits", spy)
+    measure(NeedleProbe(CFG.vocab), baseline, multi, [0.5, 0.3], repeats=3)
+    assert rows == [1, 2] * 4
 
 
 class TestCostReportJson:

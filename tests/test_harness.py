@@ -4,6 +4,7 @@ and the CLI surface."""
 import csv
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import t3s
-from t3s.aggregator import ConfidenceWeighted, CrossRefine, MeanLogits
+from t3s.aggregator import ConfidenceWeighted, CrossRefine, MeanLogits, decode
 from t3s.errors import ConfigError, ContractError
 from t3s.harness import (
     CSV_COLUMNS,
@@ -436,6 +437,64 @@ class TestProbeBlocks:
         assert large - small < 256 * 1024, (small, large)
 
 
+def _untimed(report) -> dict:
+    """A report's fields, the first-token timings left out."""
+    d = asdict(report)
+    for field in ("tau1", "tau2", "measured_speedup"):
+        d["cost"].pop(field)
+    return d
+
+
+class TestLastLogitsOnly:
+    """Production reads logits through `last_logits` alone: with every
+    `forward` raising, decode and experiments give what they gave before."""
+
+    @pytest.fixture
+    def no_forward(self, monkeypatch):
+        def forward(self, *args, **kwargs):
+            raise AssertionError("forward called")
+
+        def patch():
+            for cls in (NeedleProbe, SeededTransformer):
+                monkeypatch.setattr(cls, "forward", forward)
+
+        return patch
+
+    @pytest.mark.parametrize("backend", ["needle_probe", "seeded_transformer"])
+    def test_decode(self, no_forward, backend):
+        task = gen_task(32, 4, 2, seed=3, model=MODEL)
+        sampler = replace(small_config().sampler, trials=3, ratios=(0.5, 0.3, 1.0))
+        model = NeedleProbe(MODEL.vocab) if backend == "needle_probe" else build_model(MODEL)
+        args = (model, build_trial_plans(sampler, Rng(3)), task.video, task.question, 5,
+                ConfidenceWeighted())
+        want = decode(*args)
+        no_forward()
+        assert decode(*args) == want
+
+    @pytest.mark.parametrize(
+        "backend, token_strategy",
+        [
+            ("needle_probe", TokenStrategy.RAND_TOK),
+            ("seeded_transformer", TokenStrategy.RAND_TOK),
+            ("needle_probe", TokenStrategy.ATTN_TOP),
+        ],
+    )
+    def test_experiment(self, no_forward, backend, token_strategy):
+        cfg = small_config(
+            backend=backend,
+            repeats=10,
+            sampler=replace(
+                small_config().sampler, ratios=(0.5, 0.3), token_strategy=token_strategy
+            ),
+        )
+        want = _untimed(run_experiment(cfg))
+        no_forward()
+        assert _untimed(run_experiment(cfg)) == want
+        timed = run_experiment(cfg, latency_repeats=3)
+        assert _untimed(timed) == want
+        assert timed.cost.tau1 > 0 and timed.cost.tau2 > 0
+
+
 class TestSweep:
     def test_alpha_grid_rows_and_reference_point(self):
         base = small_config(repeats=2)
@@ -693,6 +752,19 @@ class TestConfigCodec:
         with pytest.raises(ConfigError, match=message):
             replace(cfg, **overrides(cfg))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    @pytest.mark.parametrize("field", ["seed", "init_seed"])
+    def test_seed_outside_64_bits_rejected(self, field, seed):
+        # the 64-bit seed streams would alias such a seed with another one
+        data = {field: seed} if field == "seed" else {"model": {field: seed}}
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must lie in [0, 2**64)")):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_bounds_accepted(self, seed):
+        cfg = config_from_dict({"seed": seed, "model": {"init_seed": seed}})
+        assert (cfg.seed, cfg.model.init_seed) == (seed, seed)
+
     def test_unknown_backend(self):
         with pytest.raises(ConfigError):
             small_config(backend="quantum").validate()
@@ -799,6 +871,21 @@ class TestCli:
         res = run_cli("run", "--config", str(bad), cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_two(self, tmp_path, run_cli, seed):
+        out = tmp_path / "out"
+        res = run_cli("run", "--seed", seed, "--out-dir", str(out), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert f"seed must lie in [0, 2**64), got {seed}" in res.stderr
+        assert not out.exists()
+
+    def test_init_seed_outside_64_bits_exits_two(self, tmp_path, run_cli):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model": {"init_seed": -1}}))
+        res = run_cli("run", "--config", str(bad), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "init_seed must lie in [0, 2**64), got -1" in res.stderr
 
     def test_probe_noise_of_one_or_more_exits_two(self, tmp_path, run_cli):
         bad = tmp_path / "bad.json"

@@ -446,33 +446,27 @@ class TestSegmentCache:
     @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
     @pytest.mark.parametrize("length", SEAM_LENGTHS)
     def test_extensions_match_full_forward(self, backend_kind, length):
-        # each segment is forwarded in three pieces through one cache; the
-        # pieces differ across segments and land on both sides of each
-        # query-chunk seam, as cached keys and as new queries
+        # each segment is read in three pieces through one cache; the pieces
+        # differ across segments and land on both sides of each query-chunk
+        # seam, as cached keys and as new queries
         pieces = [(37, length, 2), (5, length // 2 + 1, 1), (length, 1, 3)]
         g = Rng(length).generator()
         parts = [mixed_segment(g, sum(p)) for p in pieces]
         full = segments_of(MIXED_VIDEO, parts)
         backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
         want = backend.forward(full).logits
-        factor = CFG.layers * CFG.heads if backend_kind == "transformer" else 1
         cache = SegmentCache()
         for k in range(3):
             cuts = [(sum(p[:k]), sum(p[: k + 1])) for p in pieces]
-            got = backend.forward(
-                segments_of(MIXED_VIDEO, [c[lo:hi] for c, (lo, hi) in zip(parts, cuts)]),
-                cache,
+            got = backend.last_logits(
+                [segments_of(MIXED_VIDEO, [c[lo:hi] for c, (lo, hi) in zip(parts, cuts)])],
+                [cache],
             )
-            rows = np.concatenate(
-                [s.start + np.arange(lo, hi) for s, (lo, hi) in zip(full.segments, cuts)]
-            )
+            ends = [s.start + hi - 1 for s, (_, hi) in zip(full.segments, cuts)]
             if backend_kind == "transformer":
-                assert np.abs(got.logits - want[rows]).max() < 1e-9
+                assert np.abs(got - want[ends]).max() < 1e-9
             else:
-                assert np.array_equal(got.logits, want[rows])
-            # n new queries after c cached keys: n*c + n(n+1)/2 entries
-            triangles = sum((hi - lo) * lo + (hi - lo) * (hi - lo + 1) // 2 for lo, hi in cuts)
-            assert got.pair_count == factor * triangles
+                assert np.array_equal(got, want[ends])
             assert cache.lengths == [hi for _, hi in cuts]
 
     @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
@@ -480,11 +474,11 @@ class TestSegmentCache:
         packed, _, _ = make_packed(trials=2)
         backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
         cache = SegmentCache()
-        backend.forward(packed, cache)
+        backend.last_logits([packed], [cache])
         lengths, states = list(cache.lengths), cache.states
         three = segments_of(MIXED_VIDEO, [[4]] * 3)
         with pytest.raises(ContractError, match="cache holds 2 segments"):
-            backend.forward(three, cache)
+            backend.last_logits([three], [cache])
         assert cache.lengths == lengths and cache.states is states
 
 
@@ -549,7 +543,8 @@ class TestScoreBound:
         # segment 0 is continued by a token whose layer-0 key is longer than
         # every cached key's, then by an ordinary one; the cache must keep
         # the grown key-norm maximum, so the ordinary token's bound still
-        # covers the long key, and every step must match a cache-free forward
+        # covers the long key, and every step's segment ends must match a
+        # cache-free forward
         model = scaled_scores(8)
         # tokens whose layer-0 head-0 key or query is as long as the weights
         # allow: the top left singular vector of the head's block, centred
@@ -571,12 +566,9 @@ class TestScoreBound:
         for k, step in enumerate(steps):
             parts = [np.concatenate([p, s]) for p, s in zip(parts, step)]
             full = segments_of(MIXED_VIDEO, parts)
-            got = model.forward(segments_of(MIXED_VIDEO, step), cache).logits
-            new_rows = np.concatenate(
-                [np.arange(s.start + s.length - len(n), s.start + s.length)
-                 for s, n in zip(full.segments, step)]
-            )
-            assert np.abs(got - model.forward(full).logits[new_rows]).max() < 1e-9
+            got = model.last_logits([segments_of(MIXED_VIDEO, step)], [cache])
+            want = model.forward(full).logits[last_positions(full)]
+            assert np.abs(got - want).max() < 1e-9
             _, k_sq = layer0_norms(model, full)
             for i, s in enumerate(full.segments):
                 seg = k_sq[s.start : s.start + s.length]
@@ -602,7 +594,7 @@ class TestScoreBound:
         assert with_long > 1.1 * others
         model.weights["layer0.attn_query"] *= 300.0 / math.sqrt(math.sqrt(with_long * others))
         with pytest.raises(ContractError, match="layer 0: attention score bound"):
-            model.forward(segments_of(MIXED_VIDEO, step), cache)
+            model.last_logits([segments_of(MIXED_VIDEO, step)], [cache])
 
 
 def textbook_gelu(x):
