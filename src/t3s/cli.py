@@ -8,9 +8,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 from .harness import (
@@ -177,6 +180,10 @@ def _cmd_bench(args) -> int:
         f"measured={cost.measured_speedup:.3f}x "
         f"(tau1={cost.tau1 * 1e3:.1f}ms tau2={cost.tau2 * 1e3:.1f}ms)"
     )
+    # the machine the timings came from; stdout only, so no report changes
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = [f"{n}={os.environ.get(n, 'unset')}" for n in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+    print(f"nproc={os.cpu_count()} blas={blas['name']} {blas['version']}", *threads)
     return 0
 
 

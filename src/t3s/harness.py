@@ -556,6 +556,8 @@ def coverage_report(
     """Monte-Carlo needle-hit rate versus the closed form 1-(1-N/F)^m."""
     if draws < 10000:
         raise ContractError(f"draws must be >= 10000, got {draws}")
+    if not 0 <= seed < 2**64:
+        raise ContractError(f"seed must lie in [0, 2**64), got {seed}")
     p = closed_form_coverage(total_frames, frames_per_trial, trials)
     root = Rng(seed)
     key_frame = 0  # uniform sampling makes every fixed frame equivalent

@@ -11,8 +11,12 @@ restart at zero, so a segment's logits are the same packed or alone.
 position of many sequences at once, and is the only method that holds a
 `SegmentCache`: segment i of a sequence given a cache extends cached segment
 i, whose tokens it attends but does not recompute, and the cache then holds
-both. Each backend is a pure function of what it reads (the probe's answer id
-is `needle_answer` of the video's key), so one serves a whole run.
+both. It computes only the rows it returns: the probe draws noise for them
+alone and matches `forward` bit for bit; the transformer's last layer runs
+its queries, FFN and unembedding on them alone and matches `forward` within
+1e-12, since BLAS rounds a one-row product unlike the rows of a full one.
+Each backend is a pure function of what it reads (the probe's answer id is
+`needle_answer` of the video's key), so one serves a whole run.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .numkernel import Rng, counter_normals, layer_norm, mix64
-from .packer import PackedSequence, last_positions
+from .packer import PackedSequence
 
 _NEG_INF = float("-inf")
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -228,20 +232,21 @@ def _attend_segment(qa, kt, va, ctx, received):
         np.divide(heads_ctx[:, :, :-1], sums, out=ctx[:, c0:c1])
 
 
-def _shift_by_bound(qa, kt, starts, lengths, past_sq_max, layer):
+def _shift_by_bound(qa, kt, starts, queries, past_sq_max, layer):
     # writes -b_i into qa's last column, where b_i = |q_i| * max |k_j| over
     # the keys of row i's segment, cached ones included, so q_i.k_j <= b_i
     # (Cauchy-Schwarz); qa and kt as `_attend_segment` reads them, with
-    # segments starting at `starts`; past_sq_max: None, or per segment the
-    # (heads,) largest squared norm among its cached keys. Returns the
-    # (heads, segments) largest squared key norms, cached ones included.
+    # segments' keys starting at `starts` and `queries` rows of qa per
+    # segment; past_sq_max: None, or per segment the (heads,) largest
+    # squared norm among its cached keys. Returns the (heads, segments)
+    # largest squared key norms, cached ones included.
     hd = qa.shape[2] - 1
     q_sq = np.einsum("htd,htd->ht", qa[:, :, :hd], qa[:, :, :hd])
     k_sq = np.einsum("hdt,hdt->ht", kt[:, :hd], kt[:, :hd])
     k_sq_max = np.maximum.reduceat(k_sq, starts, axis=1)
     if past_sq_max is not None:
         np.maximum(k_sq_max, np.array(past_sq_max).T, out=k_sq_max)
-    bound = np.sqrt(q_sq * np.repeat(k_sq_max, lengths, axis=1))
+    bound = np.sqrt(q_sq * np.repeat(k_sq_max, queries, axis=1))
     top = bound.max()
     if top > _MAX_SCORE_BOUND:
         raise ContractError(
@@ -257,8 +262,11 @@ class SeededTransformer:
 
     Blocks are LN -> multi-head attention -> residual, LN -> 4x GELU MLP ->
     residual, with a final LN before the vocabulary projection. No biases.
-    `last_logits` given a `SegmentCache` keeps each segment's per-layer keys
-    and values, so the next call computes only the tokens it appends.
+    `last_logits` projects keys and values at every position of every layer,
+    but the last layer's queries and everything after its attention only at
+    each segment's last row. Given a `SegmentCache` it keeps each segment's
+    per-layer keys and values, so the next call computes only the tokens it
+    appends.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -280,19 +288,33 @@ class SeededTransformer:
     def last_logits(
         self, packs: Sequence[PackedSequence], caches: Optional[Sequence] = None
     ) -> np.ndarray:
-        """`forward(packed).logits[last_positions(packed)]` for each packed
-        sequence in order, stacked into one (segments, vocab) array; given
-        `caches`, one `SegmentCache` per sequence, each continues its own."""
+        """`forward(packed).logits[last_positions(packed)]`, within 1e-12, for
+        each packed sequence in order, stacked into one (segments, vocab)
+        array; given `caches`, one `SegmentCache` per sequence, each
+        continues its own. The last layer runs its queries, FFN and
+        unembedding on each segment's last row only. Every cache is checked
+        before any pass runs and extended only after every pass returns, so
+        a call that raises leaves them all as they were."""
         caches = caches or [None] * len(packs)
-        return np.concatenate([
-            self._run(p, cache=c)[0][last_positions(p)]
-            for p, c in zip(packs, caches, strict=True)
-        ])
+        pasts = [(c or SegmentCache()).continued(p, None) for p, c in zip(packs, caches, strict=True)]
+        runs = [
+            self._run(p, past, keep=c is not None, last_only=True)
+            for p, past, c in zip(packs, pasts, caches)
+        ]
+        for p, c, (_, kept) in zip(packs, caches, runs):
+            if c is not None:
+                c.extend(p, kept)
+        return np.concatenate([logits for logits, _ in runs])
 
     def attention_received(self, packed: PackedSequence) -> np.ndarray:
         """Per-position mean attention weight received, averaged over every
         layer, head, and same-segment query allowed to attend the position."""
-        return self._run(packed, collect_received=True)[1]
+        received = np.zeros(packed.total_length)
+        self._run(packed, received=received)
+        # queries that may attend each position: itself and every later
+        # position of its segment
+        attending = np.concatenate([np.arange(s.length, 0, -1) for s in packed.segments])
+        return received / (self.config.layers * self.config.heads * attending)
 
     def _embed(self, packed: PackedSequence, cached: list[int]) -> np.ndarray:
         cfg = self.config
@@ -315,23 +337,34 @@ class SeededTransformer:
         positions = packed.pos_in_segment + np.repeat(cached, [s.length for s in packed.segments])
         return x + _sinusoidal(positions, cfg.model_dim)
 
-    def _run(self, packed, collect_received=False, cache=None):
+    def _run(self, packed, past=None, keep=False, last_only=False, received=None):
+        # past: `SegmentCache.continued`'s (cached lengths, states), or None;
+        # keep: also return each segment's per-layer (keys, values, largest
+        # squared key norm) for a cache, else None; last_only: the last
+        # layer's queries and all after its attention cover each segment's
+        # last row only, so the logits are (segments, vocab); received:
+        # None, or a (total,) array that sums the attention each position
+        # receives over layers, heads and queries
         cfg = self.config
         w = self.weights
-        cached, past = (cache or SegmentCache()).continued(packed, None)
+        n_seg = packed.num_segments
+        cached, states = past or ([0] * n_seg, None)
         x = self._embed(packed, cached)
-        blocks = [(s.start, s.start + s.length) for s in packed.segments]
-        received = np.zeros(packed.total_length) if collect_received else None
+        starts = np.array([s.start for s in packed.segments])
+        lengths = np.array([s.length for s in packed.segments])
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
-        # per segment, per layer: (keys, values, largest squared key norm)
-        kept = [[] for _ in blocks]
+        kept = [[] for _ in range(n_seg)] if keep else None
         heads, hd = cfg.heads, self.head_dim
-        starts = [b for b, _ in blocks]
-        lengths = [e - b for b, e in blocks]
+        # segment i's queries are its trailing queries[i] rows, `rows` of x;
+        # a slice, not a gather, while every row is read
+        rows, queries, q_starts = slice(None), lengths, starts
 
         for layer in range(cfg.layers):
+            if last_only and layer == cfg.layers - 1:
+                rows = starts + lengths - 1
+                queries, q_starts = np.ones_like(lengths), np.arange(n_seg)
             h = layer_norm(x)
-            q = h @ w[f"layer{layer}.attn_query"]
+            q = h[rows] @ w[f"layer{layer}.attn_query"]
             qa = np.empty((heads, len(q), hd + 1))
             np.multiply(_split_heads(q, heads, hd), inv_sqrt, out=qa[:, :, :hd])
             del q
@@ -341,36 +374,26 @@ class SeededTransformer:
             kt[:, :hd] = k.reshape(-1, heads, hd).transpose(1, 2, 0)
             va = np.ones((heads, len(v), hd + 1))
             va[:, :, :hd] = _split_heads(v, heads, hd)
-            past_sq_max = [p[layer][2] for p in past] if any(cached) else None
-            k_sq_max = _shift_by_bound(qa, kt, starts, lengths, past_sq_max, layer)
-            ctx = np.empty((len(v), cfg.model_dim))
+            past_sq_max = [st[layer][2] for st in states] if any(cached) else None
+            k_sq_max = _shift_by_bound(qa, kt, starts, queries, past_sq_max, layer)
+            ctx = np.empty((qa.shape[1], cfg.model_dim))
             ctx_heads = _split_heads(ctx, heads, hd)
-            for i, (b, e) in enumerate(blocks):
-                k_seg, v_seg = kt[:, :, b:e], va[:, b:e]
+            for i, (b, n, qb, nq) in enumerate(zip(starts, lengths, q_starts, queries)):
+                k_seg, v_seg = kt[:, :, b : b + n], va[:, b : b + n]
                 if cached[i]:
-                    k_past, v_past, _ = past[i][layer]
+                    k_past, v_past, _ = states[i][layer]
                     k_seg = np.concatenate([k_past, k_seg], axis=2)
                     v_seg = np.concatenate([v_past, v_seg], axis=1)
-                if cache is not None:
+                if keep:
                     kept[i].append((k_seg, v_seg, k_sq_max[:, i]))
-                seg_received = None if received is None else received[b:e]
-                _attend_segment(qa[:, b:e], k_seg, v_seg, ctx_heads[:, b:e], seg_received)
-            x = x + ctx @ w[f"layer{layer}.attn_out"]
+                seg_received = None if received is None else received[b : b + n]
+                q_seg = slice(qb, qb + nq)
+                _attend_segment(qa[:, q_seg], k_seg, v_seg, ctx_heads[:, q_seg], seg_received)
+            x = x[rows] + ctx @ w[f"layer{layer}.attn_out"]
             h2 = layer_norm(x)
             x = x + _gelu(h2 @ w[f"layer{layer}.ffn_in"]) @ w[f"layer{layer}.ffn_out"]
 
-        logits = layer_norm(x) @ w["unembedding"]
-        if cache is not None:
-            cache.extend(packed, kept)
-
-        if collect_received:
-            # queries that may attend each position: itself and every later
-            # position of its segment
-            attending = np.concatenate(
-                [np.arange(s.length, 0, -1) for s in packed.segments]
-            )
-            received = received / (cfg.layers * cfg.heads * attending)
-        return logits, received
+        return layer_norm(x) @ w["unembedding"], kept
 
 
 def _split_heads(x: np.ndarray, heads: int, head_dim: int) -> np.ndarray:

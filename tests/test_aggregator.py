@@ -18,6 +18,7 @@ from t3s.aggregator import (
     mean_logits,
 )
 from t3s.errors import ConfigError, ContractError
+from t3s.harness import gen_task
 from t3s.numkernel import Rng
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model, needle_answer
@@ -317,6 +318,22 @@ class TestDecode:
         for strategy in (MeanLogits(), ConfidenceWeighted()):
             want = recompute_decode(backend, plans, video, text, 6, strategy)
             assert decode(backend, plans, video, text, 6, strategy) == want
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_short_trials_match_recompute(self, seed):
+        # perfbench's decode_short_trials shape on its model: 8 trials at
+        # alpha=0.1 over 32 of 256 frames, whose last layer runs 8 of 440
+        # prompt rows; the tokens must be those of full forwards
+        cfg = ModelConfig(layers=4, model_dim=64, heads=4, vocab=64, max_positions=16384)
+        task = gen_task(256, 16, 1, seed, cfg)
+        sampler = SamplerConfig(
+            total_frames=256, frames_per_trial=32, tokens_per_frame=16,
+            trials=8, ratios=(0.1,) * 8,
+        )
+        plans = build_trial_plans(sampler, Rng(seed))
+        model = build_model(cfg)
+        args = (model, plans, task.video, task.question, 4, ConfidenceWeighted())
+        assert decode(*args) == recompute_decode(*args)
 
     def test_max_positions_at_same_step_as_recompute(self):
         video = _full_video(6, 2)

@@ -4,6 +4,7 @@ and the CLI surface."""
 import csv
 import json
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import asdict, replace
@@ -612,6 +613,12 @@ class TestCoverageReport:
         with pytest.raises(ContractError):
             coverage_report(10, 5, 1, draws=500)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, seed):
+        # masked to 64 bits, -1 would alias 2**64 - 1 and 2**64 alias 0
+        with pytest.raises(ContractError, match="seed"):
+            coverage_report(10, 5, 1, draws=10_000, seed=seed)
+
 
 DEFAULT_CONFIG_DICT = config_to_dict(default_experiment_config())
 # every field of the JSON config, nested ones as (section, field)
@@ -1030,6 +1037,14 @@ class TestCli:
         rep = json.loads((out / "cost_report.json").read_text())
         assert rep["tau1"] > 0 and rep["tau2"] > 0
         assert rep["measured_speedup"] == rep["tau1"] / rep["tau2"]
+        # the machine the timings came from, on stdout only
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        machine = res.stdout.splitlines()[-1].split()
+        assert machine[:3] == [f"nproc={os.cpu_count()}", f"blas={blas['name']}", blas["version"]]
+        assert machine[3:] == [
+            f"{name}={os.environ.get(name, 'unset')}"
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        ]
 
     def test_bench_repeats_floor_exits_two(self, tmp_path, run_cli):
         res = run_cli("bench", "--repeats", "2", "--out-dir", str(tmp_path), cwd=tmp_path)

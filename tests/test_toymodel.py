@@ -481,6 +481,21 @@ class TestSegmentCache:
             backend.last_logits([three], [cache])
         assert cache.lengths == lengths and cache.states is states
 
+    @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
+    def test_failed_call_extends_no_cache(self, backend_kind):
+        # the second sequence's cache does not match it, so the call raises,
+        # and the first sequence's cache, which does match, must not grow
+        backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
+        first, second = SegmentCache(), SegmentCache()
+        backend.last_logits([segments_of(MIXED_VIDEO, [[1, 2]])], [first])
+        backend.last_logits([segments_of(MIXED_VIDEO, [[3], [4]])], [second])
+        states = first.states
+        one = segments_of(MIXED_VIDEO, [[5]])
+        with pytest.raises(ContractError, match="cache holds 2 segments"):
+            backend.last_logits([one, one], [first, second])
+        assert first.lengths == [2] and first.states is states
+        assert second.lengths == [1, 1]
+
 
 def scaled_scores(scale, layers=None):
     """A CFG model whose query and key weights are each multiplied by
@@ -723,8 +738,68 @@ class TestProbeLastLogits:
         packs = random_packs(seed, sequences)
         backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG, noise)
         got = backend.last_logits(packs)
-        want = [backend.forward(packed).logits[last_positions(packed)] for packed in packs]
-        assert np.array_equal(got, np.concatenate(want))
+        want = np.concatenate(
+            [backend.forward(packed).logits[last_positions(packed)] for packed in packs]
+        )
+        if backend_kind == "probe":
+            assert np.array_equal(got, want)
+        else:
+            # the transformer's last layer runs one query row per segment,
+            # whose products BLAS rounds unlike the rows of a full pass
+            assert np.abs(got - want).max() <= 1e-12
+
+
+class TestPrunedLastLayer:
+    """The transformer's `last_logits` runs its last layer on each segment's
+    last row only, yet must return that row of a full pass."""
+
+    @pytest.mark.parametrize("layers", [1, 4])
+    @pytest.mark.parametrize("step", [1, 40])
+    def test_rows_match_full_pass(self, layers, step):
+        # several sequences per call, each with several segments whose
+        # lengths cross the query-chunk seams; every sequence then grows by
+        # `step` tokens per segment through its cache, three times
+        model = build_model(dataclasses.replace(CFG, layers=layers))
+        g = Rng(10 * layers + step).generator()
+        parts = [
+            [mixed_segment(g, n) for n in lengths]
+            for lengths in ([1, _C - 1], [_C, _C + 1, 2 * _C], [2 * _C + 1])
+        ]
+        caches = [SegmentCache() for _ in parts]
+        new = parts
+        for _ in range(4):
+            got = model.last_logits([segments_of(MIXED_VIDEO, p) for p in new], caches)
+            fulls = [segments_of(MIXED_VIDEO, p) for p in parts]
+            want = np.concatenate([model.forward(f).logits[last_positions(f)] for f in fulls])
+            assert np.abs(got - want).max() <= 1e-12
+            new = [[mixed_segment(g, step) for _ in p] for p in parts]
+            parts = [[np.concatenate(s) for s in zip(p, q)] for p, q in zip(parts, new)]
+
+    def test_last_layer_runs(self):
+        # scaling the last layer's FFN output must move every row
+        model = build_model(CFG)
+        packs = random_packs(3, 3)
+        before = model.last_logits(packs)
+        model.weights[f"layer{CFG.layers - 1}.ffn_out"] *= 1.5
+        assert (np.abs(model.last_logits(packs) - before).max(axis=1) > 1e-6).all()
+
+    def test_every_key_is_read(self):
+        # a middle token of one segment, changed, must move that segment's
+        # row and no other; with one layer, only the last layer's keys and
+        # values carry it there
+        model = build_model(dataclasses.replace(CFG, layers=1))
+        g = Rng(8).generator()
+        parts = [mixed_segment(g, n) for n in (5, _C + 1, 2 * _C + 1)]
+        before = model.last_logits([segments_of(MIXED_VIDEO, parts)])
+        for i, part in enumerate(parts):
+            changed = part.copy()
+            mid = len(part) // 2
+            changed[mid] = 7 if part[mid] != 7 else 8
+            got = model.last_logits(
+                [segments_of(MIXED_VIDEO, parts[:i] + [changed] + parts[i + 1 :])]
+            )
+            moved = np.abs(got - before).max(axis=1) > 1e-9
+            assert moved.tolist() == [k == i for k in range(len(parts))]
 
 
 class TestNeedleProbe:
