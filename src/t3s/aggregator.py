@@ -15,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .numkernel import entropy, softmax_rows
+from .numkernel import softmax_rows
 from .packer import pack, token_per_segment
 from .sampler import TrialPlan
 from .toymodel import SegmentCache
@@ -68,11 +68,24 @@ def mean_logits(logits) -> tuple[np.ndarray, int]:
     return fused, int(np.argmax(fused))
 
 
+def _row_entropies(probs: np.ndarray) -> np.ndarray:
+    # `numkernel.entropy` of every row in one pass, with its checks applied
+    # per row; bit-equal to it where every probability is > 0 (a zero term
+    # moves the others within numpy's pairwise sum, by an ulp at most)
+    if probs.min() < 0.0:
+        raise ContractError(f"negative probability {probs.min()}")
+    totals = probs.sum(axis=1)
+    off = np.abs(totals - 1.0) > 1e-9
+    if off.any():
+        raise ContractError(f"probabilities sum to {totals[off][0]}, not 1")
+    logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    return -(probs * logs).sum(axis=1)
+
+
 def confidence_weighted(logits) -> tuple[np.ndarray, int]:
     """Trials weighted by inverse predictive entropy, normalized to sum 1."""
     o = _check_trial_logits(logits)
-    probs = softmax_rows(o)
-    h = np.array([entropy(row) for row in probs])
+    h = _row_entropies(softmax_rows(o))
     inv = 1.0 / np.maximum(h, _ENTROPY_FLOOR)
     weights = inv / np.add.reduce(np.sort(inv))
     fused = _ordered_sum(weights[:, None] * o)
@@ -132,7 +145,7 @@ def decode(
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
     packed = pack(plans, video, text)
-    cache = SegmentCache()
+    cache = SegmentCache(reserve=steps - 1)
     out: list[int] = []
     for step in range(steps):
         token = fuse_token(backend.last_logits([packed], [cache]), strategy)

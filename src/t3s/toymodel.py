@@ -17,10 +17,18 @@ its queries, FFN and unembedding on them alone and matches `forward` within
 1e-12, since BLAS rounds a one-row product unlike the rows of a full one.
 Each backend is a pure function of what it reads (the probe's answer id is
 `needle_answer` of the video's key), so one serves a whole run.
+
+The transformer attends a pass's segments run by run: a run is a stretch of
+consecutive segments with equal cached, new and query counts, as equal-alpha
+trials and every decode step make them, and it goes through one batched
+score, exp and PV pass over a (segments, heads) stack of views. A lone
+segment is a run of one. Its cache holds each layer's keys and values in
+buffers that a continuing call writes in place while its tokens fit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,12 +44,16 @@ _NEG_INF = float("-inf")
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 # Queries are processed in fixed-size chunks with keys truncated at the
-# chunk's causal horizon. Each chunk's (heads, chunk, horizon) float64 score
-# tile is read and written by three passes (mask, exp, PV), so it is sized to
-# a 2 MiB per-core L2: at 4 heads a 32-query tile is 1 MB at horizon 1028 and
-# 2 MB at 2052, where a 128-query one spilled at 4-8 MB. Keys before a chunk
-# are all allowed, so only its diagonal block is masked, by this triangle.
+# chunk's causal horizon. Each chunk's float64 score tile is read and written
+# by three passes (mask, exp, PV), so it is sized to a 2 MiB per-core L2: at
+# 4 heads one segment's 32-query tile is 1 MB at horizon 1028 and 2 MB at
+# 2052, where a 128-query one spilled at 4-8 MB. A run of equal segments
+# shares one (segments, heads, chunk, horizon) tile, so runs are cut to the
+# segments whose tile fits _TILE_BYTES; a segment past it alone is a run of
+# one. Keys before a chunk are all allowed, so only its diagonal block is
+# masked, by this triangle.
 _QUERY_CHUNK = 32
+_TILE_BYTES = 2 << 20
 _FUTURE_KEYS = np.triu(np.ones((_QUERY_CHUNK, _QUERY_CHUNK), dtype=bool), k=1)
 
 # Scores reach `exp` already shifted by a per-row bound b >= every score of
@@ -170,17 +182,25 @@ class SegmentCache:
     and every later call must pack that many segments. `lengths[i]` is the
     number of tokens segment i holds so far; `states[i]` is the backend's
     summary of them, so a cache serves one backend. The transformer keeps,
-    per layer, the (keys, values) pair `_attend_segment` reads, keys as
-    (heads, head_dim + 1, tokens) with a ones last row and values as
-    (heads, tokens, head_dim + 1) with a ones last column, plus the (heads,)
-    largest squared key norm among those tokens, so a continuing pass's
-    score bound covers the cached keys. The needle probe keeps its prefix
-    XOR at the last position and its needle count.
+    per layer, one `_LayerCache`: a key buffer (segments, heads, head_dim + 1,
+    capacity) with a ones row at head_dim, a value buffer (segments, heads,
+    capacity, head_dim + 1) with a ones column, and the (segments, heads)
+    largest squared key norm so far, so a continuing pass's score bound
+    covers the cached keys; `states[i]` reads segment i's per-layer (keys,
+    values, norm) out of them. A call writes its new keys and values in
+    place while they fit; else that layer's buffers are allocated anew,
+    `reserve` tokens per segment longer than the call needs, and the cached
+    tokens copied over. `decode` reserves its later steps' tokens, so no
+    step copies a cached key. The needle probe keeps its prefix XOR at the
+    last position and its needle count, and ignores `reserve`.
     """
 
-    def __init__(self):
+    def __init__(self, reserve: int = 0):
+        if reserve < 0:
+            raise ContractError(f"reserve must be >= 0, got {reserve}")
+        self.reserve = reserve
         self.lengths: list[int] = []
-        self.states: list = []
+        self.states: Sequence = []
 
     def continued(self, packed: PackedSequence, initial) -> tuple[list[int], list]:
         """(cached lengths, states) of the segments `packed` continues; an
@@ -207,45 +227,62 @@ def _segment_pair_count(packed: PackedSequence) -> int:
     return sum(s.length * (s.length + 1) // 2 for s in packed.segments)
 
 
-def _attend_segment(qa, kt, va, ctx, received):
-    # qa: (heads, n, head_dim + 1) one segment's new queries, scaled by
-    # 1/sqrt(head_dim), with -b (each row's score bound) as the last column;
-    # kt: (heads, head_dim + 1, c + n) its c cached keys then the n new ones,
-    # transposed as the score matmul reads them, with a ones last row, so
-    # the matmul returns each score minus its row's bound, all <= 0 and
-    # ready for `exp` without a max or subtract pass; va: (heads, c + n,
-    # head_dim + 1) the matching values with a ones last column, so the PV
-    # matmul also returns each row's softmax denominator; ctx: (heads, n,
-    # head_dim) output, a strided view of the (n, model_dim) context rows
-    cached = kt.shape[2] - qa.shape[1]
-    for c0 in range(0, qa.shape[1], _QUERY_CHUNK):
-        c1 = min(c0 + _QUERY_CHUNK, qa.shape[1])
+def _segment_runs(cached, lengths, queries, heads):
+    # [s0, s1) stretches of consecutive segments with equal cached, new and
+    # query counts, each cut to as many segments as share one score tile of
+    # at most _TILE_BYTES (a segment past it alone is a run of one)
+    runs, s0 = [], 0
+    for (c, n, nq), group in itertools.groupby(zip(cached, lengths, queries)):
+        s1 = s0 + len(list(group))
+        fit = max(1, _TILE_BYTES // (8 * heads * min(nq, _QUERY_CHUNK) * (c + n)))
+        runs += [(s, min(s + fit, s1)) for s in range(s0, s1, fit)]
+        s0 = s1
+    return runs
+
+
+def _attend_run(qa, kt, va, ctx, received):
+    # one run of r segments that share cached and new lengths, as one
+    # (r, heads) stack: qa: (r, heads, nq, head_dim + 1) each segment's
+    # trailing nq new queries, scaled by 1/sqrt(head_dim), with -b (each
+    # row's score bound) as the last column; kt: (r, heads, head_dim + 1,
+    # c + n) its c cached keys then its n new ones, transposed as the score
+    # matmul reads them, with a ones last row, so the matmul returns each
+    # score minus its row's bound, all <= 0 and ready for `exp` without a
+    # max or subtract pass; va: (r, heads, c + n, head_dim + 1) the matching
+    # values with a ones last column, so the PV matmul also returns each
+    # row's softmax denominator; ctx: (r, heads, nq, head_dim) output, a
+    # strided view of the context rows; received: None, or (r, c + n) sums
+    # of the attention each key receives
+    cached = kt.shape[3] - qa.shape[2]
+    for c0 in range(0, qa.shape[2], _QUERY_CHUNK):
+        c1 = min(c0 + _QUERY_CHUNK, qa.shape[2])
         horizon = cached + c1
-        scores = qa[:, c0:c1] @ kt[:, :, :horizon]
+        scores = qa[:, :, c0:c1] @ kt[..., :horizon]
         future = _FUTURE_KEYS[: c1 - c0, : c1 - c0]
-        np.copyto(scores[:, :, cached + c0 :], _NEG_INF, where=future)
+        np.copyto(scores[..., cached + c0 :], _NEG_INF, where=future)
         np.exp(scores, out=scores)
-        heads_ctx = scores @ va[:, :horizon]
-        sums = heads_ctx[:, :, -1:]
+        heads_ctx = scores @ va[:, :, :horizon]
+        sums = heads_ctx[..., -1:]
         if received is not None:
-            received[:horizon] += (scores / sums).sum(axis=(0, 1))
-        np.divide(heads_ctx[:, :, :-1], sums, out=ctx[:, c0:c1])
+            received[:, :horizon] += (scores / sums).sum(axis=(1, 2))
+        np.divide(heads_ctx[..., :-1], sums, out=ctx[:, :, c0:c1])
 
 
 def _shift_by_bound(qa, kt, starts, queries, past_sq_max, layer):
     # writes -b_i into qa's last column, where b_i = |q_i| * max |k_j| over
     # the keys of row i's segment, cached ones included, so q_i.k_j <= b_i
-    # (Cauchy-Schwarz); qa and kt as `_attend_segment` reads them, with
-    # segments' keys starting at `starts` and `queries` rows of qa per
-    # segment; past_sq_max: None, or per segment the (heads,) largest
-    # squared norm among its cached keys. Returns the (heads, segments)
-    # largest squared key norms, cached ones included.
+    # (Cauchy-Schwarz); qa: (heads, rows, head_dim + 1) every query row and
+    # kt: (heads, head_dim + 1, tokens) every new key, with segments' keys
+    # starting at `starts` and `queries` rows of qa per segment;
+    # past_sq_max: None, or the (segments, heads) largest squared norms
+    # among cached keys. Returns the (segments, heads) largest squared key
+    # norms, cached ones included.
     hd = qa.shape[2] - 1
     q_sq = np.einsum("htd,htd->ht", qa[:, :, :hd], qa[:, :, :hd])
     k_sq = np.einsum("hdt,hdt->ht", kt[:, :hd], kt[:, :hd])
     k_sq_max = np.maximum.reduceat(k_sq, starts, axis=1)
     if past_sq_max is not None:
-        np.maximum(k_sq_max, np.array(past_sq_max).T, out=k_sq_max)
+        np.maximum(k_sq_max, past_sq_max.T, out=k_sq_max)
     bound = np.sqrt(q_sq * np.repeat(k_sq_max, queries, axis=1))
     top = bound.max()
     if top > _MAX_SCORE_BOUND:
@@ -254,7 +291,44 @@ def _shift_by_bound(qa, kt, starts, queries, past_sq_max, layer):
             f"{_MAX_SCORE_BOUND:g}; exp of the shifted scores would underflow"
         )
     np.negative(bound, out=qa[:, :, hd])
-    return k_sq_max
+    return k_sq_max.T
+
+
+class _LayerCache(NamedTuple):
+    keys: np.ndarray  # (segments, heads, head_dim + 1, capacity)
+    values: np.ndarray  # (segments, heads, capacity, head_dim + 1)
+    key_sq_max: np.ndarray  # (segments, heads)
+
+
+def _layer_cache(old, cached, lengths, reserve, key_sq_max, kt):
+    # the buffers of one layer's cache after this call: old's, if they hold
+    # every segment's tokens so far, else new ones `reserve` tokens longer,
+    # with old's cached tokens copied in; kt as `_shift_by_bound` reads it
+    need = max(c + n for c, n in zip(cached, lengths))
+    if old is not None and old.keys.shape[3] >= need:
+        return _LayerCache(old.keys, old.values, key_sq_max)
+    heads, rows, _ = kt.shape
+    keys = np.empty((len(lengths), heads, rows, need + reserve))
+    values = np.empty((len(lengths), heads, need + reserve, rows))
+    if old is not None:
+        held = max(cached)
+        keys[..., :held] = old.keys[..., :held]
+        values[:, :, :held] = old.values[:, :, :held]
+    return _LayerCache(keys, values, key_sq_max)
+
+
+class _CachedKV:
+    """The transformer's `SegmentCache.states`: one `_LayerCache` per layer,
+    and item i segment i's per-layer (keys, values, largest squared key
+    norm), views trimmed to its `lengths[i]` tokens."""
+
+    def __init__(self, layers: list[_LayerCache], lengths: list[int]):
+        self.layers = layers
+        self.lengths = lengths
+
+    def __getitem__(self, i: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        n = self.lengths[i]
+        return [(c.keys[i, :, :, :n], c.values[i, :, :n], c.key_sq_max[i]) for c in self.layers]
 
 
 class SeededTransformer:
@@ -295,16 +369,18 @@ class SeededTransformer:
         unembedding on each segment's last row only. Every cache is checked
         before any pass runs and extended only after every pass returns, so
         a call that raises leaves them all as they were."""
+        if not packs:
+            return np.empty((0, self.config.vocab))
         caches = caches or [None] * len(packs)
         pasts = [(c or SegmentCache()).continued(p, None) for p, c in zip(packs, caches, strict=True)]
-        runs = [
-            self._run(p, past, keep=c is not None, last_only=True)
+        results = [
+            self._run(p, past, keep=None if c is None else c.reserve, last_only=True)
             for p, past, c in zip(packs, pasts, caches)
         ]
-        for p, c, (_, kept) in zip(packs, caches, runs):
+        for p, c, (_, kept) in zip(packs, caches, results):
             if c is not None:
                 c.extend(p, kept)
-        return np.concatenate([logits for logits, _ in runs])
+        return np.concatenate([logits for logits, _ in results])
 
     def attention_received(self, packed: PackedSequence) -> np.ndarray:
         """Per-position mean attention weight received, averaged over every
@@ -337,32 +413,35 @@ class SeededTransformer:
         positions = packed.pos_in_segment + np.repeat(cached, [s.length for s in packed.segments])
         return x + _sinusoidal(positions, cfg.model_dim)
 
-    def _run(self, packed, past=None, keep=False, last_only=False, received=None):
+    def _run(self, packed, past=None, keep=None, last_only=False, received=None):
         # past: `SegmentCache.continued`'s (cached lengths, states), or None;
-        # keep: also return each segment's per-layer (keys, values, largest
-        # squared key norm) for a cache, else None; last_only: the last
-        # layer's queries and all after its attention cover each segment's
-        # last row only, so the logits are (segments, vocab); received:
-        # None, or a (total,) array that sums the attention each position
-        # receives over layers, heads and queries
+        # keep: None, or a cache's `reserve`: then also return the
+        # `_CachedKV` of every segment's tokens so far, else None;
+        # last_only: the last layer's queries and all after its attention
+        # cover each segment's last row only, so the logits are (segments,
+        # vocab); received: None, or a (total,) array that sums the attention
+        # each position receives over layers, heads and queries
         cfg = self.config
         w = self.weights
         n_seg = packed.num_segments
         cached, states = past or ([0] * n_seg, None)
         x = self._embed(packed, cached)
-        starts = np.array([s.start for s in packed.segments])
-        lengths = np.array([s.length for s in packed.segments])
+        starts = [s.start for s in packed.segments]
+        lengths = [s.length for s in packed.segments]
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
-        kept = [[] for _ in range(n_seg)] if keep else None
         heads, hd = cfg.heads, self.head_dim
+        prior = states.layers if any(cached) else [None] * cfg.layers
+        kept = []
         # segment i's queries are its trailing queries[i] rows, `rows` of x;
         # a slice, not a gather, while every row is read
         rows, queries, q_starts = slice(None), lengths, starts
+        runs = _segment_runs(cached, lengths, queries, heads)
 
         for layer in range(cfg.layers):
             if last_only and layer == cfg.layers - 1:
-                rows = starts + lengths - 1
-                queries, q_starts = np.ones_like(lengths), np.arange(n_seg)
+                rows = [b + n - 1 for b, n in zip(starts, lengths)]
+                queries, q_starts = [1] * n_seg, list(range(n_seg))
+                runs = _segment_runs(cached, lengths, queries, heads)
             h = layer_norm(x)
             q = h[rows] @ w[f"layer{layer}.attn_query"]
             qa = np.empty((heads, len(q), hd + 1))
@@ -374,26 +453,40 @@ class SeededTransformer:
             kt[:, :hd] = k.reshape(-1, heads, hd).transpose(1, 2, 0)
             va = np.ones((heads, len(v), hd + 1))
             va[:, :, :hd] = _split_heads(v, heads, hd)
-            past_sq_max = [st[layer][2] for st in states] if any(cached) else None
+            old = prior[layer]
+            past_sq_max = None if old is None else old.key_sq_max
             k_sq_max = _shift_by_bound(qa, kt, starts, queries, past_sq_max, layer)
+            cache = None
+            if keep is not None:
+                cache = _layer_cache(old, cached, lengths, keep, k_sq_max, kt)
+                kept.append(cache)
             ctx = np.empty((qa.shape[1], cfg.model_dim))
-            ctx_heads = _split_heads(ctx, heads, hd)
-            for i, (b, n, qb, nq) in enumerate(zip(starts, lengths, q_starts, queries)):
-                k_seg, v_seg = kt[:, :, b : b + n], va[:, b : b + n]
-                if cached[i]:
-                    k_past, v_past, _ = states[i][layer]
-                    k_seg = np.concatenate([k_past, k_seg], axis=2)
-                    v_seg = np.concatenate([v_past, v_seg], axis=1)
-                if keep:
-                    kept[i].append((k_seg, v_seg, k_sq_max[:, i]))
-                seg_received = None if received is None else received[b : b + n]
-                q_seg = slice(qb, qb + nq)
-                _attend_segment(qa[:, q_seg], k_seg, v_seg, ctx_heads[:, q_seg], seg_received)
+            ctx_rows = ctx.reshape(len(ctx), heads, hd)
+            for s0, s1 in runs:
+                # the run's segments as one stack of views: of the new rows,
+                # or of the cache buffers once the new rows are written there
+                r, c, n, nq = s1 - s0, cached[s0], lengths[s0], queries[s0]
+                b, qb = starts[s0], q_starts[s0]
+                k_run = kt[:, :, b : b + r * n].reshape(heads, hd + 1, r, n).transpose(2, 0, 1, 3)
+                v_run = va[:, b : b + r * n].reshape(heads, r, n, hd + 1).transpose(1, 0, 2, 3)
+                if cache is not None:
+                    cache.keys[s0:s1, :, :, c : c + n] = k_run
+                    cache.values[s0:s1, :, c : c + n] = v_run
+                    k_run, v_run = cache.keys[s0:s1, :, :, : c + n], cache.values[s0:s1, :, : c + n]
+                q_run = slice(qb, qb + r * nq)
+                _attend_run(
+                    qa[:, q_run].reshape(heads, r, nq, hd + 1).transpose(1, 0, 2, 3),
+                    k_run,
+                    v_run,
+                    ctx_rows[q_run].reshape(r, nq, heads, hd).transpose(0, 2, 1, 3),
+                    None if received is None else received[b : b + r * n].reshape(r, n),
+                )
             x = x[rows] + ctx @ w[f"layer{layer}.attn_out"]
             h2 = layer_norm(x)
             x = x + _gelu(h2 @ w[f"layer{layer}.ffn_in"]) @ w[f"layer{layer}.ffn_out"]
 
-        return layer_norm(x) @ w["unembedding"], kept
+        totals = [c + n for c, n in zip(cached, lengths)]
+        return layer_norm(x) @ w["unembedding"], _CachedKV(kept, totals) if kept else None
 
 
 def _split_heads(x: np.ndarray, heads: int, head_dim: int) -> np.ndarray:
@@ -550,6 +643,8 @@ class NeedleProbe:
         its own. Each segment's prefix XOR and needle count are a `reduceat`
         over its new tokens folded into its cached state, so noise is drawn
         for last rows only."""
+        if not packs:
+            return np.empty((0, self.vocab))
         caches = caches or [None] * len(packs)
         keyed, is_needle, starts, _, states, needles = _probe_pass(packs, caches)
         acc = np.bitwise_xor.reduceat(keyed, starts)

@@ -11,6 +11,7 @@ from t3s.aggregator import (
     ConfidenceWeighted,
     CrossRefine,
     MeanLogits,
+    _row_entropies,
     confidence_weighted,
     cross_refine,
     decode,
@@ -19,7 +20,8 @@ from t3s.aggregator import (
 )
 from t3s.errors import ConfigError, ContractError
 from t3s.harness import gen_task
-from t3s.numkernel import Rng
+from t3s.numkernel import Rng, entropy, softmax_rows
+from t3s.packer import pack
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model, needle_answer
 
@@ -129,6 +131,35 @@ class TestConfidenceWeighted:
             bf, bt = brute_confidence(o.tolist(), 1e-8)
             assert np.abs(fused - np.array(bf)).max() < 1e-9
             assert t == bt
+
+    def test_matches_per_row_entropy(self):
+        # the rule with `entropy` called row by row: bit-equal while every
+        # probability is > 0; where some underflow to 0 the zero terms move
+        # the others within numpy's pairwise sum, so entropies agree to 1e-15
+        def per_row(o):
+            h = np.array([entropy(row) for row in softmax_rows(o)])
+            inv = 1.0 / np.maximum(h, 1e-8)
+            weights = inv / np.add.reduce(np.sort(inv))
+            return np.add.reduce(np.sort(weights[:, None] * o, axis=0), axis=0)
+
+        g = Rng(6).generator()
+        for _ in range(200):
+            o = g.standard_normal((8, 64)) * 3.0
+            assert np.array_equal(confidence_weighted(o)[0], per_row(o))
+        for _ in range(50):
+            o = g.standard_normal((8, 64)) * 3.0
+            o[:, ::3] -= 800.0
+            probs = softmax_rows(o)
+            assert (probs == 0.0).any()
+            want = np.array([entropy(row) for row in probs])
+            assert np.abs(_row_entropies(probs) - want).max() <= 1e-15
+
+    def test_row_checks(self):
+        # `entropy`'s checks, row by row
+        with pytest.raises(ContractError, match="negative probability"):
+            _row_entropies(np.array([[0.5, 0.5], [1.2, -0.2]]))
+        with pytest.raises(ContractError, match="sum to 1.1"):
+            _row_entropies(np.array([[0.5, 0.5], [0.5, 0.6]]))
 
 
 class TestCrossRefine:
@@ -334,6 +365,38 @@ class TestDecode:
         model = build_model(cfg)
         args = (model, plans, task.video, task.question, 4, ConfidenceWeighted())
         assert decode(*args) == recompute_decode(*args)
+
+    def test_cache_sized_once(self):
+        # decode's prompt call reserves the later steps' tokens, so every
+        # step writes into the buffers the prompt call allocated, and the
+        # cache ends exactly full: prompt + steps - 1 tokens per segment
+        cfg = ModelConfig(layers=4, model_dim=64, heads=4, vocab=64, max_positions=16384)
+        task = gen_task(256, 16, 1, 3, cfg)
+        sampler = SamplerConfig(
+            total_frames=256, frames_per_trial=32, tokens_per_frame=16,
+            trials=8, ratios=(0.1,) * 8,
+        )
+        plans = build_trial_plans(sampler, Rng(3))
+        model = build_model(cfg)
+        seen = []
+        last_logits = model.last_logits
+
+        def recording(packs, caches=None):
+            rows = last_logits(packs, caches)
+            seen.append((list(caches[0].lengths), caches[0].states.layers))
+            return rows
+
+        model.last_logits = recording
+        steps = 4
+        decode(model, plans, task.video, task.question, steps, ConfidenceWeighted())
+        prompt = [s.length for s in pack(plans, task.video, task.question).segments]
+        assert len(set(prompt)) == 1 and len(seen) == steps
+        lengths, layers = seen[-1]
+        assert lengths == [n + steps - 1 for n in prompt]
+        for _, step_layers in seen:
+            for first, layer in zip(seen[0][1], step_layers):
+                assert layer.keys is first.keys and layer.values is first.values
+                assert layer.keys.shape[3] == layer.values.shape[2] == prompt[0] + steps - 1
 
     def test_max_positions_at_same_step_as_recompute(self):
         video = _full_video(6, 2)

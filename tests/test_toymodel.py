@@ -20,12 +20,14 @@ from t3s.packer import append_token, last_positions, pack, slice_segment
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import (
     _QUERY_CHUNK,
+    _TILE_BYTES,
     ModelConfig,
     NeedleProbe,
     SeededTransformer,
     SegmentCache,
     VideoTokenStream,
     _gelu,
+    _segment_runs,
     build_model,
     needle_answer,
     needle_direction,
@@ -748,6 +750,12 @@ class TestProbeLastLogits:
             # whose products BLAS rounds unlike the rows of a full pass
             assert np.abs(got - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
+    def test_no_sequences_give_no_rows(self, backend_kind):
+        backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
+        rows = backend.last_logits([])
+        assert rows.shape == (0, CFG.vocab) and rows.dtype == np.float64
+
 
 class TestPrunedLastLayer:
     """The transformer's `last_logits` runs its last layer on each segment's
@@ -800,6 +808,122 @@ class TestPrunedLastLayer:
             )
             moved = np.abs(got - before).max(axis=1) > 1e-9
             assert moved.tolist() == [k == i for k in range(len(parts))]
+
+
+def extend_and_compare(model, cache, parts, new):
+    """`parts` grown by `new`, one piece per segment, through `cache`; asserts
+    the segment ends match a cache-free forward of the grown parts within
+    1e-12, and each cached key-norm maximum the keys it caches, and returns
+    the grown parts."""
+    parts = [np.concatenate([p, q]) for p, q in zip(parts, new)]
+    got = model.last_logits([segments_of(MIXED_VIDEO, new)], [cache])
+    full = segments_of(MIXED_VIDEO, parts)
+    assert np.abs(got - model.forward(full).logits[last_positions(full)]).max() <= 1e-12
+    assert cache.lengths == [len(p) for p in parts]
+    for i in range(len(parts)):
+        for keys, _, k_sq_max in cache.states[i]:
+            want = (keys[:, :-1] ** 2).sum(axis=1).max(axis=1)
+            assert np.allclose(k_sq_max, want, rtol=1e-12, atol=0)
+    return parts
+
+
+class TestCacheBuffers:
+    """Segments with equal cached, new and query counts attend as one run,
+    and the transformer's cache keeps each layer's keys and values in
+    buffers that a call writes in place while its tokens fit."""
+
+    def test_step_within_capacity_writes_in_place(self):
+        with pytest.raises(ContractError, match="reserve must be >= 0"):
+            SegmentCache(reserve=-1)
+        model = build_model(CFG)
+        g = Rng(21).generator()
+        cache = SegmentCache(reserve=3)
+        parts = extend_and_compare(
+            model, cache, [[]] * 3, [mixed_segment(g, n) for n in (9, 9, 40)]
+        )
+        for step in range(4):
+            before = cache.states
+            held = [[(k.copy(), v.copy()) for k, v, _ in before[i]] for i in range(3)]
+            parts = extend_and_compare(model, cache, parts, [[5], [6], [7]])
+            shared = [
+                np.shares_memory(old.keys, new.keys) and np.shares_memory(old.values, new.values)
+                for old, new in zip(before.layers, cache.states.layers)
+            ]
+            # three steps fit the reserve; the fourth gets new buffers
+            assert shared == [step < 3] * CFG.layers
+            # either way the cached tokens read as before, in the old
+            # buffers and at the head of the current ones
+            for i in range(3):
+                for (k, v), (k_old, v_old, _), (k_new, v_new, _) in zip(
+                    held[i], before[i], cache.states[i]
+                ):
+                    n = k.shape[2]
+                    assert np.array_equal(k, k_old) and np.array_equal(v, v_old)
+                    assert np.array_equal(k, k_new[:, :, :n]) and np.array_equal(v, v_new[:, :n])
+
+    @pytest.mark.parametrize("reserve", [0, 40])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_runs_split_and_reform(self, reserve, layers):
+        # runs of equal segments split and re-form across calls, as cached
+        # lengths, new lengths or both differ, with new pieces crossing the
+        # query-chunk seam; with reserve 40 some calls write in place and
+        # one outgrows the buffers, with reserve 0 every call does
+        model = build_model(dataclasses.replace(CFG, layers=layers))
+        g = Rng(22 + layers).generator()
+        cache = SegmentCache(reserve=reserve)
+        parts = [[]] * 5
+        capacities = []
+        for lengths in (
+            [5, 5, 7, 5, 5],  # runs {0, 1}, {2}, {3, 4}
+            [3, 3, 1, 3, 3],  # new lengths differ where cached ones do
+            [_C + 1] * 5,  # one run of five, 8 cached tokens each
+            [1, 40, 40, 1, 1],  # {0}, {1, 2}, {3, 4}
+            [1] * 5,  # equal new lengths, cached ones 42 and 81
+        ):
+            parts = extend_and_compare(model, cache, parts, [mixed_segment(g, n) for n in lengths])
+            capacities.append(cache.states.layers[0].keys.shape[3])
+        need = [7, 8, 8 + _C + 1, 49 + _C, 50 + _C]
+        if reserve:
+            assert capacities == [47, 47, 47, need[3] + reserve, need[3] + reserve]
+        else:
+            assert capacities == need
+
+    def test_failed_pass_leaves_cache_readable(self):
+        # a call that raises at layer 1, after layer 0 wrote its new keys in
+        # place, leaves the cache as it was; the same call then succeeds
+        # through the unscaled model, whose layer 0 is the same
+        model = build_model(CFG)
+        hot = scaled_scores(1000.0, layers=[1])
+        g = Rng(23).generator()
+        cache = SegmentCache(reserve=4)
+        parts = extend_and_compare(model, cache, [[]] * 2, [mixed_segment(g, n) for n in (6, 30)])
+        lengths, states = list(cache.lengths), cache.states
+        held = [[a.copy() for a in layer] for i in range(2) for layer in states[i]]
+        new = [mixed_segment(g, 2), mixed_segment(g, 2)]
+        with pytest.raises(ContractError, match="layer 1: attention score bound"):
+            hot.last_logits([segments_of(MIXED_VIDEO, new)], [cache])
+        assert cache.lengths == lengths and cache.states is states
+        now = [layer for i in range(2) for layer in states[i]]
+        assert all(np.array_equal(a, b) for h, n in zip(held, now) for a, b in zip(h, n))
+        extend_and_compare(model, cache, parts, new)
+
+    def test_runs_fit_the_score_tile(self):
+        # 70 equal segments of 64 tokens at 2 heads: 32 KiB of tile each,
+        # so runs of 64; a segment past the budget alone is a run of one,
+        # but one query row each (a last layer's) shares a run again
+        assert _segment_runs([0] * 70, [64] * 70, [64] * 70, 2) == [(0, 64), (64, 70)]
+        assert _segment_runs([0] * 3, [5000] * 3, [5000] * 3, 2) == [(0, 1), (1, 2), (2, 3)]
+        assert _segment_runs([0] * 3, [5000] * 3, [1] * 3, 2) == [(0, 3)]
+        assert _segment_runs([4, 4, 5], [1, 1, 1], [1, 1, 1], 2) == [(0, 2), (2, 3)]
+        assert 64 * 8 * 2 * _QUERY_CHUNK * 64 <= _TILE_BYTES < 65 * 8 * 2 * _QUERY_CHUNK * 64
+        # the split run's rows still match each segment alone
+        model = build_model(dataclasses.replace(CFG, max_positions=70 * 64))
+        g = Rng(24).generator()
+        parts = [mixed_segment(g, 64) for _ in range(70)]
+        got = model.last_logits([segments_of(MIXED_VIDEO, parts)])
+        for i in (0, 63, 64, 69):
+            solo = model.last_logits([segments_of(MIXED_VIDEO, [parts[i]])])
+            assert np.abs(got[i] - solo[0]).max() <= 1e-12
 
 
 class TestNeedleProbe:
