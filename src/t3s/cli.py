@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import costmodel
 from .errors import ConfigError
 from .harness import (
     CSV_COLUMNS,
@@ -29,6 +30,7 @@ from .harness import (
 )
 from .plots import render_heatmap, render_line_chart
 from .sampler import FrameMethod
+from .toymodel import BLAS_THREAD_VARS, attention_workers
 
 
 def _write_json(path: Path, obj) -> None:
@@ -180,10 +182,17 @@ def _cmd_bench(args) -> int:
         f"measured={cost.measured_speedup:.3f}x "
         f"(tau1={cost.tau1 * 1e3:.1f}ms tau2={cost.tau2 * 1e3:.1f}ms)"
     )
-    # the machine the timings came from; stdout only, so no report changes
+    # the machine the timings came from, the attention workers its BLAS
+    # threads leave, and the page faults of a timed pass; stdout only, so
+    # no report changes
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    threads = [f"{n}={os.environ.get(n, 'unset')}" for n in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
-    print(f"nproc={os.cpu_count()} blas={blas['name']} {blas['version']}", *threads)
+    threads = [f"{n}={os.environ.get(n, 'unset')}" for n in BLAS_THREAD_VARS]
+    print(
+        f"nproc={os.cpu_count()} blas={blas['name']} {blas['version']}",
+        *threads,
+        f"attention_workers={attention_workers()}",
+        f"minflt_per_pass={costmodel.last_faults_per_pass:.0f}",
+    )
     return 0
 
 

@@ -9,6 +9,7 @@ backend's `pair_count` reads off the segment layout, without a forward.
 
 from __future__ import annotations
 
+import resource
 import statistics
 import time
 from dataclasses import dataclass
@@ -32,6 +33,11 @@ class CostReport:
     tau1: Optional[float] = None  # baseline first-token latency, seconds
     tau2: Optional[float] = None  # multi-trial first-token latency, seconds
     measured_speedup: Optional[float] = None
+
+
+# Minor page faults per timed pass of the last `measure` call that timed; `t3s
+# bench` prints it on stdout, and no report holds it.
+last_faults_per_pass: Optional[float] = None
 
 
 def theoretical_costs(L: int, alphas: Sequence[float]) -> tuple[float, float, float]:
@@ -93,6 +99,7 @@ def measure(
         backend.last_logits([baseline_packed])
         backend.last_logits([multi_packed])
         # interleaved, so drift in machine speed hits both paths alike
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         samples = [
             (
                 _first_token_seconds(backend, baseline_packed, MeanLogits()),
@@ -100,6 +107,9 @@ def measure(
             )
             for _ in range(repeats)
         ]
+        global last_faults_per_pass
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        last_faults_per_pass = faults / (2 * repeats)
         tau1 = statistics.median(t1 for t1, _ in samples)
         tau2 = statistics.median(t2 for _, t2 in samples)
     return CostReport(

@@ -143,10 +143,16 @@ def entropy(dist) -> float:
 
 
 def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit variance (no affine)."""
+    """Normalize the last axis to zero mean / unit variance (no affine).
+
+    Means are `np.add.reduce` over the last axis divided by its width, as
+    `np.mean` computes them, without `np.mean`'s Python wrapper.
+    """
     x = np.asarray(x, dtype=np.float64)
-    centred = x - x.mean(axis=-1, keepdims=True)
-    centred /= np.sqrt(np.mean(centred * centred, axis=-1, keepdims=True) + eps)
+    width = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / width
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / width
+    centred /= np.sqrt(var + eps)
     return centred
 
 

@@ -24,12 +24,24 @@ trials and every decode step make them, and it goes through one batched
 score, exp and PV pass over a (segments, heads) stack of views. A lone
 segment is a run of one. Its cache holds each layer's keys and values in
 buffers that a continuing call writes in place while its tokens fit.
+
+A pass works in cache-sized pieces. Its queries, keys, values, context rows
+and score tiles live in buffers allocated once per pass, which every layer
+writes in place. The position-wise stages run over row tiles of
+`_ROW_TILE` rows: layer norms, projections, FFN and residuals. A layer's
+32-query attention chunks are split, interleaved, across W workers: the
+calling thread and a lazily started pool of W - 1 threads, each with its
+own score and PV buffers. W = max(1, cpus // blas_threads), so with BLAS
+unpinned W is 1 and no thread starts. Every row and chunk gets the same
+BLAS calls as a whole-pass product would give it, so the outputs are bit
+for bit the same at every W.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -55,6 +67,33 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _QUERY_CHUNK = 32
 _TILE_BYTES = 2 << 20
 _FUTURE_KEYS = np.triu(np.ones((_QUERY_CHUNK, _QUERY_CHUNK), dtype=bool), k=1)
+
+# Layer norms, projections and the FFN run over tiles of _ROW_TILE rows, in
+# buffers allocated once per pass: at the DESK width a tile's (rows, 4 *
+# model_dim) FFN intermediate is 512 KiB, so a tile's stages stay in L2.
+# numpy hands a one-row product to BLAS gemv, which rounds unlike the rows of
+# a larger product, so a last tile of one row joins the tile before it; a
+# product split into row blocks of two or more rows is otherwise bit for bit
+# the whole one.
+_ROW_TILE = 256
+
+# One layer's attention chunks are split across W workers, the calling thread
+# and W - 1 pool threads, each with its own score and PV buffers. Each BLAS
+# call already runs on blas_threads threads, so W = max(1, cpus //
+# blas_threads) fills the CPUs without oversubscribing them: with BLAS
+# unpinned on 2 CPUs, two workers made the L=2052 pass 5-10% slower (medians
+# 166-178 to 182-186 ms). blas_threads is read as OpenBLAS reads it: the first of
+# BLAS_THREAD_VARS that holds a positive integer, else the CPU count. A
+# layer stays on one worker below _SPLIT_MIN_SCORES allowed score entries:
+# with BLAS pinned to one thread on 2 CPUs, splitting a one-segment pass cost
+# 27-40% at 64 and 128 rows, broke even between 256 and 384 rows (132k and
+# 296k entries a layer), and gained 4-8% at 512 rows, 5-13% at 768 and
+# 14-21% at 1024. The cutoff, a 724-row segment, keeps every pass of an
+# 8-trial decode serial, its 516-row dense baseline included.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_SPLIT_MIN_SCORES = 1 << 20
+_WORKERS: Optional[int] = None  # W, read once, on the first layer that could split
+_POOL = None  # ((threads, pid), executor), started by the first layer that splits
 
 # Scores reach `exp` already shifted by a per-row bound b >= every score of
 # the row (see `_shift_by_bound`), and no score lies below -b, so a row's
@@ -240,7 +279,88 @@ def _segment_runs(cached, lengths, queries, heads):
     return runs
 
 
-def _attend_run(qa, kt, va, ctx, received):
+def _workspace(*shapes):
+    # C-contiguous float64 arrays of `shapes`: views of one allocation, each
+    # starting on a 64-byte line. The allocator maps one large block once and
+    # then reuses it from pass to pass, where separate buffers were mapped and
+    # their pages faulted in again on every pass.
+    sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]
+    flat = np.empty(sum(sizes) + 7)
+    at = (-flat.ctypes.data % 64) // 8
+    arrays = []
+    for shape, size in zip(shapes, sizes):
+        arrays.append(flat[at : at + math.prod(shape)].reshape(shape))
+        at += size
+    return arrays
+
+
+def _row_tiles(total):
+    # [t0, t1) tiles of _ROW_TILE rows over `total` rows, none of one row
+    # unless `total` is one
+    bounds = [*range(0, total, _ROW_TILE), total]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
+
+
+def worker_count(environ, cpus: int) -> int:
+    """W = max(1, cpus // blas_threads), blas_threads read from `environ` as
+    OpenBLAS reads it (see BLAS_THREAD_VARS)."""
+    blas_threads = cpus
+    for name in BLAS_THREAD_VARS:
+        try:
+            value = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, cpus // blas_threads)
+
+
+def attention_workers() -> int:
+    """This process's W, from its environment and the CPUs it may run on."""
+    global _WORKERS
+    if _WORKERS is None:
+        _WORKERS = worker_count(os.environ, len(os.sched_getaffinity(0)))
+    return _WORKERS
+
+
+def _helper_pool(threads: int):
+    # the executor of `threads` helper threads, started on first use in
+    # this process (a forked child holds its parent's executor, without
+    # its threads); a replaced executor's threads exit once it is collected
+    global _POOL
+    key = (threads, os.getpid())
+    if _POOL is None or _POOL[0] != key:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = (key, ThreadPoolExecutor(threads, thread_name_prefix="t3s-attention"))
+    return _POOL[1]
+
+
+class _AttentionPlan(NamedTuple):
+    runs: list  # `_segment_runs` of one layer
+    workers: int  # how many workers split its chunks
+    score_tile: int  # entries of its largest chunk score tile
+    chunk_rows: int  # (segments, heads, queries) rows of its largest chunk
+
+
+def _attention_plan(cached, lengths, queries, heads, received):
+    # one layer's `_AttentionPlan`; it stays on one worker below
+    # _SPLIT_MIN_SCORES allowed score entries, or where it sums `received`,
+    # whose sums depend on the order of the chunks
+    runs = _segment_runs(cached, lengths, queries, heads)
+    chunk = [(s1 - s0) * heads * min(queries[s0], _QUERY_CHUNK) for s0, s1 in runs]
+    tile = max(k * (cached[s0] + lengths[s0]) for k, (s0, _) in zip(chunk, runs))
+    allowed = heads * sum(
+        nq * (c + n) - nq * (nq - 1) // 2 for c, n, nq in zip(cached, lengths, queries)
+    )
+    workers = 1 if received is not None or allowed < _SPLIT_MIN_SCORES else attention_workers()
+    return _AttentionPlan(runs, workers, tile, max(chunk))
+
+
+def _attend_run(qa, kt, va, ctx, received, chunks, scores_buf, pv_buf):
     # one run of r segments that share cached and new lengths, as one
     # (r, heads) stack: qa: (r, heads, nq, head_dim + 1) each segment's
     # trailing nq new queries, scaled by 1/sqrt(head_dim), with -b (each
@@ -252,20 +372,41 @@ def _attend_run(qa, kt, va, ctx, received):
     # values with a ones last column, so the PV matmul also returns each
     # row's softmax denominator; ctx: (r, heads, nq, head_dim) output, a
     # strided view of the context rows; received: None, or (r, c + n) sums
-    # of the attention each key receives
-    cached = kt.shape[3] - qa.shape[2]
-    for c0 in range(0, qa.shape[2], _QUERY_CHUNK):
-        c1 = min(c0 + _QUERY_CHUNK, qa.shape[2])
+    # of the attention each key receives; chunks: the first queries of the
+    # _QUERY_CHUNK-query chunks to attend; scores_buf, pv_buf: flat buffers
+    # that hold one chunk's score tile and PV product
+    r, heads, nq, cols = qa.shape
+    cached = kt.shape[3] - nq
+    for c0 in chunks:
+        c1 = min(c0 + _QUERY_CHUNK, nq)
         horizon = cached + c1
-        scores = qa[:, :, c0:c1] @ kt[..., :horizon]
+        scores = scores_buf[: r * heads * (c1 - c0) * horizon].reshape(r, heads, c1 - c0, horizon)
+        np.matmul(qa[:, :, c0:c1], kt[..., :horizon], out=scores)
         future = _FUTURE_KEYS[: c1 - c0, : c1 - c0]
         np.copyto(scores[..., cached + c0 :], _NEG_INF, where=future)
         np.exp(scores, out=scores)
-        heads_ctx = scores @ va[:, :, :horizon]
+        heads_ctx = pv_buf[: r * heads * (c1 - c0) * cols].reshape(r, heads, c1 - c0, cols)
+        np.matmul(scores, va[:, :, :horizon], out=heads_ctx)
         sums = heads_ctx[..., -1:]
         if received is not None:
             received[:, :horizon] += (scores / sums).sum(axis=(1, 2))
         np.divide(heads_ctx[..., :-1], sums, out=ctx[:, :, c0:c1])
+
+
+def _attend(jobs, workers, scores_bufs, pv_bufs):
+    # every run of one layer; jobs: (qa, kt, va, ctx, received) per run as
+    # `_attend_run` reads them. Worker i attends chunks i, i + W, ... of
+    # every run into its own buffers; the calling thread is worker 0 and
+    # the pool's threads the rest
+    def share(i):
+        for qa, kt, va, ctx, received in jobs:
+            chunks = range(0, qa.shape[2], _QUERY_CHUNK)[i::workers]
+            _attend_run(qa, kt, va, ctx, received, chunks, scores_bufs[i], pv_bufs[i])
+
+    helping = [_helper_pool(workers - 1).submit(share, i) for i in range(1, workers)]
+    share(0)
+    for done in helping:
+        done.result()
 
 
 def _shift_by_bound(qa, kt, starts, queries, past_sq_max, layer):
@@ -426,6 +567,7 @@ class SeededTransformer:
         n_seg = packed.num_segments
         cached, states = past or ([0] * n_seg, None)
         x = self._embed(packed, cached)
+        total = len(x)
         starts = [s.start for s in packed.segments]
         lengths = [s.length for s in packed.segments]
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
@@ -435,34 +577,53 @@ class SeededTransformer:
         # segment i's queries are its trailing queries[i] rows, `rows` of x;
         # a slice, not a gather, while every row is read
         rows, queries, q_starts = slice(None), lengths, starts
-        runs = _segment_runs(cached, lengths, queries, heads)
+        plans = [_attention_plan(cached, lengths, queries, heads, received)]
+        if last_only:
+            plans.append(_attention_plan(cached, lengths, [1] * n_seg, heads, received))
+
+        # the pass's buffers, which every layer writes in place
+        tile = min(total, _ROW_TILE + 1)
+        workers = max(p.workers for p in plans)
+        scores = max(p.score_tile for p in plans)
+        pv = max(p.chunk_rows for p in plans) * (hd + 1)
+        qa, kt, va, ctx, proj, ffn, *bufs = _workspace(
+            (heads, total, hd + 1),
+            (heads, hd + 1, total),
+            (heads, total, hd + 1),
+            (total, cfg.model_dim),
+            (tile, cfg.model_dim),
+            (2, tile, 4 * cfg.model_dim),
+            *[(scores,), (pv,)] * workers,
+        )
+        kt[:, hd] = 1.0
+        va[:, :, hd] = 1.0
+        scores_bufs, pv_bufs = bufs[0::2], bufs[1::2]
+
+        ctx_rows = ctx.reshape(total, heads, hd)
 
         for layer in range(cfg.layers):
+            wq, wk, wv, wo, w_in, w_out = (
+                w[f"layer{layer}.{name}"]
+                for name in ("attn_query", "attn_key", "attn_value", "attn_out", "ffn_in", "ffn_out")
+            )
+            plan, layer_qa = plans[0], qa
             if last_only and layer == cfg.layers - 1:
+                plan, layer_qa = plans[1], qa[:, :n_seg]
                 rows = [b + n - 1 for b, n in zip(starts, lengths)]
                 queries, q_starts = [1] * n_seg, list(range(n_seg))
-                runs = _segment_runs(cached, lengths, queries, heads)
-            h = layer_norm(x)
-            q = h[rows] @ w[f"layer{layer}.attn_query"]
-            qa = np.empty((heads, len(q), hd + 1))
-            np.multiply(_split_heads(q, heads, hd), inv_sqrt, out=qa[:, :, :hd])
-            del q
-            k = h @ w[f"layer{layer}.attn_key"]
-            v = h @ w[f"layer{layer}.attn_value"]
-            kt = np.ones((heads, hd + 1, len(k)))
-            kt[:, :hd] = k.reshape(-1, heads, hd).transpose(1, 2, 0)
-            va = np.ones((heads, len(v), hd + 1))
-            va[:, :, :hd] = _split_heads(v, heads, hd)
+                _project(x, None, wk, wv, inv_sqrt, qa, kt, va, proj)
+                _project(x[rows], wq, None, None, inv_sqrt, layer_qa, kt, va, proj)
+            else:
+                _project(x, wq, wk, wv, inv_sqrt, qa, kt, va, proj)
             old = prior[layer]
             past_sq_max = None if old is None else old.key_sq_max
-            k_sq_max = _shift_by_bound(qa, kt, starts, queries, past_sq_max, layer)
+            k_sq_max = _shift_by_bound(layer_qa, kt, starts, queries, past_sq_max, layer)
             cache = None
             if keep is not None:
                 cache = _layer_cache(old, cached, lengths, keep, k_sq_max, kt)
                 kept.append(cache)
-            ctx = np.empty((qa.shape[1], cfg.model_dim))
-            ctx_rows = ctx.reshape(len(ctx), heads, hd)
-            for s0, s1 in runs:
+            jobs = []
+            for s0, s1 in plan.runs:
                 # the run's segments as one stack of views: of the new rows,
                 # or of the cache buffers once the new rows are written there
                 r, c, n, nq = s1 - s0, cached[s0], lengths[s0], queries[s0]
@@ -474,30 +635,67 @@ class SeededTransformer:
                     cache.values[s0:s1, :, c : c + n] = v_run
                     k_run, v_run = cache.keys[s0:s1, :, :, : c + n], cache.values[s0:s1, :, : c + n]
                 q_run = slice(qb, qb + r * nq)
-                _attend_run(
-                    qa[:, q_run].reshape(heads, r, nq, hd + 1).transpose(1, 0, 2, 3),
+                jobs.append((
+                    layer_qa[:, q_run].reshape(heads, r, nq, hd + 1).transpose(1, 0, 2, 3),
                     k_run,
                     v_run,
                     ctx_rows[q_run].reshape(r, nq, heads, hd).transpose(0, 2, 1, 3),
                     None if received is None else received[b : b + r * n].reshape(r, n),
-                )
-            x = x[rows] + ctx @ w[f"layer{layer}.attn_out"]
-            h2 = layer_norm(x)
-            x = x + _gelu(h2 @ w[f"layer{layer}.ffn_in"]) @ w[f"layer{layer}.ffn_out"]
+                ))
+            _attend(jobs, plan.workers, scores_bufs, pv_bufs)
+            x = x[rows]
+            _mlp_block(x, ctx, wo, w_in, w_out, proj, ffn)
 
+        logits = np.empty((len(x), cfg.vocab))
+        for t0, t1 in _row_tiles(len(x)):
+            np.matmul(layer_norm(x[t0:t1]), w["unembedding"], out=logits[t0:t1])
         totals = [c + n for c, n in zip(cached, lengths)]
-        return layer_norm(x) @ w["unembedding"], _CachedKV(kept, totals) if kept else None
+        return logits, _CachedKV(kept, totals) if kept else None
+
+
+def _project(x, wq, wk, wv, inv_sqrt, qa, kt, va, proj):
+    # layer norm of x's rows, tile by tile, then their queries (scaled by
+    # inv_sqrt) into qa, keys into kt and values into va, as `_attend_run`
+    # reads them; wq None skips the queries, wk None the keys and values;
+    # proj: a (tile rows, model_dim) buffer
+    heads, hd = qa.shape[0], qa.shape[2] - 1
+    for t0, t1 in _row_tiles(len(x)):
+        h, p = layer_norm(x[t0:t1]), proj[: t1 - t0]
+        if wq is not None:
+            np.matmul(h, wq, out=p)
+            np.multiply(_split_heads(p, heads, hd), inv_sqrt, out=qa[:, t0:t1, :hd])
+        if wk is not None:
+            np.matmul(h, wk, out=p)
+            kt[:, :hd, t0:t1] = p.reshape(-1, heads, hd).transpose(1, 2, 0)
+            np.matmul(h, wv, out=p)
+            va[:, t0:t1, :hd] = _split_heads(p, heads, hd)
+
+
+def _mlp_block(x, ctx, wo, w_in, w_out, proj, ffn):
+    # the rest of a layer, tile by tile and in place on x: the attention
+    # output projection of ctx plus the residual, then layer norm, FFN and
+    # residual; proj, ffn: (tile rows, model_dim) and (2, tile rows, 4 *
+    # model_dim) buffers
+    for t0, t1 in _row_tiles(len(x)):
+        p, f = proj[: t1 - t0], ffn[:, : t1 - t0]
+        np.matmul(ctx[t0:t1], wo, out=p)
+        x[t0:t1] += p
+        np.matmul(layer_norm(x[t0:t1]), w_in, out=f[0])
+        _gelu(f[0], out=f[1])
+        np.matmul(f[1], w_out, out=p)
+        x[t0:t1] += p
 
 
 def _split_heads(x: np.ndarray, heads: int, head_dim: int) -> np.ndarray:
     return x.reshape(len(x), heads, head_dim).transpose(1, 0, 2)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
+def _gelu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # tanh approximation (exact erf is not worth a scipy dependency here),
     # with c*(x + 0.044715*x^3) in Horner form x*(c + c*0.044715*x^2): one
-    # buffer, in-place ufuncs, no pow; x itself is left untouched
-    out = x * x
+    # buffer (`out`, or a new one), in-place ufuncs, no pow; x itself is
+    # left untouched
+    out = np.multiply(x, x, out=out)
     out *= _GELU_C * 0.044715
     out += _GELU_C
     out *= x

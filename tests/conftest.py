@@ -17,25 +17,32 @@ T3S_ROOT = str(Path(t3s.__file__).resolve().parents[1])
 
 @pytest.fixture
 def run_cli():
-    """Return ``run(*args, cwd, entry=("-m", "t3s.cli"))``.
+    """Return ``run(*args, cwd, entry=("-m", "t3s.cli"), env=None)``.
 
     ``run`` starts ``python <entry...> <args...>`` in ``cwd`` with this
     process's ``t3s`` importable and returns the ``CompletedProcess`` with
-    text stdout and stderr captured.
+    text stdout and stderr captured. ``env`` maps variables to set in the
+    child's environment, or to None to unset them.
     """
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
+    base = dict(os.environ)
+    base["PYTHONPATH"] = (
         os.pathsep.join([T3S_ROOT, inherited]) if inherited else T3S_ROOT
     )
 
-    def run(*args, cwd, entry=("-m", "t3s.cli")):
+    def run(*args, cwd, entry=("-m", "t3s.cli"), env=None):
+        child = dict(base)
+        for name, value in (env or {}).items():
+            if value is None:
+                child.pop(name, None)
+            else:
+                child[name] = value
         return subprocess.run(
             [sys.executable, *entry, *args],
             capture_output=True,
             text=True,
             cwd=cwd,
-            env=env,
+            env=child,
         )
 
     return run

@@ -50,9 +50,9 @@ def digest(a) -> str:
 
 @pytest.fixture(params=[1, 2], ids=["W1", "W2"])
 def workers(request, monkeypatch):
-    monkeypatch.setattr(toymodel, "_WORKERS", request.param, raising=False)
+    monkeypatch.setattr(toymodel, "_WORKERS", request.param)
     if request.param > 1:
-        monkeypatch.setattr(toymodel, "_SPLIT_MIN_SCORES", 0, raising=False)
+        monkeypatch.setattr(toymodel, "_SPLIT_MIN_SCORES", 0)
     return request.param
 
 

@@ -48,6 +48,7 @@ from t3s.toymodel import (
     VideoTokenStream,
     build_model,
     needle_answer,
+    worker_count,
 )
 
 from helpers import baseline_greedy_decode, materialise, per_task_experiment, single_sequence
@@ -1041,10 +1042,60 @@ class TestCli:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         machine = res.stdout.splitlines()[-1].split()
         assert machine[:3] == [f"nproc={os.cpu_count()}", f"blas={blas['name']}", blas["version"]]
-        assert machine[3:] == [
+        assert machine[3:6] == [
             f"{name}={os.environ.get(name, 'unset')}"
-            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+            for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
         ]
+        workers = worker_count(os.environ, len(os.sched_getaffinity(0)))
+        assert machine[6] == f"attention_workers={workers}"
+        name, faults = machine[7].split("=")
+        assert name == "minflt_per_pass" and int(faults) >= 0
+        assert "minflt" not in json.dumps(rep) and "workers" not in json.dumps(rep)
+
+    def test_run_report_same_across_worker_counts(self, tmp_path, run_cli):
+        # criterion 7 across attention worker counts: the multi-trial passes
+        # (segments of 924 and 515 rows) split their attention when BLAS is
+        # pinned to one thread on two or more CPUs, and stay whole unpinned
+        cfg = small_config(
+            backend="seeded_transformer",
+            model=replace(MODEL, model_dim=64, heads=4),
+            sampler=SamplerConfig(
+                total_frames=64,
+                frames_per_trial=64,
+                tokens_per_frame=16,
+                trials=2,
+                ratios=(0.9, 0.5),
+                token_strategy=TokenStrategy.ATTN_TOP,
+            ),
+            repeats=2,
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_to_dict(cfg)))
+        # the CLI's main, then the number of live threads
+        code = (
+            "import sys, threading\n"
+            "from t3s.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(threading.active_count())\n"
+            "sys.exit(code)\n"
+        )
+        unset = {name: None for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        reports, threads = [], []
+        for name, env in (("pinned", {**unset, "OPENBLAS_NUM_THREADS": "1"}), ("unpinned", unset)):
+            out = tmp_path / name
+            res = run_cli(
+                "run", "--config", str(config), "--out-dir", str(out),
+                cwd=tmp_path, entry=("-c", code), env=env,
+            )
+            assert res.returncode == 0, res.stderr
+            reports.append((out / "report.json").read_bytes())
+            threads.append(int(res.stdout.split()[-1]))
+        assert reports[0] == reports[1]
+        # the pinned run started helper threads wherever W > 1; the pool
+        # starts at most W - 1 of them
+        workers = worker_count({"OPENBLAS_NUM_THREADS": "1"}, len(os.sched_getaffinity(0)))
+        assert (threads[0] > 1) == (workers > 1) and threads[0] <= workers
+        assert threads[1] == 1
 
     def test_bench_repeats_floor_exits_two(self, tmp_path, run_cli):
         res = run_cli("bench", "--repeats", "2", "--out-dir", str(tmp_path), cwd=tmp_path)

@@ -105,6 +105,16 @@ class TestLayerNorm:
         assert np.abs(layer_norm(x) - expected).max() <= 1e-12
         assert np.array_equal(x, before)
 
+    @pytest.mark.parametrize("shape", [(1, 64), (8, 64), (440, 64), (2052, 64), (3, 7), (5, 1)])
+    def test_bit_equal_to_np_mean_formula(self, shape):
+        # the formula before `np.mean` was replaced by `np.add.reduce`
+        g = Rng(4).generator()
+        for _ in range(50):
+            x = g.standard_normal(shape) * 4.0 + 2.0
+            centred = x - x.mean(axis=-1, keepdims=True)
+            centred /= np.sqrt(np.mean(centred * centred, axis=-1, keepdims=True) + 1e-5)
+            assert np.array_equal(layer_norm(x), centred)
+
 
 class TestSampleWithoutReplacement:
     def test_full_sample(self):

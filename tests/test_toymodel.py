@@ -5,6 +5,7 @@ semantics."""
 import dataclasses
 import hashlib
 import math
+import threading
 import time
 import tracemalloc
 
@@ -18,8 +19,10 @@ from t3s.harness import gen_task
 from t3s.numkernel import Rng, layer_norm, mix64
 from t3s.packer import append_token, last_positions, pack, slice_segment
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
+from t3s import toymodel
 from t3s.toymodel import (
     _QUERY_CHUNK,
+    _ROW_TILE,
     _TILE_BYTES,
     ModelConfig,
     NeedleProbe,
@@ -27,10 +30,12 @@ from t3s.toymodel import (
     SegmentCache,
     VideoTokenStream,
     _gelu,
+    _row_tiles,
     _segment_runs,
     build_model,
     needle_answer,
     needle_direction,
+    worker_count,
 )
 
 from helpers import materialise, segment_ids, segments_of
@@ -924,6 +929,88 @@ class TestCacheBuffers:
         for i in (0, 63, 64, 69):
             solo = model.last_logits([segments_of(MIXED_VIDEO, [parts[i]])])
             assert np.abs(got[i] - solo[0]).max() <= 1e-12
+
+
+class TestPassPieces:
+    """A pass runs its position-wise stages over row tiles and splits its
+    attention chunks across W workers: W's rule, the thread pool's
+    lifecycle, and the pass's peak memory."""
+
+    def test_row_tiles(self):
+        assert _row_tiles(1) == [(0, 1)]
+        assert _row_tiles(_ROW_TILE) == [(0, _ROW_TILE)]
+        assert _row_tiles(_ROW_TILE + 1) == [(0, _ROW_TILE + 1)]
+        assert _row_tiles(_ROW_TILE + 2) == [(0, _ROW_TILE), (_ROW_TILE, _ROW_TILE + 2)]
+        for total in range(1, 4 * _ROW_TILE + 3):
+            tiles = _row_tiles(total)
+            assert [t0 for t0, _ in tiles[1:]] == [t1 for _, t1 in tiles[:-1]]
+            assert tiles[0][0] == 0 and tiles[-1][1] == total
+            assert all(2 <= t1 - t0 <= _ROW_TILE + 1 for t0, t1 in tiles) or total == 1
+
+    @pytest.mark.parametrize(
+        "environ, cpus, workers",
+        [
+            ({}, 2, 1),  # unpinned BLAS already uses every CPU
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+            ({"OMP_NUM_THREADS": "1"}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "auto"}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 5, 5),
+            # OpenBLAS's order: its own variable, GOTO's, then OpenMP's,
+            # each only when it holds a positive integer
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, 4),
+            ({"GOTO_NUM_THREADS": "-1", "OMP_NUM_THREADS": "2"}, 4, 2),
+        ],
+    )
+    def test_worker_rule(self, environ, cpus, workers):
+        assert worker_count(environ, cpus) == workers
+
+    def test_import_and_probe_run_start_no_thread(self, tmp_path, run_cli):
+        # with BLAS pinned, so that W would be 2 on two CPUs
+        code = (
+            "import sys, threading\n"
+            "import t3s\n"
+            "from t3s.harness import default_experiment_config, run_experiment\n"
+            "imported = threading.active_count(), 'concurrent.futures' in sys.modules\n"
+            "run_experiment(default_experiment_config(repeats=20))\n"
+            "print(*imported, threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+        )
+        res = run_cli(cwd=tmp_path, entry=("-c", code), env={"OPENBLAS_NUM_THREADS": "1"})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["1", "False", "1", "False"]
+
+    def test_split_passes_keep_one_pool(self, monkeypatch):
+        monkeypatch.setattr(toymodel, "_WORKERS", 2)
+        monkeypatch.setattr(toymodel, "_SPLIT_MIN_SCORES", 0)
+        model = build_model(CFG)
+        packed, _, _ = make_packed(total_frames=40, frames_per_trial=32, tokens_per_frame=2)
+        assert all(s.length > _QUERY_CHUNK for s in packed.segments)
+        before = threading.active_count()
+        for _ in range(200):
+            model.forward(packed)
+        assert threading.active_count() - before <= 1
+        assert [t.name.startswith("t3s-attention") for t in threading.enumerate()].count(True) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pass_peak_memory(self, monkeypatch, workers):
+        # one DESK pass over 2052 rows: buffers allocated once per pass and
+        # row tiles keep its traced peak under 12 MiB (it was 17.2 MiB with
+        # fresh per-layer arrays and whole-pass FFN intermediates)
+        monkeypatch.setattr(toymodel, "_WORKERS", workers)
+        desk = ModelConfig(layers=4, model_dim=64, heads=4, vocab=64, max_positions=4096)
+        model = build_model(desk)
+        video = VideoTokenStream(128, 16, desk.model_dim, key=0xD16E57)
+        packed = pack([TrialPlan(np.arange(128), np.arange(2048), 1.0)], video, [1, 2, 3, 4])
+        model.forward(packed)  # first-use allocations
+        tracemalloc.start()
+        try:
+            model.forward(packed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
 
 
 class TestNeedleProbe:
