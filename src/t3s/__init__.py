@@ -30,7 +30,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .numkernel import Rng, entropy, sample_without_replacement, softmax_rows
+from .numkernel import Rng, sample_without_replacement, softmax_rows
 from .packer import (
     PackedSequence,
     append_token,

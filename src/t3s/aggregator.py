@@ -69,9 +69,9 @@ def mean_logits(logits) -> tuple[np.ndarray, int]:
 
 
 def _row_entropies(probs: np.ndarray) -> np.ndarray:
-    # `numkernel.entropy` of every row in one pass, with its checks applied
-    # per row; bit-equal to it where every probability is > 0 (a zero term
-    # moves the others within numpy's pairwise sum, by an ulp at most)
+    # the Shannon entropy in nats (0*ln(0) := 0) of every row in one pass;
+    # raises ContractError on a negative entry or a row summing off 1 by
+    # more than 1e-9
     if probs.min() < 0.0:
         raise ContractError(f"negative probability {probs.min()}")
     totals = probs.sum(axis=1)
@@ -136,10 +136,10 @@ def decode(
     """Greedy multi-trial decoding.
 
     Packs the plans, then per step: read each segment's last-position
-    logits through `backend.last_logits`, which continues one per-segment
-    cache, fuse them to one token, and pack only that token, once per
-    segment, for the next step. Returns `steps` tokens; raises
-    ContractError once the packed total would exceed the backend's
+    logits through `backend.last_logits`, which continues the packed
+    sequence's one `SegmentCache`, fuse them to one token, and pack only
+    that token, once per segment, for the next step. Returns `steps` tokens;
+    raises ContractError once the packed total would exceed the backend's
     `max_positions`, on a backend that has one (the probe has none).
     """
     if steps < 1:
@@ -148,7 +148,7 @@ def decode(
     cache = SegmentCache(reserve=steps - 1)
     out: list[int] = []
     for step in range(steps):
-        token = fuse_token(backend.last_logits([packed], [cache]), strategy)
+        token = fuse_token(backend.last_logits([packed], cache), strategy)
         out.append(token)
         if step + 1 < steps:
             packed = token_per_segment(token, packed)

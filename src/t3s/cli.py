@@ -1,6 +1,8 @@
 """Command-line driver: run / sweep / coverage / bench.
 
-Exit codes: 0 success, 2 config validation failure, 1 runtime failure.
+Exit codes: 0 success, 2 config validation failure, 1 runtime failure. A
+stdout whose reader has closed it is not a failure: the command's output
+files are written and its status returned as before.
 """
 
 from __future__ import annotations
@@ -44,6 +46,18 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
         writer.writerows(rows)
 
 
+def _say(*parts) -> None:
+    """Print `parts` to stdout. Once stdout's reader has closed it, stdout
+    points at os.devnull instead, so the command still runs to its end and
+    returns its own status, and the flush at exit prints nothing."""
+    try:
+        print(*parts, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _load_config(args) -> ExperimentConfig:
     if args.config:
         try:
@@ -76,7 +90,7 @@ def _cmd_run(args) -> int:
         _write_json(out / "report.json", asdict(report))
     else:
         _write_csv(out / "report.csv", [report_csv_row("", "", report)], CSV_COLUMNS)
-    print(f"accuracy={report.accuracy:.4f} coverage={report.any_trial_coverage:.4f}")
+    _say(f"accuracy={report.accuracy:.4f} coverage={report.any_trial_coverage:.4f}")
     return 0
 
 
@@ -136,7 +150,7 @@ def _cmd_sweep(args) -> int:
     if args.plots == "on":
         _emit_sweep_plots(args.axis, rows, out)
     failed = sum(1 for r in rows if r["error"])
-    print(f"{len(rows)} points, {failed} failed -> {out / f'sweep_{args.axis}.csv'}")
+    _say(f"{len(rows)} points, {failed} failed -> {out / f'sweep_{args.axis}.csv'}")
     return 0
 
 
@@ -160,7 +174,7 @@ def _cmd_coverage(args) -> int:
         _write_json(out / "coverage.json", d)
     else:
         _write_csv(out / "coverage.csv", [{k: str(v) for k, v in d.items()}], list(d))
-    print(
+    _say(
         f"empirical={rep.empirical:.4f} closed_form={rep.closed_form:.4f} "
         f"z={rep.z_score:+.2f}"
     )
@@ -177,7 +191,7 @@ def _cmd_bench(args) -> int:
     _write_json(out / "cost_report.json", asdict(cost))
     if args.format == "csv":
         _write_csv(out / "cost_report.csv", [report_csv_row("", "", report)], CSV_COLUMNS)
-    print(
+    _say(
         f"theoretical={cost.theoretical_speedup:.3f}x "
         f"measured={cost.measured_speedup:.3f}x "
         f"(tau1={cost.tau1 * 1e3:.1f}ms tau2={cost.tau2 * 1e3:.1f}ms)"
@@ -187,7 +201,7 @@ def _cmd_bench(args) -> int:
     # no report changes
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = [f"{n}={os.environ.get(n, 'unset')}" for n in BLAS_THREAD_VARS]
-    print(
+    _say(
         f"nproc={os.cpu_count()} blas={blas['name']} {blas['version']}",
         *threads,
         f"attention_workers={attention_workers()}",

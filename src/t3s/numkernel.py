@@ -124,24 +124,6 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def entropy(dist) -> float:
-    """Shannon entropy in nats, with 0*ln(0) := 0.
-
-    The input must be a probability vector: non-negative entries summing to 1
-    within 1e-9; anything else raises ContractError.
-    """
-    p = np.asarray(dist, dtype=np.float64).ravel()
-    if p.size == 0:
-        raise ContractError("entropy of an empty vector is undefined")
-    if p.min() < 0.0:
-        raise ContractError(f"negative probability {p.min()}")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ContractError(f"probabilities sum to {total}, not 1")
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
-
-
 def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance (no affine).
 

@@ -7,9 +7,10 @@ exact count of attention score entries the block-diagonal causal rule permits
 `pair_count(packed)` gives from the segment layout alone. Segment positions
 restart at zero, so a segment's logits are the same packed or alone.
 
-`last_logits(packs, caches=None)` returns the logits at every segment's last
+`last_logits(packs, cache=None)` returns the logits at every segment's last
 position of many sequences at once, and is the only method that holds a
-`SegmentCache`: segment i of a sequence given a cache extends cached segment
+`SegmentCache`. A cache continues exactly one packed sequence: given one,
+`packs` holds that one sequence, segment i of which extends cached segment
 i, whose tokens it attends but does not recompute, and the cache then holds
 both. It computes only the rows it returns: the probe draws noise for them
 alone and matches `forward` bit for bit; the transformer's last layer runs
@@ -215,23 +216,23 @@ def _sinusoidal(positions: np.ndarray, dim: int) -> np.ndarray:
 
 
 class SegmentCache:
-    """Per-segment state that `last_logits` extends, one entry per segment.
+    """The state of one packed sequence that `last_logits` continues.
 
-    A new cache is empty; the first call given it fixes the segment count
-    and every later call must pack that many segments. `lengths[i]` is the
-    number of tokens segment i holds so far; `states[i]` is the backend's
-    summary of them, so a cache serves one backend. The transformer keeps,
-    per layer, one `_LayerCache`: a key buffer (segments, heads, head_dim + 1,
-    capacity) with a ones row at head_dim, a value buffer (segments, heads,
-    capacity, head_dim + 1) with a ones column, and the (segments, heads)
-    largest squared key norm so far, so a continuing pass's score bound
-    covers the cached keys; `states[i]` reads segment i's per-layer (keys,
-    values, norm) out of them. A call writes its new keys and values in
-    place while they fit; else that layer's buffers are allocated anew,
-    `reserve` tokens per segment longer than the call needs, and the cached
-    tokens copied over. `decode` reserves its later steps' tokens, so no
-    step copies a cached key. The needle probe keeps its prefix XOR at the
-    last position and its needle count, and ignores `reserve`.
+    A new cache is empty, and its `state` is None; the first call given it
+    fixes the segment count and every later call must pack that many
+    segments. `lengths[i]` is the number of tokens segment i holds so far;
+    `state` is the backend's summary of all of them, so a cache serves one
+    backend. The transformer keeps a list of `_LayerCache`, one per layer: a
+    key buffer (segments, heads, head_dim + 1, capacity) with a ones row at
+    head_dim, a value buffer (segments, heads, capacity, head_dim + 1) with a
+    ones column, and the (segments, heads) largest squared key norm so far,
+    so a continuing pass's score bound covers the cached keys. A call writes
+    its new keys and values in place while they fit; else that layer's
+    buffers are allocated anew, `reserve` tokens per segment longer than the
+    call needs, and the cached tokens copied over. `decode` reserves its
+    later steps' tokens, so no step copies a cached key. The needle probe
+    keeps two arrays, each segment's prefix XOR at its last position
+    (uint64) and its needle count (int64), and ignores `reserve`.
     """
 
     def __init__(self, reserve: int = 0):
@@ -239,26 +240,31 @@ class SegmentCache:
             raise ContractError(f"reserve must be >= 0, got {reserve}")
         self.reserve = reserve
         self.lengths: list[int] = []
-        self.states: Sequence = []
+        self.state = None
 
-    def continued(self, packed: PackedSequence, initial) -> tuple[list[int], list]:
-        """(cached lengths, states) of the segments `packed` continues; an
-        empty cache gives zero lengths and `initial` for every segment."""
+    def cached(self, packed: PackedSequence) -> list[int]:
+        """The cached lengths of the segments `packed` continues, zeros on an
+        empty cache."""
         if not self.lengths:
-            return [0] * packed.num_segments, [initial] * packed.num_segments
+            return [0] * packed.num_segments
         if packed.num_segments != len(self.lengths):
             raise ContractError(
                 f"cache holds {len(self.lengths)} segments, "
                 f"packed sequence has {packed.num_segments}"
             )
-        return self.lengths, self.states
+        return self.lengths
 
-    def extend(self, packed: PackedSequence, states: list) -> None:
-        """Record that `packed` continued the cache; `states` summarise each
+    def extend(self, packed: PackedSequence, state) -> None:
+        """Record that `packed` continued the cache; `state` summarises every
         segment's tokens so far."""
-        cached, _ = self.continued(packed, None)
-        self.lengths = [c + s.length for c, s in zip(cached, packed.segments)]
-        self.states = states
+        self.lengths = [c + s.length for c, s in zip(self.cached(packed), packed.segments)]
+        self.state = state
+
+
+def _check_cached(packs: Sequence[PackedSequence], cache: Optional[SegmentCache]) -> None:
+    # a cache continues exactly one packed sequence
+    if cache is not None and len(packs) != 1:
+        raise ContractError(f"a cache continues one packed sequence, got {len(packs)}")
 
 
 def _segment_pair_count(packed: PackedSequence) -> int:
@@ -458,20 +464,6 @@ def _layer_cache(old, cached, lengths, reserve, key_sq_max, kt):
     return _LayerCache(keys, values, key_sq_max)
 
 
-class _CachedKV:
-    """The transformer's `SegmentCache.states`: one `_LayerCache` per layer,
-    and item i segment i's per-layer (keys, values, largest squared key
-    norm), views trimmed to its `lengths[i]` tokens."""
-
-    def __init__(self, layers: list[_LayerCache], lengths: list[int]):
-        self.layers = layers
-        self.lengths = lengths
-
-    def __getitem__(self, i: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        n = self.lengths[i]
-        return [(c.keys[i, :, :, :n], c.values[i, :, :n], c.key_sq_max[i]) for c in self.layers]
-
-
 class SeededTransformer:
     """Pre-norm causal decoder with deterministic seeded weights.
 
@@ -479,7 +471,7 @@ class SeededTransformer:
     residual, with a final LN before the vocabulary projection. No biases.
     `last_logits` projects keys and values at every position of every layer,
     but the last layer's queries and everything after its attention only at
-    each segment's last row. Given a `SegmentCache` it keeps each segment's
+    each segment's last row. Given a `SegmentCache` it keeps every segment's
     per-layer keys and values, so the next call computes only the tokens it
     appends.
     """
@@ -501,26 +493,21 @@ class SeededTransformer:
         return self.config.layers * self.config.heads * _segment_pair_count(packed)
 
     def last_logits(
-        self, packs: Sequence[PackedSequence], caches: Optional[Sequence] = None
+        self, packs: Sequence[PackedSequence], cache: Optional[SegmentCache] = None
     ) -> np.ndarray:
         """`forward(packed).logits[last_positions(packed)]`, within 1e-12, for
         each packed sequence in order, stacked into one (segments, vocab)
-        array; given `caches`, one `SegmentCache` per sequence, each
-        continues its own. The last layer runs its queries, FFN and
-        unembedding on each segment's last row only. Every cache is checked
-        before any pass runs and extended only after every pass returns, so
-        a call that raises leaves them all as they were."""
+        array; given `cache`, `packs` must hold the one sequence that
+        continues it. The last layer runs its queries, FFN and unembedding on
+        each segment's last row only. The cache is checked before the pass
+        runs and extended only after it returns, so a call that raises
+        leaves it as it was."""
+        _check_cached(packs, cache)
         if not packs:
             return np.empty((0, self.config.vocab))
-        caches = caches or [None] * len(packs)
-        pasts = [(c or SegmentCache()).continued(p, None) for p, c in zip(packs, caches, strict=True)]
-        results = [
-            self._run(p, past, keep=None if c is None else c.reserve, last_only=True)
-            for p, past, c in zip(packs, pasts, caches)
-        ]
-        for p, c, (_, kept) in zip(packs, caches, results):
-            if c is not None:
-                c.extend(p, kept)
+        results = [self._run(p, cache, last_only=True) for p in packs]
+        if cache is not None:
+            cache.extend(packs[0], results[0][1])
         return np.concatenate([logits for logits, _ in results])
 
     def attention_received(self, packed: PackedSequence) -> np.ndarray:
@@ -554,10 +541,10 @@ class SeededTransformer:
         positions = packed.pos_in_segment + np.repeat(cached, [s.length for s in packed.segments])
         return x + _sinusoidal(positions, cfg.model_dim)
 
-    def _run(self, packed, past=None, keep=None, last_only=False, received=None):
-        # past: `SegmentCache.continued`'s (cached lengths, states), or None;
-        # keep: None, or a cache's `reserve`: then also return the
-        # `_CachedKV` of every segment's tokens so far, else None;
+    def _run(self, packed, cache=None, last_only=False, received=None):
+        # cache: None, or the `SegmentCache` that `packed` continues, which
+        # this pass reads but does not extend: then also return its state
+        # after the pass, the `_LayerCache` of every layer, else None;
         # last_only: the last layer's queries and all after its attention
         # cover each segment's last row only, so the logits are (segments,
         # vocab); received: None, or a (total,) array that sums the attention
@@ -565,14 +552,14 @@ class SeededTransformer:
         cfg = self.config
         w = self.weights
         n_seg = packed.num_segments
-        cached, states = past or ([0] * n_seg, None)
+        cached = [0] * n_seg if cache is None else cache.cached(packed)
         x = self._embed(packed, cached)
         total = len(x)
         starts = [s.start for s in packed.segments]
         lengths = [s.length for s in packed.segments]
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
         heads, hd = cfg.heads, self.head_dim
-        prior = states.layers if any(cached) else [None] * cfg.layers
+        prior = cache.state if any(cached) else [None] * cfg.layers
         kept = []
         # segment i's queries are its trailing queries[i] rows, `rows` of x;
         # a slice, not a gather, while every row is read
@@ -618,10 +605,10 @@ class SeededTransformer:
             old = prior[layer]
             past_sq_max = None if old is None else old.key_sq_max
             k_sq_max = _shift_by_bound(layer_qa, kt, starts, queries, past_sq_max, layer)
-            cache = None
-            if keep is not None:
-                cache = _layer_cache(old, cached, lengths, keep, k_sq_max, kt)
-                kept.append(cache)
+            held = None
+            if cache is not None:
+                held = _layer_cache(old, cached, lengths, cache.reserve, k_sq_max, kt)
+                kept.append(held)
             jobs = []
             for s0, s1 in plan.runs:
                 # the run's segments as one stack of views: of the new rows,
@@ -630,10 +617,10 @@ class SeededTransformer:
                 b, qb = starts[s0], q_starts[s0]
                 k_run = kt[:, :, b : b + r * n].reshape(heads, hd + 1, r, n).transpose(2, 0, 1, 3)
                 v_run = va[:, b : b + r * n].reshape(heads, r, n, hd + 1).transpose(1, 0, 2, 3)
-                if cache is not None:
-                    cache.keys[s0:s1, :, :, c : c + n] = k_run
-                    cache.values[s0:s1, :, c : c + n] = v_run
-                    k_run, v_run = cache.keys[s0:s1, :, :, : c + n], cache.values[s0:s1, :, : c + n]
+                if held is not None:
+                    held.keys[s0:s1, :, :, c : c + n] = k_run
+                    held.values[s0:s1, :, c : c + n] = v_run
+                    k_run, v_run = held.keys[s0:s1, :, :, : c + n], held.values[s0:s1, :, : c + n]
                 q_run = slice(qb, qb + r * nq)
                 jobs.append((
                     layer_qa[:, q_run].reshape(heads, r, nq, hd + 1).transpose(1, 0, 2, 3),
@@ -649,8 +636,7 @@ class SeededTransformer:
         logits = np.empty((len(x), cfg.vocab))
         for t0, t1 in _row_tiles(len(x)):
             np.matmul(layer_norm(x[t0:t1]), w["unembedding"], out=logits[t0:t1])
-        totals = [c + n for c, n in zip(cached, lengths)]
-        return logits, _CachedKV(kept, totals) if kept else None
+        return logits, None if cache is None else kept
 
 
 def _project(x, wq, wk, wv, inv_sqrt, qa, kt, va, proj):
@@ -743,17 +729,12 @@ def needle_answer(video_key: int, vocab: int) -> int:
     return 1 + mix64(video_key ^ _ANSWER_TAG) % (vocab - 1)
 
 
-def _probe_pass(packs, caches):
+def _probe_pass(packs, cached):
     # every position of `packs`, concatenated: keyed[j] of NeedleProbe's
     # docstring and a 0/1 needle flag; and per segment its start in that
-    # concatenation, its length, and the (prefix XOR, needle count) of its
-    # tokens in `caches` (one per sequence, None for none), (0, 0) on none
-    lengths, cached, past = [], [], []
-    for packed, cache in zip(packs, caches, strict=True):
-        seen, states = (cache or SegmentCache()).continued(packed, (0, 0))
-        lengths += [s.length for s in packed.segments]
-        cached += seen
-        past += states
+    # concatenation and its length. cached: per segment the tokens a cache
+    # holds before it, which offset its positions, or 0 for none
+    lengths = [s.length for p in packs for s in p.segments]
     starts = np.cumsum(lengths) - lengths
     token_ids = np.concatenate([p.token_ids for p in packs])
     visual = token_ids < 0
@@ -769,9 +750,7 @@ def _probe_pass(packs, caches):
     is_needle[visual] = np.concatenate(
         [p.video.needle_mask[p.rows // p.video.tokens_per_frame] for p in packs]
     )
-    states = np.array([state for state, _ in past], dtype=np.uint64)
-    needles = np.array([count for _, count in past], dtype=np.int64)
-    return keyed, is_needle, starts, lengths, states, needles
+    return keyed, is_needle, starts, lengths
 
 
 def _noise_logits(acc, keys, noise_scale, vocab: int) -> np.ndarray:
@@ -819,7 +798,7 @@ class NeedleProbe:
         self.noise_scale = noise_scale
 
     def forward(self, packed: PackedSequence) -> ForwardResult:
-        keyed, is_needle, starts, lengths, _, _ = _probe_pass([packed], [None])
+        keyed, is_needle, starts, lengths = _probe_pass([packed], 0)
         # one prefix over the whole sequence, re-based at each segment start
         # by XORing out (XOR undoes XOR) or subtracting what it held before
         acc = np.bitwise_xor.accumulate(keyed)
@@ -833,32 +812,32 @@ class NeedleProbe:
         return ForwardResult(logits, self.pair_count(packed))
 
     def last_logits(
-        self, packs: Sequence[PackedSequence], caches: Optional[Sequence] = None
+        self, packs: Sequence[PackedSequence], cache: Optional[SegmentCache] = None
     ) -> np.ndarray:
         """`forward(packed).logits[last_positions(packed)]` for each packed
         sequence in order, stacked into one (segments, vocab) array, bit for
-        bit; given `caches`, one `SegmentCache` per sequence, each continues
-        its own. Each segment's prefix XOR and needle count are a `reduceat`
-        over its new tokens folded into its cached state, so noise is drawn
-        for last rows only."""
+        bit; given `cache`, `packs` must hold the one sequence that continues
+        it. Each segment's prefix XOR and needle count are a `reduceat` over
+        its new tokens folded into the cache's state, so noise is drawn for
+        last rows only."""
+        _check_cached(packs, cache)
         if not packs:
             return np.empty((0, self.vocab))
-        caches = caches or [None] * len(packs)
-        keyed, is_needle, starts, _, states, needles = _probe_pass(packs, caches)
+        cached = 0 if cache is None else cache.cached(packs[0])
+        keyed, is_needle, starts, _ = _probe_pass(packs, cached)
         acc = np.bitwise_xor.reduceat(keyed, starts)
-        acc ^= states
         counts = np.add.reduceat(is_needle, starts)
-        counts += needles
-        per_segment = [p.num_segments for p in packs]
-        for packed, cache, end in zip(packs, caches, np.cumsum(per_segment)):
-            if cache is not None:
-                seg = slice(end - packed.num_segments, end)
-                cache.extend(packed, list(zip(acc[seg].tolist(), counts[seg].tolist())))
+        if cache is not None and cache.state is not None:
+            acc ^= cache.state[0]
+            counts += cache.state[1]
 
+        per_segment = [p.num_segments for p in packs]
         keys = np.array([p.video.key & _MASK64 for p in packs], dtype=np.uint64)
         logits = _noise_logits(acc, np.repeat(keys, per_segment), self.noise_scale, self.vocab)
         answers = np.repeat([needle_answer(p.video.key, self.vocab) for p in packs], per_segment)
         logits[np.arange(len(acc)), answers] = counts
+        if cache is not None:
+            cache.extend(packs[0], (acc, counts))
         return logits
 
     def pair_count(self, packed: PackedSequence) -> int:

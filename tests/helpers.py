@@ -4,8 +4,9 @@ vocabulary ids, a direct single-sequence greedy baseline that shares no code
 with the sampler or the multi-trial packer paths, the multi-trial decode that
 recomputes the whole packed sequence every step, the sampler's trial-plan
 postcondition, a structural dump of packed sequences for golden tests,
-each position's segment id, and `run_experiment` as a loop of one task at a
-time."""
+each position's segment id, `run_experiment` as a loop of one task at a
+time, one segment's view of a transformer cache, and the Shannon entropy of
+one probability vector."""
 
 from functools import partial
 from typing import Sequence
@@ -13,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from t3s.aggregator import decode, fuse_token
+from t3s.errors import ContractError
 from t3s.harness import (
     ExperimentReport,
     _attn_scores,
@@ -184,3 +186,29 @@ def per_task_experiment(cfg) -> ExperimentReport:
         cost=_cost_report(cfg, *first, None),
         backend=cfg.backend,
     )
+
+
+def cached_kv(cache, i: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Segment i's per-layer (keys, values, largest squared key norm) in a
+    transformer's `SegmentCache`, views trimmed to its `lengths[i]` tokens."""
+    n = cache.lengths[i]
+    return [(c.keys[i, :, :, :n], c.values[i, :, :n], c.key_sq_max[i]) for c in cache.state]
+
+
+def entropy(dist) -> float:
+    """Shannon entropy in nats, with 0*ln(0) := 0: the reference for
+    `aggregator._row_entropies`, one vector at a time.
+
+    The input must be a probability vector: non-negative entries summing to 1
+    within 1e-9; anything else raises ContractError.
+    """
+    p = np.asarray(dist, dtype=np.float64).ravel()
+    if p.size == 0:
+        raise ContractError("entropy of an empty vector is undefined")
+    if p.min() < 0.0:
+        raise ContractError(f"negative probability {p.min()}")
+    total = p.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ContractError(f"probabilities sum to {total}, not 1")
+    nz = p[p > 0.0]
+    return float(-(nz * np.log(nz)).sum())

@@ -20,12 +20,12 @@ from t3s.aggregator import (
 )
 from t3s.errors import ConfigError, ContractError
 from t3s.harness import gen_task
-from t3s.numkernel import Rng, entropy, softmax_rows
+from t3s.numkernel import Rng, softmax_rows
 from t3s.packer import pack
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model, needle_answer
 
-from helpers import baseline_greedy_decode, recompute_decode
+from helpers import baseline_greedy_decode, entropy, recompute_decode
 
 # ---------------------------------------------------------------------------
 # Brute-force references (pure-Python, loop-based)
@@ -133,9 +133,10 @@ class TestConfidenceWeighted:
             assert t == bt
 
     def test_matches_per_row_entropy(self):
-        # the rule with `entropy` called row by row: bit-equal while every
-        # probability is > 0; where some underflow to 0 the zero terms move
-        # the others within numpy's pairwise sum, so entropies agree to 1e-15
+        # the rule with the reference `entropy` called row by row: bit-equal
+        # while every probability is > 0; where some underflow to 0 the zero
+        # terms move the others within numpy's pairwise sum, so entropies
+        # agree to 1e-15
         def per_row(o):
             h = np.array([entropy(row) for row in softmax_rows(o)])
             inv = 1.0 / np.maximum(h, 1e-8)
@@ -155,7 +156,7 @@ class TestConfidenceWeighted:
             assert np.abs(_row_entropies(probs) - want).max() <= 1e-15
 
     def test_row_checks(self):
-        # `entropy`'s checks, row by row
+        # the reference `entropy`'s checks, row by row
         with pytest.raises(ContractError, match="negative probability"):
             _row_entropies(np.array([[0.5, 0.5], [1.2, -0.2]]))
         with pytest.raises(ContractError, match="sum to 1.1"):
@@ -381,9 +382,9 @@ class TestDecode:
         seen = []
         last_logits = model.last_logits
 
-        def recording(packs, caches=None):
-            rows = last_logits(packs, caches)
-            seen.append((list(caches[0].lengths), caches[0].states.layers))
+        def recording(packs, cache=None):
+            rows = last_logits(packs, cache)
+            seen.append((list(cache.lengths), cache.state))
             return rows
 
         model.last_logits = recording

@@ -158,9 +158,9 @@ def logged(backend, log, names):
     name in `names`."""
     last_logits = backend.last_logits
 
-    def logged_last_logits(packs, caches=None):
+    def logged_last_logits(packs, cache=None):
         log.extend(names[id(p)] for p in packs)
-        return last_logits(packs, caches)
+        return last_logits(packs, cache)
 
     backend.last_logits = logged_last_logits
     return backend

@@ -115,7 +115,7 @@ def test_decode_steps(model, workers):
     cache = SegmentCache(reserve=steps - 1)
     rows, tokens = [], []
     for _ in range(steps):
-        logits = model.last_logits([packed], [cache])
+        logits = model.last_logits([packed], cache)
         rows.append(logits)
         tokens.append(fuse_token(logits, strategy))
         packed = token_per_segment(tokens[-1], packed)

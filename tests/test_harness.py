@@ -856,6 +856,21 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert set(report) >= {"accuracy", "cost", "config_hash"}
 
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_not_a_failure(self, tmp_path, tiny_config, run_cli, unbuffered):
+        # stdout's reader exits first, as `head` does in `t3s run | head`:
+        # unbuffered, the summary line's write fails inside the command;
+        # buffered, the flush would fail at exit. Either way the run
+        # succeeds silently and writes the same report as with a live stdout
+        want, got = tmp_path / "want", tmp_path / "got"
+        args = ("run", "--config", str(tiny_config), "--out-dir")
+        assert run_cli(*args, str(want), cwd=tmp_path).returncode == 0
+        res = run_cli(
+            *args, str(got), cwd=tmp_path, env={"PYTHONUNBUFFERED": unbuffered}, closed_stdout=True
+        )
+        assert (res.returncode, res.stderr) == (0, "")
+        assert (got / "report.json").read_bytes() == (want / "report.json").read_bytes()
+
     def test_invalid_config_exits_two(self, tmp_path, run_cli):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"sampler": {"trials": 0}}))

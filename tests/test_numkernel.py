@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from t3s.aggregator import _row_entropies
 from t3s.errors import ContractError, ShapeError
 from t3s.numkernel import (
     Rng,
-    entropy,
     layer_norm,
     mix64,
     sample_without_replacement,
@@ -52,6 +52,11 @@ class TestSoftmaxRows:
         assert (out >= 0.0).all()
         shifted = softmax_rows(m + shift)
         assert np.abs(out - shifted).max() < 1e-12
+
+
+def entropy(dist):
+    """`_row_entropies` of `dist` as a one-row matrix."""
+    return _row_entropies(np.array([dist], dtype=np.float64))[0]
 
 
 class TestEntropy:

@@ -38,7 +38,7 @@ from t3s.toymodel import (
     worker_count,
 )
 
-from helpers import materialise, segment_ids, segments_of
+from helpers import cached_kv, materialise, segment_ids, segments_of
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=1024, init_seed=3)
 
@@ -467,7 +467,7 @@ class TestSegmentCache:
             cuts = [(sum(p[:k]), sum(p[: k + 1])) for p in pieces]
             got = backend.last_logits(
                 [segments_of(MIXED_VIDEO, [c[lo:hi] for c, (lo, hi) in zip(parts, cuts)])],
-                [cache],
+                cache,
             )
             ends = [s.start + hi - 1 for s, (_, hi) in zip(full.segments, cuts)]
             if backend_kind == "transformer":
@@ -481,27 +481,30 @@ class TestSegmentCache:
         packed, _, _ = make_packed(trials=2)
         backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
         cache = SegmentCache()
-        backend.last_logits([packed], [cache])
-        lengths, states = list(cache.lengths), cache.states
+        backend.last_logits([packed], cache)
+        lengths, state = list(cache.lengths), cache.state
         three = segments_of(MIXED_VIDEO, [[4]] * 3)
         with pytest.raises(ContractError, match="cache holds 2 segments"):
-            backend.last_logits([three], [cache])
-        assert cache.lengths == lengths and cache.states is states
+            backend.last_logits([three], cache)
+        assert cache.lengths == lengths and cache.state is state
 
     @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
-    def test_failed_call_extends_no_cache(self, backend_kind):
-        # the second sequence's cache does not match it, so the call raises,
-        # and the first sequence's cache, which does match, must not grow
+    def test_cache_continues_one_sequence(self, backend_kind):
+        # two sequences, the same one twice included, or none, given a
+        # cache, raise before any pass and leave the cache as it was
         backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
-        first, second = SegmentCache(), SegmentCache()
-        backend.last_logits([segments_of(MIXED_VIDEO, [[1, 2]])], [first])
-        backend.last_logits([segments_of(MIXED_VIDEO, [[3], [4]])], [second])
-        states = first.states
-        one = segments_of(MIXED_VIDEO, [[5]])
-        with pytest.raises(ContractError, match="cache holds 2 segments"):
-            backend.last_logits([one, one], [first, second])
-        assert first.lengths == [2] and first.states is states
-        assert second.lengths == [1, 1]
+        a, b = segments_of(MIXED_VIDEO, [[5]]), segments_of(MIXED_VIDEO, [[1, 2]])
+        cache = SegmentCache()
+        for packs in ([a, b], [a, a], []):
+            with pytest.raises(ContractError, match="a cache continues one packed sequence"):
+                backend.last_logits(packs, cache)
+            assert cache.lengths == [] and cache.state is None
+        backend.last_logits([b], cache)
+        state = cache.state
+        for packs in ([a, b], [a, a], []):
+            with pytest.raises(ContractError, match="a cache continues one packed sequence"):
+                backend.last_logits(packs, cache)
+            assert cache.lengths == [2] and cache.state is state
 
 
 def scaled_scores(scale, layers=None):
@@ -588,7 +591,7 @@ class TestScoreBound:
         for k, step in enumerate(steps):
             parts = [np.concatenate([p, s]) for p, s in zip(parts, step)]
             full = segments_of(MIXED_VIDEO, parts)
-            got = model.last_logits([segments_of(MIXED_VIDEO, step)], [cache])
+            got = model.last_logits([segments_of(MIXED_VIDEO, step)], cache)
             want = model.forward(full).logits[last_positions(full)]
             assert np.abs(got - want).max() < 1e-9
             _, k_sq = layer0_norms(model, full)
@@ -597,7 +600,7 @@ class TestScoreBound:
                 if k == 1 and i == 0:
                     # the premise: the new key outgrows every cached one
                     assert seg[-1].max() > 2.0 * seg[:-1].max()
-                assert np.allclose(cache.states[i][0][2], seg.max(axis=0), rtol=1e-12)
+                assert np.allclose(cached_kv(cache, i)[0][2], seg.max(axis=0), rtol=1e-12)
 
         # one more token per segment, a long query in segment 0, with layer
         # 0's queries scaled so that only that query's product with the
@@ -616,7 +619,7 @@ class TestScoreBound:
         assert with_long > 1.1 * others
         model.weights["layer0.attn_query"] *= 300.0 / math.sqrt(math.sqrt(with_long * others))
         with pytest.raises(ContractError, match="layer 0: attention score bound"):
-            model.last_logits([segments_of(MIXED_VIDEO, step)], [cache])
+            model.last_logits([segments_of(MIXED_VIDEO, step)], cache)
 
 
 def textbook_gelu(x):
@@ -769,9 +772,9 @@ class TestPrunedLastLayer:
     @pytest.mark.parametrize("layers", [1, 4])
     @pytest.mark.parametrize("step", [1, 40])
     def test_rows_match_full_pass(self, layers, step):
-        # several sequences per call, each with several segments whose
-        # lengths cross the query-chunk seams; every sequence then grows by
-        # `step` tokens per segment through its cache, three times
+        # several sequences, each with several segments whose lengths cross
+        # the query-chunk seams; every sequence then grows by `step` tokens
+        # per segment through its own cache, three times
         model = build_model(dataclasses.replace(CFG, layers=layers))
         g = Rng(10 * layers + step).generator()
         parts = [
@@ -781,7 +784,9 @@ class TestPrunedLastLayer:
         caches = [SegmentCache() for _ in parts]
         new = parts
         for _ in range(4):
-            got = model.last_logits([segments_of(MIXED_VIDEO, p) for p in new], caches)
+            got = np.concatenate(
+                [model.last_logits([segments_of(MIXED_VIDEO, p)], c) for p, c in zip(new, caches)]
+            )
             fulls = [segments_of(MIXED_VIDEO, p) for p in parts]
             want = np.concatenate([model.forward(f).logits[last_positions(f)] for f in fulls])
             assert np.abs(got - want).max() <= 1e-12
@@ -821,12 +826,12 @@ def extend_and_compare(model, cache, parts, new):
     1e-12, and each cached key-norm maximum the keys it caches, and returns
     the grown parts."""
     parts = [np.concatenate([p, q]) for p, q in zip(parts, new)]
-    got = model.last_logits([segments_of(MIXED_VIDEO, new)], [cache])
+    got = model.last_logits([segments_of(MIXED_VIDEO, new)], cache)
     full = segments_of(MIXED_VIDEO, parts)
     assert np.abs(got - model.forward(full).logits[last_positions(full)]).max() <= 1e-12
     assert cache.lengths == [len(p) for p in parts]
     for i in range(len(parts)):
-        for keys, _, k_sq_max in cache.states[i]:
+        for keys, _, k_sq_max in cached_kv(cache, i):
             want = (keys[:, :-1] ** 2).sum(axis=1).max(axis=1)
             assert np.allclose(k_sq_max, want, rtol=1e-12, atol=0)
     return parts
@@ -847,12 +852,13 @@ class TestCacheBuffers:
             model, cache, [[]] * 3, [mixed_segment(g, n) for n in (9, 9, 40)]
         )
         for step in range(4):
-            before = cache.states
-            held = [[(k.copy(), v.copy()) for k, v, _ in before[i]] for i in range(3)]
+            before = cache.state
+            before_kv = [cached_kv(cache, i) for i in range(3)]
+            held = [[(k.copy(), v.copy()) for k, v, _ in before_kv[i]] for i in range(3)]
             parts = extend_and_compare(model, cache, parts, [[5], [6], [7]])
             shared = [
                 np.shares_memory(old.keys, new.keys) and np.shares_memory(old.values, new.values)
-                for old, new in zip(before.layers, cache.states.layers)
+                for old, new in zip(before, cache.state)
             ]
             # three steps fit the reserve; the fourth gets new buffers
             assert shared == [step < 3] * CFG.layers
@@ -860,7 +866,7 @@ class TestCacheBuffers:
             # buffers and at the head of the current ones
             for i in range(3):
                 for (k, v), (k_old, v_old, _), (k_new, v_new, _) in zip(
-                    held[i], before[i], cache.states[i]
+                    held[i], before_kv[i], cached_kv(cache, i)
                 ):
                     n = k.shape[2]
                     assert np.array_equal(k, k_old) and np.array_equal(v, v_old)
@@ -886,7 +892,7 @@ class TestCacheBuffers:
             [1] * 5,  # equal new lengths, cached ones 42 and 81
         ):
             parts = extend_and_compare(model, cache, parts, [mixed_segment(g, n) for n in lengths])
-            capacities.append(cache.states.layers[0].keys.shape[3])
+            capacities.append(cache.state[0].keys.shape[3])
         need = [7, 8, 8 + _C + 1, 49 + _C, 50 + _C]
         if reserve:
             assert capacities == [47, 47, 47, need[3] + reserve, need[3] + reserve]
@@ -902,13 +908,13 @@ class TestCacheBuffers:
         g = Rng(23).generator()
         cache = SegmentCache(reserve=4)
         parts = extend_and_compare(model, cache, [[]] * 2, [mixed_segment(g, n) for n in (6, 30)])
-        lengths, states = list(cache.lengths), cache.states
-        held = [[a.copy() for a in layer] for i in range(2) for layer in states[i]]
+        lengths, state = list(cache.lengths), cache.state
+        held = [[a.copy() for a in layer] for i in range(2) for layer in cached_kv(cache, i)]
         new = [mixed_segment(g, 2), mixed_segment(g, 2)]
         with pytest.raises(ContractError, match="layer 1: attention score bound"):
-            hot.last_logits([segments_of(MIXED_VIDEO, new)], [cache])
-        assert cache.lengths == lengths and cache.states is states
-        now = [layer for i in range(2) for layer in states[i]]
+            hot.last_logits([segments_of(MIXED_VIDEO, new)], cache)
+        assert cache.lengths == lengths and cache.state is state
+        now = [layer for i in range(2) for layer in cached_kv(cache, i)]
         assert all(np.array_equal(a, b) for h, n in zip(held, now) for a, b in zip(h, n))
         extend_and_compare(model, cache, parts, new)
 
