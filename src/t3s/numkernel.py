@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -124,16 +125,23 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def layer_norm(
+    x: np.ndarray,
+    eps: float = 1e-5,
+    out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance (no affine).
 
     Means are `np.add.reduce` over the last axis divided by its width, as
-    `np.mean` computes them, without `np.mean`'s Python wrapper.
+    `np.mean` computes them, without `np.mean`'s Python wrapper. `out` and
+    `work`, if given, are float64 arrays of x's shape that take the result
+    and the squared deviations in place of new arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     width = x.shape[-1]
-    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / width
-    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / width
+    centred = np.subtract(x, np.add.reduce(x, axis=-1, keepdims=True) / width, out=out)
+    var = np.add.reduce(np.multiply(centred, centred, out=work), axis=-1, keepdims=True) / width
     centred /= np.sqrt(var + eps)
     return centred
 

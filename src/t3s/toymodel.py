@@ -29,13 +29,17 @@ buffers that a continuing call writes in place while its tokens fit.
 A pass works in cache-sized pieces. Its queries, keys, values, context rows
 and score tiles live in buffers allocated once per pass, which every layer
 writes in place. The position-wise stages run over row tiles of
-`_ROW_TILE` rows: layer norms, projections, FFN and residuals. A layer's
-32-query attention chunks are split, interleaved, across W workers: the
-calling thread and a lazily started pool of W - 1 threads, each with its
-own score and PV buffers. W = max(1, cpus // blas_threads), so with BLAS
-unpinned W is 1 and no thread starts. Every row and chunk gets the same
-BLAS calls as a whole-pass product would give it, so the outputs are bit
-for bit the same at every W.
+`_ROW_TILE` rows: layer norms, projections, FFN, residuals and the
+unembedding. Between two attentions one row phase runs each tile through
+the previous layer's output projection and FFN and then the next layer's
+projections. A pass whose layers clear `_SPLIT_MIN_SCORES` splits across W
+workers, the calling thread and a lazily started pool of W - 1 threads:
+each layer's 32-query attention chunks, interleaved, and each row phase's
+tiles, tile k to worker k mod W. W = max(1, cpus // blas_threads), so with
+BLAS unpinned W is 1 and no thread starts; a pass below the cutoff, every
+decode step among them, runs on the calling thread alone. Every row and
+chunk gets the same BLAS calls as a whole-pass product would give it, so
+the outputs are bit for bit the same at every W.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -71,30 +75,34 @@ _FUTURE_KEYS = np.triu(np.ones((_QUERY_CHUNK, _QUERY_CHUNK), dtype=bool), k=1)
 
 # Layer norms, projections and the FFN run over tiles of _ROW_TILE rows, in
 # buffers allocated once per pass: at the DESK width a tile's (rows, 4 *
-# model_dim) FFN intermediate is 512 KiB, so a tile's stages stay in L2.
+# model_dim) FFN intermediate is 512 KiB, so a tile's stages stay in L2. A
+# tile is also the unit of work that a pass which splits hands to a worker.
 # numpy hands a one-row product to BLAS gemv, which rounds unlike the rows of
 # a larger product, so a last tile of one row joins the tile before it; a
 # product split into row blocks of two or more rows is otherwise bit for bit
 # the whole one.
 _ROW_TILE = 256
 
-# One layer's attention chunks are split across W workers, the calling thread
-# and W - 1 pool threads, each with its own score and PV buffers. Each BLAS
+# A pass that splits hands each layer's attention chunks, and the row tiles
+# of each row phase, to W workers: the calling thread and W - 1 pool
+# threads. Each has its own score and PV buffers and its own row buffers,
+# which share one block, as it never needs both at once. Each BLAS
 # call already runs on blas_threads threads, so W = max(1, cpus //
 # blas_threads) fills the CPUs without oversubscribing them: with BLAS
 # unpinned on 2 CPUs, two workers made the L=2052 pass 5-10% slower (medians
-# 166-178 to 182-186 ms). blas_threads is read as OpenBLAS reads it: the first of
-# BLAS_THREAD_VARS that holds a positive integer, else the CPU count. A
-# layer stays on one worker below _SPLIT_MIN_SCORES allowed score entries:
-# with BLAS pinned to one thread on 2 CPUs, splitting a one-segment pass cost
-# 27-40% at 64 and 128 rows, broke even between 256 and 384 rows (132k and
-# 296k entries a layer), and gained 4-8% at 512 rows, 5-13% at 768 and
-# 14-21% at 1024. The cutoff, a 724-row segment, keeps every pass of an
-# 8-trial decode serial, its 516-row dense baseline included.
+# 166-178 to 182-186 ms). blas_threads is read as OpenBLAS reads it: the
+# first of BLAS_THREAD_VARS that holds a positive integer, else the CPU
+# count. A pass stays on one worker below _SPLIT_MIN_SCORES allowed score
+# entries a layer: with BLAS pinned to one thread on 2 CPUs, splitting only
+# the attention of a one-segment pass cost 27-40% at 64 and 128 rows, broke
+# even between 256 and 384 rows (132k and 296k entries a layer), and gained
+# 4-8% at 512 rows, 5-13% at 768 and 14-21% at 1024. The cutoff, a 724-row
+# segment, keeps every pass of an 8-trial decode serial, its 516-row dense
+# baseline included.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _SPLIT_MIN_SCORES = 1 << 20
-_WORKERS: Optional[int] = None  # W, read once, on the first layer that could split
-_POOL = None  # ((threads, pid), executor), started by the first layer that splits
+_WORKERS: Optional[int] = None  # W, read once, on the first pass that could split
+_POOL = None  # ((threads, pid), executor), started by the first pass that splits
 
 # Scores reach `exp` already shifted by a per-row bound b >= every score of
 # the row (see `_shift_by_bound`), and no score lies below -b, so a row's
@@ -290,13 +298,22 @@ def _workspace(*shapes):
     # starting on a 64-byte line. The allocator maps one large block once and
     # then reuses it from pass to pass, where separate buffers were mapped and
     # their pages faulted in again on every pass.
-    sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]
-    flat = np.empty(sum(sizes) + 7)
-    at = (-flat.ctypes.data % 64) // 8
-    arrays = []
-    for shape, size in zip(shapes, sizes):
+    flat = np.empty(sum(map(_padded, shapes)) + 7)
+    return _views(flat[(-flat.ctypes.data % 64) // 8 :], shapes)
+
+
+def _padded(shape):
+    # entries of `shape`, rounded up to whole 64-byte lines
+    return -(-math.prod(shape) // 8) * 8
+
+
+def _views(flat, shapes):
+    # C-contiguous arrays of `shapes` laid one after another along `flat`,
+    # each `_padded` entries after the one before
+    arrays, at = [], 0
+    for shape in shapes:
         arrays.append(flat[at : at + math.prod(shape)].reshape(shape))
-        at += size
+        at += _padded(shape)
     return arrays
 
 
@@ -399,17 +416,36 @@ def _attend_run(qa, kt, va, ctx, received, chunks, scores_buf, pv_buf):
         np.divide(heads_ctx[..., :-1], sums, out=ctx[:, :, c0:c1])
 
 
-def _attend(jobs, workers, scores_bufs, pv_bufs):
+def _attend(jobs, workers, bufs):
     # every run of one layer; jobs: (qa, kt, va, ctx, received) per run as
     # `_attend_run` reads them. Worker i attends chunks i, i + W, ... of
-    # every run into its own buffers; the calling thread is worker 0 and
-    # the pool's threads the rest
+    # every run into its own (scores, PV) buffers, bufs[i]
     def share(i):
         for qa, kt, va, ctx, received in jobs:
             chunks = range(0, qa.shape[2], _QUERY_CHUNK)[i::workers]
-            _attend_run(qa, kt, va, ctx, received, chunks, scores_bufs[i], pv_bufs[i])
+            _attend_run(qa, kt, va, ctx, received, chunks, *bufs[i])
 
-    helping = [_helper_pool(workers - 1).submit(share, i) for i in range(1, workers)]
+    _on_workers(workers, workers, share)
+
+
+def _rows(workers, total, stages, bufs):
+    # each of `stages`, in order, on each row tile of `total` rows: stage(t0,
+    # t1, bufs[i]) for tile [t0, t1) on worker i, which takes tiles i, i + W,
+    # ... and its own row buffers, bufs[i]
+    tiles = _row_tiles(total)
+
+    def share(i):
+        for t0, t1 in tiles[i::workers]:
+            for stage in stages:
+                stage(t0, t1, bufs[i])
+
+    _on_workers(workers, min(workers, len(tiles)), share)
+
+
+def _on_workers(workers, busy, share):
+    # share(i) for each worker i < busy <= W = workers: worker 0 is the
+    # calling thread and the rest threads of the one pool of W - 1
+    helping = [_helper_pool(workers - 1).submit(share, i) for i in range(1, busy)]
     share(0)
     for done in helping:
         done.result()
@@ -568,40 +604,50 @@ class SeededTransformer:
         if last_only:
             plans.append(_attention_plan(cached, lengths, [1] * n_seg, heads, received))
 
-        # the pass's buffers, which every layer writes in place
+        # the pass's buffers, which every layer writes in place; a worker's
+        # row buffers and attention buffers share one block, as it never
+        # needs both at once
         tile = min(total, _ROW_TILE + 1)
         workers = max(p.workers for p in plans)
-        scores = max(p.score_tile for p in plans)
-        pv = max(p.chunk_rows for p in plans) * (hd + 1)
-        qa, kt, va, ctx, proj, ffn, *bufs = _workspace(
+        attention = [
+            (max(p.score_tile for p in plans),),
+            (max(p.chunk_rows for p in plans) * (hd + 1),),
+        ]
+        row = [(tile, cfg.model_dim), (2, tile, 4 * cfg.model_dim)]
+        block = max(sum(map(_padded, attention)), sum(map(_padded, row)))
+        qa, kt, va, ctx, *blocks = _workspace(
             (heads, total, hd + 1),
             (heads, hd + 1, total),
             (heads, total, hd + 1),
             (total, cfg.model_dim),
-            (tile, cfg.model_dim),
-            (2, tile, 4 * cfg.model_dim),
-            *[(scores,), (pv,)] * workers,
+            *[(block,)] * workers,
         )
         kt[:, hd] = 1.0
         va[:, :, hd] = 1.0
-        scores_bufs, pv_bufs = bufs[0::2], bufs[1::2]
+        row_bufs = [_views(b, row) for b in blocks]
+        attention_bufs = [_views(b, attention) for b in blocks]
 
         ctx_rows = ctx.reshape(total, heads, hd)
 
+        # a row phase runs, tile by tile, the previous layer's MLP, if any,
+        # and then the next layer's projections, or the unembedding after
+        # the last layer; a pass that splits its attention splits them too
+        stages = []
         for layer in range(cfg.layers):
             wq, wk, wv, wo, w_in, w_out = (
                 w[f"layer{layer}.{name}"]
                 for name in ("attn_query", "attn_key", "attn_value", "attn_out", "ffn_in", "ffn_out")
             )
             plan, layer_qa = plans[0], qa
-            if last_only and layer == cfg.layers - 1:
+            last = last_only and layer == cfg.layers - 1
+            stages.append(partial(_project, x, None if last else wq, wk, wv, inv_sqrt, qa, kt, va))
+            _rows(workers, len(x), stages, row_bufs)
+            if last:
                 plan, layer_qa = plans[1], qa[:, :n_seg]
                 rows = [b + n - 1 for b, n in zip(starts, lengths)]
                 queries, q_starts = [1] * n_seg, list(range(n_seg))
-                _project(x, None, wk, wv, inv_sqrt, qa, kt, va, proj)
-                _project(x[rows], wq, None, None, inv_sqrt, layer_qa, kt, va, proj)
-            else:
-                _project(x, wq, wk, wv, inv_sqrt, qa, kt, va, proj)
+                query = partial(_project, x[rows], wq, None, None, inv_sqrt, layer_qa, kt, va)
+                _rows(1, n_seg, [query], row_bufs)
             old = prior[layer]
             past_sq_max = None if old is None else old.key_sq_max
             k_sq_max = _shift_by_bound(layer_qa, kt, starts, queries, past_sq_max, layer)
@@ -629,47 +675,56 @@ class SeededTransformer:
                     ctx_rows[q_run].reshape(r, nq, heads, hd).transpose(0, 2, 1, 3),
                     None if received is None else received[b : b + r * n].reshape(r, n),
                 ))
-            _attend(jobs, plan.workers, scores_bufs, pv_bufs)
+            _attend(jobs, plan.workers, attention_bufs)
             x = x[rows]
-            _mlp_block(x, ctx, wo, w_in, w_out, proj, ffn)
+            stages = [partial(_mlp_block, x, ctx, wo, w_in, w_out)]
 
         logits = np.empty((len(x), cfg.vocab))
-        for t0, t1 in _row_tiles(len(x)):
-            np.matmul(layer_norm(x[t0:t1]), w["unembedding"], out=logits[t0:t1])
+        _rows(workers, len(x), stages + [partial(_unembed, x, w["unembedding"], logits)], row_bufs)
         return logits, None if cache is None else kept
 
 
-def _project(x, wq, wk, wv, inv_sqrt, qa, kt, va, proj):
-    # layer norm of x's rows, tile by tile, then their queries (scaled by
+def _project(x, wq, wk, wv, inv_sqrt, qa, kt, va, t0, t1, bufs):
+    # layer norm of rows [t0, t1) of x, then their queries (scaled by
     # inv_sqrt) into qa, keys into kt and values into va, as `_attend_run`
     # reads them; wq None skips the queries, wk None the keys and values;
-    # proj: a (tile rows, model_dim) buffer
+    # bufs: a worker's (tile rows, model_dim) and (2, tile rows, 4 *
+    # model_dim) row buffers
     heads, hd = qa.shape[0], qa.shape[2] - 1
-    for t0, t1 in _row_tiles(len(x)):
-        h, p = layer_norm(x[t0:t1]), proj[: t1 - t0]
-        if wq is not None:
-            np.matmul(h, wq, out=p)
-            np.multiply(_split_heads(p, heads, hd), inv_sqrt, out=qa[:, t0:t1, :hd])
-        if wk is not None:
-            np.matmul(h, wk, out=p)
-            kt[:, :hd, t0:t1] = p.reshape(-1, heads, hd).transpose(1, 2, 0)
-            np.matmul(h, wv, out=p)
-            va[:, t0:t1, :hd] = _split_heads(p, heads, hd)
+    h, p = _norm(x, t0, t1, bufs[1]), bufs[0][: t1 - t0]
+    if wq is not None:
+        np.matmul(h, wq, out=p)
+        np.multiply(_split_heads(p, heads, hd), inv_sqrt, out=qa[:, t0:t1, :hd])
+    if wk is not None:
+        np.matmul(h, wk, out=p)
+        kt[:, :hd, t0:t1] = p.reshape(-1, heads, hd).transpose(1, 2, 0)
+        np.matmul(h, wv, out=p)
+        va[:, t0:t1, :hd] = _split_heads(p, heads, hd)
 
 
-def _mlp_block(x, ctx, wo, w_in, w_out, proj, ffn):
-    # the rest of a layer, tile by tile and in place on x: the attention
+def _mlp_block(x, ctx, wo, w_in, w_out, t0, t1, bufs):
+    # the rest of a layer on rows [t0, t1), in place on x: the attention
     # output projection of ctx plus the residual, then layer norm, FFN and
-    # residual; proj, ffn: (tile rows, model_dim) and (2, tile rows, 4 *
-    # model_dim) buffers
-    for t0, t1 in _row_tiles(len(x)):
-        p, f = proj[: t1 - t0], ffn[:, : t1 - t0]
-        np.matmul(ctx[t0:t1], wo, out=p)
-        x[t0:t1] += p
-        np.matmul(layer_norm(x[t0:t1]), w_in, out=f[0])
-        _gelu(f[0], out=f[1])
-        np.matmul(f[1], w_out, out=p)
-        x[t0:t1] += p
+    # residual; bufs as `_project` reads them
+    p, f = bufs[0][: t1 - t0], bufs[1][:, : t1 - t0]
+    np.matmul(ctx[t0:t1], wo, out=p)
+    x[t0:t1] += p
+    np.matmul(_norm(x, t0, t1, bufs[1]), w_in, out=f[0])
+    _gelu(f[0], out=f[1])
+    np.matmul(f[1], w_out, out=p)
+    x[t0:t1] += p
+
+
+def _unembed(x, unembedding, logits, t0, t1, bufs):
+    # the final layer norm of rows [t0, t1) of x and their vocabulary logits
+    np.matmul(_norm(x, t0, t1, bufs[1]), unembedding, out=logits[t0:t1])
+
+
+def _norm(x, t0, t1, ffn):
+    # layer norm of rows [t0, t1) of x, written with its squares into a
+    # worker's second FFN tile, which no stage reads before the norm is used
+    scratch = ffn[1, : t1 - t0].reshape(4, t1 - t0, x.shape[1])
+    return layer_norm(x[t0:t1], out=scratch[0], work=scratch[1])
 
 
 def _split_heads(x: np.ndarray, heads: int, head_dim: int) -> np.ndarray:

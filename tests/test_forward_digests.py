@@ -5,10 +5,13 @@ cannot see a change in the last bits, such as a one-row product that BLAS
 sends to gemv and rounds unlike the rows of a full one. These digests hash
 the unrounded float64 bytes. They run with one attention worker and with two,
 the second forced through the module's private worker count and with the
-split cutoff lowered to zero, so that every pass here that can split does.
+split cutoff lowered to zero, so that every pass here that can split does;
+one more test gets W from a child process's environment, with BLAS pinned.
 """
 
 import hashlib
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,3 +125,25 @@ def test_decode_steps(model, workers):
     assert digest(np.concatenate(rows)) == LAST_CACHED
     assert tokens == DECODE_TOKENS
     assert decode(model, plans, task.video, task.question, steps, strategy) == tokens
+
+
+def test_ttft_forwards_with_blas_pinned(tmp_path, run_cli):
+    # W from the environment, as `attention_workers` reads it, not forced:
+    # the child starts its own pool wherever it has two or more CPUs
+    code = (
+        "import sys, threading\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_forward_digests import DESK, digest, ttft_passes\n"
+        "from t3s.toymodel import attention_workers, build_model\n"
+        "model, (multi, base) = build_model(DESK), ttft_passes()\n"
+        "print(digest(model.forward(multi).logits), digest(model.forward(base).logits))\n"
+        "pool = any(t.name.startswith('t3s-attention') for t in threading.enumerate())\n"
+        "print(attention_workers(), pool)\n"
+    )
+    res = run_cli(cwd=tmp_path, entry=("-c", code), env={"OPENBLAS_NUM_THREADS": "1"})
+    assert res.returncode == 0, res.stderr
+    packed, base, workers, pool = res.stdout.split()
+    assert (packed, base) == (PACKED_L2048, BASE_L2048)
+    cpus = len(os.sched_getaffinity(0))
+    assert workers == str(toymodel.worker_count({"OPENBLAS_NUM_THREADS": "1"}, cpus))
+    assert pool == str(int(workers) > 1)

@@ -112,13 +112,17 @@ class TestLayerNorm:
 
     @pytest.mark.parametrize("shape", [(1, 64), (8, 64), (440, 64), (2052, 64), (3, 7), (5, 1)])
     def test_bit_equal_to_np_mean_formula(self, shape):
-        # the formula before `np.mean` was replaced by `np.add.reduce`
+        # the formula before `np.mean` was replaced by `np.add.reduce`, with
+        # new arrays and with `out` and `work` buffers
         g = Rng(4).generator()
         for _ in range(50):
             x = g.standard_normal(shape) * 4.0 + 2.0
             centred = x - x.mean(axis=-1, keepdims=True)
             centred /= np.sqrt(np.mean(centred * centred, axis=-1, keepdims=True) + 1e-5)
             assert np.array_equal(layer_norm(x), centred)
+            out, work = np.empty_like(x), np.empty_like(x)
+            assert layer_norm(x, out=out, work=work) is out
+            assert np.array_equal(out, centred)
 
 
 class TestSampleWithoutReplacement:

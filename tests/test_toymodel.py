@@ -2,12 +2,14 @@
 dense oracles for both backends' forwards and attention scores, and probe
 semantics."""
 
+import collections
 import dataclasses
 import hashlib
 import math
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,9 @@ from t3s.toymodel import (
 )
 
 from helpers import cached_kv, materialise, segment_ids, segments_of
+from test_forward_digests import ttft_passes
+
+TESTS = Path(__file__).parent
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=1024, init_seed=3)
 
@@ -999,24 +1004,80 @@ class TestPassPieces:
         assert threading.active_count() - before <= 1
         assert [t.name.startswith("t3s-attention") for t in threading.enumerate()].count(True) == 1
 
+    def test_serial_passes_start_no_thread(self, tmp_path, run_cli):
+        # with BLAS pinned through the environment, so that W is the CPU
+        # count, a decode of the decode_short_trials shape and a default
+        # seeded_transformer run hold only passes below _SPLIT_MIN_SCORES,
+        # whose row tiles and attention all run on the calling thread
+        code = (
+            "import sys, threading\n"
+            f"sys.path.insert(0, {str(TESTS)!r})\n"
+            "from test_forward_digests import DESK, decode_shape\n"
+            "from t3s.aggregator import ConfidenceWeighted, decode\n"
+            "from t3s.harness import default_experiment_config, run_experiment\n"
+            "from t3s.toymodel import build_model\n"
+            "plans, task = decode_shape()\n"
+            "decode(build_model(DESK), plans, task.video, task.question, 4, ConfidenceWeighted())\n"
+            "run_experiment(default_experiment_config(backend='seeded_transformer', repeats=64))\n"
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+        )
+        res = run_cli(cwd=tmp_path, entry=("-c", code), env={"OPENBLAS_NUM_THREADS": "1"})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["1", "False"]
+
+    def test_split_pass_runs_row_tiles_on_every_worker(self, monkeypatch):
+        # each row phase of a pass that splits hands tile k to worker k mod
+        # W, worker 0 being the calling thread, and the logits stay the W = 1
+        # logits bit for bit
+        video = VideoTokenStream(64, 16, CFG.model_dim, key=0xD16E57)
+        packed = pack([TrialPlan(np.arange(64), np.arange(997), 1.0)], video, [1, 2, 3])
+        tiles = [t0 for t0, _ in _row_tiles(packed.total_length)]
+        assert len(tiles) == 4
+        ran = []
+        for name in ("_project", "_mlp_block", "_unembed"):
+            def recorded(*args, name=name, stage=getattr(toymodel, name)):
+                ran.append((name, tiles.index(args[-3]), threading.get_ident()))
+                return stage(*args)
+
+            monkeypatch.setattr(toymodel, name, recorded)
+        model = build_model(CFG)
+        monkeypatch.setattr(toymodel, "_WORKERS", 1)
+        serial = model.forward(packed).logits
+        monkeypatch.setattr(toymodel, "_WORKERS", 2)
+        monkeypatch.setattr(toymodel, "_SPLIT_MIN_SCORES", 0)
+        ran.clear()
+        split = model.forward(packed).logits
+        assert np.array_equal(split, serial)
+        once = {"_project": CFG.layers, "_mlp_block": CFG.layers, "_unembed": 1}
+        assert collections.Counter((name, k) for name, k, _ in ran) == {
+            (name, k): count for name, count in once.items() for k in range(len(tiles))
+        }
+        main = threading.get_ident()
+        assert all((thread == main) == (k % 2 == 0) for _, k, thread in ran)
+        assert len({thread for *_, thread in ran}) == 2
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pass_peak_memory(self, monkeypatch, workers):
-        # one DESK pass over 2052 rows: buffers allocated once per pass and
-        # row tiles keep its traced peak under 12 MiB (it was 17.2 MiB with
-        # fresh per-layer arrays and whole-pass FFN intermediates)
+        # a DESK pass over 2052 rows and the packed (0.5, 0.3) one over 1646:
+        # buffers allocated once per pass, row tiles, and each worker's row
+        # buffers and layer norms kept in its attention block keep each
+        # traced peak under 12 MiB (it was 17.2 MiB with fresh per-layer
+        # arrays and whole-pass FFN intermediates)
         monkeypatch.setattr(toymodel, "_WORKERS", workers)
         desk = ModelConfig(layers=4, model_dim=64, heads=4, vocab=64, max_positions=4096)
         model = build_model(desk)
         video = VideoTokenStream(128, 16, desk.model_dim, key=0xD16E57)
-        packed = pack([TrialPlan(np.arange(128), np.arange(2048), 1.0)], video, [1, 2, 3, 4])
-        model.forward(packed)  # first-use allocations
-        tracemalloc.start()
-        try:
-            model.forward(packed)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 2**20, peak
+        single = pack([TrialPlan(np.arange(128), np.arange(2048), 1.0)], video, [1, 2, 3, 4])
+        multi, _ = ttft_passes()
+        for packed in (single, multi):
+            model.forward(packed)  # first-use allocations
+            tracemalloc.start()
+            try:
+                model.forward(packed)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 2**20, (packed.total_length, peak)
 
 
 class TestNeedleProbe:
