@@ -196,13 +196,14 @@ def _cmd_bench(args) -> int:
         f"measured={cost.measured_speedup:.3f}x "
         f"(tau1={cost.tau1 * 1e3:.1f}ms tau2={cost.tau2 * 1e3:.1f}ms)"
     )
-    # the machine the timings came from, the attention workers its BLAS
+    # the machine the timings came from (the CPUs this process may run on,
+    # which `attention_workers` counts too), the attention workers its BLAS
     # threads leave, and the page faults of a timed pass; stdout only, so
     # no report changes
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = [f"{n}={os.environ.get(n, 'unset')}" for n in BLAS_THREAD_VARS]
     _say(
-        f"nproc={os.cpu_count()} blas={blas['name']} {blas['version']}",
+        f"nproc={len(os.sched_getaffinity(0))} blas={blas['name']} {blas['version']}",
         *threads,
         f"attention_workers={attention_workers()}",
         f"minflt_per_pass={costmodel.last_faults_per_pass:.0f}",

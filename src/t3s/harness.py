@@ -30,7 +30,7 @@ from .aggregator import (
 )
 from .costmodel import CostReport, measure
 from .errors import ConfigError, ContractError
-from .numkernel import Rng, mix64
+from .numkernel import Rng, mix64, uniform_integers
 from .packer import pack
 from .sampler import (
     FrameMethod,
@@ -264,7 +264,7 @@ def gen_task(
     video = VideoTokenStream(
         total_frames, tokens_per_frame, model.model_dim, rng.child(1).key, needles
     )
-    question = rng.child(2).generator().integers(0, model.vocab, question_len)
+    question = uniform_integers(model.vocab, question_len, rng.child(2))
     answer = needle_answer(video.key, model.vocab)
     return SyntheticTask(video, tuple(int(t) for t in question), answer, noise_scale)
 

@@ -4,7 +4,12 @@ All matrix values are 64-bit floats in row-major (C) order. Every operation is
 pure; given identical inputs it returns identical results on a fixed platform
 and numpy build. The random source is counter-based (Philox 4x64-10) keyed by
 a (seed, stream) pair, so identical keys reproduce identical draws on every
-platform, and distinct streams are independent by construction. Where values
+platform, and distinct streams are independent by construction. The engine's
+one-shot draws (`sample_without_replacement`, `uniform_integers`) re-key one
+Philox per thread to the stream's initial state instead of building a
+generator: a Philox stream is a pure function of its key and counter, so the
+draws are those of a fresh `Rng.generator()`, without the build, which first
+seeds a SeedSequence from OS entropy and costs many re-keys. Where values
 must be drawn one by one in any order, `counter_normals` hashes a counter
 instead of advancing a generator.
 """
@@ -12,6 +17,7 @@ instead of advancing a generator.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,6 +68,7 @@ class Rng:
     stream: int = 0
 
     def generator(self) -> np.random.Generator:
+        """A fresh generator at the stream's start, independent of any other."""
         key = ((self.seed & _MASK64) << 64) | (self.stream & _MASK64)
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -75,6 +82,31 @@ class Rng:
     def key(self) -> int:
         """(seed, stream) folded into one 64-bit key for `counter_normals`."""
         return mix64(mix64(self.seed & _MASK64) ^ (self.stream & _MASK64))
+
+
+# One Philox and its Generator per thread, built by the thread's first draw
+# rather than at import, which would load numpy.random before it is used.
+_STREAM = threading.local()
+
+
+def _stream_start(rng: Rng) -> np.random.Generator:
+    """This thread's generator, set to the state `Philox(key=(seed << 64) |
+    stream)` starts in: counter 0, key words (stream, seed), empty buffer.
+    Its draws equal `rng.generator()`'s until the next call on this thread."""
+    try:
+        bits, generator = _STREAM.bits, _STREAM.generator
+    except AttributeError:
+        bits = _STREAM.bits = np.random.Philox()
+        generator = _STREAM.generator = np.random.Generator(bits)
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (rng.stream & _MASK64, rng.seed & _MASK64)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator
 
 
 # Box-Muller angles come from a grid of 2^12 per turn, read from tables: a
@@ -149,17 +181,27 @@ def layer_norm(
 def sample_without_replacement(population: int, take: int, rng: Rng) -> np.ndarray:
     """Uniform `take`-subset of [0, population), returned ascending.
 
-    One `Generator.choice(..., replace=False, shuffle=False)` call on the
-    stream's generator: numpy's partial Fisher-Yates (it shuffles the last
-    `take` slots of the population in C), then sorted. Every subset of size
-    `take` is equiprobable. The draw follows numpy's `choice`, so the
-    pinned-output test in tests/test_numkernel.py fails if a numpy release
-    changes it.
+    One `Generator.choice(..., replace=False, shuffle=False)` call at the
+    stream's start: numpy's partial Fisher-Yates (it shuffles the last
+    `take` slots of the population in C), or Floyd's algorithm for a small
+    `take`, then sorted. Every subset of size `take` is equiprobable. The
+    whole population is `arange`, with no draw: each draw starts its stream
+    afresh, so skipping one moves no other. The draw follows numpy's
+    `choice`, so the pinned-output test in tests/test_numkernel.py fails if
+    a numpy release changes it.
     """
     if population < 0 or take < 0 or take > population:
         raise ContractError(
             f"need 0 <= take <= population, got take={take}, population={population}"
         )
-    out = rng.generator().choice(population, take, replace=False, shuffle=False)
+    if take == population:
+        return np.arange(population, dtype=np.int64)
+    out = _stream_start(rng).choice(population, take, replace=False, shuffle=False)
     out.sort()
     return out
+
+
+def uniform_integers(high: int, size: int, rng: Rng) -> np.ndarray:
+    """`size` integers uniform on [0, high): `rng.generator().integers(0,
+    high, size)`, drawn at the stream's start."""
+    return _stream_start(rng).integers(0, high, size)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import t3s
+from t3s import numkernel
 from t3s.aggregator import ConfidenceWeighted, CrossRefine, MeanLogits, decode
 from t3s.errors import ConfigError, ContractError
 from t3s.harness import (
@@ -93,6 +95,14 @@ class TestGenTask:
     def test_needle_count_bounds(self):
         with pytest.raises(ContractError):
             gen_task(4, 2, 5, seed=0, model=MODEL)
+
+    @pytest.mark.parametrize("question_len", [1, 3, 4])
+    def test_question_is_the_child_streams_integers(self, question_len):
+        # pins the question draw to a fresh generator on stream child(2)
+        for seed in (0, 1, 7, 2**40 + 3, 2**64 - 1):
+            task = gen_task(8, 2, 1, seed=seed, model=MODEL, question_len=question_len)
+            expected = Rng(seed).child(2).generator().integers(0, MODEL.vocab, question_len)
+            assert task.question == tuple(int(t) for t in expected)
 
     def test_all_needle_frames_gives_certain_accuracy(self):
         cfg = small_config(
@@ -187,6 +197,22 @@ class TestSurvivingNeedleTokens:
 
 
 class TestRunExperiment:
+    def test_probe_experiment_builds_no_generator_per_draw(self, monkeypatch):
+        # every draw re-keys the thread's one Philox; with a fresh
+        # thread-local, the first draw builds the only one
+        built = []
+        real = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(numkernel, "_STREAM", threading.local())
+        report = run_experiment(replace(default_experiment_config(), repeats=64))
+        assert report.repeats == 64
+        assert len(built) <= 1
+
     def test_single_trial_accuracy_matches_inclusion_probability(self):
         cfg = small_config(
             sampler=SamplerConfig(
@@ -1039,6 +1065,14 @@ class TestCli:
 
     def test_bench_subcommand(self, tmp_path, tiny_config, run_cli):
         out = tmp_path / "bench"
+        # on one CPU of this process's set: the printed nproc is the count W
+        # is computed from, not `os.cpu_count()`
+        code = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from t3s.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
         res = run_cli(
             "bench",
             "--config",
@@ -1048,6 +1082,7 @@ class TestCli:
             "--repeats",
             "3",
             cwd=tmp_path,
+            entry=("-c", code),
         )
         assert res.returncode == 0, res.stderr
         rep = json.loads((out / "cost_report.json").read_text())
@@ -1056,13 +1091,12 @@ class TestCli:
         # the machine the timings came from, on stdout only
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         machine = res.stdout.splitlines()[-1].split()
-        assert machine[:3] == [f"nproc={os.cpu_count()}", f"blas={blas['name']}", blas["version"]]
+        assert machine[:3] == ["nproc=1", f"blas={blas['name']}", blas["version"]]
         assert machine[3:6] == [
             f"{name}={os.environ.get(name, 'unset')}"
             for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
         ]
-        workers = worker_count(os.environ, len(os.sched_getaffinity(0)))
-        assert machine[6] == f"attention_workers={workers}"
+        assert machine[6] == f"attention_workers={worker_count(os.environ, 1)}"
         name, faults = machine[7].split("=")
         assert name == "minflt_per_pass" and int(faults) >= 0
         assert "minflt" not in json.dumps(rep) and "workers" not in json.dumps(rep)

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
-from itertools import combinations
+import sys
+import threading
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from t3s import numkernel
 from t3s.aggregator import _row_entropies
 from t3s.errors import ContractError, ShapeError
 from t3s.numkernel import (
@@ -18,6 +21,7 @@ from t3s.numkernel import (
     mix64,
     sample_without_replacement,
     softmax_rows,
+    uniform_integers,
 )
 
 
@@ -130,6 +134,16 @@ class TestSampleWithoutReplacement:
         out = sample_without_replacement(5, 5, Rng(1))
         assert np.array_equal(out, np.arange(5))
 
+    @pytest.mark.parametrize("population", [1, 5, 1024])
+    def test_full_sample_is_the_sorted_draw(self, population):
+        # the whole population skips the draw; the subset it would have
+        # drawn, sorted, is the same array
+        for rng in (Rng(1), Rng(9, 2**63), Rng(3).child(population)):
+            drawn = rng.generator().choice(population, population, replace=False, shuffle=False)
+            drawn.sort()
+            out = sample_without_replacement(population, population, rng)
+            assert out.dtype == drawn.dtype and np.array_equal(out, drawn)
+
     def test_empty_sample(self):
         assert len(sample_without_replacement(9, 0, Rng(1))) == 0
 
@@ -177,6 +191,95 @@ class TestSampleWithoutReplacement:
         out = sample_without_replacement(population, take, Rng(42).child(population))
         got = hashlib.sha256(out.astype("<i8").tobytes()).hexdigest()[:16]
         assert got == digest, out[:8]
+
+
+KEY_WORDS = (0, 2**63, 2**64 - 1)
+
+
+def fresh_choice(rng, population, take):
+    return rng.generator().choice(population, take, replace=False, shuffle=False)
+
+
+class TestReKeyedDraws:
+    """The one-shot draws re-key one Philox per thread; each must equal the
+    same draw from a fresh `Rng.generator()`."""
+
+    @pytest.mark.parametrize("population, take", [(256, 64), (1024, 512), (20000, 16)])
+    def test_choice_matches_fresh_generator(self, population, take):
+        # (20000, 16) takes numpy's Floyd path, the others its Fisher-Yates
+        for seed, stream in product(KEY_WORDS, KEY_WORDS):
+            rng = Rng(seed, stream)
+            fresh = fresh_choice(rng, population, take)
+            got = numkernel._stream_start(rng).choice(population, take, replace=False, shuffle=False)
+            assert np.array_equal(got, fresh)
+            assert np.array_equal(sample_without_replacement(population, take, rng), np.sort(fresh))
+
+    def test_integers_match_fresh_generator(self):
+        for seed, stream in product(KEY_WORDS, KEY_WORDS):
+            rng = Rng(seed, stream)
+            for high, size in ((64, 4), (2**32, 5), (2**62, 3)):
+                expected = rng.generator().integers(0, high, size)
+                assert np.array_equal(uniform_integers(high, size, rng), expected)
+
+    def test_interleaved_streams(self):
+        a, b = Rng(5, 1), Rng(5, 2)
+        draws = [uniform_integers(1000, 6, r) for r in (a, b, a)]
+        assert np.array_equal(draws[0], a.generator().integers(0, 1000, 6))
+        assert np.array_equal(draws[1], b.generator().integers(0, 1000, 6))
+        assert np.array_equal(draws[2], draws[0])
+
+    def test_buffered_word_does_not_leak(self):
+        # an odd number of 32-bit draws leaves half a 64-bit word buffered;
+        # the next re-key must drop it. Over [0, 2**32) each value is one
+        # raw 32-bit word, which no rejection step can hide
+        numkernel._stream_start(Rng(1)).integers(0, 2**32, 3)
+        assert numkernel._STREAM.bits.state["has_uint32"] == 1
+        rng = Rng(2, 7)
+        expected = rng.generator().integers(0, 2**32, 4)
+        assert np.array_equal(uniform_integers(2**32, 4, rng), expected)
+        numkernel._stream_start(Rng(1)).integers(0, 2**32, 3)
+        assert np.array_equal(
+            sample_without_replacement(256, 64, rng), np.sort(fresh_choice(rng, 256, 64))
+        )
+
+    def test_concurrent_threads_match_serial(self):
+        # more threads than cores, switching often: a shared generator
+        # re-keyed by one thread between another's re-key and draw would
+        # change that thread's draws
+        rngs = [Rng(11).child(i) for i in range(200)]
+
+        def draws():
+            return [
+                (sample_without_replacement(1024, 100, r), uniform_integers(64, 5, r))
+                for r in rngs
+            ]
+
+        serial = draws()
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(k):
+            start.wait(timeout=60)
+            results[k] = draws()
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert all(
+                np.array_equal(f, g) and np.array_equal(q, r)
+                for (f, q), (g, r) in zip(got, serial)
+            )
+        expected = [np.sort(fresh_choice(r, 1024, 100)) for r in rngs]
+        assert all(np.array_equal(f, e) for (f, _), e in zip(serial, expected))
 
 
 class TestRng:
