@@ -62,7 +62,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         cfg = config_from_dict(data)
     else:

@@ -32,14 +32,15 @@ writes in place. The position-wise stages run over row tiles of
 `_ROW_TILE` rows: layer norms, projections, FFN, residuals and the
 unembedding. Between two attentions one row phase runs each tile through
 the previous layer's output projection and FFN and then the next layer's
-projections. A pass whose layers clear `_SPLIT_MIN_SCORES` splits across W
-workers, the calling thread and a lazily started pool of W - 1 threads:
-each layer's 32-query attention chunks, interleaved, and each row phase's
-tiles, tile k to worker k mod W. W = max(1, cpus // blas_threads), so with
-BLAS unpinned W is 1 and no thread starts; a pass below the cutoff, every
-decode step among them, runs on the calling thread alone. Every row and
-chunk gets the same BLAS calls as a whole-pass product would give it, so
-the outputs are bit for bit the same at every W.
+projections. A pass runs on one worker where it sums the attention
+received or its first layer allows fewer than `_SPLIT_MIN_SCORES` score
+entries, as every decode step does; else on W = max(1, cpus //
+blas_threads) workers, so with BLAS unpinned W is 1 and no thread starts.
+W workers, the calling thread and a lazily started pool of W - 1 threads,
+take a phase's items, a layer's 32-query attention chunks or a row phase's
+tiles, one at a time from one list, so a slower worker takes fewer. Every
+row and chunk gets the same BLAS calls as a whole-pass product would give
+it, so the outputs are bit for bit the same at every W.
 """
 
 from __future__ import annotations
@@ -84,16 +85,17 @@ _FUTURE_KEYS = np.triu(np.ones((_QUERY_CHUNK, _QUERY_CHUNK), dtype=bool), k=1)
 _ROW_TILE = 256
 
 # A pass that splits hands each layer's attention chunks, and the row tiles
-# of each row phase, to W workers: the calling thread and W - 1 pool
-# threads. Each has its own score and PV buffers and its own row buffers,
-# which share one block, as it never needs both at once. Each BLAS
-# call already runs on blas_threads threads, so W = max(1, cpus //
-# blas_threads) fills the CPUs without oversubscribing them: with BLAS
-# unpinned on 2 CPUs, two workers made the L=2052 pass 5-10% slower (medians
-# 166-178 to 182-186 ms). blas_threads is read as OpenBLAS reads it: the
-# first of BLAS_THREAD_VARS that holds a positive integer, else the CPU
-# count. A pass stays on one worker below _SPLIT_MIN_SCORES allowed score
-# entries a layer: with BLAS pinned to one thread on 2 CPUs, splitting only
+# of each row phase, to W workers, the calling thread and W - 1 pool
+# threads, which take them one at a time from one list (`_share`). Each
+# worker has its own score and PV buffers and its own row buffers, which
+# share one block, as it never needs both at once. Each BLAS call already
+# runs on blas_threads threads, so W = max(1, cpus // blas_threads) fills
+# the CPUs without oversubscribing them: with BLAS unpinned on 2 CPUs, two
+# workers made the L=2052 pass 5-10% slower (medians 166-178 to 182-186
+# ms). blas_threads is read as OpenBLAS reads it: the first of
+# BLAS_THREAD_VARS that holds a positive integer, else the CPU count. A
+# pass stays on one worker below _SPLIT_MIN_SCORES allowed score entries in
+# its first layer: with BLAS pinned to one thread on 2 CPUs, splitting only
 # the attention of a one-segment pass cost 27-40% at 64 and 128 rows, broke
 # even between 256 and 384 rows (132k and 296k entries a layer), and gained
 # 4-8% at 512 rows, 5-13% at 768 and 14-21% at 1024. The cutoff, a 724-row
@@ -364,89 +366,75 @@ def _helper_pool(threads: int):
 
 class _AttentionPlan(NamedTuple):
     runs: list  # `_segment_runs` of one layer
-    workers: int  # how many workers split its chunks
     score_tile: int  # entries of its largest chunk score tile
     chunk_rows: int  # (segments, heads, queries) rows of its largest chunk
 
 
-def _attention_plan(cached, lengths, queries, heads, received):
-    # one layer's `_AttentionPlan`; it stays on one worker below
-    # _SPLIT_MIN_SCORES allowed score entries, or where it sums `received`,
-    # whose sums depend on the order of the chunks
+def _attention_plan(cached, lengths, queries, heads):
+    # one layer's `_AttentionPlan`, segment i attending its queries[i] last rows
     runs = _segment_runs(cached, lengths, queries, heads)
     chunk = [(s1 - s0) * heads * min(queries[s0], _QUERY_CHUNK) for s0, s1 in runs]
     tile = max(k * (cached[s0] + lengths[s0]) for k, (s0, _) in zip(chunk, runs))
-    allowed = heads * sum(
-        nq * (c + n) - nq * (nq - 1) // 2 for c, n, nq in zip(cached, lengths, queries)
-    )
-    workers = 1 if received is not None or allowed < _SPLIT_MIN_SCORES else attention_workers()
-    return _AttentionPlan(runs, workers, tile, max(chunk))
+    return _AttentionPlan(runs, tile, max(chunk))
 
 
-def _attend_run(qa, kt, va, ctx, received, chunks, scores_buf, pv_buf):
-    # one run of r segments that share cached and new lengths, as one
-    # (r, heads) stack: qa: (r, heads, nq, head_dim + 1) each segment's
-    # trailing nq new queries, scaled by 1/sqrt(head_dim), with -b (each
-    # row's score bound) as the last column; kt: (r, heads, head_dim + 1,
-    # c + n) its c cached keys then its n new ones, transposed as the score
-    # matmul reads them, with a ones last row, so the matmul returns each
-    # score minus its row's bound, all <= 0 and ready for `exp` without a
-    # max or subtract pass; va: (r, heads, c + n, head_dim + 1) the matching
-    # values with a ones last column, so the PV matmul also returns each
-    # row's softmax denominator; ctx: (r, heads, nq, head_dim) output, a
+def _attend_chunk(item, bufs):
+    # queries [c0, c0 + _QUERY_CHUNK) of one run; item: (run, c0), a run
+    # (qa, kt, va, ctx, received) being r segments that share cached and new
+    # lengths, as one (r, heads) stack: qa: (r, heads, nq, head_dim + 1) each
+    # segment's trailing nq new queries, scaled by 1/sqrt(head_dim), with -b
+    # (each row's score bound) as the last column; kt: (r, heads, head_dim +
+    # 1, c + n) its c cached keys then its n new ones, transposed as the
+    # score matmul reads them, with a ones last row, so the matmul returns
+    # each score minus its row's bound, all <= 0 and ready for `exp` without
+    # a max or subtract pass; va: (r, heads, c + n, head_dim + 1) the
+    # matching values with a ones last column, so the PV matmul also returns
+    # each row's softmax denominator; ctx: (r, heads, nq, head_dim) output, a
     # strided view of the context rows; received: None, or (r, c + n) sums
-    # of the attention each key receives; chunks: the first queries of the
-    # _QUERY_CHUNK-query chunks to attend; scores_buf, pv_buf: flat buffers
-    # that hold one chunk's score tile and PV product
+    # of the attention each key receives; bufs: flat buffers that hold one
+    # chunk's score tile and PV product
+    (qa, kt, va, ctx, received), c0 = item
+    scores_buf, pv_buf = bufs
     r, heads, nq, cols = qa.shape
     cached = kt.shape[3] - nq
-    for c0 in chunks:
-        c1 = min(c0 + _QUERY_CHUNK, nq)
-        horizon = cached + c1
-        scores = scores_buf[: r * heads * (c1 - c0) * horizon].reshape(r, heads, c1 - c0, horizon)
-        np.matmul(qa[:, :, c0:c1], kt[..., :horizon], out=scores)
-        future = _FUTURE_KEYS[: c1 - c0, : c1 - c0]
-        np.copyto(scores[..., cached + c0 :], _NEG_INF, where=future)
-        np.exp(scores, out=scores)
-        heads_ctx = pv_buf[: r * heads * (c1 - c0) * cols].reshape(r, heads, c1 - c0, cols)
-        np.matmul(scores, va[:, :, :horizon], out=heads_ctx)
-        sums = heads_ctx[..., -1:]
-        if received is not None:
-            received[:, :horizon] += (scores / sums).sum(axis=(1, 2))
-        np.divide(heads_ctx[..., :-1], sums, out=ctx[:, :, c0:c1])
+    c1 = min(c0 + _QUERY_CHUNK, nq)
+    horizon = cached + c1
+    scores = scores_buf[: r * heads * (c1 - c0) * horizon].reshape(r, heads, c1 - c0, horizon)
+    np.matmul(qa[:, :, c0:c1], kt[..., :horizon], out=scores)
+    future = _FUTURE_KEYS[: c1 - c0, : c1 - c0]
+    np.copyto(scores[..., cached + c0 :], _NEG_INF, where=future)
+    np.exp(scores, out=scores)
+    heads_ctx = pv_buf[: r * heads * (c1 - c0) * cols].reshape(r, heads, c1 - c0, cols)
+    np.matmul(scores, va[:, :, :horizon], out=heads_ctx)
+    sums = heads_ctx[..., -1:]
+    if received is not None:
+        received[:, :horizon] += (scores / sums).sum(axis=(1, 2))
+    np.divide(heads_ctx[..., :-1], sums, out=ctx[:, :, c0:c1])
 
 
-def _attend(jobs, workers, bufs):
-    # every run of one layer; jobs: (qa, kt, va, ctx, received) per run as
-    # `_attend_run` reads them. Worker i attends chunks i, i + W, ... of
-    # every run into its own (scores, PV) buffers, bufs[i]
-    def share(i):
-        for qa, kt, va, ctx, received in jobs:
-            chunks = range(0, qa.shape[2], _QUERY_CHUNK)[i::workers]
-            _attend_run(qa, kt, va, ctx, received, chunks, *bufs[i])
-
-    _on_workers(workers, workers, share)
+def _on_tile(stages, tile, bufs):
+    # a row phase's work on one tile [t0, t1): each of `stages` in order
+    for stage in stages:
+        stage(*tile, bufs)
 
 
-def _rows(workers, total, stages, bufs):
-    # each of `stages`, in order, on each row tile of `total` rows: stage(t0,
-    # t1, bufs[i]) for tile [t0, t1) on worker i, which takes tiles i, i + W,
-    # ... and its own row buffers, bufs[i]
-    tiles = _row_tiles(total)
+def _share(workers, items, work, bufs):
+    # work(item, bufs[i]) once per item, on worker i, which owns bufs[i]. One
+    # worker runs every item in list order on the calling thread, which the
+    # order-dependent `received` sums need; else min(W, items) workers do,
+    # the calling thread and threads of the one pool of W - 1, each taking
+    # the next item from one shared list iterator whenever it finishes its
+    # last. That is safe because the iterator's __next__ is a single C call,
+    # which runs whole under the GIL, so no two workers take the same item.
+    todo = iter(items)
 
-    def share(i):
-        for t0, t1 in tiles[i::workers]:
-            for stage in stages:
-                stage(t0, t1, bufs[i])
+    def drain(buf):
+        for item in todo:
+            work(item, buf)
 
-    _on_workers(workers, min(workers, len(tiles)), share)
-
-
-def _on_workers(workers, busy, share):
-    # share(i) for each worker i < busy <= W = workers: worker 0 is the
-    # calling thread and the rest threads of the one pool of W - 1
-    helping = [_helper_pool(workers - 1).submit(share, i) for i in range(1, busy)]
-    share(0)
+    helpers = bufs[1 : min(workers, len(items))]
+    helping = [_helper_pool(workers - 1).submit(drain, buf) for buf in helpers]
+    drain(bufs[0])
     for done in helping:
         done.result()
 
@@ -597,18 +585,20 @@ class SeededTransformer:
         heads, hd = cfg.heads, self.head_dim
         prior = cache.state if any(cached) else [None] * cfg.layers
         kept = []
-        # segment i's queries are its trailing queries[i] rows, `rows` of x;
-        # a slice, not a gather, while every row is read
-        rows, queries, q_starts = slice(None), lengths, starts
-        plans = [_attention_plan(cached, lengths, queries, heads, received)]
+        plans = [_attention_plan(cached, lengths, lengths, heads)]
         if last_only:
-            plans.append(_attention_plan(cached, lengths, [1] * n_seg, heads, received))
+            plans.append(_attention_plan(cached, lengths, [1] * n_seg, heads))
+        # one worker where the pass sums `received`, whose sums depend on the
+        # order of the chunks, or where its first layer allows fewer than
+        # _SPLIT_MIN_SCORES score entries
+        allowed = heads * sum(n * c + n * (n + 1) // 2 for c, n in zip(cached, lengths))
+        serial = received is not None or allowed < _SPLIT_MIN_SCORES
+        workers = 1 if serial else attention_workers()
 
         # the pass's buffers, which every layer writes in place; a worker's
         # row buffers and attention buffers share one block, as it never
         # needs both at once
         tile = min(total, _ROW_TILE + 1)
-        workers = max(p.workers for p in plans)
         attention = [
             (max(p.score_tile for p in plans),),
             (max(p.chunk_rows for p in plans) * (hd + 1),),
@@ -628,6 +618,8 @@ class SeededTransformer:
         attention_bufs = [_views(b, attention) for b in blocks]
 
         ctx_rows = ctx.reshape(total, heads, hd)
+        # segment i's queries are its trailing queries[i] rows of layer_qa
+        plan, layer_qa, queries, q_starts = plans[0], qa, lengths, starts
 
         # a row phase runs, tile by tile, the previous layer's MLP, if any,
         # and then the next layer's projections, or the unembedding after
@@ -638,16 +630,15 @@ class SeededTransformer:
                 w[f"layer{layer}.{name}"]
                 for name in ("attn_query", "attn_key", "attn_value", "attn_out", "ffn_in", "ffn_out")
             )
-            plan, layer_qa = plans[0], qa
             last = last_only and layer == cfg.layers - 1
             stages.append(partial(_project, x, None if last else wq, wk, wv, inv_sqrt, qa, kt, va))
-            _rows(workers, len(x), stages, row_bufs)
+            _share(workers, _row_tiles(len(x)), partial(_on_tile, stages), row_bufs)
             if last:
                 plan, layer_qa = plans[1], qa[:, :n_seg]
-                rows = [b + n - 1 for b, n in zip(starts, lengths)]
+                x = x[[b + n - 1 for b, n in zip(starts, lengths)]]
                 queries, q_starts = [1] * n_seg, list(range(n_seg))
-                query = partial(_project, x[rows], wq, None, None, inv_sqrt, layer_qa, kt, va)
-                _rows(1, n_seg, [query], row_bufs)
+                query = partial(_project, x, wq, None, None, inv_sqrt, layer_qa, kt, va)
+                _share(1, _row_tiles(n_seg), partial(_on_tile, [query]), row_bufs)
             old = prior[layer]
             past_sq_max = None if old is None else old.key_sq_max
             k_sq_max = _shift_by_bound(layer_qa, kt, starts, queries, past_sq_max, layer)
@@ -655,7 +646,7 @@ class SeededTransformer:
             if cache is not None:
                 held = _layer_cache(old, cached, lengths, cache.reserve, k_sq_max, kt)
                 kept.append(held)
-            jobs = []
+            chunks = []
             for s0, s1 in plan.runs:
                 # the run's segments as one stack of views: of the new rows,
                 # or of the cache buffers once the new rows are written there
@@ -668,25 +659,26 @@ class SeededTransformer:
                     held.values[s0:s1, :, c : c + n] = v_run
                     k_run, v_run = held.keys[s0:s1, :, :, : c + n], held.values[s0:s1, :, : c + n]
                 q_run = slice(qb, qb + r * nq)
-                jobs.append((
+                run = (
                     layer_qa[:, q_run].reshape(heads, r, nq, hd + 1).transpose(1, 0, 2, 3),
                     k_run,
                     v_run,
                     ctx_rows[q_run].reshape(r, nq, heads, hd).transpose(0, 2, 1, 3),
                     None if received is None else received[b : b + r * n].reshape(r, n),
-                ))
-            _attend(jobs, plan.workers, attention_bufs)
-            x = x[rows]
+                )
+                chunks += [(run, c0) for c0 in range(0, nq, _QUERY_CHUNK)]
+            _share(workers, chunks, _attend_chunk, attention_bufs)
             stages = [partial(_mlp_block, x, ctx, wo, w_in, w_out)]
 
         logits = np.empty((len(x), cfg.vocab))
-        _rows(workers, len(x), stages + [partial(_unembed, x, w["unembedding"], logits)], row_bufs)
+        stages.append(partial(_unembed, x, w["unembedding"], logits))
+        _share(workers, _row_tiles(len(x)), partial(_on_tile, stages), row_bufs)
         return logits, None if cache is None else kept
 
 
 def _project(x, wq, wk, wv, inv_sqrt, qa, kt, va, t0, t1, bufs):
     # layer norm of rows [t0, t1) of x, then their queries (scaled by
-    # inv_sqrt) into qa, keys into kt and values into va, as `_attend_run`
+    # inv_sqrt) into qa, keys into kt and values into va, as `_attend_chunk`
     # reads them; wq None skips the queries, wk None the keys and values;
     # bufs: a worker's (tile rows, model_dim) and (2, tile rows, 4 *
     # model_dim) row buffers
@@ -784,14 +776,17 @@ def needle_answer(video_key: int, vocab: int) -> int:
     return 1 + mix64(video_key ^ _ANSWER_TAG) % (vocab - 1)
 
 
-def _probe_pass(packs, cached):
+def _probe_pass(packs, cached, vocab):
     # every position of `packs`, concatenated: keyed[j] of NeedleProbe's
     # docstring and a 0/1 needle flag; and per segment its start in that
     # concatenation and its length. cached: per segment the tokens a cache
-    # holds before it, which offset its positions, or 0 for none
+    # holds before it, which offset its positions, or 0 for none. A token id
+    # outside the vocabulary raises ContractError, as in the transformer
     lengths = [s.length for p in packs for s in p.segments]
     starts = np.cumsum(lengths) - lengths
     token_ids = np.concatenate([p.token_ids for p in packs])
+    if token_ids.max(initial=-1) >= vocab:
+        raise ContractError("token id outside vocabulary")
     visual = token_ids < 0
     row_keys = [mix64(p.video.key ^ _SIG_ROW_TAG) for p in packs]
     sig = mix64(token_ids.astype(np.uint64) ^ np.uint64(_SIG_ID_TAG))
@@ -853,7 +848,7 @@ class NeedleProbe:
         self.noise_scale = noise_scale
 
     def forward(self, packed: PackedSequence) -> ForwardResult:
-        keyed, is_needle, starts, lengths = _probe_pass([packed], 0)
+        keyed, is_needle, starts, lengths = _probe_pass([packed], 0, self.vocab)
         # one prefix over the whole sequence, re-based at each segment start
         # by XORing out (XOR undoes XOR) or subtracting what it held before
         acc = np.bitwise_xor.accumulate(keyed)
@@ -879,7 +874,7 @@ class NeedleProbe:
         if not packs:
             return np.empty((0, self.vocab))
         cached = 0 if cache is None else cache.cached(packs[0])
-        keyed, is_needle, starts, _ = _probe_pass(packs, cached)
+        keyed, is_needle, starts, _ = _probe_pass(packs, cached, self.vocab)
         acc = np.bitwise_xor.reduceat(keyed, starts)
         counts = np.add.reduceat(is_needle, starts)
         if cache is not None and cache.state is not None:

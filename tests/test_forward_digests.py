@@ -3,10 +3,11 @@
 `test_toymodel.py::test_pinned_logits` rounds to 1e-9 before hashing, so it
 cannot see a change in the last bits, such as a one-row product that BLAS
 sends to gemv and rounds unlike the rows of a full one. These digests hash
-the unrounded float64 bytes. They run with one attention worker and with two,
-the second forced through the module's private worker count and with the
-split cutoff lowered to zero, so that every pass here that can split does;
-one more test gets W from a child process's environment, with BLAS pinned.
+the unrounded float64 bytes. They run with one attention worker, with two
+and with three, where the work lists do not share out evenly; W > 1 is
+forced through the module's private worker count, with the split cutoff
+lowered to zero, so that every pass here that can split does. One more test
+gets W from a child process's environment, with BLAS pinned.
 """
 
 import hashlib
@@ -51,7 +52,7 @@ def digest(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
-@pytest.fixture(params=[1, 2], ids=["W1", "W2"])
+@pytest.fixture(params=[1, 2, 3], ids=["W1", "W2", "W3"])
 def workers(request, monkeypatch):
     monkeypatch.setattr(toymodel, "_WORKERS", request.param)
     if request.param > 1:

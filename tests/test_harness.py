@@ -912,11 +912,13 @@ class TestCli:
             "{not json",
             '{"model": {"model_dim": 0}}',
             '{"model": {"model_dim": -4}}',
+            pytest.param(b'{"repeats": "\xff\xfe"}', id="not_utf8"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested_100k_deep"),
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, run_cli, text):
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        bad.write_bytes(text.encode() if isinstance(text, str) else text)
         res = run_cli("run", "--config", str(bad), cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr

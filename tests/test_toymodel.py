@@ -492,6 +492,13 @@ class TestSegmentCache:
         with pytest.raises(ContractError, match="cache holds 2 segments"):
             backend.last_logits([three], cache)
         assert cache.lengths == lengths and cache.state is state
+        # a token id outside the vocabulary, on both backends alike
+        outside = segments_of(MIXED_VIDEO, [[4], [CFG.vocab]])
+        with pytest.raises(ContractError, match="token id outside vocabulary"):
+            backend.forward(outside)
+        with pytest.raises(ContractError, match="token id outside vocabulary"):
+            backend.last_logits([outside], cache)
+        assert cache.lengths == lengths and cache.state is state
 
     @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
     def test_cache_continues_one_sequence(self, backend_kind):
@@ -978,6 +985,60 @@ class TestPassPieces:
     def test_worker_rule(self, environ, cpus, workers):
         assert worker_count(environ, cpus) == workers
 
+    @pytest.fixture
+    def own_pool(self, monkeypatch):
+        # a pool started for the test alone and shut down after it
+        monkeypatch.setattr(toymodel, "_POOL", None)
+        yield
+        if toymodel._POOL is not None:
+            toymodel._POOL[1].shutdown()
+
+    @pytest.mark.parametrize("count", [1, 3, 17])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_share_runs_each_item_once(self, own_pool, workers, count):
+        # fewer items than workers and more: each item runs once, on at
+        # most min(W, items) workers, each of which keeps one thread and its
+        # own buffer, worker 0's being the calling thread
+        ran, lock = [], threading.Lock()
+
+        def work(item, buf):
+            with lock:
+                ran.append((item, buf, threading.get_ident()))
+
+        toymodel._share(workers, list(range(count)), work, list(range(workers)))
+        assert sorted(item for item, *_ in ran) == list(range(count))
+        threads = {buf: {thread for _, b, thread in ran if b == buf} for _, buf, _ in ran}
+        assert len(threads) <= min(workers, count)
+        assert all(len(t) == 1 for t in threads.values())
+        assert threads.get(0, {threading.get_ident()}) == {threading.get_ident()}
+        assert len(set().union(*threads.values())) == len(threads)
+
+    def test_share_on_one_worker_keeps_list_order(self):
+        ran = []
+        toymodel._share(1, [3, 1, 2, 0], lambda item, buf: ran.append((item, buf)), ["own"])
+        assert ran == [(3, "own"), (1, "own"), (2, "own"), (0, "own")]
+
+    def test_share_leaves_a_held_worker_no_more_items(self, own_pool):
+        # the worker that takes the first item is held there until the
+        # other has run every other item, which it can only do if items go
+        # to whichever worker is free, not k mod W
+        items, ran, lock, release = list(range(8)), [], threading.Lock(), threading.Event()
+
+        def work(item, buf):
+            with lock:
+                first = not ran
+                ran.append((item, buf))
+                done = len(ran) == len(items)
+            if first:
+                assert release.wait(10)
+            elif done:
+                release.set()
+
+        toymodel._share(2, items, work, ["a", "b"])
+        assert sorted(item for item, _ in ran) == items
+        held = ran[0][1]
+        assert [buf for _, buf in ran].count(held) == 1
+
     def test_import_and_probe_run_start_no_thread(self, tmp_path, run_cli):
         # with BLAS pinned, so that W would be 2 on two CPUs
         code = (
@@ -1026,34 +1087,37 @@ class TestPassPieces:
         assert res.stdout.split() == ["1", "False"]
 
     def test_split_pass_runs_row_tiles_on_every_worker(self, monkeypatch):
-        # each row phase of a pass that splits hands tile k to worker k mod
-        # W, worker 0 being the calling thread, and the logits stay the W = 1
-        # logits bit for bit
+        # each row phase of a pass that splits runs each tile's stages once,
+        # on the calling thread and the pool thread, and the logits stay the
+        # W = 1 logits bit for bit
         video = VideoTokenStream(64, 16, CFG.model_dim, key=0xD16E57)
         packed = pack([TrialPlan(np.arange(64), np.arange(997), 1.0)], video, [1, 2, 3])
         tiles = [t0 for t0, _ in _row_tiles(packed.total_length)]
         assert len(tiles) == 4
-        ran = []
+        model = build_model(CFG)
+        monkeypatch.setattr(toymodel, "_WORKERS", 1)
+        serial = model.forward(packed).logits
+        ran, main, helped = [], threading.get_ident(), threading.Event()
         for name in ("_project", "_mlp_block", "_unembed"):
             def recorded(*args, name=name, stage=getattr(toymodel, name)):
+                # the calling thread waits at its first tile until the pool
+                # thread has taken one, so both run tiles however fast
+                if threading.get_ident() != main:
+                    helped.set()
+                else:
+                    assert helped.wait(10)
                 ran.append((name, tiles.index(args[-3]), threading.get_ident()))
                 return stage(*args)
 
             monkeypatch.setattr(toymodel, name, recorded)
-        model = build_model(CFG)
-        monkeypatch.setattr(toymodel, "_WORKERS", 1)
-        serial = model.forward(packed).logits
         monkeypatch.setattr(toymodel, "_WORKERS", 2)
         monkeypatch.setattr(toymodel, "_SPLIT_MIN_SCORES", 0)
-        ran.clear()
         split = model.forward(packed).logits
         assert np.array_equal(split, serial)
         once = {"_project": CFG.layers, "_mlp_block": CFG.layers, "_unembed": 1}
         assert collections.Counter((name, k) for name, k, _ in ran) == {
             (name, k): count for name, count in once.items() for k in range(len(tiles))
         }
-        main = threading.get_ident()
-        assert all((thread == main) == (k % 2 == 0) for _, k, thread in ran)
         assert len({thread for *_, thread in ran}) == 2
 
     @pytest.mark.parametrize("workers", [1, 2])
