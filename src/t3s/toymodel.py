@@ -26,21 +26,26 @@ score, exp and PV pass over a (segments, heads) stack of views. A lone
 segment is a run of one. Its cache holds each layer's keys and values in
 buffers that a continuing call writes in place while its tokens fit.
 
-A pass works in cache-sized pieces. Its queries, keys, values, context rows
-and score tiles live in buffers allocated once per pass, which every layer
-writes in place. The position-wise stages run over row tiles of
-`_ROW_TILE` rows: layer norms, projections, FFN, residuals and the
-unembedding. Between two attentions one row phase runs each tile through
-the previous layer's output projection and FFN and then the next layer's
-projections. A pass runs on one worker where it sums the attention
-received or its first layer allows fewer than `_SPLIT_MIN_SCORES` score
-entries, as every decode step does; else on W = max(1, cpus //
-blas_threads) workers, so with BLAS unpinned W is 1 and no thread starts.
-W workers, the calling thread and a lazily started pool of W - 1 threads,
-take a phase's items, a layer's 32-query attention chunks or a row phase's
-tiles, one at a time from one list, so a slower worker takes fewer. Every
-row and chunk gets the same BLAS calls as a whole-pass product would give
-it, so the outputs are bit for bit the same at every W.
+A pass works in cache-sized pieces. Its input rows, queries, keys, values,
+context rows and score tiles live in buffers allocated once per pass, which
+every layer writes in place. The position-wise stages run over row tiles of
+`_ROW_TILE` rows: the embedding, layer norms, projections, FFN, residuals
+and the unembedding. The first row phase embeds each tile and runs it
+through the first layer's projections; between two attentions one row
+phase runs each tile through the previous layer's output projection and FFN
+and then the next layer's projections. A pass runs on W = max(1, cpus //
+blas_threads) workers where it has two or more row tiles or its first layer
+allows `_SPLIT_MIN_SCORES` score entries, so an 8-trial decode's first pass
+splits; else on one, as a pass of up to 257 rows and every cached decode
+step do, and so does a pass that sums the attention received. With BLAS
+unpinned W is 1 and no thread starts. W workers, the calling thread and a
+lazily started pool of W - 1 threads, take a phase's items, a layer's
+32-query attention chunks or a row phase's tiles, one at a time from one
+list, so a slower worker takes fewer. The calling thread alone runs the
+pass's input checks and per-segment bookkeeping, and each layer's score
+bounds and cache writes. Every row and chunk gets the same BLAS calls as a
+whole-pass product would give it, so the outputs are bit for bit the same
+at every W.
 """
 
 from __future__ import annotations
@@ -94,13 +99,20 @@ _ROW_TILE = 256
 # workers made the L=2052 pass 5-10% slower (medians 166-178 to 182-186
 # ms). blas_threads is read as OpenBLAS reads it: the first of
 # BLAS_THREAD_VARS that holds a positive integer, else the CPU count. A
-# pass stays on one worker below _SPLIT_MIN_SCORES allowed score entries in
-# its first layer: with BLAS pinned to one thread on 2 CPUs, splitting only
-# the attention of a one-segment pass cost 27-40% at 64 and 128 rows, broke
-# even between 256 and 384 rows (132k and 296k entries a layer), and gained
-# 4-8% at 512 rows, 5-13% at 768 and 14-21% at 1024. The cutoff, a 724-row
-# segment, keeps every pass of an 8-trial decode serial, its 516-row dense
-# baseline included.
+# pass splits where its row phases have two or more tiles (258 rows or
+# more) or its first layer allows _SPLIT_MIN_SCORES score entries (at 4
+# heads a 724-row segment, or 257 new rows after 892 cached ones, so a long
+# cached continuation of one tile splits too). With BLAS pinned to one
+# thread on 2 CPUs, `last_logits` with a cache on the DESK model, timed
+# split (W = 2) and serial (W = 1) alternately in one process, medians of
+# 40 and of 60 samples, took split/serial 1.10 at 128 rows, 1.03-1.06 at
+# 192, 1.00-1.01 at 256 and 264, 0.91-0.94 at 320, 0.84-0.94 at 384,
+# 0.75-0.76 at 440 and 0.69-0.70 at 512 in one segment; in eight equal
+# segments 0.98-1.02 up to 256 rows, 1.07-1.14 at 264 and 1.02-1.07 at 320,
+# where the second tile holds 8 or 64 rows, 0.89-0.92 at 384, 0.78-0.79 at
+# 440 and 0.72-0.77 at 512. So a pass of one tile stays serial, and the
+# decode's 440-row first pass and its 516-row dense baseline split; the
+# 258-320-row band pays up to 14% for it.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _SPLIT_MIN_SCORES = 1 << 20
 _WORKERS: Optional[int] = None  # W, read once, on the first pass that could split
@@ -179,8 +191,9 @@ class VideoTokenStream:
         mask.flags.writeable = False
         return mask
 
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        """(len(index), model_dim) float64 rows r = f*M + p, in index order.
+    def rows(self, index: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(len(index), model_dim) float64 rows r = f*M + p, in index order,
+        written into `out` if given, else into a new array.
 
         Row r's column j < ceil(D/2) is the cosine normal of counter
         r*ceil(D/2) + j of `counter_normals`, and column ceil(D/2) + j its
@@ -192,7 +205,8 @@ class VideoTokenStream:
             raise ContractError("row index outside the video")
         pairs = (dim + 1) // 2
         scale = 1.0 / math.sqrt(dim)
-        out = np.empty((len(index), dim))
+        if out is None:
+            out = np.empty((len(index), dim))
         step = max(1, _DRAW_WORDS // pairs)
         for b in range(0, len(index), step):
             block = slice(b, b + step)
@@ -214,12 +228,13 @@ class ForwardResult(NamedTuple):
     pair_count: int  # attention score entries the rule allowed
 
 
-def _sinusoidal(positions: np.ndarray, dim: int) -> np.ndarray:
+def _sinusoidal(positions: np.ndarray, dim: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     pos = positions[:, None].astype(np.float64)
     sin_cols = (dim + 1) // 2  # odd dims end on a sine column
     freq = np.exp(-math.log(10000.0) * np.arange(sin_cols) / sin_cols)
     angles = pos * freq[None, :]
-    out = np.empty((len(positions), dim))
+    if out is None:
+        out = np.empty((len(positions), dim))
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles[:, : dim // 2])
     return out
@@ -426,17 +441,27 @@ def _share(workers, items, work, bufs):
     # the next item from one shared list iterator whenever it finishes its
     # last. That is safe because the iterator's __next__ is a single C call,
     # which runs whole under the GIL, so no two workers take the same item.
-    todo = iter(items)
+    # A worker whose item raises takes every item left, so the others stop
+    # after their current one, and the first error is raised only once every
+    # worker has stopped: none writes the pass's buffers after it returns.
+    todo, errors = iter(items), []
 
     def drain(buf):
-        for item in todo:
-            work(item, buf)
+        try:
+            for item in todo:
+                work(item, buf)
+        except BaseException as error:
+            errors.append(error)
+            for _ in todo:
+                pass
 
     helpers = bufs[1 : min(workers, len(items))]
     helping = [_helper_pool(workers - 1).submit(drain, buf) for buf in helpers]
     drain(bufs[0])
     for done in helping:
         done.result()
+    if errors:
+        raise errors[0]
 
 
 def _shift_by_bound(qa, kt, starts, queries, past_sq_max, layer):
@@ -544,7 +569,10 @@ class SeededTransformer:
         attending = np.concatenate([np.arange(s.length, 0, -1) for s in packed.segments])
         return received / (self.config.layers * self.config.heads * attending)
 
-    def _embed(self, packed: PackedSequence, cached: list[int]) -> np.ndarray:
+    def _embed(self, packed: PackedSequence, cached: list[int]):
+        # the pass's checks, then its (total, model_dim) input x, still
+        # unwritten, and the first row phase's stage that writes x tile by
+        # tile
         cfg = self.config
         total = sum(cached) + packed.total_length
         if total > cfg.max_positions:
@@ -555,15 +583,12 @@ class SeededTransformer:
             raise ShapeError(
                 f"video model_dim {packed.video.model_dim} != config {cfg.model_dim}"
             )
-        ids = packed.token_ids
-        if ids.max(initial=-1) >= cfg.vocab:
+        if packed.token_ids.max(initial=-1) >= cfg.vocab:
             raise ContractError("token id outside vocabulary")
-        x = packed.embeddings
-        id_pos = ids >= 0
-        x[id_pos] = self.weights["token_embedding"][ids[id_pos]]
+        starts = np.array([s.start for s in packed.segments])
         # a segment's new tokens continue its cached positions
-        positions = packed.pos_in_segment + np.repeat(cached, [s.length for s in packed.segments])
-        return x + _sinusoidal(positions, cfg.model_dim)
+        x = np.empty((packed.total_length, cfg.model_dim))
+        return x, partial(_embed_rows, packed, starts, starts - cached, self.weights["token_embedding"], x)
 
     def _run(self, packed, cache=None, last_only=False, received=None):
         # cache: None, or the `SegmentCache` that `packed` continues, which
@@ -577,7 +602,7 @@ class SeededTransformer:
         w = self.weights
         n_seg = packed.num_segments
         cached = [0] * n_seg if cache is None else cache.cached(packed)
-        x = self._embed(packed, cached)
+        x, embed = self._embed(packed, cached)
         total = len(x)
         starts = [s.start for s in packed.segments]
         lengths = [s.length for s in packed.segments]
@@ -588,16 +613,21 @@ class SeededTransformer:
         plans = [_attention_plan(cached, lengths, lengths, heads)]
         if last_only:
             plans.append(_attention_plan(cached, lengths, [1] * n_seg, heads))
-        # one worker where the pass sums `received`, whose sums depend on the
-        # order of the chunks, or where its first layer allows fewer than
-        # _SPLIT_MIN_SCORES score entries
+        # W workers where the pass has two or more row tiles or its first
+        # layer allows _SPLIT_MIN_SCORES score entries, unless it sums
+        # `received`, whose sums depend on the order of the chunks
+        tiles = _row_tiles(total)
         allowed = heads * sum(n * c + n * (n + 1) // 2 for c, n in zip(cached, lengths))
-        serial = received is not None or allowed < _SPLIT_MIN_SCORES
-        workers = 1 if serial else attention_workers()
+        split = received is None and (len(tiles) > 1 or allowed >= _SPLIT_MIN_SCORES)
+        workers = attention_workers() if split else 1
 
         # the pass's buffers, which every layer writes in place; a worker's
         # row buffers and attention buffers share one block, as it never
-        # needs both at once
+        # needs both at once. The calling thread's block is part of the
+        # pass's allocation and each pool thread's is one of its own: with
+        # every block in the pass's allocation glibc kept more freed heap
+        # resident, and perfbench's decode_short_trials peaked at 51.0 MB,
+        # where it peaks at 49.6 MB so (48.3 MB with its passes serial)
         tile = min(total, _ROW_TILE + 1)
         attention = [
             (max(p.score_tile for p in plans),),
@@ -610,8 +640,9 @@ class SeededTransformer:
             (heads, hd + 1, total),
             (heads, total, hd + 1),
             (total, cfg.model_dim),
-            *[(block,)] * workers,
+            (block,),
         )
+        blocks += [_workspace((block,))[0] for _ in range(workers - 1)]
         kt[:, hd] = 1.0
         va[:, :, hd] = 1.0
         row_bufs = [_views(b, row) for b in blocks]
@@ -621,10 +652,10 @@ class SeededTransformer:
         # segment i's queries are its trailing queries[i] rows of layer_qa
         plan, layer_qa, queries, q_starts = plans[0], qa, lengths, starts
 
-        # a row phase runs, tile by tile, the previous layer's MLP, if any,
-        # and then the next layer's projections, or the unembedding after
-        # the last layer; a pass that splits its attention splits them too
-        stages = []
+        # a row phase runs, tile by tile, the previous layer's MLP, or the
+        # embedding before the first layer, and then the next layer's
+        # projections, or the unembedding after the last layer
+        stages = [embed]
         for layer in range(cfg.layers):
             wq, wk, wv, wo, w_in, w_out = (
                 w[f"layer{layer}.{name}"]
@@ -632,7 +663,7 @@ class SeededTransformer:
             )
             last = last_only and layer == cfg.layers - 1
             stages.append(partial(_project, x, None if last else wq, wk, wv, inv_sqrt, qa, kt, va))
-            _share(workers, _row_tiles(len(x)), partial(_on_tile, stages), row_bufs)
+            _share(workers, tiles, partial(_on_tile, stages), row_bufs)
             if last:
                 plan, layer_qa = plans[1], qa[:, :n_seg]
                 x = x[[b + n - 1 for b, n in zip(starts, lengths)]]
@@ -674,6 +705,21 @@ class SeededTransformer:
         stages.append(partial(_unembed, x, w["unembedding"], logits))
         _share(workers, _row_tiles(len(x)), partial(_on_tile, stages), row_bufs)
         return logits, None if cache is None else kept
+
+
+def _embed_rows(packed, starts, offsets, token_embedding, x, t0, t1, bufs):
+    # rows [t0, t1) of a pass's input x: each position's video row or token
+    # embedding, plus the sinusoid of its position p - offsets[i] in its
+    # segment i, which starts at starts[i]; the video rows and sinusoids are
+    # drawn into a worker's second FFN tile, which `_project` overwrites
+    ids, rows = packed.token_ids[t0:t1], x[t0:t1]
+    drawn, waves = bufs[1][1, : t1 - t0].reshape(4, t1 - t0, x.shape[1])[:2]
+    visual = ids < 0
+    first, n = np.count_nonzero(packed.token_ids[:t0] < 0), np.count_nonzero(visual)
+    rows[visual] = packed.video.rows(packed.rows[first : first + n], out=drawn[:n])
+    rows[~visual] = token_embedding[ids[~visual]]
+    at = np.arange(t0, t1)
+    rows += _sinusoidal(at - offsets[np.searchsorted(starts, at, side="right") - 1], x.shape[1], waves)
 
 
 def _project(x, wq, wk, wv, inv_sqrt, qa, kt, va, t0, t1, bufs):

@@ -83,13 +83,22 @@ def ttft_passes(seed=851):
     return multi, pack([full], task.video, task.question)
 
 
-def decode_shape(seed=851):
-    """8 trials at alpha=0.1 over 32 of 256 frames, 16 tokens a frame."""
+def decode_shape(seed=851, frames_per_trial=32):
+    """8 trials at alpha=0.1 over `frames_per_trial` of 256 frames, 16 tokens
+    a frame; the default is perfbench's decode_short_trials shape."""
     task = gen_task(256, 16, 1, seed, DESK)
     sampler = SamplerConfig(
-        total_frames=256, frames_per_trial=32, tokens_per_frame=16, trials=8, ratios=(0.1,) * 8
+        total_frames=256, frames_per_trial=frames_per_trial, tokens_per_frame=16, trials=8,
+        ratios=(0.1,) * 8,
     )
     return build_trial_plans(sampler, Rng(seed)), task
+
+
+def dense_plan(plans, task):
+    """The dense baseline of `decode_shape`: one trial keeping every token of
+    the first trial's frames."""
+    tokens = len(plans[0].frame_indices) * task.video.tokens_per_frame
+    return TrialPlan(plans[0].frame_indices, np.arange(tokens), 1.0)
 
 
 @pytest.mark.parametrize("rows", SINGLE_ROWS)

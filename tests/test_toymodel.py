@@ -41,7 +41,7 @@ from t3s.toymodel import (
 )
 
 from helpers import cached_kv, materialise, segment_ids, segments_of
-from test_forward_digests import ttft_passes
+from test_forward_digests import DESK, decode_shape, dense_plan, ttft_passes
 
 TESTS = Path(__file__).parent
 
@@ -1039,6 +1039,33 @@ class TestPassPieces:
         held = ran[0][1]
         assert [buf for _, buf in ran].count(held) == 1
 
+    @pytest.mark.parametrize("raiser", ["a", "b"], ids=["calling_thread", "first_helper"])
+    def test_share_raises_once_every_worker_stopped(self, own_pool, raiser):
+        # each of three workers takes one item; then worker `raiser` (the
+        # calling thread's buffer "a", or the first helper's "b") raises
+        # while worker "c" is held at its item: _share raises that error
+        # only after "c" has finished, and "c" takes no more items
+        items, ran, lock = list(range(9)), [], threading.Lock()
+        barrier, release, finished = threading.Barrier(3), threading.Event(), threading.Event()
+
+        def work(item, buf):
+            with lock:
+                first = buf not in [b for _, b in ran]
+                ran.append((item, buf))
+            if first:
+                barrier.wait(10)
+            if buf == raiser:
+                threading.Timer(0.2, release.set).start()
+                raise ValueError(item)
+            if buf == "c":
+                assert release.wait(10)
+                finished.set()
+
+        with pytest.raises(ValueError):
+            toymodel._share(3, items, work, ["a", "b", "c"])
+        assert finished.is_set()
+        assert [buf for _, buf in ran].count("c") == 1
+
     def test_import_and_probe_run_start_no_thread(self, tmp_path, run_cli):
         # with BLAS pinned, so that W would be 2 on two CPUs
         code = (
@@ -1066,25 +1093,85 @@ class TestPassPieces:
         assert [t.name.startswith("t3s-attention") for t in threading.enumerate()].count(True) == 1
 
     def test_serial_passes_start_no_thread(self, tmp_path, run_cli):
-        # with BLAS pinned through the environment, so that W is the CPU
-        # count, a decode of the decode_short_trials shape and a default
-        # seeded_transformer run hold only passes below _SPLIT_MIN_SCORES,
-        # whose row tiles and attention all run on the calling thread
+        # W = 2 forced in a child: a decode whose first pass holds 232 rows,
+        # one row tile, and whose cached steps hold 8, and passes of 257 rows
+        # or fewer, each one row tile below _SPLIT_MIN_SCORES, run their row
+        # tiles and attention on the calling thread
         code = (
             "import sys, threading\n"
             f"sys.path.insert(0, {str(TESTS)!r})\n"
-            "from test_forward_digests import DESK, decode_shape\n"
+            "from test_forward_digests import DESK, decode_shape, single_segment\n"
+            "from t3s import toymodel\n"
             "from t3s.aggregator import ConfidenceWeighted, decode\n"
-            "from t3s.harness import default_experiment_config, run_experiment\n"
-            "from t3s.toymodel import build_model\n"
-            "plans, task = decode_shape()\n"
-            "decode(build_model(DESK), plans, task.video, task.question, 4, ConfidenceWeighted())\n"
-            "run_experiment(default_experiment_config(backend='seeded_transformer', repeats=64))\n"
+            "toymodel._WORKERS = 2\n"
+            "model = toymodel.build_model(DESK)\n"
+            "plans, task = decode_shape(frames_per_trial=16)\n"
+            "decode(model, plans, task.video, task.question, 4, ConfidenceWeighted())\n"
+            "for rows in (3, 64, 255, 256, 257):\n"
+            "    model.forward(single_segment(rows))\n"
+            "    model.last_logits([single_segment(rows)])\n"
             "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
         )
-        res = run_cli(cwd=tmp_path, entry=("-c", code), env={"OPENBLAS_NUM_THREADS": "1"})
+        res = run_cli(cwd=tmp_path, entry=("-c", code))
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["1", "False"]
+
+    def test_one_worker_starts_no_thread(self, tmp_path, run_cli):
+        # with BLAS unpinned, W is 1, and passes that split at W = 2 (the
+        # decode_short_trials shape's 440-row first pass and its 516-row
+        # dense baseline, the default seeded_transformer run's 516- and
+        # 311-row segments) run on the calling thread
+        code = (
+            "import sys, threading\n"
+            f"sys.path.insert(0, {str(TESTS)!r})\n"
+            "from test_forward_digests import DESK, decode_shape, dense_plan\n"
+            "from t3s.aggregator import ConfidenceWeighted, MeanLogits, decode\n"
+            "from t3s.harness import default_experiment_config, run_experiment\n"
+            "from t3s.toymodel import attention_workers, build_model\n"
+            "model, (plans, task) = build_model(DESK), decode_shape()\n"
+            "decode(model, plans, task.video, task.question, 4, ConfidenceWeighted())\n"
+            "decode(model, [dense_plan(plans, task)], task.video, task.question, 4, MeanLogits())\n"
+            "run_experiment(default_experiment_config(backend='seeded_transformer', repeats=64))\n"
+            "print(attention_workers(), threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+        )
+        unpinned = dict.fromkeys(toymodel.BLAS_THREAD_VARS)
+        res = run_cli(cwd=tmp_path, entry=("-c", code), env=unpinned)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["1", "1", "False"]
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["trials", "dense"])
+    def test_decode_first_pass_splits_its_rows(self, monkeypatch, dense):
+        # at W = 2 and the module's own cutoff, the first pass of a decode of
+        # the decode_short_trials shape (440 rows, two tiles) and of its
+        # dense baseline (516 rows, three tiles) embed their rows on both
+        # threads, and their logits stay the W = 1 logits bit for bit
+        plans, task = decode_shape()
+        plans = [dense_plan(plans, task)] if dense else plans
+        packed = pack(plans, task.video, task.question)
+        assert packed.total_length == (516 if dense else 440)
+        tiles = _row_tiles(packed.total_length)
+        model = build_model(DESK)
+        monkeypatch.setattr(toymodel, "_WORKERS", 1)
+        serial = model.last_logits([packed], SegmentCache(reserve=3))
+        ran, main, helped = [], threading.get_ident(), threading.Event()
+        stage = toymodel._embed_rows
+
+        def recorded(*args):
+            # the calling thread waits at its first tile until the pool
+            # thread has taken one, so both embed tiles however fast
+            if threading.get_ident() != main:
+                helped.set()
+            else:
+                assert helped.wait(10)
+            ran.append((args[-3:-1], threading.get_ident()))
+            return stage(*args)
+
+        monkeypatch.setattr(toymodel, "_embed_rows", recorded)
+        monkeypatch.setattr(toymodel, "_WORKERS", 2)
+        split = model.last_logits([packed], SegmentCache(reserve=3))
+        assert np.array_equal(split, serial)
+        assert sorted(tile for tile, _ in ran) == tiles
+        assert len({thread for _, thread in ran}) == 2
 
     def test_split_pass_runs_row_tiles_on_every_worker(self, monkeypatch):
         # each row phase of a pass that splits runs each tile's stages once,
