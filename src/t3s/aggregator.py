@@ -139,12 +139,19 @@ def decode(
     logits through `backend.last_logits`, which continues the packed
     sequence's one `SegmentCache`, fuse them to one token, and pack only
     that token, once per segment, for the next step. Returns `steps` tokens;
-    raises ContractError once the packed total would exceed the backend's
-    `max_positions`, on a backend that has one (the probe has none).
+    raises ContractError before the first step if the last step's packed
+    total would exceed the backend's `max_positions`, on a backend that has
+    one (the probe has none).
     """
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
     packed = pack(plans, video, text)
+    limit = backend.max_positions
+    need = packed.total_length + (steps - 1) * packed.num_segments
+    if limit is not None and need > limit:
+        raise ContractError(
+            f"{steps} steps need {need} positions, over max_positions={limit}"
+        )
     cache = SegmentCache(reserve=steps - 1)
     out: list[int] = []
     for step in range(steps):

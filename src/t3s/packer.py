@@ -69,13 +69,6 @@ class PackedSequence:
         out[self.token_ids < 0] = self.video.rows(self.rows)
         return out
 
-    @property
-    def pos_in_segment(self) -> np.ndarray:
-        """(total,) int64 index of each position inside its own segment."""
-        return np.concatenate(
-            [np.arange(s.length, dtype=np.int64) for s in self.segments]
-        )
-
 
 def pack(
     plans: Sequence[TrialPlan],

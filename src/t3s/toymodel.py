@@ -31,21 +31,20 @@ context rows and score tiles live in buffers allocated once per pass, which
 every layer writes in place. The position-wise stages run over row tiles of
 `_ROW_TILE` rows: the embedding, layer norms, projections, FFN, residuals
 and the unembedding. The first row phase embeds each tile and runs it
-through the first layer's projections; between two attentions one row
-phase runs each tile through the previous layer's output projection and FFN
-and then the next layer's projections. A pass runs on W = max(1, cpus //
-blas_threads) workers where it has two or more row tiles or its first layer
-allows `_SPLIT_MIN_SCORES` score entries, so an 8-trial decode's first pass
-splits; else on one, as a pass of up to 257 rows and every cached decode
-step do, and so does a pass that sums the attention received. With BLAS
-unpinned W is 1 and no thread starts. W workers, the calling thread and a
-lazily started pool of W - 1 threads, take a phase's items, a layer's
-32-query attention chunks or a row phase's tiles, one at a time from one
-list, so a slower worker takes fewer. The calling thread alone runs the
-pass's input checks and per-segment bookkeeping, and each layer's score
-bounds and cache writes. Every row and chunk gets the same BLAS calls as a
-whole-pass product would give it, so the outputs are bit for bit the same
-at every W.
+through the first layer's projections; between two attentions one row phase
+runs each tile through the previous layer's output projection and FFN and
+then the next layer's projections. A pass runs on W = max(1, cpus //
+blas_threads) workers where it has two or more row tiles, so an 8-trial
+decode's first pass splits; else on one, as a pass of up to 257 rows and
+every cached decode step do, and so does a pass that sums the attention
+received. Every phase of a pass runs on its W. With BLAS unpinned W is 1
+and no thread starts. W workers, the calling thread and a lazily started
+pool of W - 1 threads, take a phase's items, a layer's 32-query attention
+chunks or a row phase's tiles, one at a time from one list, so a slower
+worker takes fewer. The calling thread alone runs the pass's input checks
+and per-segment bookkeeping, and each layer's score bounds and cache
+writes. Every row and chunk gets the same BLAS calls as a whole-pass
+product would give it, so the outputs are bit for bit the same at every W.
 """
 
 from __future__ import annotations
@@ -100,10 +99,8 @@ _ROW_TILE = 256
 # ms). blas_threads is read as OpenBLAS reads it: the first of
 # BLAS_THREAD_VARS that holds a positive integer, else the CPU count. A
 # pass splits where its row phases have two or more tiles (258 rows or
-# more) or its first layer allows _SPLIT_MIN_SCORES score entries (at 4
-# heads a 724-row segment, or 257 new rows after 892 cached ones, so a long
-# cached continuation of one tile splits too). With BLAS pinned to one
-# thread on 2 CPUs, `last_logits` with a cache on the DESK model, timed
+# more), however many cached keys its attention reads. With BLAS pinned to
+# one thread on 2 CPUs, `last_logits` with a cache on the DESK model, timed
 # split (W = 2) and serial (W = 1) alternately in one process, medians of
 # 40 and of 60 samples, took split/serial 1.10 at 128 rows, 1.03-1.06 at
 # 192, 1.00-1.01 at 256 and 264, 0.91-0.94 at 320, 0.84-0.94 at 384,
@@ -114,7 +111,6 @@ _ROW_TILE = 256
 # decode's 440-row first pass and its 516-row dense baseline split; the
 # 258-320-row band pays up to 14% for it.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_SPLIT_MIN_SCORES = 1 << 20
 _WORKERS: Optional[int] = None  # W, read once, on the first pass that could split
 _POOL = None  # ((threads, pid), executor), started by the first pass that splits
 
@@ -613,13 +609,10 @@ class SeededTransformer:
         plans = [_attention_plan(cached, lengths, lengths, heads)]
         if last_only:
             plans.append(_attention_plan(cached, lengths, [1] * n_seg, heads))
-        # W workers where the pass has two or more row tiles or its first
-        # layer allows _SPLIT_MIN_SCORES score entries, unless it sums
+        # W workers where the pass has two or more row tiles, unless it sums
         # `received`, whose sums depend on the order of the chunks
         tiles = _row_tiles(total)
-        allowed = heads * sum(n * c + n * (n + 1) // 2 for c, n in zip(cached, lengths))
-        split = received is None and (len(tiles) > 1 or allowed >= _SPLIT_MIN_SCORES)
-        workers = attention_workers() if split else 1
+        workers = attention_workers() if received is None and len(tiles) > 1 else 1
 
         # the pass's buffers, which every layer writes in place; a worker's
         # row buffers and attention buffers share one block, as it never
@@ -669,7 +662,7 @@ class SeededTransformer:
                 x = x[[b + n - 1 for b, n in zip(starts, lengths)]]
                 queries, q_starts = [1] * n_seg, list(range(n_seg))
                 query = partial(_project, x, wq, None, None, inv_sqrt, layer_qa, kt, va)
-                _share(1, _row_tiles(n_seg), partial(_on_tile, [query]), row_bufs)
+                _share(workers, _row_tiles(n_seg), partial(_on_tile, [query]), row_bufs)
             old = prior[layer]
             past_sq_max = None if old is None else old.key_sq_max
             k_sq_max = _shift_by_bound(layer_qa, kt, starts, queries, past_sq_max, layer)

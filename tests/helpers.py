@@ -4,9 +4,9 @@ vocabulary ids, a direct single-sequence greedy baseline that shares no code
 with the sampler or the multi-trial packer paths, the multi-trial decode that
 recomputes the whole packed sequence every step, the sampler's trial-plan
 postcondition, a structural dump of packed sequences for golden tests,
-each position's segment id, `run_experiment` as a loop of one task at a
-time, one segment's view of a transformer cache, and the Shannon entropy of
-one probability vector."""
+each position's segment id and its index inside its segment,
+`run_experiment` as a loop of one task at a time, one segment's view of a
+transformer cache, and the Shannon entropy of one probability vector."""
 
 from functools import partial
 from typing import Sequence
@@ -137,6 +137,11 @@ def segment_ids(packed: PackedSequence) -> np.ndarray:
     return np.repeat(
         np.arange(packed.num_segments), [s.length for s in packed.segments]
     )
+
+
+def pos_in_segment(packed: PackedSequence) -> np.ndarray:
+    """(total,) int64 index of each position inside its own segment."""
+    return np.concatenate([np.arange(s.length, dtype=np.int64) for s in packed.segments])
 
 
 def per_task_experiment(cfg) -> ExperimentReport:

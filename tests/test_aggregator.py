@@ -414,6 +414,28 @@ class TestDecode:
             with pytest.raises(ContractError, match="max_positions"):
                 run(model, plans, video, [1, 2], 4, MeanLogits())
 
+    def test_steps_past_max_positions_refused_before_any_pass(self):
+        # the cache reserves steps - 1 tokens per segment, so a step count
+        # that max_positions cannot hold is refused before the prompt pass,
+        # not met by an allocation of that many tokens
+        video = _full_video(6, 2)
+        plans = [TrialPlan(np.arange(6, dtype=np.int64), np.arange(12, dtype=np.int64), 1.0)]
+        prompt, limit = 12 + 2, 64
+        model = build_model(dataclasses.replace(CFG, max_positions=limit))
+        calls, last_logits = [], model.last_logits
+
+        def recording(packs, cache=None):
+            calls.append(cache.reserve)
+            return last_logits(packs, cache)
+
+        model.last_logits = recording
+        for steps in (10**12, 10**6, limit - prompt + 2):
+            with pytest.raises(ContractError, match="max_positions"):
+                decode(model, plans, video, [1, 2], steps, MeanLogits())
+        assert calls == []
+        decode(model, plans, video, [1, 2], limit - prompt + 1, MeanLogits())
+        assert calls[0] == limit - prompt
+
     def test_empty_segment_rejected(self):
         # a trial that keeps no token would fuse another trial's logits
         video = _full_video(2, 2)

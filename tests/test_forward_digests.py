@@ -5,9 +5,10 @@ cannot see a change in the last bits, such as a one-row product that BLAS
 sends to gemv and rounds unlike the rows of a full one. These digests hash
 the unrounded float64 bytes. They run with one attention worker, with two
 and with three, where the work lists do not share out evenly; W > 1 is
-forced through the module's private worker count, with the split cutoff
-lowered to zero, so that every pass here that can split does. One more test
-gets W from a child process's environment, with BLAS pinned.
+forced through the module's private worker count, and each test checks that
+its passes of two or more row tiles (258 rows or more) hand every phase to
+the W workers and all other passes run on one. One more test gets W from a
+child process's environment, with BLAS pinned.
 """
 
 import hashlib
@@ -54,10 +55,30 @@ def digest(a) -> str:
 
 @pytest.fixture(params=[1, 2, 3], ids=["W1", "W2", "W3"])
 def workers(request, monkeypatch):
+    # W forced; each pass records its rows (0 where it sums the attention
+    # received) and, for every phase, the W it was given and the workers
+    # min(W, items) that ran it. At the test's end a pass of 258 rows or
+    # more gave every phase W and ran one on two or more workers; any other
+    # pass gave every phase one worker
     monkeypatch.setattr(toymodel, "_WORKERS", request.param)
-    if request.param > 1:
-        monkeypatch.setattr(toymodel, "_SPLIT_MIN_SCORES", 0)
-    return request.param
+    passes, share, run = [], toymodel._share, toymodel.SeededTransformer._run
+
+    def sharing(workers, items, work, bufs):
+        passes[-1][1].append((workers, min(workers, len(items))))
+        return share(workers, items, work, bufs)
+
+    def running(self, packed, cache=None, last_only=False, received=None):
+        passes.append((packed.total_length if received is None else 0, []))
+        return run(self, packed, cache, last_only, received)
+
+    monkeypatch.setattr(toymodel, "_share", sharing)
+    monkeypatch.setattr(toymodel.SeededTransformer, "_run", running)
+    yield request.param
+    assert passes
+    for rows, phases in passes:
+        w = request.param if rows >= 258 else 1
+        assert {given for given, _ in phases} == {w}, rows
+        assert (max(used for _, used in phases) > 1) == (w > 1), rows
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from t3s.packer import (
 )
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 
-from helpers import ArrayVideo, segment_ids, to_debug_json
+from helpers import ArrayVideo, pos_in_segment, segment_ids, to_debug_json
 
 DIM = 4
 
@@ -47,7 +47,7 @@ def check_structure(packed, expected_visual_lens, text_len, generated):
         assert seg.start == at
         assert seg.length == expected_visual_lens[i] + text_len + generated
         span = slice(seg.start, seg.start + seg.length)
-        assert np.array_equal(packed.pos_in_segment[span], np.arange(seg.length))
+        assert np.array_equal(pos_in_segment(packed)[span], np.arange(seg.length))
         ids = packed.token_ids[span]
         assert (ids[: expected_visual_lens[i]] == -1).all()
         assert (ids[expected_visual_lens[i] :] >= 0).all()
@@ -218,7 +218,7 @@ class TestAppendToken:
         out = append_token(packed, 9)
         assert out.total_length == packed.total_length + 1
         assert out.token_ids[-1] == 9
-        assert out.pos_in_segment[-1] == packed.segments[0].length
+        assert pos_in_segment(out)[-1] == packed.segments[0].length
 
     def test_two_segments_grow_together(self):
         video = tagged_video(4, 3)
@@ -343,7 +343,7 @@ class TestSliceSegment:
             assert np.array_equal(solo.embeddings, packed.embeddings[span])
             assert np.array_equal(solo.token_ids, packed.token_ids[span])
             assert solo.video is packed.video
-            assert np.array_equal(solo.pos_in_segment, np.arange(seg.length))
+            assert np.array_equal(pos_in_segment(solo), np.arange(seg.length))
 
     def test_index_out_of_range(self):
         packed = pack([full_plan(2, 2)], tagged_video(2, 2), [])

@@ -40,7 +40,7 @@ from t3s.toymodel import (
     worker_count,
 )
 
-from helpers import cached_kv, materialise, segment_ids, segments_of
+from helpers import cached_kv, materialise, pos_in_segment, segment_ids, segments_of
 from test_forward_digests import DESK, decode_shape, dense_plan, ttft_passes
 
 TESTS = Path(__file__).parent
@@ -540,7 +540,7 @@ def layer0_norms(model, packed):
     x = packed.embeddings.copy()
     ids = packed.token_ids
     x[ids >= 0] = w["token_embedding"][ids[ids >= 0]]
-    h = layer_norm(x + _sinusoidal(packed.pos_in_segment, cfg.model_dim))
+    h = layer_norm(x + _sinusoidal(pos_in_segment(packed), cfg.model_dim))
     q, k = (h @ w[f"layer0.attn_{name}"] for name in ("query", "key"))
     norms = [(a.reshape(len(a), cfg.heads, -1) ** 2).sum(axis=2) for a in (q, k)]
     return norms[0] / model.head_dim, norms[1]
@@ -658,7 +658,7 @@ def materialized_attention(model, packed, mask_matrix):
     x = packed.embeddings.copy()
     id_pos = packed.token_ids >= 0
     x[id_pos] = w["token_embedding"][packed.token_ids[id_pos]]
-    x = x + _sinusoidal(packed.pos_in_segment, cfg.model_dim)
+    x = x + _sinusoidal(pos_in_segment(packed), cfg.model_dim)
     bias = np.where(mask_matrix, 0.0, -np.inf)
     mats = []
     head_dim = cfg.model_dim // cfg.heads
@@ -1081,22 +1081,68 @@ class TestPassPieces:
         assert res.stdout.split() == ["1", "False", "1", "False"]
 
     def test_split_passes_keep_one_pool(self, monkeypatch):
+        # 200 passes of two row tiles at W = 2 split, and all run on the
+        # one pool thread the first of them started
         monkeypatch.setattr(toymodel, "_WORKERS", 2)
-        monkeypatch.setattr(toymodel, "_SPLIT_MIN_SCORES", 0)
         model = build_model(CFG)
-        packed, _, _ = make_packed(total_frames=40, frames_per_trial=32, tokens_per_frame=2)
+        packed, _, _ = make_packed(total_frames=40, frames_per_trial=32, tokens_per_frame=6)
+        assert len(_row_tiles(packed.total_length)) == 2
         assert all(s.length > _QUERY_CHUNK for s in packed.segments)
+        names = set()
+        for name in ("_project", "_attend_chunk"):
+            def recorded(*args, stage=getattr(toymodel, name)):
+                names.add(threading.current_thread().name)
+                return stage(*args)
+
+            monkeypatch.setattr(toymodel, name, recorded)
         before = threading.active_count()
         for _ in range(200):
             model.forward(packed)
         assert threading.active_count() - before <= 1
         assert [t.name.startswith("t3s-attention") for t in threading.enumerate()].count(True) == 1
+        assert any(name.startswith("t3s-attention") for name in names)
+
+    def test_cached_continuation_of_one_tile_stays_serial(self, monkeypatch):
+        # at W = 2, 257 new rows after 892 cached ones, one row tile whose
+        # first layer allows over 2^20 score entries, share every phase to
+        # one worker and run on the calling thread, and their logits stay
+        # the W = 1 logits bit for bit
+        video = VideoTokenStream(64, 16, DESK.model_dim, key=0xD16E57)
+        rows = -1 - np.arange(64 * 16)
+        prompt = segments_of(video, [rows[:892]])
+        more = segments_of(video, [np.concatenate([rows[892:], np.arange(125) % DESK.vocab])])
+        assert len(_row_tiles(more.total_length)) == 1 and more.total_length == 257
+        assert DESK.heads * (257 * 892 + 257 * 258 // 2) >= 2**20
+        model = build_model(DESK)
+        monkeypatch.setattr(toymodel, "_WORKERS", 1)
+        cache = SegmentCache()
+        model.last_logits([prompt], cache)
+        serial = model.last_logits([more], cache)
+        monkeypatch.setattr(toymodel, "_WORKERS", 2)
+        cache = SegmentCache()
+        model.last_logits([prompt], cache)
+        shared, threads, share, attend = [], set(), toymodel._share, toymodel._attend_chunk
+
+        def sharing(workers, *args):
+            shared.append(workers)
+            return share(workers, *args)
+
+        def attending(*args):
+            threads.add(threading.get_ident())
+            return attend(*args)
+
+        monkeypatch.setattr(toymodel, "_share", sharing)
+        monkeypatch.setattr(toymodel, "_attend_chunk", attending)
+        split = model.last_logits([more], cache)
+        assert np.array_equal(split, serial)
+        assert shared and set(shared) == {1}
+        assert threads == {threading.get_ident()}
 
     def test_serial_passes_start_no_thread(self, tmp_path, run_cli):
         # W = 2 forced in a child: a decode whose first pass holds 232 rows,
         # one row tile, and whose cached steps hold 8, and passes of 257 rows
-        # or fewer, each one row tile below _SPLIT_MIN_SCORES, run their row
-        # tiles and attention on the calling thread
+        # or fewer, each one row tile, run their row tiles and attention on
+        # the calling thread
         code = (
             "import sys, threading\n"
             f"sys.path.insert(0, {str(TESTS)!r})\n"
@@ -1141,10 +1187,10 @@ class TestPassPieces:
 
     @pytest.mark.parametrize("dense", [False, True], ids=["trials", "dense"])
     def test_decode_first_pass_splits_its_rows(self, monkeypatch, dense):
-        # at W = 2 and the module's own cutoff, the first pass of a decode of
-        # the decode_short_trials shape (440 rows, two tiles) and of its
-        # dense baseline (516 rows, three tiles) embed their rows on both
-        # threads, and their logits stay the W = 1 logits bit for bit
+        # at W = 2, the first pass of a decode of the decode_short_trials
+        # shape (440 rows, two tiles) and of its dense baseline (516 rows,
+        # three tiles) embed their rows on both threads, and their logits
+        # stay the W = 1 logits bit for bit
         plans, task = decode_shape()
         plans = [dense_plan(plans, task)] if dense else plans
         packed = pack(plans, task.video, task.question)
@@ -1153,17 +1199,16 @@ class TestPassPieces:
         model = build_model(DESK)
         monkeypatch.setattr(toymodel, "_WORKERS", 1)
         serial = model.last_logits([packed], SegmentCache(reserve=3))
-        ran, main, helped = [], threading.get_ident(), threading.Event()
+        ran, first, local = [], threading.Barrier(2), threading.local()
         stage = toymodel._embed_rows
 
         def recorded(*args):
-            # the calling thread waits at its first tile until the pool
-            # thread has taken one, so both embed tiles however fast
-            if threading.get_ident() != main:
-                helped.set()
-            else:
-                assert helped.wait(10)
+            # each thread waits at its first tile until the other has taken
+            # one, so both embed tiles whichever starts first
             ran.append((args[-3:-1], threading.get_ident()))
+            if not hasattr(local, "waited"):
+                local.waited = True
+                first.wait(10)
             return stage(*args)
 
         monkeypatch.setattr(toymodel, "_embed_rows", recorded)
@@ -1184,21 +1229,19 @@ class TestPassPieces:
         model = build_model(CFG)
         monkeypatch.setattr(toymodel, "_WORKERS", 1)
         serial = model.forward(packed).logits
-        ran, main, helped = [], threading.get_ident(), threading.Event()
+        ran, first, local = [], threading.Barrier(2), threading.local()
         for name in ("_project", "_mlp_block", "_unembed"):
             def recorded(*args, name=name, stage=getattr(toymodel, name)):
-                # the calling thread waits at its first tile until the pool
-                # thread has taken one, so both run tiles however fast
-                if threading.get_ident() != main:
-                    helped.set()
-                else:
-                    assert helped.wait(10)
+                # each thread waits at its first tile until the other has
+                # taken one, so both run tiles whichever starts first
                 ran.append((name, tiles.index(args[-3]), threading.get_ident()))
+                if not hasattr(local, "waited"):
+                    local.waited = True
+                    first.wait(10)
                 return stage(*args)
 
             monkeypatch.setattr(toymodel, name, recorded)
         monkeypatch.setattr(toymodel, "_WORKERS", 2)
-        monkeypatch.setattr(toymodel, "_SPLIT_MIN_SCORES", 0)
         split = model.forward(packed).logits
         assert np.array_equal(split, serial)
         once = {"_project": CFG.layers, "_mlp_block": CFG.layers, "_unembed": 1}
