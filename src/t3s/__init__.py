@@ -14,6 +14,7 @@ from .aggregator import (
     cross_refine,
     decode,
     fuse_token,
+    fuse_tokens,
     mean_logits,
 )
 from .costmodel import CostReport, exact_pair_ratio, measure, theoretical_costs

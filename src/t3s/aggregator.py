@@ -4,7 +4,9 @@ Three fusion rules: plain mean, inverse-entropy confidence weighting, and the
 asymmetric two-trial cross-refinement (trial 1 proposes top-k candidates,
 trial 2 re-ranks them). Every argmax breaks ties toward the lowest token id.
 Mean and confidence weighting sum per-coordinate addends in sorted order so
-the fused vector is bit-identical under any permutation of the trials.
+the fused vector is bit-identical under any permutation of the trials. Each
+rule is implemented once, over an (R, m, vocab) block of R tasks
+(`fuse_tokens`); the one-task functions are its R = 1 case.
 """
 
 from __future__ import annotations
@@ -47,25 +49,24 @@ class CrossRefine:
 AggregationStrategy = Union[MeanLogits, ConfidenceWeighted, CrossRefine]
 
 
-def _check_trial_logits(logits) -> np.ndarray:
+_SHAPES = {2: "(m, vocab)", 3: "(R, m, vocab)"}
+
+
+def _check_trial_logits(logits, ndim: int = 2) -> np.ndarray:
     o = np.asarray(logits, dtype=np.float64)
-    if o.ndim != 2 or o.shape[0] < 1:
-        raise ContractError(f"trial logits must be (m, vocab) with m >= 1, got {o.shape}")
+    if o.ndim != ndim or 0 in o.shape:
+        raise ContractError(
+            f"trial logits must be {_SHAPES[ndim]} with every size >= 1, got {o.shape}"
+        )
     if not np.isfinite(o).all():
         raise ContractError("trial logits must be finite")
     return o
 
 
 def _ordered_sum(addends: np.ndarray) -> np.ndarray:
-    # sort each column before reducing: permutation-invariant float result
-    return np.add.reduce(np.sort(addends, axis=0), axis=0)
-
-
-def mean_logits(logits) -> tuple[np.ndarray, int]:
-    """Elementwise mean across trials; returns (fused vector, argmax token)."""
-    o = _check_trial_logits(logits)
-    fused = _ordered_sum(o) / o.shape[0]
-    return fused, int(np.argmax(fused))
+    # sort each (task, coordinate) column along the trial axis before
+    # reducing: permutation-invariant float result
+    return np.add.reduce(np.sort(addends, axis=1), axis=1)
 
 
 def _row_entropies(probs: np.ndarray) -> np.ndarray:
@@ -82,14 +83,68 @@ def _row_entropies(probs: np.ndarray) -> np.ndarray:
     return -(probs * logs).sum(axis=1)
 
 
+def _fused(o: np.ndarray, strategy) -> np.ndarray:
+    """The (R, vocab) fused vectors of checked (R, m, vocab) logits: their
+    mean over the trials, or, under confidence weighting, their sum weighted
+    by each trial's inverse predictive entropy, normalized to sum 1."""
+    if isinstance(strategy, MeanLogits):
+        return _ordered_sum(o) / o.shape[1]
+    r, m, vocab = o.shape
+    h = _row_entropies(softmax_rows(o.reshape(r * m, vocab))).reshape(r, m)
+    inv = 1.0 / np.maximum(h, _ENTROPY_FLOOR)
+    weights = inv / np.add.reduce(np.sort(inv, axis=1), axis=1, keepdims=True)
+    return _ordered_sum(weights[:, :, None] * o)
+
+
+def _refined(o: np.ndarray, top_k: int) -> np.ndarray:
+    """The cross-refinement token of each task of checked (R, 2, vocab)
+    logits: trial 1 proposes its top-k token ids (ties: larger logit first,
+    then lower id); trial 2 re-ranks and the best candidate wins (lowest id
+    on ties)."""
+    vocab = o.shape[2]
+    if not (1 <= top_k <= vocab):
+        raise ContractError(f"top_k must be in [1, {vocab}], got {top_k}")
+    candidates = np.argsort(-o[:, 0], axis=1, kind="stable")[:, :top_k]
+    scores = o[np.arange(len(o))[:, None], 1, candidates]
+    best = scores == scores.max(axis=1, keepdims=True)
+    return np.where(best, candidates, vocab).min(axis=1)
+
+
+def _tokens(o: np.ndarray, strategy: AggregationStrategy) -> np.ndarray:
+    if isinstance(strategy, (MeanLogits, ConfidenceWeighted)):
+        return _fused(o, strategy).argmax(axis=1)
+    if isinstance(strategy, CrossRefine):
+        if o.shape[1] != 2:
+            raise ConfigError(
+                f"cross-refinement needs exactly 2 trials, got {o.shape[1]}"
+            )
+        return _refined(o, strategy.top_k)
+    raise ConfigError(f"unknown strategy {strategy!r}")
+
+
+def fuse_tokens(logits, strategy: AggregationStrategy) -> np.ndarray:
+    """One aggregated next-token decision per task: (R,) int64 tokens from
+    (R, m, vocab) logits, the m per-trial vectors of each of R tasks.
+    `fuse_token`, `mean_logits`, `confidence_weighted` and `cross_refine`
+    are its R = 1 case, bit for bit."""
+    return _tokens(_check_trial_logits(logits, 3), strategy)
+
+
+def fuse_token(logits, strategy: AggregationStrategy) -> int:
+    """One aggregated next-token decision from the m per-trial logit vectors."""
+    return int(_tokens(_check_trial_logits(logits)[None], strategy)[0])
+
+
+def mean_logits(logits) -> tuple[np.ndarray, int]:
+    """Elementwise mean across trials; returns (fused vector, argmax token)."""
+    fused = _fused(_check_trial_logits(logits)[None], MeanLogits())[0]
+    return fused, int(fused.argmax())
+
+
 def confidence_weighted(logits) -> tuple[np.ndarray, int]:
     """Trials weighted by inverse predictive entropy, normalized to sum 1."""
-    o = _check_trial_logits(logits)
-    h = _row_entropies(softmax_rows(o))
-    inv = 1.0 / np.maximum(h, _ENTROPY_FLOOR)
-    weights = inv / np.add.reduce(np.sort(inv))
-    fused = _ordered_sum(weights[:, None] * o)
-    return fused, int(np.argmax(fused))
+    fused = _fused(_check_trial_logits(logits)[None], ConfidenceWeighted())[0]
+    return fused, int(fused.argmax())
 
 
 def cross_refine(first, second, top_k: int) -> int:
@@ -99,30 +154,7 @@ def cross_refine(first, second, top_k: int) -> int:
     o2 = np.asarray(second, dtype=np.float64).ravel()
     if o1.shape != o2.shape:
         raise ContractError(f"trial logits differ in size: {o1.shape} vs {o2.shape}")
-    o1, o2 = _check_trial_logits(np.stack([o1, o2]))
-    vocab = len(o1)
-    if not (1 <= top_k <= vocab):
-        raise ContractError(f"top_k must be in [1, {vocab}], got {top_k}")
-    candidates = np.argsort(-o1, kind="stable")[:top_k]
-    scores = o2[candidates]
-    winners = candidates[scores == scores.max()]
-    return int(winners.min())
-
-
-def fuse_token(logits, strategy: AggregationStrategy) -> int:
-    """One aggregated next-token decision from the m per-trial logit vectors."""
-    o = _check_trial_logits(logits)
-    if isinstance(strategy, MeanLogits):
-        return mean_logits(o)[1]
-    if isinstance(strategy, ConfidenceWeighted):
-        return confidence_weighted(o)[1]
-    if isinstance(strategy, CrossRefine):
-        if o.shape[0] != 2:
-            raise ConfigError(
-                f"cross-refinement needs exactly 2 trials, got {o.shape[0]}"
-            )
-        return cross_refine(o[0], o[1], strategy.top_k)
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    return int(_refined(_check_trial_logits(np.stack([o1, o2]))[None], top_k)[0])
 
 
 def decode(

@@ -26,7 +26,7 @@ from .aggregator import (
     ConfidenceWeighted,
     CrossRefine,
     MeanLogits,
-    fuse_token,
+    fuse_tokens,
 )
 from .costmodel import CostReport, measure
 from .errors import ConfigError, ContractError
@@ -275,12 +275,6 @@ def probe_for_task(task: SyntheticTask, model: ModelConfig) -> NeedleProbe:
     return NeedleProbe(model.vocab, task.noise_scale)
 
 
-def surviving_needle_tokens(plan: TrialPlan, task: SyntheticTask) -> int:
-    """Needle tokens that outlive both frame sampling and token subsampling."""
-    hit = task.video.needle_mask[plan.frame_indices]
-    return int(hit[plan.token_keep // task.video.tokens_per_frame].sum())
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 
@@ -319,9 +313,11 @@ def run_experiment(
 
     One backend serves every task: the seeded transformer or one needle
     probe, plus a transformer for the `attn_top` scores when the backend is
-    the probe. Tasks are drawn in blocks of `_TASK_BLOCK` repeats; each
-    task's trials are packed, every segment's last-position logits come
-    from one `last_logits` call per block, and they are fused per task. The
+    the probe. Tasks are drawn in blocks of `_TASK_BLOCK` repeats, and each
+    task's trials are packed. Per block, one `last_logits` call reads every
+    segment's last-position logits, one `fuse_tokens` call fuses them as an
+    (R, m, vocab) array, and the coverage and surviving needle tokens are
+    tallied over the block's stacked needle masks and trial plans. The
     tokens are those `decode` gives for one step."""
     s = cfg.sampler
     on_transformer = cfg.backend == "seeded_transformer"
@@ -332,10 +328,10 @@ def run_experiment(
 
     hits = covered_any = 0
     trial_cover = np.zeros(s.trials, dtype=np.int64)
-    trial_survive = np.zeros(s.trials, dtype=np.float64)
+    trial_survive = np.zeros(s.trials, dtype=np.int64)
 
     for block_start in range(0, cfg.repeats, _TASK_BLOCK):
-        block = []
+        tasks, plans, packs = [], [], []
         for rep in range(block_start, min(block_start + _TASK_BLOCK, cfg.repeats)):
             task = gen_task(
                 s.total_frames,
@@ -347,17 +343,28 @@ def run_experiment(
                 question_len=cfg.task.question_len,
             )
             scores_fn = partial(_attn_scores, task, transformer) if attn_top else None
-            plans = build_trial_plans(s, root.child(rep), attn_scores_fn=scores_fn)
-            block.append((task, plans))
-
-            covers = [bool(task.video.needle_mask[p.frame_indices].any()) for p in plans]
-            trial_cover += covers
-            trial_survive += [surviving_needle_tokens(p, task) for p in plans]
-            covered_any += any(covers)
+            task_plans = build_trial_plans(s, root.child(rep), attn_scores_fn=scores_fn)
+            tasks.append(task)
+            plans.append(task_plans)
+            packs.append(pack(task_plans, task.video, task.question))
         if block_start == 0:
-            first = block[0]
-        tokens = _first_tokens(cfg, backend, block)
-        hits += sum(token == task.answer for token, (task, _) in zip(tokens, block))
+            first = (tasks[0], packs[0])
+        rows = backend.last_logits(packs)
+        tokens = fuse_tokens(rows.reshape(len(tasks), s.trials, -1), cfg.strategy)
+        hits += int(np.count_nonzero(tokens == [task.answer for task in tasks]))
+
+        # the (R, F) needle masks read at each trial's (R, N) frames, and
+        # those (R, N) flags at its (R, k_i) kept tokens' frame slots
+        masks = np.array([task.video.needle_mask for task in tasks])
+        covered = np.zeros(len(tasks), dtype=bool)
+        for i in range(s.trials):
+            hit = _per_row(masks, np.array([p[i].frame_indices for p in plans]))
+            kept = np.array([p[i].token_keep for p in plans]) // s.tokens_per_frame
+            cover = hit.any(axis=1)
+            trial_cover[i] += np.count_nonzero(cover)
+            trial_survive[i] += np.count_nonzero(_per_row(hit, kept))
+            covered |= cover
+        covered_any += int(np.count_nonzero(covered))
 
     cost = _cost_report(cfg, *first, backend, latency_repeats)
     per_trial = [
@@ -380,16 +387,15 @@ def run_experiment(
     )
 
 
-def _first_tokens(cfg, backend, block) -> list[int]:
-    """The fused first token of each (task, plans) of a block."""
-    rows = backend.last_logits([pack(plans, task.video, task.question) for task, plans in block])
-    m = cfg.sampler.trials
-    return [fuse_token(rows[b : b + m], cfg.strategy) for b in range(0, len(rows), m)]
+def _per_row(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[r, index[r, j]] for every (r, j), as `np.take_along_axis(table,
+    index, axis=1)` gives it, read through one flat index at half its cost."""
+    return table.ravel()[index + table.shape[1] * np.arange(len(table))[:, None]]
 
 
-def _cost_report(cfg, task, plans, backend, latency_repeats) -> CostReport:
-    """Costs of the first task's trials against one full-retention trial on
-    frames drawn from a fixed child stream of the seed."""
+def _cost_report(cfg, task, packed, backend, latency_repeats) -> CostReport:
+    """Costs of the first task's packed trials against one full-retention
+    trial on frames drawn from a fixed child stream of the seed."""
     s = cfg.sampler
     full = TrialPlan(
         sample_frame_indices(
@@ -401,7 +407,7 @@ def _cost_report(cfg, task, plans, backend, latency_repeats) -> CostReport:
     return measure(
         backend,
         pack([full], task.video, task.question),
-        pack(plans, task.video, task.question),
+        packed,
         s.ratios,
         repeats=latency_repeats,
         strategy=cfg.strategy,

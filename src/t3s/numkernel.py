@@ -54,6 +54,11 @@ def mix64(x):
     return z ^ (z >> 31)
 
 
+# mix64(index + 1), the part of a child's stream id that depends on its
+# index alone, for the small indices every task's streams take again
+_INDEX_HASH = tuple(mix64(index + 1) for index in range(64))
+
+
 @dataclass(frozen=True)
 class Rng:
     """Splittable deterministic random source.
@@ -75,7 +80,8 @@ class Rng:
     def child(self, index: int) -> "Rng":
         if index < 0:
             raise ContractError(f"child index must be >= 0, got {index}")
-        derived = mix64((self.stream & _MASK64) ^ mix64(index + 1))
+        hashed = _INDEX_HASH[index] if index < len(_INDEX_HASH) else mix64(index + 1)
+        derived = mix64((self.stream & _MASK64) ^ hashed)
         return Rng(self.seed, derived)
 
     @property

@@ -92,7 +92,8 @@ def pack(
         raise ContractError("text token ids must be non-negative")
 
     kept_rows: list[np.ndarray] = []
-    parts_ids: list[np.ndarray] = []
+    segments: list[Segment] = []
+    total = 0
     for i, plan in enumerate(plans):
         f, k = plan.frame_indices, plan.token_keep
         if len(f) and not (0 <= f.min() and f.max() < video.num_frames):
@@ -101,13 +102,17 @@ def pack(
             raise ContractError("plan keeps a token outside the trial range")
         if len(k) + len(text_ids) == 0:
             raise ContractError(f"trial {i} keeps no tokens and the text is empty")
-        kept_rows.append(f[k // m] * m + k % m)
-        parts_ids.append(np.concatenate([np.full(len(k), -1, dtype=np.int64), text_ids]))
-    lengths = [len(ids) for ids in parts_ids]
-    starts = np.cumsum([0, *lengths[:-1]])
+        # the row id of each token of the plan's frames, read at the kept ones
+        kept_rows.append((f[:, None] * m + np.arange(m)).ravel()[k])
+        segments.append(Segment(total, len(k) + len(text_ids)))
+        total += len(k) + len(text_ids)
+    # -1 at every visual position; each segment's text copy fills its tail
+    token_ids = np.full(total, -1, dtype=np.int64)
+    for start, length in segments:
+        token_ids[start + length - len(text_ids) : start + length] = text_ids
     return PackedSequence(
-        segments=tuple(Segment(int(s), l) for s, l in zip(starts, lengths)),
-        token_ids=np.concatenate(parts_ids),
+        segments=tuple(segments),
+        token_ids=token_ids,
         rows=np.concatenate(kept_rows),
         video=video,
     )

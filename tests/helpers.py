@@ -5,26 +5,27 @@ with the sampler or the multi-trial packer paths, the multi-trial decode that
 recomputes the whole packed sequence every step, the sampler's trial-plan
 postcondition, a structural dump of packed sequences for golden tests,
 each position's segment id and its index inside its segment,
-`run_experiment` as a loop of one task at a time, one segment's view of a
-transformer cache, and the Shannon entropy of one probability vector."""
+`run_experiment` as a loop of one task at a time with its needle tallies,
+one segment's view of a transformer cache, the Shannon entropy of one
+probability vector, and each fusion rule applied to one task's logits."""
 
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from t3s.aggregator import decode, fuse_token
+from t3s.aggregator import ConfidenceWeighted, CrossRefine, decode, fuse_token
 from t3s.errors import ContractError
 from t3s.harness import (
     ExperimentReport,
+    SyntheticTask,
     _attn_scores,
     _cost_report,
     _task_seed,
     config_hash,
     gen_task,
-    surviving_needle_tokens,
 )
-from t3s.numkernel import Rng
+from t3s.numkernel import Rng, softmax_rows
 from t3s.packer import PackedSequence, Segment, append_token, last_positions, pack
 from t3s.sampler import SamplerConfig, TokenStrategy, TrialPlan, build_trial_plans, kept_tokens
 from t3s.toymodel import NeedleProbe, VideoTokenStream, build_model
@@ -144,6 +145,12 @@ def pos_in_segment(packed: PackedSequence) -> np.ndarray:
     return np.concatenate([np.arange(s.length, dtype=np.int64) for s in packed.segments])
 
 
+def surviving_needle_tokens(plan: TrialPlan, task: SyntheticTask) -> int:
+    """Needle tokens that outlive both frame sampling and token subsampling."""
+    hit = task.video.needle_mask[plan.frame_indices]
+    return int(hit[plan.token_keep // task.video.tokens_per_frame].sum())
+
+
 def per_task_experiment(cfg) -> ExperimentReport:
     """Oracle for `run_experiment`: one task at a time, drawn, planned and
     decoded for one step on its own backend (the shared transformer, or a
@@ -172,7 +179,7 @@ def per_task_experiment(cfg) -> ExperimentReport:
         trial_survive += [surviving_needle_tokens(p, task) for p in plans]
         covered_any += any(covers)
         if rep == 0:
-            first = (task, plans, backend)
+            first = (task, pack(plans, task.video, task.question), backend)
     per_trial = [
         {
             "trial": i,
@@ -217,3 +224,24 @@ def entropy(dist) -> float:
         raise ContractError(f"probabilities sum to {total}, not 1")
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
+
+
+def fusion_oracle(logits, strategy) -> tuple:
+    """(fused vector, token) of one task's (m, vocab) logits by the
+    per-vector rules, the reference for one (m, vocab) slice of
+    `aggregator.fuse_tokens`; the fused vector is None under
+    cross-refinement, which fuses none. No input checks."""
+    o = np.asarray(logits, dtype=np.float64)
+    if isinstance(strategy, CrossRefine):
+        candidates = np.argsort(-o[0], kind="stable")[: strategy.top_k]
+        scores = o[1][candidates]
+        return None, int(candidates[scores == scores.max()].min())
+    if isinstance(strategy, ConfidenceWeighted):
+        probs = softmax_rows(o)
+        logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+        inv = 1.0 / np.maximum(-(probs * logs).sum(axis=1), 1e-8)
+        weighted = (inv / np.add.reduce(np.sort(inv)))[:, None] * o
+        fused = np.add.reduce(np.sort(weighted, axis=0), axis=0)
+    else:
+        fused = np.add.reduce(np.sort(o, axis=0), axis=0) / len(o)
+    return fused, int(np.argmax(fused))

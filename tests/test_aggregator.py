@@ -6,16 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from t3s.aggregator import (
     ConfidenceWeighted,
     CrossRefine,
     MeanLogits,
+    _fused,
     _row_entropies,
     confidence_weighted,
     cross_refine,
     decode,
     fuse_token,
+    fuse_tokens,
     mean_logits,
 )
 from t3s.errors import ConfigError, ContractError
@@ -25,7 +30,7 @@ from t3s.packer import pack
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s.toymodel import ModelConfig, NeedleProbe, VideoTokenStream, build_model, needle_answer
 
-from helpers import baseline_greedy_decode, entropy, recompute_decode
+from helpers import baseline_greedy_decode, entropy, fusion_oracle, recompute_decode
 
 # ---------------------------------------------------------------------------
 # Brute-force references (pure-Python, loop-based)
@@ -263,6 +268,87 @@ class TestFuseToken:
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError):
             fuse_token(np.array([[np.inf, 0.0]]), MeanLogits())
+
+    def test_zero_width_rejected(self):
+        # (m, 0) logits hold no token to pick; every rule refuses them
+        for strategy in (MeanLogits(), ConfidenceWeighted(), CrossRefine(1)):
+            with pytest.raises(ContractError):
+                fuse_token(np.zeros((2, 0)), strategy)
+        for rule in (mean_logits, confidence_weighted):
+            with pytest.raises(ContractError):
+                rule(np.zeros((2, 0)))
+        with pytest.raises(ContractError):
+            cross_refine([], [], 1)
+
+
+# quarter-integer lattice values, where sums are exact and ties common,
+# mixed with arbitrary finite floats
+VALUES = st.one_of(
+    st.integers(-8, 8).map(lambda v: v * 0.25),
+    st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def blocks(trials):
+    """(R, m, vocab) logits: R in 1-4, m from `trials`, vocab in 1-8."""
+    shapes = st.tuples(st.integers(1, 4), trials, st.integers(1, 8))
+    return shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=VALUES))
+
+
+class TestFuseTokens:
+    """`fuse_tokens` over an (R, m, vocab) block against the per-vector
+    rules applied to each (m, vocab) slice."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        o=blocks(st.integers(1, 9)),
+        strategy=st.sampled_from([MeanLogits(), ConfidenceWeighted()]),
+    )
+    def test_fused_rules_match_oracle_bit_for_bit(self, o, strategy):
+        fused, tokens = _fused(o, strategy), fuse_tokens(o, strategy)
+        assert tokens.shape == (len(o),)
+        one_task = mean_logits if isinstance(strategy, MeanLogits) else confidence_weighted
+        for r, task in enumerate(o):
+            want_fused, want_token = fusion_oracle(task, strategy)
+            assert fused[r].tobytes() == want_fused.tobytes()
+            assert one_task(task)[0].tobytes() == want_fused.tobytes()
+            assert tokens[r] == want_token == fuse_token(task, strategy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(o=blocks(st.just(2)), data=st.data())
+    def test_cross_refine_matches_oracle(self, o, data):
+        strategy = CrossRefine(data.draw(st.integers(1, o.shape[2])))
+        tokens = fuse_tokens(o, strategy)
+        for r, task in enumerate(o):
+            want = fusion_oracle(task, strategy)[1]
+            assert tokens[r] == want == fuse_token(task, strategy)
+            assert cross_refine(task[0], task[1], strategy.top_k) == want
+
+    def test_errors_match_one_task(self):
+        # each bad block raises what `fuse_token` raises on its bad slice
+        finite = np.zeros((3, 2, 4))
+        non_finite = finite.copy()
+        non_finite[1, 0, 2] = np.nan
+        cases = [
+            (non_finite, MeanLogits(), ContractError),
+            (non_finite, ConfidenceWeighted(), ContractError),
+            (non_finite, CrossRefine(2), ContractError),
+            (np.zeros((3, 3, 4)), CrossRefine(2), ConfigError),
+            (finite, CrossRefine(5), ContractError),
+            (np.zeros((3, 2, 0)), MeanLogits(), ContractError),
+            (np.zeros((3, 0, 4)), MeanLogits(), ContractError),
+        ]
+        for block, strategy, error in cases:
+            with pytest.raises(error):
+                fuse_tokens(block, strategy)
+            with pytest.raises(error):
+                fuse_token(block[1], strategy)
+        for strategy in (MeanLogits(), ConfidenceWeighted(), CrossRefine(1)):
+            # one rank short: (m, vocab) for the block, (vocab,) for a task
+            with pytest.raises(ContractError):
+                fuse_tokens(finite[0], strategy)
+            with pytest.raises(ContractError):
+                fuse_token(finite[0, 0], strategy)
 
 
 CFG = ModelConfig(layers=2, model_dim=16, heads=2, vocab=16, max_positions=2048, init_seed=5)

@@ -32,7 +32,6 @@ from t3s.harness import (
     default_experiment_config,
     gen_task,
     run_experiment,
-    surviving_needle_tokens,
     sweep,
 )
 from t3s.numkernel import Rng
@@ -53,7 +52,13 @@ from t3s.toymodel import (
     worker_count,
 )
 
-from helpers import baseline_greedy_decode, materialise, per_task_experiment, single_sequence
+from helpers import (
+    baseline_greedy_decode,
+    materialise,
+    per_task_experiment,
+    single_sequence,
+    surviving_needle_tokens,
+)
 
 MODEL = ModelConfig(layers=2, model_dim=16, heads=2, vocab=64, max_positions=4096, init_seed=4)
 
@@ -396,13 +401,34 @@ class TestProbeBlocks:
                 small_config().sampler, ratios=(0.5, 0.3))),
             small_config(repeats=25, seed=3, sampler=replace(
                 small_config().sampler, trials=3, ratios=(0.3, 0.5, 1.0))),
+            small_config(repeats=30, seed=11, strategy=ConfidenceWeighted(), sampler=replace(
+                small_config().sampler, trials=4, ratios=(0.1, 0.3, 0.5, 1.0))),
+            small_config(repeats=20, seed=5, task=TaskParams(needle_count=0, question_len=3),
+                sampler=replace(small_config().sampler, ratios=(0.5, 0.3), reuse_frames=True)),
         ],
-        ids=["cross_refine", "mean_3_trials"],
+        ids=["cross_refine", "mean_3_trials", "confidence_4_trials", "reuse_frames_no_needle"],
     )
     def test_block_size_leaves_report_unchanged(self, monkeypatch, cfg, block):
         want = per_task_experiment(cfg)
         monkeypatch.setattr(t3s.harness, "_TASK_BLOCK", block)
         assert run_experiment(cfg) == want
+
+    @pytest.mark.parametrize(
+        "strategy", [MeanLogits(), ConfidenceWeighted(), CrossRefine(2)], ids=repr
+    )
+    def test_one_fusion_call_per_block(self, monkeypatch, strategy):
+        # every fusion rule runs in `_fused` or `_refined`; each sees one
+        # block of tasks at a time, never one task
+        seen = []
+        for name in ("_fused", "_refined"):
+            def spy(o, *args, _real=getattr(t3s.aggregator, name)):
+                seen.append(o.shape)
+                return _real(o, *args)
+
+            monkeypatch.setattr(t3s.aggregator, name, spy)
+        monkeypatch.setattr(t3s.harness, "_TASK_BLOCK", 4)
+        run_experiment(small_config(repeats=10, strategy=strategy))
+        assert seen == [(4, 2, MODEL.vocab), (4, 2, MODEL.vocab), (2, 2, MODEL.vocab)]
 
     @pytest.mark.parametrize(
         "backend, token_strategy, probes, transformers",
