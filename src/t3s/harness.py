@@ -30,7 +30,7 @@ from .aggregator import (
 )
 from .costmodel import CostReport, measure
 from .errors import ConfigError, ContractError
-from .numkernel import Rng, mix64, uniform_integers
+from .numkernel import Rng, mix64, per_row, uniform_integers
 from .packer import pack
 from .sampler import (
     FrameMethod,
@@ -314,11 +314,15 @@ def run_experiment(
     One backend serves every task: the seeded transformer or one needle
     probe, plus a transformer for the `attn_top` scores when the backend is
     the probe. Tasks are drawn in blocks of `_TASK_BLOCK` repeats, and each
-    task's trials are packed. Per block, one `last_logits` call reads every
-    segment's last-position logits, one `fuse_tokens` call fuses them as an
-    (R, m, vocab) array, and the coverage and surviving needle tokens are
-    tallied over the block's stacked needle masks and trial plans. The
-    tokens are those `decode` gives for one step."""
+    trial's frames and kept tokens are stacked over the block as (R, N) and
+    (R, k_i) arrays. Per block, one call reads every segment's
+    last-position logits as an (R, m, vocab) array: the probe's
+    `block_logits` reads the stacked arrays, and the transformer's
+    `last_logits` packs each task's trials. One `fuse_tokens` call fuses
+    them, and the coverage and surviving needle tokens are tallied over the
+    block's stacked needle masks and the same arrays. Only the first task is
+    packed on the probe, for the cost report. The tokens are those `decode`
+    gives for one step."""
     s = cfg.sampler
     on_transformer = cfg.backend == "seeded_transformer"
     attn_top = s.token_strategy is TokenStrategy.ATTN_TOP
@@ -331,7 +335,7 @@ def run_experiment(
     trial_survive = np.zeros(s.trials, dtype=np.int64)
 
     for block_start in range(0, cfg.repeats, _TASK_BLOCK):
-        tasks, plans, packs = [], [], []
+        tasks, plans = [], []
         for rep in range(block_start, min(block_start + _TASK_BLOCK, cfg.repeats)):
             task = gen_task(
                 s.total_frames,
@@ -343,14 +347,22 @@ def run_experiment(
                 question_len=cfg.task.question_len,
             )
             scores_fn = partial(_attn_scores, task, transformer) if attn_top else None
-            task_plans = build_trial_plans(s, root.child(rep), attn_scores_fn=scores_fn)
             tasks.append(task)
-            plans.append(task_plans)
-            packs.append(pack(task_plans, task.video, task.question))
+            plans.append(build_trial_plans(s, root.child(rep), attn_scores_fn=scores_fn))
+        # each trial's (R, N) frames and (R, k_i) kept tokens
+        frames = [np.array([p[i].frame_indices for p in plans]) for i in range(s.trials)]
+        keeps = [np.array([p[i].token_keep for p in plans]) for i in range(s.trials)]
+        if on_transformer:
+            packs = [pack(p, task.video, task.question) for p, task in zip(plans, tasks)]
+            rows = backend.last_logits(packs).reshape(len(tasks), s.trials, -1)
+        else:
+            questions = np.array([task.question for task in tasks])
+            rows = backend.block_logits([task.video for task in tasks], questions, frames, keeps)
         if block_start == 0:
-            first = (tasks[0], packs[0])
-        rows = backend.last_logits(packs)
-        tokens = fuse_tokens(rows.reshape(len(tasks), s.trials, -1), cfg.strategy)
+            # the cost report reads the first task's pack, the probe's only one
+            task = tasks[0]
+            first = (task, packs[0] if on_transformer else pack(plans[0], task.video, task.question))
+        tokens = fuse_tokens(rows, cfg.strategy)
         hits += int(np.count_nonzero(tokens == [task.answer for task in tasks]))
 
         # the (R, F) needle masks read at each trial's (R, N) frames, and
@@ -358,11 +370,10 @@ def run_experiment(
         masks = np.array([task.video.needle_mask for task in tasks])
         covered = np.zeros(len(tasks), dtype=bool)
         for i in range(s.trials):
-            hit = _per_row(masks, np.array([p[i].frame_indices for p in plans]))
-            kept = np.array([p[i].token_keep for p in plans]) // s.tokens_per_frame
+            hit = per_row(masks, frames[i])
             cover = hit.any(axis=1)
             trial_cover[i] += np.count_nonzero(cover)
-            trial_survive[i] += np.count_nonzero(_per_row(hit, kept))
+            trial_survive[i] += np.count_nonzero(per_row(hit, keeps[i] // s.tokens_per_frame))
             covered |= cover
         covered_any += int(np.count_nonzero(covered))
 
@@ -385,12 +396,6 @@ def run_experiment(
         cost=cost,
         backend=cfg.backend,
     )
-
-
-def _per_row(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """table[r, index[r, j]] for every (r, j), as `np.take_along_axis(table,
-    index, axis=1)` gives it, read through one flat index at half its cost."""
-    return table.ravel()[index + table.shape[1] * np.arange(len(table))[:, None]]
 
 
 def _cost_report(cfg, task, packed, backend, latency_repeats) -> CostReport:

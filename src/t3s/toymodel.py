@@ -59,7 +59,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .numkernel import Rng, counter_normals, layer_norm, mix64
+from .numkernel import Rng, counter_normals, layer_norm, mix64, per_row
 from .packer import PackedSequence
 
 _NEG_INF = float("-inf")
@@ -809,10 +809,42 @@ _ANSWER_TAG = 0x9E9E9E9E9E9E9E9E
 _MASK64 = (1 << 64) - 1
 
 
-def needle_answer(video_key: int, vocab: int) -> int:
+def needle_answer(video_key, vocab: int):
     """The answer id of every needle task on the video with key `video_key`;
-    it avoids token 0, which wins all-zero ties."""
+    it avoids token 0, which wins all-zero ties. Given a uint64 array of
+    keys (each key & _MASK64), the array of their ids."""
     return 1 + mix64(video_key ^ _ANSWER_TAG) % (vocab - 1)
+
+
+def _video_keys(videos) -> np.ndarray:
+    return np.array([v.key & _MASK64 for v in videos], dtype=np.uint64)
+
+
+def _row_keys(keys):
+    # mix64(K ^ _SIG_ROW_TAG) of each video key K (uint64)
+    return mix64(keys ^ np.uint64(_SIG_ROW_TAG))
+
+
+def _row_sigs(rows, row_keys):
+    # a visual token's signature: mix64(r ^ its video's `_row_keys` entry)
+    # of its row id r, row_keys broadcast against rows
+    return mix64(rows.astype(np.uint64) ^ row_keys)
+
+
+def _id_sigs(token_ids):
+    # a vocabulary token's signature: mix64(t ^ _SIG_ID_TAG) of its id t
+    return mix64(token_ids.astype(np.uint64) ^ np.uint64(_SIG_ID_TAG))
+
+
+def _keyed(sigs, positions):
+    # keyed[j] = mix64(sig[j] ^ mix64(j ^ _SIG_POS_TAG)); positions
+    # broadcast against sigs
+    return mix64(sigs ^ mix64(positions.astype(np.uint64) ^ np.uint64(_SIG_POS_TAG)))
+
+
+def _check_vocab(token_ids, vocab: int) -> None:
+    if token_ids.max(initial=-1) >= vocab:
+        raise ContractError("token id outside vocabulary")
 
 
 def _probe_pass(packs, cached, vocab):
@@ -824,17 +856,14 @@ def _probe_pass(packs, cached, vocab):
     lengths = [s.length for p in packs for s in p.segments]
     starts = np.cumsum(lengths) - lengths
     token_ids = np.concatenate([p.token_ids for p in packs])
-    if token_ids.max(initial=-1) >= vocab:
-        raise ContractError("token id outside vocabulary")
+    _check_vocab(token_ids, vocab)
     visual = token_ids < 0
-    row_keys = [mix64(p.video.key ^ _SIG_ROW_TAG) for p in packs]
-    sig = mix64(token_ids.astype(np.uint64) ^ np.uint64(_SIG_ID_TAG))
-    sig[visual] = mix64(
-        np.concatenate([p.rows for p in packs]).astype(np.uint64)
-        ^ np.repeat(np.array(row_keys, dtype=np.uint64), [len(p.rows) for p in packs])
+    sigs = _id_sigs(token_ids)
+    sigs[visual] = _row_sigs(
+        np.concatenate([p.rows for p in packs]),
+        np.repeat(_row_keys(_video_keys(p.video for p in packs)), [len(p.rows) for p in packs]),
     )
-    positions = np.arange(len(token_ids)) - np.repeat(starts - cached, lengths)
-    keyed = mix64(sig ^ mix64(positions.astype(np.uint64) ^ np.uint64(_SIG_POS_TAG)))
+    keyed = _keyed(sigs, np.arange(len(token_ids)) - np.repeat(starts - cached, lengths))
     is_needle = np.zeros(len(token_ids), dtype=np.int64)
     is_needle[visual] = np.concatenate(
         [p.video.needle_mask[p.rows // p.video.tokens_per_frame] for p in packs]
@@ -875,12 +904,16 @@ class NeedleProbe:
     mix64(acc[p] ^ mix64(K ^ _SIG_SEED_TAG)). Given a `SegmentCache`,
     `last_logits` keeps each segment's acc at its last position and its
     needle count. `forward` and `last_logits` read one pass, which builds
-    every position's keyed signature and needle flag.
+    every position's keyed signature and needle flag; `block_logits` reads
+    a block of tasks' trials from their stacked plans, with no pack.
     """
 
     max_positions: Optional[int] = None
 
     def __init__(self, vocab: int, noise_scale: float = 0.1):
+        # the answer rule takes ids 1..vocab-1, so it needs two ids
+        if vocab < 2:
+            raise ConfigError(f"vocab must be >= 2, got {vocab}")
         if not (0.0 <= noise_scale < 1.0):
             raise ConfigError(f"noise_scale must lie in [0, 1), got {noise_scale}")
         self.vocab = vocab
@@ -895,8 +928,7 @@ class NeedleProbe:
         counts = np.cumsum(is_needle)
         counts -= np.repeat(counts[starts] - is_needle[starts], lengths)
 
-        key = np.array([packed.video.key & _MASK64], dtype=np.uint64)
-        logits = _noise_logits(acc, key, self.noise_scale, self.vocab)
+        logits = _noise_logits(acc, _video_keys([packed.video]), self.noise_scale, self.vocab)
         logits[:, needle_answer(packed.video.key, self.vocab)] = counts
         return ForwardResult(logits, self.pair_count(packed))
 
@@ -919,14 +951,70 @@ class NeedleProbe:
         if cache is not None and cache.state is not None:
             acc ^= cache.state[0]
             counts += cache.state[1]
-
-        per_segment = [p.num_segments for p in packs]
-        keys = np.array([p.video.key & _MASK64 for p in packs], dtype=np.uint64)
-        logits = _noise_logits(acc, np.repeat(keys, per_segment), self.noise_scale, self.vocab)
-        answers = np.repeat([needle_answer(p.video.key, self.vocab) for p in packs], per_segment)
-        logits[np.arange(len(acc)), answers] = counts
+        keys = np.repeat(_video_keys(p.video for p in packs), [p.num_segments for p in packs])
+        logits = self._last_rows(acc, counts, keys)
         if cache is not None:
             cache.extend(packs[0], (acc, counts))
+        return logits
+
+    def block_logits(self, videos, questions, frames, keeps) -> np.ndarray:
+        """(R, m, vocab) last-position logits of R tasks' m trials, equal bit
+        for bit to `last_logits` over `pack(plans[r], videos[r],
+        questions[r])` for each task r, reshaped, where trial i of task r
+        keeps the tokens `TrialPlan(frames[i][r], keeps[i][r], alpha)` keeps.
+
+        `questions` is (R, q); per trial, `frames[i]` is (R, N_i) and
+        `keeps[i]` (R, k_i). Segment (r, i) holds row f*M + keep % M, f =
+        frames[i][r, keep // M], for each keep of keeps[i][r], and then
+        questions[r]; its prefix XOR is one `np.bitwise_xor.reduceat` over
+        those tokens. The videos must share their frame and token counts. A
+        bad plan or question raises ContractError as `pack` and
+        `last_logits` would."""
+        if not videos:
+            return np.empty((0, len(keeps), self.vocab))
+        frame_count, per_frame = videos[0].num_frames, videos[0].tokens_per_frame
+        if any((v.num_frames, v.tokens_per_frame) != (frame_count, per_frame) for v in videos):
+            raise ContractError("a block's videos must share their frame and token counts")
+        questions = np.asarray(questions, dtype=np.int64)
+        shapes = [questions.shape] + [a.shape for a in (*frames, *keeps)]
+        if len(frames) != len(keeps) or not keeps or any(
+            len(shape) != 2 or shape[0] != len(videos) for shape in shapes
+        ):
+            raise ContractError("need (R, q) questions and (R, n) frames and keeps per trial")
+        if questions.min(initial=0) < 0:
+            raise ContractError("text token ids must be non-negative")
+        _check_vocab(questions, self.vocab)
+        keys = _video_keys(videos)
+        row_keys = _row_keys(keys)[:, None]
+        masks = np.array([v.needle_mask for v in videos])
+        question_sigs = _id_sigs(questions)
+        sigs, needles, lengths = [], [], []
+        for i, (f, k) in enumerate(zip(frames, keeps)):
+            if f.size and not (0 <= f.min() and f.max() < frame_count):
+                raise ContractError("plan references a frame outside the video")
+            if k.size and not (0 <= k.min() and k.max() < f.shape[1] * per_frame):
+                raise ContractError("plan keeps a token outside the trial range")
+            if k.shape[1] + questions.shape[1] == 0:
+                raise ContractError(f"trial {i} keeps no tokens and the text is empty")
+            frame_of = per_row(f, k // per_frame)
+            rows = frame_of * per_frame + k % per_frame
+            sigs += [_row_sigs(rows, row_keys), question_sigs]
+            needles.append(np.count_nonzero(per_row(masks, frame_of), axis=1))
+            lengths.append(k.shape[1] + questions.shape[1])
+        starts = np.cumsum(lengths) - lengths
+        keyed = _keyed(
+            np.concatenate(sigs, axis=1), np.arange(sum(lengths)) - np.repeat(starts, lengths)
+        )
+        acc = np.bitwise_xor.reduceat(keyed, starts, axis=1)
+        counts = np.stack(needles, axis=1)
+        logits = self._last_rows(acc.ravel(), counts.ravel(), np.repeat(keys, len(keeps)))
+        return logits.reshape(len(videos), len(keeps), self.vocab)
+
+    def _last_rows(self, acc, counts, keys) -> np.ndarray:
+        # one logits row per segment, from its prefix XOR, its needle count
+        # and its video's key (uint64)
+        logits = _noise_logits(acc, keys, self.noise_scale, self.vocab)
+        logits[np.arange(len(acc)), needle_answer(keys, self.vocab)] = counts
         return logits
 
     def pair_count(self, packed: PackedSequence) -> int:

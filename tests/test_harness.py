@@ -461,6 +461,28 @@ class TestProbeBlocks:
         assert built.count(NeedleProbe) == probes
         assert built.count(SeededTransformer) == transformers
 
+    @pytest.mark.parametrize("repeats", [1, 5, 9])
+    def test_probe_packs_only_the_first_task(self, monkeypatch, repeats):
+        # the probe reads each block's stacked plans; its one pack of task
+        # trials is the first task's, which the cost report reads with the
+        # report's own baseline pack. The transformer packs every task
+        packed = []
+
+        def spy(plans, *args, _pack=t3s.harness.pack):
+            packed.append(len(plans))
+            return _pack(plans, *args)
+
+        monkeypatch.setattr(t3s.harness, "pack", spy)
+        monkeypatch.setattr(t3s.harness, "_TASK_BLOCK", 2)
+        cfg = small_config(repeats=repeats)
+        want = per_task_experiment(cfg)
+        packed.clear()
+        assert run_experiment(cfg) == want
+        assert packed == [2, 1]
+        packed.clear()
+        run_experiment(replace(cfg, backend="seeded_transformer"))
+        assert packed == [2] * repeats + [1]
+
     def test_peak_memory_does_not_grow_with_repeats(self):
         # each block is freed before the next is drawn; one pass over every
         # repeat at once would hold about 3 MB more per 1000 repeats here

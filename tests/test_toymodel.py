@@ -777,6 +777,104 @@ class TestProbeLastLogits:
         assert rows.shape == (0, CFG.vocab) and rows.dtype == np.float64
 
 
+def probe_block(data):
+    """A block of tasks for `NeedleProbe.block_logits`, drawn by hypothesis:
+    R videos of one shape (own keys, 0-2 needle frames each), (R, q)
+    questions, per trial (R, N_i) frames and (R, k_i) kept tokens; k_i may
+    be 0 (a question-only segment) wherever q > 0. Also the packs of the
+    same tasks, for `last_logits`."""
+    g = Rng(data.draw(st.integers(0, 2**32 - 1))).generator()
+    tasks = data.draw(st.integers(1, 5))
+    frames, per_frame = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    question_len = data.draw(st.integers(0, 3))
+    videos = []
+    for _ in range(tasks):
+        key = data.draw(st.integers(-(2**64), 2**65))  # the probe reads key & (2**64 - 1)
+        needles = g.choice(frames, data.draw(st.integers(0, min(2, frames))), replace=False)
+        videos.append(VideoTokenStream(
+            frames, per_frame, CFG.model_dim, key, frozenset(int(f) for f in needles)
+        ))
+    questions = g.integers(0, CFG.vocab, (tasks, question_len))
+
+    def subsets(population, take):
+        return np.array([np.sort(g.choice(population, take, replace=False)) for _ in videos])
+
+    frame_rows, keep_rows = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        n = data.draw(st.integers(1, frames))
+        frame_rows.append(subsets(frames, n))
+        keep_rows.append(subsets(n * per_frame, data.draw(
+            st.integers(0 if question_len else 1, n * per_frame)
+        )))
+    packs = [
+        pack([TrialPlan(f[r], k[r], 1.0) for f, k in zip(frame_rows, keep_rows)], v, questions[r])
+        for r, v in enumerate(videos)
+    ]
+    return (videos, questions, frame_rows, keep_rows), packs
+
+
+class TestProbeBlockLogits:
+    """`block_logits` reads a block of tasks from their stacked plans and
+    gives what `last_logits` gives on the same tasks packed."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), noise=st.sampled_from([0.0, 0.1]))
+    def test_matches_last_logits_of_packs(self, data, noise):
+        block, packs = probe_block(data)
+        probe = _probe_for(CFG, noise)
+        got = probe.block_logits(*block)
+        want = probe.last_logits(packs).reshape(len(packs), len(block[3]), CFG.vocab)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_no_tasks_give_no_rows(self):
+        empty = np.empty((0, 2), dtype=np.int64)
+        rows = _probe_for(CFG).block_logits([], empty, [empty], [empty])
+        assert rows.shape == (0, 1, CFG.vocab) and rows.dtype == np.float64
+
+    def test_question_only_segment(self):
+        # trial 1 keeps no token: its segment is the question alone, and its
+        # answer logit counts no needle
+        video = VideoTokenStream(4, 2, CFG.model_dim, 41, frozenset({1}))
+        frames = [np.array([[0, 1]]), np.array([[1, 2]])]
+        keeps = [np.array([[1, 2, 3]]), np.empty((1, 0), dtype=np.int64)]
+        plans = [TrialPlan(f[0], k[0], 1.0) for f, k in zip(frames, keeps)]
+        probe = _probe_for(CFG)
+        got = probe.block_logits([video], [[3, 5]], frames, keeps)
+        assert np.array_equal(got[0], probe.last_logits([pack(plans, video, [3, 5])]))
+        assert got[0, :, needle_answer(video.key, CFG.vocab)].tolist() == [2.0, 0.0]
+
+    def test_question_outside_vocabulary_raises_as_last_logits(self):
+        video = VideoTokenStream(4, 2, CFG.model_dim, 41)
+        frames, keeps = [np.array([[0, 3]])], [np.array([[0, 2]])]
+        packed = pack([TrialPlan(frames[0][0], keeps[0][0], 1.0)], video, [2, CFG.vocab])
+        probe = _probe_for(CFG)
+        with pytest.raises(ContractError) as want:
+            probe.last_logits([packed])
+        with pytest.raises(ContractError) as got:
+            probe.block_logits([video], [[2, CFG.vocab]], frames, keeps)
+        assert str(got.value) == str(want.value) == "token id outside vocabulary"
+
+    @pytest.mark.parametrize(
+        "frames, keeps, text",
+        [
+            ([[0, 4]], [[0]], [1]),  # frame 4 of a 4-frame video
+            ([[-1, 2]], [[0]], [1]),
+            ([[0, 2]], [[4]], [1]),  # token 4 of two 2-token frames
+            ([[0, 2]], [[-1]], [1]),
+            ([[0, 2]], np.empty((1, 0), dtype=np.int64), []),
+        ],
+        ids=["frame_past_video", "negative_frame", "keep_past_trial", "negative_keep", "empty_segment"],
+    )
+    def test_bad_plans_raise_as_pack(self, frames, keeps, text):
+        video = VideoTokenStream(4, 2, CFG.model_dim, 41)
+        frames, keeps = np.array(frames), np.array(keeps)
+        with pytest.raises(ContractError) as want:
+            pack([TrialPlan(frames[0], keeps[0], 1.0)], video, text)
+        with pytest.raises(ContractError) as got:
+            _probe_for(CFG).block_logits([video], np.array([text], dtype=np.int64), [frames], [keeps])
+        assert str(got.value) == str(want.value)
+
+
 class TestPrunedLastLayer:
     """The transformer's `last_logits` runs its last layer on each segment's
     last row only, yet must return that row of a full pass."""
@@ -1351,6 +1449,20 @@ class TestNeedleProbe:
     def test_noise_scale_must_stay_below_one(self):
         with pytest.raises(ConfigError):
             NeedleProbe(16, noise_scale=1.0)
+
+    @pytest.mark.parametrize("vocab", [1, 0, -3])
+    def test_vocab_below_two_rejected(self, vocab):
+        # the answer rule takes ids 1..vocab-1; vocab 1 used to fail the
+        # first pass with a ZeroDivisionError, and 0 or -3 with a misleading
+        # "token id outside vocabulary"
+        with pytest.raises(ConfigError, match="vocab must be >= 2"):
+            NeedleProbe(vocab)
+
+    def test_two_ids_suffice(self):
+        video = VideoTokenStream(2, 1, CFG.model_dim, 5, frozenset({0}))
+        packed = pack([TrialPlan(np.array([0, 1]), np.array([0, 1]), 1.0)], video, [0])
+        logits = NeedleProbe(2, noise_scale=0.0).last_logits([packed])
+        assert logits.tolist() == [[0.0, 1.0]]
 
     def test_accuracy_matches_closed_form_coverage(self):
         # 10k random plan draws on one fixed task; MeanLogits aggregation.
