@@ -31,7 +31,7 @@ from .aggregator import (
 from .costmodel import CostReport, measure
 from .errors import ConfigError, ContractError
 from .numkernel import Rng, mix64, per_row, uniform_integers
-from .packer import pack
+from .packer import kept_rows, pack
 from .sampler import (
     FrameMethod,
     SamplerConfig,
@@ -49,8 +49,8 @@ from .toymodel import (
     needle_answer,
 )
 
-# Tasks per `last_logits` call, on either backend: it bounds the packed
-# sequences held at once, and no result depends on it.
+# Tasks per `block_logits` or `last_logits` call: it bounds the plans and
+# packed sequences held at once, and no result depends on it.
 _TASK_BLOCK = 64
 
 
@@ -315,14 +315,14 @@ def run_experiment(
     probe, plus a transformer for the `attn_top` scores when the backend is
     the probe. Tasks are drawn in blocks of `_TASK_BLOCK` repeats, and each
     trial's frames and kept tokens are stacked over the block as (R, N) and
-    (R, k_i) arrays. Per block, one call reads every segment's
-    last-position logits as an (R, m, vocab) array: the probe's
-    `block_logits` reads the stacked arrays, and the transformer's
-    `last_logits` packs each task's trials. One `fuse_tokens` call fuses
-    them, and the coverage and surviving needle tokens are tallied over the
-    block's stacked needle masks and the same arrays. Only the first task is
-    packed on the probe, for the cost report. The tokens are those `decode`
-    gives for one step."""
+    (R, k_i) arrays, whose (R, k_i) video rows `kept_rows` gives once per
+    block. Per block, one call reads every segment's last-position logits
+    as an (R, m, vocab) array: the probe's `block_logits` reads those rows,
+    and the transformer's `last_logits` packs each task's trials. One
+    `fuse_tokens` call fuses them; coverage is tallied over the block's
+    stacked needle masks at the frames, and surviving needle tokens at the
+    rows. Only the first task is packed on the probe, for the cost report.
+    The tokens are those `decode` gives for one step."""
     s = cfg.sampler
     on_transformer = cfg.backend == "seeded_transformer"
     attn_top = s.token_strategy is TokenStrategy.ATTN_TOP
@@ -349,31 +349,32 @@ def run_experiment(
             scores_fn = partial(_attn_scores, task, transformer) if attn_top else None
             tasks.append(task)
             plans.append(build_trial_plans(s, root.child(rep), attn_scores_fn=scores_fn))
-        # each trial's (R, N) frames and (R, k_i) kept tokens
+        # each trial's (R, N) frames, (R, k_i) kept tokens and the video rows
+        # they keep, alike for every task's video
         frames = [np.array([p[i].frame_indices for p in plans]) for i in range(s.trials)]
         keeps = [np.array([p[i].token_keep for p in plans]) for i in range(s.trials)]
+        rows = [kept_rows(f, k, tasks[0].video) for f, k in zip(frames, keeps)]
         if on_transformer:
             packs = [pack(p, task.video, task.question) for p, task in zip(plans, tasks)]
-            rows = backend.last_logits(packs).reshape(len(tasks), s.trials, -1)
+            logits = backend.last_logits(packs).reshape(len(tasks), s.trials, -1)
         else:
             questions = np.array([task.question for task in tasks])
-            rows = backend.block_logits([task.video for task in tasks], questions, frames, keeps)
+            logits = backend.block_logits([task.video for task in tasks], questions, rows)
         if block_start == 0:
             # the cost report reads the first task's pack, the probe's only one
             task = tasks[0]
             first = (task, packs[0] if on_transformer else pack(plans[0], task.video, task.question))
-        tokens = fuse_tokens(rows, cfg.strategy)
+        tokens = fuse_tokens(logits, cfg.strategy)
         hits += int(np.count_nonzero(tokens == [task.answer for task in tasks]))
 
-        # the (R, F) needle masks read at each trial's (R, N) frames, and
-        # those (R, N) flags at its (R, k_i) kept tokens' frame slots
+        # the (R, F) needle masks read at each trial's (R, N) frames and at
+        # the frames of its (R, k_i) rows
         masks = np.array([task.video.needle_mask for task in tasks])
         covered = np.zeros(len(tasks), dtype=bool)
         for i in range(s.trials):
-            hit = per_row(masks, frames[i])
-            cover = hit.any(axis=1)
+            cover = per_row(masks, frames[i]).any(axis=1)
             trial_cover[i] += np.count_nonzero(cover)
-            trial_survive[i] += np.count_nonzero(per_row(hit, keeps[i] // s.tokens_per_frame))
+            trial_survive[i] += np.count_nonzero(per_row(masks, rows[i] // s.tokens_per_frame))
             covered |= cover
         covered_any += int(np.count_nonzero(covered))
 

@@ -15,6 +15,7 @@ from typing import Any, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ContractError
+from .numkernel import per_row
 from .sampler import TrialPlan
 
 
@@ -70,6 +71,19 @@ class PackedSequence:
         return out
 
 
+def kept_rows(frames: np.ndarray, keeps: np.ndarray, video) -> np.ndarray:
+    """The (R, k) video rows that R trials with (R, N) frames keep at their
+    (R, k) frame-major positions: position k is row f*M + k % M, f =
+    frames[r, k // M]. A frame outside `video` (its `num_frames` and
+    `tokens_per_frame`) or a position outside [0, N*M) raises ContractError."""
+    m = video.tokens_per_frame
+    if frames.size and not (0 <= frames.min() and frames.max() < video.num_frames):
+        raise ContractError("plan references a frame outside the video")
+    if keeps.size and not (0 <= keeps.min() and keeps.max() < frames.shape[1] * m):
+        raise ContractError("plan keeps a token outside the trial range")
+    return per_row(frames, keeps // m) * m + keeps % m
+
+
 def pack(
     plans: Sequence[TrialPlan],
     video,
@@ -77,43 +91,31 @@ def pack(
 ) -> PackedSequence:
     """Assemble one packed sequence from trial plans plus a text prompt.
 
-    Segment i carries the video rows plan i keeps, followed by a full copy of
-    `text`. Kept position k of the plan's frame-major token sequence is row
-    f*M + k % M of the video, f = plan.frame_indices[k // M], in ascending k.
-    Only the row ids are recorded; nothing is drawn. `video` needs
-    `num_frames` and `tokens_per_frame` here, and what `PackedSequence.video`
-    lists for the backends that read it.
+    Segment i carries the video rows plan i keeps, `kept_rows` of its frames
+    and kept positions, followed by a full copy of `text`. Only the row ids
+    are recorded; nothing is drawn. `video` needs what `kept_rows` reads
+    here, and what `PackedSequence.video` lists for the backends that read
+    it.
     """
     if len(plans) == 0:
         raise ContractError("pack requires at least one trial plan")
-    m = video.tokens_per_frame
     text_ids = np.asarray(list(text), dtype=np.int64)
     if len(text_ids) and text_ids.min() < 0:
         raise ContractError("text token ids must be non-negative")
 
-    kept_rows: list[np.ndarray] = []
-    segments: list[Segment] = []
-    total = 0
-    for i, plan in enumerate(plans):
-        f, k = plan.frame_indices, plan.token_keep
-        if len(f) and not (0 <= f.min() and f.max() < video.num_frames):
-            raise ContractError("plan references a frame outside the video")
-        if len(k) and not (0 <= k.min() and k.max() < len(f) * m):
-            raise ContractError("plan keeps a token outside the trial range")
-        if len(k) + len(text_ids) == 0:
-            raise ContractError(f"trial {i} keeps no tokens and the text is empty")
-        # the row id of each token of the plan's frames, read at the kept ones
-        kept_rows.append((f[:, None] * m + np.arange(m)).ravel()[k])
-        segments.append(Segment(total, len(k) + len(text_ids)))
-        total += len(k) + len(text_ids)
+    rows = [kept_rows(p.frame_indices[None], p.token_keep[None], video)[0] for p in plans]
+    lengths = [len(r) + len(text_ids) for r in rows]
+    if 0 in lengths:
+        raise ContractError(f"trial {lengths.index(0)} keeps no tokens and the text is empty")
+    segments = [Segment(int(start), n) for start, n in zip(np.cumsum(lengths) - lengths, lengths)]
     # -1 at every visual position; each segment's text copy fills its tail
-    token_ids = np.full(total, -1, dtype=np.int64)
+    token_ids = np.full(sum(lengths), -1, dtype=np.int64)
     for start, length in segments:
         token_ids[start + length - len(text_ids) : start + length] = text_ids
     return PackedSequence(
         segments=tuple(segments),
         token_ids=token_ids,
-        rows=np.concatenate(kept_rows),
+        rows=np.concatenate(rows),
         video=video,
     )
 

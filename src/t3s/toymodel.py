@@ -9,15 +9,16 @@ restart at zero, so a segment's logits are the same packed or alone.
 
 `last_logits(packs, cache=None)` returns the logits at every segment's last
 position of many sequences at once, and is the only method that holds a
-`SegmentCache`. A cache continues exactly one packed sequence: given one,
-`packs` holds that one sequence, segment i of which extends cached segment
-i, whose tokens it attends but does not recompute, and the cache then holds
-both. It computes only the rows it returns: the probe draws noise for them
-alone and matches `forward` bit for bit; the transformer's last layer runs
-its queries, FFN and unembedding on them alone and matches `forward` within
-1e-12, since BLAS rounds a one-row product unlike the rows of a full one.
-Each backend is a pure function of what it reads (the probe's answer id is
-`needle_answer` of the video's key), so one serves a whole run.
+`SegmentCache`. A cache continues exactly one packed sequence, on the
+backend that filled it: given one, `packs` holds that one sequence, segment
+i of which extends cached segment i, whose tokens it attends but does not
+recompute, and the cache then holds both. It computes only the rows it
+returns: the probe draws noise for them alone and matches `forward` bit for
+bit; the transformer's last layer runs its queries, FFN and unembedding on
+them alone and matches `forward` within 1e-12, since BLAS rounds a one-row
+product unlike the rows of a full one. Each backend is a pure function of
+what it reads (the probe's answer id is `needle_answer` of the video's key),
+so one serves a whole run.
 
 The transformer attends a pass's segments run by run: a run is a stretch of
 consecutive segments with equal cached, new and query counts, as equal-alpha
@@ -239,21 +240,22 @@ def _sinusoidal(positions: np.ndarray, dim: int, out: Optional[np.ndarray] = Non
 class SegmentCache:
     """The state of one packed sequence that `last_logits` continues.
 
-    A new cache is empty, and its `state` is None; the first call given it
-    fixes the segment count and every later call must pack that many
-    segments. `lengths[i]` is the number of tokens segment i holds so far;
-    `state` is the backend's summary of all of them, so a cache serves one
-    backend. The transformer keeps a list of `_LayerCache`, one per layer: a
-    key buffer (segments, heads, head_dim + 1, capacity) with a ones row at
-    head_dim, a value buffer (segments, heads, capacity, head_dim + 1) with a
-    ones column, and the (segments, heads) largest squared key norm so far,
-    so a continuing pass's score bound covers the cached keys. A call writes
-    its new keys and values in place while they fit; else that layer's
-    buffers are allocated anew, `reserve` tokens per segment longer than the
-    call needs, and the cached tokens copied over. `decode` reserves its
-    later steps' tokens, so no step copies a cached key. The needle probe
-    keeps two arrays, each segment's prefix XOR at its last position
-    (uint64) and its needle count (int64), and ignores `reserve`.
+    A new cache is empty, its `state` and `backend` None; the first call
+    given it fixes the backend and segment count, and every later call must
+    come from that backend and pack that many segments. `lengths[i]` is the
+    number of tokens segment i holds so far; `state` is the backend's
+    summary of all of them, so a cache serves one backend. The transformer
+    keeps a list of `_LayerCache`, one per layer: a key buffer (segments,
+    heads, head_dim + 1, capacity) with a ones row at head_dim, a value
+    buffer (segments, heads, capacity, head_dim + 1) with a ones column, and
+    the (segments, heads) largest squared key norm so far, so a continuing
+    pass's score bound covers the cached keys. A call writes its new keys
+    and values in place while they fit; else that layer's buffers are
+    allocated anew, `reserve` tokens per segment longer than the call needs,
+    and the cached tokens copied over. `decode` reserves its later steps'
+    tokens, so no step copies a cached key. The needle probe keeps two
+    arrays, each segment's prefix XOR at its last position (uint64) and its
+    needle count (int64), and ignores `reserve`.
     """
 
     def __init__(self, reserve: int = 0):
@@ -262,6 +264,7 @@ class SegmentCache:
         self.reserve = reserve
         self.lengths: list[int] = []
         self.state = None
+        self.backend = None
 
     def cached(self, packed: PackedSequence) -> list[int]:
         """The cached lengths of the segments `packed` continues, zeros on an
@@ -275,17 +278,21 @@ class SegmentCache:
             )
         return self.lengths
 
-    def extend(self, packed: PackedSequence, state) -> None:
-        """Record that `packed` continued the cache; `state` summarises every
-        segment's tokens so far."""
+    def extend(self, backend, packed: PackedSequence, state) -> None:
+        """Record that `backend` continued the cache with `packed`; `state`
+        summarises every segment's tokens so far."""
         self.lengths = [c + s.length for c, s in zip(self.cached(packed), packed.segments)]
         self.state = state
+        self.backend = backend
 
 
-def _check_cached(packs: Sequence[PackedSequence], cache: Optional[SegmentCache]) -> None:
-    # a cache continues exactly one packed sequence
+def _check_cached(backend, packs: Sequence[PackedSequence], cache: Optional[SegmentCache]) -> None:
+    # a cache continues exactly one packed sequence, on the backend that
+    # filled it: another backend would read its state as its own
     if cache is not None and len(packs) != 1:
         raise ContractError(f"a cache continues one packed sequence, got {len(packs)}")
+    if cache is not None and cache.backend not in (None, backend):
+        raise ContractError("the cache was filled by another backend")
 
 
 def _segment_pair_count(packed: PackedSequence) -> int:
@@ -547,12 +554,12 @@ class SeededTransformer:
         each segment's last row only. The cache is checked before the pass
         runs and extended only after it returns, so a call that raises
         leaves it as it was."""
-        _check_cached(packs, cache)
+        _check_cached(self, packs, cache)
         if not packs:
             return np.empty((0, self.config.vocab))
         results = [self._run(p, cache, last_only=True) for p in packs]
         if cache is not None:
-            cache.extend(packs[0], results[0][1])
+            cache.extend(self, packs[0], results[0][1])
         return np.concatenate([logits for logits, _ in results])
 
     def attention_received(self, packed: PackedSequence) -> np.ndarray:
@@ -905,7 +912,8 @@ class NeedleProbe:
     `last_logits` keeps each segment's acc at its last position and its
     needle count. `forward` and `last_logits` read one pass, which builds
     every position's keyed signature and needle flag; `block_logits` reads
-    a block of tasks' trials from their stacked plans, with no pack.
+    a block of tasks' trials from the row ids `packer.kept_rows` gives their
+    stacked plans, with no pack.
     """
 
     max_positions: Optional[int] = None
@@ -928,9 +936,8 @@ class NeedleProbe:
         counts = np.cumsum(is_needle)
         counts -= np.repeat(counts[starts] - is_needle[starts], lengths)
 
-        logits = _noise_logits(acc, _video_keys([packed.video]), self.noise_scale, self.vocab)
-        logits[:, needle_answer(packed.video.key, self.vocab)] = counts
-        return ForwardResult(logits, self.pair_count(packed))
+        keys = np.repeat(_video_keys([packed.video]), len(acc))
+        return ForwardResult(self._last_rows(acc, counts, keys), self.pair_count(packed))
 
     def last_logits(
         self, packs: Sequence[PackedSequence], cache: Optional[SegmentCache] = None
@@ -941,7 +948,7 @@ class NeedleProbe:
         it. Each segment's prefix XOR and needle count are a `reduceat` over
         its new tokens folded into the cache's state, so noise is drawn for
         last rows only."""
-        _check_cached(packs, cache)
+        _check_cached(self, packs, cache)
         if not packs:
             return np.empty((0, self.vocab))
         cached = 0 if cache is None else cache.cached(packs[0])
@@ -954,33 +961,30 @@ class NeedleProbe:
         keys = np.repeat(_video_keys(p.video for p in packs), [p.num_segments for p in packs])
         logits = self._last_rows(acc, counts, keys)
         if cache is not None:
-            cache.extend(packs[0], (acc, counts))
+            cache.extend(self, packs[0], (acc, counts))
         return logits
 
-    def block_logits(self, videos, questions, frames, keeps) -> np.ndarray:
+    def block_logits(self, videos, questions, rows) -> np.ndarray:
         """(R, m, vocab) last-position logits of R tasks' m trials, equal bit
         for bit to `last_logits` over `pack(plans[r], videos[r],
-        questions[r])` for each task r, reshaped, where trial i of task r
-        keeps the tokens `TrialPlan(frames[i][r], keeps[i][r], alpha)` keeps.
+        questions[r])` for each task r, reshaped, where `rows[i][r]` is what
+        `packer.kept_rows` gives for trial i of task r.
 
-        `questions` is (R, q); per trial, `frames[i]` is (R, N_i) and
-        `keeps[i]` (R, k_i). Segment (r, i) holds row f*M + keep % M, f =
-        frames[i][r, keep // M], for each keep of keeps[i][r], and then
-        questions[r]; its prefix XOR is one `np.bitwise_xor.reduceat` over
-        those tokens. The videos must share their frame and token counts. A
-        bad plan or question raises ContractError as `pack` and
-        `last_logits` would."""
+        `questions` is (R, q) and each `rows[i]` (R, k_i) video row ids.
+        Segment (r, i) holds rows[i][r] and then questions[r]; its prefix
+        XOR is one `np.bitwise_xor.reduceat` over those tokens. The videos
+        must share their frame and token counts. A row outside the video, an
+        empty segment or a bad question raises ContractError, the last two
+        as `pack` and `last_logits` would."""
         if not videos:
-            return np.empty((0, len(keeps), self.vocab))
+            return np.empty((0, len(rows), self.vocab))
         frame_count, per_frame = videos[0].num_frames, videos[0].tokens_per_frame
         if any((v.num_frames, v.tokens_per_frame) != (frame_count, per_frame) for v in videos):
             raise ContractError("a block's videos must share their frame and token counts")
         questions = np.asarray(questions, dtype=np.int64)
-        shapes = [questions.shape] + [a.shape for a in (*frames, *keeps)]
-        if len(frames) != len(keeps) or not keeps or any(
-            len(shape) != 2 or shape[0] != len(videos) for shape in shapes
-        ):
-            raise ContractError("need (R, q) questions and (R, n) frames and keeps per trial")
+        shapes = [questions.shape] + [r.shape for r in rows]
+        if not rows or any(len(shape) != 2 or shape[0] != len(videos) for shape in shapes):
+            raise ContractError("need (R, q) questions and (R, k) rows per trial")
         if questions.min(initial=0) < 0:
             raise ContractError("text token ids must be non-negative")
         _check_vocab(questions, self.vocab)
@@ -989,30 +993,27 @@ class NeedleProbe:
         masks = np.array([v.needle_mask for v in videos])
         question_sigs = _id_sigs(questions)
         sigs, needles, lengths = [], [], []
-        for i, (f, k) in enumerate(zip(frames, keeps)):
-            if f.size and not (0 <= f.min() and f.max() < frame_count):
-                raise ContractError("plan references a frame outside the video")
-            if k.size and not (0 <= k.min() and k.max() < f.shape[1] * per_frame):
-                raise ContractError("plan keeps a token outside the trial range")
-            if k.shape[1] + questions.shape[1] == 0:
+        for i, r in enumerate(rows):
+            # per_row would read another task's mask at a row past the video
+            if r.size and not (0 <= r.min() and r.max() < frame_count * per_frame):
+                raise ContractError("row index outside the video")
+            if r.shape[1] + questions.shape[1] == 0:
                 raise ContractError(f"trial {i} keeps no tokens and the text is empty")
-            frame_of = per_row(f, k // per_frame)
-            rows = frame_of * per_frame + k % per_frame
-            sigs += [_row_sigs(rows, row_keys), question_sigs]
-            needles.append(np.count_nonzero(per_row(masks, frame_of), axis=1))
-            lengths.append(k.shape[1] + questions.shape[1])
+            sigs += [_row_sigs(r, row_keys), question_sigs]
+            needles.append(np.count_nonzero(per_row(masks, r // per_frame), axis=1))
+            lengths.append(r.shape[1] + questions.shape[1])
         starts = np.cumsum(lengths) - lengths
         keyed = _keyed(
             np.concatenate(sigs, axis=1), np.arange(sum(lengths)) - np.repeat(starts, lengths)
         )
         acc = np.bitwise_xor.reduceat(keyed, starts, axis=1)
         counts = np.stack(needles, axis=1)
-        logits = self._last_rows(acc.ravel(), counts.ravel(), np.repeat(keys, len(keeps)))
-        return logits.reshape(len(videos), len(keeps), self.vocab)
+        logits = self._last_rows(acc.ravel(), counts.ravel(), np.repeat(keys, len(rows)))
+        return logits.reshape(len(videos), len(rows), self.vocab)
 
     def _last_rows(self, acc, counts, keys) -> np.ndarray:
-        # one logits row per segment, from its prefix XOR, its needle count
-        # and its video's key (uint64)
+        # one logits row per position read, from its prefix XOR, its needle
+        # count and its video's key (uint64)
         logits = _noise_logits(acc, keys, self.noise_scale, self.vocab)
         logits[np.arange(len(acc)), needle_answer(keys, self.vocab)] = counts
         return logits

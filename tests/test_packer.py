@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t3s.errors import ContractError
 from t3s.numkernel import Rng
@@ -11,6 +13,7 @@ from t3s.packer import (
     PackedSequence,
     Segment,
     append_token,
+    kept_rows,
     last_positions,
     pack,
     slice_segment,
@@ -163,6 +166,49 @@ class TestPack:
         packed = pack(plans, tagged_video(2, 2), [7])
         assert [s.length for s in packed.segments] == [1, 5]
         assert last_positions(packed) == [0, 5]
+
+
+class TestKeptRows:
+    """`kept_rows` is the one plan-to-row rule: `pack` records its rows and
+    raises its plan errors."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_pack_rows(self, data):
+        num_frames, per_frame = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        g = Rng(data.draw(st.integers(0, 2**32 - 1))).generator()
+        take = data.draw(st.integers(1, num_frames))
+        keep = data.draw(st.integers(0, take * per_frame))  # 0 keeps no token
+        trials = data.draw(st.integers(1, 4))
+        frames = np.array([np.sort(g.choice(num_frames, take, replace=False)) for _ in range(trials)])
+        keeps = np.array([np.sort(g.choice(take * per_frame, keep, replace=False)) for _ in range(trials)])
+        video = tagged_video(num_frames, per_frame)
+        got = kept_rows(frames, keeps, video)
+        assert got.shape == keeps.shape
+        for f, k, rows in zip(frames, keeps, got):
+            assert np.array_equal(rows, pack([TrialPlan(f, k, 1.0)], video, [1]).rows)
+            # the trial's frame-major rows, enumerated, at its kept positions
+            every = np.array([frame * per_frame + p for frame in f for p in range(per_frame)])
+            assert np.array_equal(rows, every[k])
+
+    @pytest.mark.parametrize(
+        "frames, keeps, message",
+        [
+            ([[0, 4]], [[0]], "frame outside the video"),  # frame 4 of a 4-frame video
+            ([[-1, 2]], [[0]], "frame outside the video"),
+            ([[0, 2]], [[4]], "token outside the trial range"),  # token 4 of two 2-token frames
+            ([[0, 2]], [[-1]], "token outside the trial range"),
+        ],
+        ids=["frame_past_video", "negative_frame", "keep_past_trial", "negative_keep"],
+    )
+    def test_bad_plans_raise_as_pack(self, frames, keeps, message):
+        video = tagged_video(4, 2)
+        frames, keeps = np.array(frames), np.array(keeps)
+        with pytest.raises(ContractError) as want:
+            pack([TrialPlan(frames[0], keeps[0], 1.0)], video, [1])
+        with pytest.raises(ContractError, match=message) as got:
+            kept_rows(frames, keeps, video)
+        assert str(got.value) == str(want.value)
 
 
 class TestLayoutChecks:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from t3s.errors import ConfigError, ContractError, ShapeError
 from t3s.harness import gen_task
 from t3s.numkernel import Rng, layer_norm, mix64
-from t3s.packer import append_token, last_positions, pack, slice_segment
+from t3s.packer import append_token, kept_rows, last_positions, pack, slice_segment
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s import toymodel
 from t3s.toymodel import (
@@ -518,6 +518,31 @@ class TestSegmentCache:
                 backend.last_logits(packs, cache)
             assert cache.lengths == [2] and cache.state is state
 
+    @pytest.mark.parametrize(
+        "first, then",
+        [("transformer", "other_seed"), ("probe", "transformer"), ("transformer", "probe")],
+    )
+    def test_cache_serves_one_backend(self, first, then):
+        # another backend continuing a cache raises before any pass and
+        # leaves the cache as it was: an other-seed transformer would read
+        # the cached keys as its own, and the probe and the transformer
+        # each other's state
+        build = {
+            "transformer": lambda: build_model(CFG),
+            "other_seed": lambda: build_model(dataclasses.replace(CFG, init_seed=4)),
+            "probe": lambda: _probe_for(CFG),
+        }
+        owner, other = build[first](), build[then]()
+        a, b = segments_of(MIXED_VIDEO, [[5, -1, 2], [3]]), segments_of(MIXED_VIDEO, [[6], [7]])
+        cache = SegmentCache()
+        owner.last_logits([a], cache)
+        lengths, state = list(cache.lengths), cache.state
+        with pytest.raises(ContractError, match="filled by another backend"):
+            other.last_logits([b], cache)
+        assert cache.lengths == lengths and cache.state is state
+        owner.last_logits([b], cache)
+        assert cache.lengths == [4, 2]
+
 
 def scaled_scores(scale, layers=None):
     """A CFG model whose query and key weights are each multiplied by
@@ -780,9 +805,9 @@ class TestProbeLastLogits:
 def probe_block(data):
     """A block of tasks for `NeedleProbe.block_logits`, drawn by hypothesis:
     R videos of one shape (own keys, 0-2 needle frames each), (R, q)
-    questions, per trial (R, N_i) frames and (R, k_i) kept tokens; k_i may
-    be 0 (a question-only segment) wherever q > 0. Also the packs of the
-    same tasks, for `last_logits`."""
+    questions, per trial the (R, k_i) rows `kept_rows` gives its (R, N_i)
+    frames and (R, k_i) kept tokens; k_i may be 0 (a question-only segment)
+    wherever q > 0. Also the packs of the same tasks, for `last_logits`."""
     g = Rng(data.draw(st.integers(0, 2**32 - 1))).generator()
     tasks = data.draw(st.integers(1, 5))
     frames, per_frame = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
@@ -810,12 +835,14 @@ def probe_block(data):
         pack([TrialPlan(f[r], k[r], 1.0) for f, k in zip(frame_rows, keep_rows)], v, questions[r])
         for r, v in enumerate(videos)
     ]
-    return (videos, questions, frame_rows, keep_rows), packs
+    rows = [kept_rows(f, k, videos[0]) for f, k in zip(frame_rows, keep_rows)]
+    return (videos, questions, rows), packs
 
 
 class TestProbeBlockLogits:
-    """`block_logits` reads a block of tasks from their stacked plans and
-    gives what `last_logits` gives on the same tasks packed."""
+    """`block_logits` reads a block of tasks from the rows `kept_rows`
+    gives their stacked plans, and gives what `last_logits` gives on the
+    same tasks packed."""
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), noise=st.sampled_from([0.0, 0.1]))
@@ -823,12 +850,12 @@ class TestProbeBlockLogits:
         block, packs = probe_block(data)
         probe = _probe_for(CFG, noise)
         got = probe.block_logits(*block)
-        want = probe.last_logits(packs).reshape(len(packs), len(block[3]), CFG.vocab)
+        want = probe.last_logits(packs).reshape(len(packs), len(block[2]), CFG.vocab)
         assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_no_tasks_give_no_rows(self):
         empty = np.empty((0, 2), dtype=np.int64)
-        rows = _probe_for(CFG).block_logits([], empty, [empty], [empty])
+        rows = _probe_for(CFG).block_logits([], empty, [empty])
         assert rows.shape == (0, 1, CFG.vocab) and rows.dtype == np.float64
 
     def test_question_only_segment(self):
@@ -839,7 +866,8 @@ class TestProbeBlockLogits:
         keeps = [np.array([[1, 2, 3]]), np.empty((1, 0), dtype=np.int64)]
         plans = [TrialPlan(f[0], k[0], 1.0) for f, k in zip(frames, keeps)]
         probe = _probe_for(CFG)
-        got = probe.block_logits([video], [[3, 5]], frames, keeps)
+        rows = [kept_rows(f, k, video) for f, k in zip(frames, keeps)]
+        got = probe.block_logits([video], [[3, 5]], rows)
         assert np.array_equal(got[0], probe.last_logits([pack(plans, video, [3, 5])]))
         assert got[0, :, needle_answer(video.key, CFG.vocab)].tolist() == [2.0, 0.0]
 
@@ -851,19 +879,14 @@ class TestProbeBlockLogits:
         with pytest.raises(ContractError) as want:
             probe.last_logits([packed])
         with pytest.raises(ContractError) as got:
-            probe.block_logits([video], [[2, CFG.vocab]], frames, keeps)
+            probe.block_logits([video], [[2, CFG.vocab]], [kept_rows(frames[0], keeps[0], video)])
         assert str(got.value) == str(want.value) == "token id outside vocabulary"
 
+    # bad frames and kept tokens raise in `kept_rows`, tested with `pack`
     @pytest.mark.parametrize(
         "frames, keeps, text",
-        [
-            ([[0, 4]], [[0]], [1]),  # frame 4 of a 4-frame video
-            ([[-1, 2]], [[0]], [1]),
-            ([[0, 2]], [[4]], [1]),  # token 4 of two 2-token frames
-            ([[0, 2]], [[-1]], [1]),
-            ([[0, 2]], np.empty((1, 0), dtype=np.int64), []),
-        ],
-        ids=["frame_past_video", "negative_frame", "keep_past_trial", "negative_keep", "empty_segment"],
+        [([[0, 2]], np.empty((1, 0), dtype=np.int64), [])],
+        ids=["empty_segment"],
     )
     def test_bad_plans_raise_as_pack(self, frames, keeps, text):
         video = VideoTokenStream(4, 2, CFG.model_dim, 41)
@@ -871,8 +894,20 @@ class TestProbeBlockLogits:
         with pytest.raises(ContractError) as want:
             pack([TrialPlan(frames[0], keeps[0], 1.0)], video, text)
         with pytest.raises(ContractError) as got:
-            _probe_for(CFG).block_logits([video], np.array([text], dtype=np.int64), [frames], [keeps])
+            _probe_for(CFG).block_logits(
+                [video], np.array([text], dtype=np.int64), [kept_rows(frames, keeps, video)]
+            )
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("row", [8, -1], ids=["row_past_video", "negative_row"])
+    def test_row_outside_the_video_raises(self, row):
+        # per_row would read task 1's needle mask at task 0's row 8 of a
+        # 4-frame, 2-token video, and task 0's at task 1's row -1
+        videos = [VideoTokenStream(4, 2, CFG.model_dim, key, frozenset({0})) for key in (41, 42)]
+        rows = np.array([[0, 1], [2, 3]])
+        rows[0 if row > 0 else 1, -1] = row
+        with pytest.raises(ContractError, match="row index outside the video"):
+            _probe_for(CFG).block_logits(videos, np.array([[1], [2]]), [rows])
 
 
 class TestPrunedLastLayer:
@@ -1009,10 +1044,10 @@ class TestCacheBuffers:
         else:
             assert capacities == need
 
-    def test_failed_pass_leaves_cache_readable(self):
+    def test_failed_pass_leaves_cache_readable(self, monkeypatch):
         # a call that raises at layer 1, after layer 0 wrote its new keys in
         # place, leaves the cache as it was; the same call then succeeds
-        # through the unscaled model, whose layer 0 is the same
+        # once the model's layer-1 weights are unscaled again
         model = build_model(CFG)
         hot = scaled_scores(1000.0, layers=[1])
         g = Rng(23).generator()
@@ -1021,8 +1056,13 @@ class TestCacheBuffers:
         lengths, state = list(cache.lengths), cache.state
         held = [[a.copy() for a in layer] for i in range(2) for layer in cached_kv(cache, i)]
         new = [mixed_segment(g, 2), mixed_segment(g, 2)]
-        with pytest.raises(ContractError, match="layer 1: attention score bound"):
-            hot.last_logits([segments_of(MIXED_VIDEO, new)], cache)
+        with monkeypatch.context() as patched, pytest.raises(
+            ContractError, match="layer 1: attention score bound"
+        ):
+            # the cache serves one backend, so the model itself runs hot
+            for name in ("attn_query", "attn_key"):
+                patched.setitem(model.weights, f"layer1.{name}", hot.weights[f"layer1.{name}"])
+            model.last_logits([segments_of(MIXED_VIDEO, new)], cache)
         assert cache.lengths == lengths and cache.state is state
         now = [layer for i in range(2) for layer in cached_kv(cache, i)]
         assert all(np.array_equal(a, b) for h, n in zip(held, now) for a, b in zip(h, n))
