@@ -168,8 +168,8 @@ def decode(
     """Greedy multi-trial decoding.
 
     Packs the plans, then per step: read each segment's last-position
-    logits through `backend.last_logits`, which continues the packed
-    sequence's one `SegmentCache`, fuse them to one token, and pack only
+    logits of the one packed sequence through `backend.last_logits`, which
+    continues its `SegmentCache`, fuse them to one token, and pack only
     that token, once per segment, for the next step. Returns `steps` tokens;
     raises ContractError before the first step if the last step's packed
     total would exceed the backend's `max_positions`, on a backend that has
@@ -187,7 +187,7 @@ def decode(
     cache = SegmentCache(reserve=steps - 1)
     out: list[int] = []
     for step in range(steps):
-        token = fuse_token(backend.last_logits([packed], cache), strategy)
+        token = fuse_token(backend.last_logits(packed, cache), strategy)
         out.append(token)
         if step + 1 < steps:
             packed = token_per_segment(token, packed)

@@ -63,7 +63,7 @@ def _first_token_seconds(
     backend, packed: PackedSequence, strategy: AggregationStrategy
 ) -> float:
     start = time.perf_counter()
-    fuse_token(backend.last_logits([packed]), strategy)
+    fuse_token(backend.last_logits(packed), strategy)
     return time.perf_counter() - start
 
 
@@ -79,9 +79,9 @@ def measure(
 
     L is the baseline's visual tokens (the question is not L); pair counts
     come from `backend.pair_count`, without a forward. With `repeats`, each
-    path gets one untimed `last_logits` call, then tau1/tau2 are the medians
-    of that many timed runs per path, each from the start of a `last_logits`
-    call (the path experiments run) to the first aggregated token; without,
+    path's sequence gets one untimed `last_logits` call, then tau1/tau2 are
+    the medians of that many timed runs per path, each from the start of a
+    `last_logits` call on it to the first aggregated token; without,
     they stay None and nothing runs.
     """
     if repeats is not None and repeats < 3:
@@ -96,8 +96,8 @@ def measure(
     tau1 = tau2 = None
     if repeats is not None:
         # warmups, keeping allocator effects out of the medians
-        backend.last_logits([baseline_packed])
-        backend.last_logits([multi_packed])
+        backend.last_logits(baseline_packed)
+        backend.last_logits(multi_packed)
         # interleaved, so drift in machine speed hits both paths alike
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         samples = [

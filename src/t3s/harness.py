@@ -49,8 +49,8 @@ from .toymodel import (
     needle_answer,
 )
 
-# Tasks per `block_logits` or `last_logits` call: it bounds the plans and
-# packed sequences held at once, and no result depends on it.
+# Tasks per `block_logits` call: it bounds the plans and rows held at once,
+# and no result depends on it.
 _TASK_BLOCK = 64
 
 
@@ -316,13 +316,12 @@ def run_experiment(
     the probe. Tasks are drawn in blocks of `_TASK_BLOCK` repeats, and each
     trial's frames and kept tokens are stacked over the block as (R, N) and
     (R, k_i) arrays, whose (R, k_i) video rows `kept_rows` gives once per
-    block. Per block, one call reads every segment's last-position logits
-    as an (R, m, vocab) array: the probe's `block_logits` reads those rows,
-    and the transformer's `last_logits` packs each task's trials. One
+    block. Per block, one `backend.block_logits` call reads every segment's
+    last-position logits from those rows as an (R, m, vocab) array, and one
     `fuse_tokens` call fuses them; coverage is tallied over the block's
     stacked needle masks at the frames, and surviving needle tokens at the
-    rows. Only the first task is packed on the probe, for the cost report.
-    The tokens are those `decode` gives for one step."""
+    rows. The tokens are those `decode` gives for one step. Only the cost
+    report packs a task's trials, the first task's."""
     s = cfg.sampler
     on_transformer = cfg.backend == "seeded_transformer"
     attn_top = s.token_strategy is TokenStrategy.ATTN_TOP
@@ -354,16 +353,10 @@ def run_experiment(
         frames = [np.array([p[i].frame_indices for p in plans]) for i in range(s.trials)]
         keeps = [np.array([p[i].token_keep for p in plans]) for i in range(s.trials)]
         rows = [kept_rows(f, k, tasks[0].video) for f, k in zip(frames, keeps)]
-        if on_transformer:
-            packs = [pack(p, task.video, task.question) for p, task in zip(plans, tasks)]
-            logits = backend.last_logits(packs).reshape(len(tasks), s.trials, -1)
-        else:
-            questions = np.array([task.question for task in tasks])
-            logits = backend.block_logits([task.video for task in tasks], questions, rows)
+        questions = np.array([task.question for task in tasks])
+        logits = backend.block_logits([task.video for task in tasks], questions, rows)
         if block_start == 0:
-            # the cost report reads the first task's pack, the probe's only one
-            task = tasks[0]
-            first = (task, packs[0] if on_transformer else pack(plans[0], task.video, task.question))
+            first = (tasks[0], plans[0])
         tokens = fuse_tokens(logits, cfg.strategy)
         hits += int(np.count_nonzero(tokens == [task.answer for task in tasks]))
 
@@ -399,10 +392,11 @@ def run_experiment(
     )
 
 
-def _cost_report(cfg, task, packed, backend, latency_repeats) -> CostReport:
-    """Costs of the first task's packed trials against one full-retention
+def _cost_report(cfg, task, plans, backend, latency_repeats) -> CostReport:
+    """Costs of the task's trial plans, packed, against one full-retention
     trial on frames drawn from a fixed child stream of the seed."""
     s = cfg.sampler
+    packed = pack(plans, task.video, task.question)
     full = TrialPlan(
         sample_frame_indices(
             s.total_frames, s.frames_per_trial, s.frame_method, Rng(cfg.seed).child(10**6)

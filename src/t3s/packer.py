@@ -84,29 +84,35 @@ def kept_rows(frames: np.ndarray, keeps: np.ndarray, video) -> np.ndarray:
     return per_row(frames, keeps // m) * m + keeps % m
 
 
-def pack(
-    plans: Sequence[TrialPlan],
-    video,
-    text: Sequence[int],
-) -> PackedSequence:
-    """Assemble one packed sequence from trial plans plus a text prompt.
-
-    Segment i carries the video rows plan i keeps, `kept_rows` of its frames
-    and kept positions, followed by a full copy of `text`. Only the row ids
-    are recorded; nothing is drawn. `video` needs what `kept_rows` reads
-    here, and what `PackedSequence.video` lists for the backends that read
-    it.
-    """
-    if len(plans) == 0:
-        raise ContractError("pack requires at least one trial plan")
-    text_ids = np.asarray(list(text), dtype=np.int64)
-    if len(text_ids) and text_ids.min() < 0:
+def segment_lengths(kept: Sequence[int], text_ids: np.ndarray) -> list[int]:
+    """The layout rule of every segment: the lengths of trials that keep
+    `kept[i]` video rows each, then a copy of `text_ids` (the text along its
+    last axis). No trial, a negative text id or an empty segment raises
+    ContractError."""
+    if len(kept) == 0:
+        raise ContractError("a packed sequence needs at least one trial")
+    if text_ids.min(initial=0) < 0:
         raise ContractError("text token ids must be non-negative")
-
-    rows = [kept_rows(p.frame_indices[None], p.token_keep[None], video)[0] for p in plans]
-    lengths = [len(r) + len(text_ids) for r in rows]
+    lengths = [k + text_ids.shape[-1] for k in kept]
     if 0 in lengths:
         raise ContractError(f"trial {lengths.index(0)} keeps no tokens and the text is empty")
+    return lengths
+
+
+def pack(plans: Sequence[TrialPlan], video, text: Sequence[int]) -> PackedSequence:
+    """One packed sequence of trial plans plus a text prompt: `pack_rows` of
+    each plan's `kept_rows`. `video` needs what `kept_rows` reads here, and
+    what `PackedSequence.video` lists for the backends that read it."""
+    rows = [kept_rows(p.frame_indices[None], p.token_keep[None], video)[0] for p in plans]
+    return pack_rows(rows, video, text)
+
+
+def pack_rows(rows: Sequence[np.ndarray], video, text: Sequence[int]) -> PackedSequence:
+    """One packed sequence whose segment i carries the video row ids rows[i],
+    then a full copy of `text`. Only the row ids are recorded; nothing is
+    drawn."""
+    text_ids = np.asarray(list(text), dtype=np.int64)
+    lengths = segment_lengths([len(r) for r in rows], text_ids)
     segments = [Segment(int(start), n) for start, n in zip(np.cumsum(lengths) - lengths, lengths)]
     # -1 at every visual position; each segment's text copy fills its tail
     token_ids = np.full(sum(lengths), -1, dtype=np.int64)

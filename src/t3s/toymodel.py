@@ -7,18 +7,19 @@ exact count of attention score entries the block-diagonal causal rule permits
 `pair_count(packed)` gives from the segment layout alone. Segment positions
 restart at zero, so a segment's logits are the same packed or alone.
 
-`last_logits(packs, cache=None)` returns the logits at every segment's last
-position of many sequences at once, and is the only method that holds a
-`SegmentCache`. A cache continues exactly one packed sequence, on the
-backend that filled it: given one, `packs` holds that one sequence, segment
-i of which extends cached segment i, whose tokens it attends but does not
-recompute, and the cache then holds both. It computes only the rows it
-returns: the probe draws noise for them alone and matches `forward` bit for
-bit; the transformer's last layer runs its queries, FFN and unembedding on
-them alone and matches `forward` within 1e-12, since BLAS rounds a one-row
-product unlike the rows of a full one. Each backend is a pure function of
-what it reads (the probe's answer id is `needle_answer` of the video's key),
-so one serves a whole run.
+Two methods read segment-end logits. `last_logits(packed, cache=None)`
+reads every segment's last position of one packed sequence and is the only
+method that holds a `SegmentCache`, which only the backend that filled it
+continues: segment i of `packed` extends cached segment i, whose tokens it
+attends but does not recompute. It computes only the rows it returns: the
+probe draws noise for them alone and matches `forward` bit for bit; the
+transformer's last layer runs its queries, FFN and unembedding on them alone
+and matches `forward` within 1e-12, since BLAS rounds a one-row product
+unlike the rows of a full one. `block_logits(videos, questions, rows)` gives
+R tasks' (R, m, vocab) logits from the row ids `packer.kept_rows` gives their
+stacked plans, bit for bit `last_logits` of each task's pack. Each backend is
+a pure function of what it reads (the probe's answer id is `needle_answer`
+of the video's key), so one serves a whole run.
 
 The transformer attends a pass's segments run by run: a run is a stretch of
 consecutive segments with equal cached, new and query counts, as equal-alpha
@@ -55,13 +56,13 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .numkernel import Rng, counter_normals, layer_norm, mix64, per_row
-from .packer import PackedSequence
+from .packer import PackedSequence, pack_rows, segment_lengths
 
 _NEG_INF = float("-inf")
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -242,7 +243,8 @@ class SegmentCache:
 
     A new cache is empty, its `state` and `backend` None; the first call
     given it fixes the backend and segment count, and every later call must
-    come from that backend and pack that many segments. `lengths[i]` is the
+    come from that backend with one packed sequence of that many segments,
+    segment i of which continues cached segment i. `lengths[i]` is the
     number of tokens segment i holds so far; `state` is the backend's
     summary of all of them, so a cache serves one backend. The transformer
     keeps a list of `_LayerCache`, one per layer: a key buffer (segments,
@@ -286,11 +288,9 @@ class SegmentCache:
         self.backend = backend
 
 
-def _check_cached(backend, packs: Sequence[PackedSequence], cache: Optional[SegmentCache]) -> None:
-    # a cache continues exactly one packed sequence, on the backend that
-    # filled it: another backend would read its state as its own
-    if cache is not None and len(packs) != 1:
-        raise ContractError(f"a cache continues one packed sequence, got {len(packs)}")
+def _check_cached(backend, cache: Optional[SegmentCache]) -> None:
+    # a cache is continued by the backend that filled it: another backend
+    # would read its state as its own
     if cache is not None and cache.backend not in (None, backend):
         raise ContractError("the cache was filled by another backend")
 
@@ -545,22 +545,35 @@ class SeededTransformer:
         return self.config.layers * self.config.heads * _segment_pair_count(packed)
 
     def last_logits(
-        self, packs: Sequence[PackedSequence], cache: Optional[SegmentCache] = None
+        self, packed: PackedSequence, cache: Optional[SegmentCache] = None
     ) -> np.ndarray:
-        """`forward(packed).logits[last_positions(packed)]`, within 1e-12, for
-        each packed sequence in order, stacked into one (segments, vocab)
-        array; given `cache`, `packs` must hold the one sequence that
-        continues it. The last layer runs its queries, FFN and unembedding on
-        each segment's last row only. The cache is checked before the pass
-        runs and extended only after it returns, so a call that raises
-        leaves it as it was."""
-        _check_cached(self, packs, cache)
-        if not packs:
+        """`forward(packed).logits[last_positions(packed)]`, within 1e-12, as
+        one (segments, vocab) array; given `cache`, `packed` continues it.
+        The last layer runs its queries, FFN and unembedding on each
+        segment's last row only. The cache is checked before the pass runs
+        and extended only after it returns, so a call that raises leaves it
+        as it was."""
+        _check_cached(self, cache)
+        if not packed.segments:
+            # no last row to read; only an empty cache takes no segments
+            if cache is not None:
+                cache.cached(packed)
             return np.empty((0, self.config.vocab))
-        results = [self._run(p, cache, last_only=True) for p in packs]
+        logits, state = self._run(packed, cache, last_only=True)
         if cache is not None:
-            cache.extend(self, packs[0], results[0][1])
-        return np.concatenate([logits for logits, _ in results])
+            cache.extend(self, packed, state)
+        return logits
+
+    def block_logits(self, videos, questions, rows) -> np.ndarray:
+        """(R, m, vocab) last-position logits of R tasks' m trials, equal bit
+        for bit to `last_logits(pack(plans[r], videos[r], questions[r]))` for
+        each task r, where `rows[i][r]` is what `packer.kept_rows` gives for
+        trial i of task r: one pass per task over `pack_rows` of its rows."""
+        out = np.empty((len(videos), len(rows), self.config.vocab))
+        for r, video in enumerate(videos):
+            packed = pack_rows([trial[r] for trial in rows], video, questions[r])
+            out[r] = self._run(packed, last_only=True)[0]
+        return out
 
     def attention_received(self, packed: PackedSequence) -> np.ndarray:
         """Per-position mean attention weight received, averaged over every
@@ -854,27 +867,22 @@ def _check_vocab(token_ids, vocab: int) -> None:
         raise ContractError("token id outside vocabulary")
 
 
-def _probe_pass(packs, cached, vocab):
-    # every position of `packs`, concatenated: keyed[j] of NeedleProbe's
-    # docstring and a 0/1 needle flag; and per segment its start in that
-    # concatenation and its length. cached: per segment the tokens a cache
-    # holds before it, which offset its positions, or 0 for none. A token id
-    # outside the vocabulary raises ContractError, as in the transformer
-    lengths = [s.length for p in packs for s in p.segments]
+def _probe_pass(packed, cached, vocab):
+    # every position of `packed`: keyed[j] of NeedleProbe's docstring and a
+    # 0/1 needle flag; and per segment its start and its length. cached: per
+    # segment the tokens a cache holds before it, which offset its
+    # positions, or 0 for none. A token id outside the vocabulary raises
+    # ContractError, as in the transformer
+    lengths = [s.length for s in packed.segments]
     starts = np.cumsum(lengths) - lengths
-    token_ids = np.concatenate([p.token_ids for p in packs])
+    token_ids, video = packed.token_ids, packed.video
     _check_vocab(token_ids, vocab)
     visual = token_ids < 0
     sigs = _id_sigs(token_ids)
-    sigs[visual] = _row_sigs(
-        np.concatenate([p.rows for p in packs]),
-        np.repeat(_row_keys(_video_keys(p.video for p in packs)), [len(p.rows) for p in packs]),
-    )
+    sigs[visual] = _row_sigs(packed.rows, _row_keys(_video_keys([video])))
     keyed = _keyed(sigs, np.arange(len(token_ids)) - np.repeat(starts - cached, lengths))
     is_needle = np.zeros(len(token_ids), dtype=np.int64)
-    is_needle[visual] = np.concatenate(
-        [p.video.needle_mask[p.rows // p.video.tokens_per_frame] for p in packs]
-    )
+    is_needle[visual] = video.needle_mask[packed.rows // video.tokens_per_frame]
     return keyed, is_needle, starts, lengths
 
 
@@ -928,7 +936,7 @@ class NeedleProbe:
         self.noise_scale = noise_scale
 
     def forward(self, packed: PackedSequence) -> ForwardResult:
-        keyed, is_needle, starts, lengths = _probe_pass([packed], 0, self.vocab)
+        keyed, is_needle, starts, lengths = _probe_pass(packed, 0, self.vocab)
         # one prefix over the whole sequence, re-based at each segment start
         # by XORing out (XOR undoes XOR) or subtracting what it held before
         acc = np.bitwise_xor.accumulate(keyed)
@@ -940,42 +948,42 @@ class NeedleProbe:
         return ForwardResult(self._last_rows(acc, counts, keys), self.pair_count(packed))
 
     def last_logits(
-        self, packs: Sequence[PackedSequence], cache: Optional[SegmentCache] = None
+        self, packed: PackedSequence, cache: Optional[SegmentCache] = None
     ) -> np.ndarray:
-        """`forward(packed).logits[last_positions(packed)]` for each packed
-        sequence in order, stacked into one (segments, vocab) array, bit for
-        bit; given `cache`, `packs` must hold the one sequence that continues
-        it. Each segment's prefix XOR and needle count are a `reduceat` over
-        its new tokens folded into the cache's state, so noise is drawn for
-        last rows only."""
-        _check_cached(self, packs, cache)
-        if not packs:
+        """`forward(packed).logits[last_positions(packed)]` as one (segments,
+        vocab) array, bit for bit; given `cache`, `packed` continues it. Each
+        segment's prefix XOR and needle count are a `reduceat` over its new
+        tokens folded into the cache's state, so noise is drawn for last rows
+        only."""
+        _check_cached(self, cache)
+        cached = 0 if cache is None else cache.cached(packed)
+        if not packed.segments:
             return np.empty((0, self.vocab))
-        cached = 0 if cache is None else cache.cached(packs[0])
-        keyed, is_needle, starts, _ = _probe_pass(packs, cached, self.vocab)
+        keyed, is_needle, starts, _ = _probe_pass(packed, cached, self.vocab)
         acc = np.bitwise_xor.reduceat(keyed, starts)
         counts = np.add.reduceat(is_needle, starts)
         if cache is not None and cache.state is not None:
             acc ^= cache.state[0]
             counts += cache.state[1]
-        keys = np.repeat(_video_keys(p.video for p in packs), [p.num_segments for p in packs])
+        keys = np.repeat(_video_keys([packed.video]), packed.num_segments)
         logits = self._last_rows(acc, counts, keys)
         if cache is not None:
-            cache.extend(self, packs[0], (acc, counts))
+            cache.extend(self, packed, (acc, counts))
         return logits
 
     def block_logits(self, videos, questions, rows) -> np.ndarray:
         """(R, m, vocab) last-position logits of R tasks' m trials, equal bit
-        for bit to `last_logits` over `pack(plans[r], videos[r],
-        questions[r])` for each task r, reshaped, where `rows[i][r]` is what
-        `packer.kept_rows` gives for trial i of task r.
+        for bit to `last_logits(pack(plans[r], videos[r], questions[r]))` for
+        each task r, where `rows[i][r]` is what `packer.kept_rows` gives for
+        trial i of task r.
 
         `questions` is (R, q) and each `rows[i]` (R, k_i) video row ids.
         Segment (r, i) holds rows[i][r] and then questions[r]; its prefix
         XOR is one `np.bitwise_xor.reduceat` over those tokens. The videos
-        must share their frame and token counts. A row outside the video, an
-        empty segment or a bad question raises ContractError, the last two
-        as `pack` and `last_logits` would."""
+        must share their frame and token counts. A row outside the video
+        raises ContractError, and so do a layout `packer.segment_lengths`
+        refuses and a question id outside the vocabulary, as in `pack` and
+        `last_logits`."""
         if not videos:
             return np.empty((0, len(rows), self.vocab))
         frame_count, per_frame = videos[0].num_frames, videos[0].tokens_per_frame
@@ -983,25 +991,21 @@ class NeedleProbe:
             raise ContractError("a block's videos must share their frame and token counts")
         questions = np.asarray(questions, dtype=np.int64)
         shapes = [questions.shape] + [r.shape for r in rows]
-        if not rows or any(len(shape) != 2 or shape[0] != len(videos) for shape in shapes):
+        if any(len(shape) != 2 or shape[0] != len(videos) for shape in shapes):
             raise ContractError("need (R, q) questions and (R, k) rows per trial")
-        if questions.min(initial=0) < 0:
-            raise ContractError("text token ids must be non-negative")
+        lengths = segment_lengths([r.shape[1] for r in rows], questions)
         _check_vocab(questions, self.vocab)
         keys = _video_keys(videos)
         row_keys = _row_keys(keys)[:, None]
         masks = np.array([v.needle_mask for v in videos])
         question_sigs = _id_sigs(questions)
-        sigs, needles, lengths = [], [], []
-        for i, r in enumerate(rows):
+        sigs, needles = [], []
+        for r in rows:
             # per_row would read another task's mask at a row past the video
             if r.size and not (0 <= r.min() and r.max() < frame_count * per_frame):
                 raise ContractError("row index outside the video")
-            if r.shape[1] + questions.shape[1] == 0:
-                raise ContractError(f"trial {i} keeps no tokens and the text is empty")
             sigs += [_row_sigs(r, row_keys), question_sigs]
             needles.append(np.count_nonzero(per_row(masks, r // per_frame), axis=1))
-            lengths.append(r.shape[1] + questions.shape[1])
         starts = np.cumsum(lengths) - lengths
         keyed = _keyed(
             np.concatenate(sigs, axis=1), np.arange(sum(lengths)) - np.repeat(starts, lengths)

@@ -179,7 +179,7 @@ def per_task_experiment(cfg) -> ExperimentReport:
         trial_survive += [surviving_needle_tokens(p, task) for p in plans]
         covered_any += any(covers)
         if rep == 0:
-            first = (task, pack(plans, task.video, task.question), backend)
+            first = (task, plans, backend)
     per_trial = [
         {
             "trial": i,

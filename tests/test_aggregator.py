@@ -468,8 +468,8 @@ class TestDecode:
         seen = []
         last_logits = model.last_logits
 
-        def recording(packs, cache=None):
-            rows = last_logits(packs, cache)
+        def recording(packed, cache=None):
+            rows = last_logits(packed, cache)
             seen.append((list(cache.lengths), cache.state))
             return rows
 
@@ -510,9 +510,9 @@ class TestDecode:
         model = build_model(dataclasses.replace(CFG, max_positions=limit))
         calls, last_logits = [], model.last_logits
 
-        def recording(packs, cache=None):
+        def recording(packed, cache=None):
             calls.append(cache.reserve)
-            return last_logits(packs, cache)
+            return last_logits(packed, cache)
 
         model.last_logits = recording
         for steps in (10**12, 10**6, limit - prompt + 2):

@@ -154,13 +154,13 @@ def _backend(kind):
 
 
 def logged(backend, log, names):
-    """`backend` with each sequence a `last_logits` call reads logged as its
-    name in `names`."""
+    """`backend` with the sequence each `last_logits` call reads logged as
+    its name in `names`."""
     last_logits = backend.last_logits
 
-    def logged_last_logits(packs, cache=None):
-        log.extend(names[id(p)] for p in packs)
-        return last_logits(packs, cache)
+    def logged_last_logits(packed, cache=None):
+        log.append(names[id(packed)])
+        return last_logits(packed, cache)
 
     backend.last_logits = logged_last_logits
     return backend

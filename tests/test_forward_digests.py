@@ -139,7 +139,8 @@ def test_ttft_forwards(model, workers):
     assert base.total_length == 2052
     assert digest(model.forward(multi).logits) == PACKED_L2048
     assert digest(model.forward(base).logits) == BASE_L2048
-    assert digest(model.last_logits([multi, base])) == LAST_UNCACHED
+    last = np.concatenate([model.last_logits(multi), model.last_logits(base)])
+    assert digest(last) == LAST_UNCACHED
 
 
 def test_decode_steps(model, workers):
@@ -149,7 +150,7 @@ def test_decode_steps(model, workers):
     cache = SegmentCache(reserve=steps - 1)
     rows, tokens = [], []
     for _ in range(steps):
-        logits = model.last_logits([packed], cache)
+        logits = model.last_logits(packed, cache)
         rows.append(logits)
         tokens.append(fuse_token(logits, strategy))
         packed = token_per_segment(tokens[-1], packed)

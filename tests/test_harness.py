@@ -385,7 +385,7 @@ def tiny_experiments(draw) -> ExperimentConfig:
 
 
 class TestProbeBlocks:
-    """Either backend runs a block of tasks per `last_logits` call; its
+    """Either backend runs a block of tasks per `block_logits` call; its
     reports equal those of one task at a time."""
 
     @settings(max_examples=80, deadline=None)
@@ -463,9 +463,9 @@ class TestProbeBlocks:
 
     @pytest.mark.parametrize("repeats", [1, 5, 9])
     def test_probe_packs_only_the_first_task(self, monkeypatch, repeats):
-        # the probe reads each block's stacked plans; its one pack of task
-        # trials is the first task's, which the cost report reads with the
-        # report's own baseline pack. The transformer packs every task
+        # either backend reads each block's stacked plans; the one pack of
+        # task trials is the first task's, which the cost report packs
+        # before its own baseline
         packed = []
 
         def spy(plans, *args, _pack=t3s.harness.pack):
@@ -481,7 +481,24 @@ class TestProbeBlocks:
         assert packed == [2, 1]
         packed.clear()
         run_experiment(replace(cfg, backend="seeded_transformer"))
-        assert packed == [2] * repeats + [1]
+        assert packed == [2, 1]
+
+    @pytest.mark.parametrize("backend", ["needle_probe", "seeded_transformer"])
+    def test_rows_once_per_trial_per_block(self, monkeypatch, backend):
+        # `kept_rows` runs once per trial per block, over the block's
+        # stacked plans, and then in the cost report's packs: once per
+        # trial of the first task and once for its baseline
+        tasks = []
+
+        def spy(frames, *args, _kept_rows=t3s.packer.kept_rows):
+            tasks.append(len(frames))
+            return _kept_rows(frames, *args)
+
+        monkeypatch.setattr(t3s.packer, "kept_rows", spy)
+        monkeypatch.setattr(t3s.harness, "kept_rows", spy)
+        monkeypatch.setattr(t3s.harness, "_TASK_BLOCK", 2)
+        run_experiment(small_config(backend=backend, repeats=5))
+        assert tasks == [2, 2, 2, 2, 1, 1] + [1, 1] + [1]
 
     def test_peak_memory_does_not_grow_with_repeats(self):
         # each block is freed before the next is drawn; one pass over every

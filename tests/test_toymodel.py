@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from t3s.errors import ConfigError, ContractError, ShapeError
 from t3s.harness import gen_task
 from t3s.numkernel import Rng, layer_norm, mix64
-from t3s.packer import append_token, kept_rows, last_positions, pack, slice_segment
+from t3s.packer import PackedSequence, append_token, kept_rows, last_positions, pack, slice_segment
 from t3s.sampler import SamplerConfig, TrialPlan, build_trial_plans
 from t3s import toymodel
 from t3s.toymodel import (
@@ -471,7 +471,7 @@ class TestSegmentCache:
         for k in range(3):
             cuts = [(sum(p[:k]), sum(p[: k + 1])) for p in pieces]
             got = backend.last_logits(
-                [segments_of(MIXED_VIDEO, [c[lo:hi] for c, (lo, hi) in zip(parts, cuts)])],
+                segments_of(MIXED_VIDEO, [c[lo:hi] for c, (lo, hi) in zip(parts, cuts)]),
                 cache,
             )
             ends = [s.start + hi - 1 for s, (_, hi) in zip(full.segments, cuts)]
@@ -486,37 +486,19 @@ class TestSegmentCache:
         packed, _, _ = make_packed(trials=2)
         backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
         cache = SegmentCache()
-        backend.last_logits([packed], cache)
+        backend.last_logits(packed, cache)
         lengths, state = list(cache.lengths), cache.state
         three = segments_of(MIXED_VIDEO, [[4]] * 3)
         with pytest.raises(ContractError, match="cache holds 2 segments"):
-            backend.last_logits([three], cache)
+            backend.last_logits(three, cache)
         assert cache.lengths == lengths and cache.state is state
         # a token id outside the vocabulary, on both backends alike
         outside = segments_of(MIXED_VIDEO, [[4], [CFG.vocab]])
         with pytest.raises(ContractError, match="token id outside vocabulary"):
             backend.forward(outside)
         with pytest.raises(ContractError, match="token id outside vocabulary"):
-            backend.last_logits([outside], cache)
+            backend.last_logits(outside, cache)
         assert cache.lengths == lengths and cache.state is state
-
-    @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
-    def test_cache_continues_one_sequence(self, backend_kind):
-        # two sequences, the same one twice included, or none, given a
-        # cache, raise before any pass and leave the cache as it was
-        backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
-        a, b = segments_of(MIXED_VIDEO, [[5]]), segments_of(MIXED_VIDEO, [[1, 2]])
-        cache = SegmentCache()
-        for packs in ([a, b], [a, a], []):
-            with pytest.raises(ContractError, match="a cache continues one packed sequence"):
-                backend.last_logits(packs, cache)
-            assert cache.lengths == [] and cache.state is None
-        backend.last_logits([b], cache)
-        state = cache.state
-        for packs in ([a, b], [a, a], []):
-            with pytest.raises(ContractError, match="a cache continues one packed sequence"):
-                backend.last_logits(packs, cache)
-            assert cache.lengths == [2] and cache.state is state
 
     @pytest.mark.parametrize(
         "first, then",
@@ -535,12 +517,12 @@ class TestSegmentCache:
         owner, other = build[first](), build[then]()
         a, b = segments_of(MIXED_VIDEO, [[5, -1, 2], [3]]), segments_of(MIXED_VIDEO, [[6], [7]])
         cache = SegmentCache()
-        owner.last_logits([a], cache)
+        owner.last_logits(a, cache)
         lengths, state = list(cache.lengths), cache.state
         with pytest.raises(ContractError, match="filled by another backend"):
-            other.last_logits([b], cache)
+            other.last_logits(b, cache)
         assert cache.lengths == lengths and cache.state is state
-        owner.last_logits([b], cache)
+        owner.last_logits(b, cache)
         assert cache.lengths == [4, 2]
 
 
@@ -628,7 +610,7 @@ class TestScoreBound:
         for k, step in enumerate(steps):
             parts = [np.concatenate([p, s]) for p, s in zip(parts, step)]
             full = segments_of(MIXED_VIDEO, parts)
-            got = model.last_logits([segments_of(MIXED_VIDEO, step)], cache)
+            got = model.last_logits(segments_of(MIXED_VIDEO, step), cache)
             want = model.forward(full).logits[last_positions(full)]
             assert np.abs(got - want).max() < 1e-9
             _, k_sq = layer0_norms(model, full)
@@ -656,7 +638,7 @@ class TestScoreBound:
         assert with_long > 1.1 * others
         model.weights["layer0.attn_query"] *= 300.0 / math.sqrt(math.sqrt(with_long * others))
         with pytest.raises(ContractError, match="layer 0: attention score bound"):
-            model.last_logits([segments_of(MIXED_VIDEO, step)], cache)
+            model.last_logits(segments_of(MIXED_VIDEO, step), cache)
 
 
 def textbook_gelu(x):
@@ -784,7 +766,7 @@ class TestProbeLastLogits:
         # must read its own video's key, answer id and needles
         packs = random_packs(seed, sequences)
         backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG, noise)
-        got = backend.last_logits(packs)
+        got = np.concatenate([backend.last_logits(packed) for packed in packs])
         want = np.concatenate(
             [backend.forward(packed).logits[last_positions(packed)] for packed in packs]
         )
@@ -797,19 +779,31 @@ class TestProbeLastLogits:
 
     @pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
     def test_no_sequences_give_no_rows(self, backend_kind):
+        # a packed sequence of no segments has no last row; a cache that
+        # holds segments refuses it and stays as it was
         backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
-        rows = backend.last_logits([])
-        assert rows.shape == (0, CFG.vocab) and rows.dtype == np.float64
+        empty = PackedSequence((), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), MIXED_VIDEO)
+        cache = SegmentCache()
+        for given_cache in (None, cache):
+            rows = backend.last_logits(empty, given_cache)
+            assert rows.shape == (0, CFG.vocab) and rows.dtype == np.float64
+        assert cache.lengths == [] and cache.state is None
+        backend.last_logits(segments_of(MIXED_VIDEO, [[5], [1, 2]]), cache)
+        lengths, state = list(cache.lengths), cache.state
+        with pytest.raises(ContractError, match="cache holds 2 segments"):
+            backend.last_logits(empty, cache)
+        assert cache.lengths == lengths and cache.state is state
 
 
-def probe_block(data):
-    """A block of tasks for `NeedleProbe.block_logits`, drawn by hypothesis:
-    R videos of one shape (own keys, 0-2 needle frames each), (R, q)
+def probe_block(data, max_tasks=5):
+    """A block of tasks for `block_logits`, drawn by hypothesis: R <=
+    max_tasks videos of one shape (own keys, 0-2 needle frames each), (R, q)
     questions, per trial the (R, k_i) rows `kept_rows` gives its (R, N_i)
-    frames and (R, k_i) kept tokens; k_i may be 0 (a question-only segment)
-    wherever q > 0. Also the packs of the same tasks, for `last_logits`."""
+    frames and (R, k_i) kept tokens, N_i and k_i drawn per trial, so trials
+    keep unequal shares; k_i may be 0 (a question-only segment) wherever
+    q > 0. Also the packs of the same tasks, for `last_logits`."""
     g = Rng(data.draw(st.integers(0, 2**32 - 1))).generator()
-    tasks = data.draw(st.integers(1, 5))
+    tasks = data.draw(st.integers(1, max_tasks))
     frames, per_frame = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
     question_len = data.draw(st.integers(0, 3))
     videos = []
@@ -839,6 +833,12 @@ def probe_block(data):
     return (videos, questions, rows), packs
 
 
+# plans and questions `packer.segment_lengths` refuses: a trial that keeps no
+# token with no question, and a negative question id
+BAD_LAYOUTS = [([[0, 2]], np.empty((1, 0), dtype=np.int64), []), ([[0, 2]], [[0, 2]], [4, -1])]
+BAD_LAYOUT_IDS = ["empty_segment", "negative_question"]
+
+
 class TestProbeBlockLogits:
     """`block_logits` reads a block of tasks from the rows `kept_rows`
     gives their stacked plans, and gives what `last_logits` gives on the
@@ -850,7 +850,7 @@ class TestProbeBlockLogits:
         block, packs = probe_block(data)
         probe = _probe_for(CFG, noise)
         got = probe.block_logits(*block)
-        want = probe.last_logits(packs).reshape(len(packs), len(block[2]), CFG.vocab)
+        want = np.stack([probe.last_logits(packed) for packed in packs])
         assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_no_tasks_give_no_rows(self):
@@ -868,7 +868,7 @@ class TestProbeBlockLogits:
         probe = _probe_for(CFG)
         rows = [kept_rows(f, k, video) for f, k in zip(frames, keeps)]
         got = probe.block_logits([video], [[3, 5]], rows)
-        assert np.array_equal(got[0], probe.last_logits([pack(plans, video, [3, 5])]))
+        assert np.array_equal(got[0], probe.last_logits(pack(plans, video, [3, 5])))
         assert got[0, :, needle_answer(video.key, CFG.vocab)].tolist() == [2.0, 0.0]
 
     def test_question_outside_vocabulary_raises_as_last_logits(self):
@@ -877,17 +877,13 @@ class TestProbeBlockLogits:
         packed = pack([TrialPlan(frames[0][0], keeps[0][0], 1.0)], video, [2, CFG.vocab])
         probe = _probe_for(CFG)
         with pytest.raises(ContractError) as want:
-            probe.last_logits([packed])
+            probe.last_logits(packed)
         with pytest.raises(ContractError) as got:
             probe.block_logits([video], [[2, CFG.vocab]], [kept_rows(frames[0], keeps[0], video)])
         assert str(got.value) == str(want.value) == "token id outside vocabulary"
 
     # bad frames and kept tokens raise in `kept_rows`, tested with `pack`
-    @pytest.mark.parametrize(
-        "frames, keeps, text",
-        [([[0, 2]], np.empty((1, 0), dtype=np.int64), [])],
-        ids=["empty_segment"],
-    )
+    @pytest.mark.parametrize("frames, keeps, text", BAD_LAYOUTS, ids=BAD_LAYOUT_IDS)
     def test_bad_plans_raise_as_pack(self, frames, keeps, text):
         video = VideoTokenStream(4, 2, CFG.model_dim, 41)
         frames, keeps = np.array(frames), np.array(keeps)
@@ -910,6 +906,51 @@ class TestProbeBlockLogits:
             _probe_for(CFG).block_logits(videos, np.array([[1], [2]]), [rows])
 
 
+class TestTransformerBlockLogits:
+    """The transformer's `block_logits` runs one pass per task over
+    `pack_rows` of the block's rows, and gives `last_logits` of the task's
+    pack."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_last_logits_of_packs(self, data):
+        (videos, questions, rows), packs = probe_block(data, max_tasks=4)
+        model = build_model(CFG)
+        got = model.block_logits(videos, questions, rows)
+        assert got.shape == (len(videos), len(rows), CFG.vocab)
+        for r, packed in enumerate(packs):
+            assert np.array_equal(got[r], model.last_logits(packed))
+
+    def test_question_only_segment(self):
+        # trials at unequal shares, the last keeping no token: its segment
+        # is the question alone
+        video = VideoTokenStream(4, 2, CFG.model_dim, 41, frozenset({1}))
+        frames = [np.array([[0, 1, 2]]), np.array([[1, 3]]), np.array([[0, 2]])]
+        keeps = [np.array([[0, 1, 2, 3, 5]]), np.array([[1, 2]]), np.empty((1, 0), dtype=np.int64)]
+        plans = [TrialPlan(f[0], k[0], 1.0) for f, k in zip(frames, keeps)]
+        rows = [kept_rows(f, k, video) for f, k in zip(frames, keeps)]
+        model = build_model(CFG)
+        got = model.block_logits([video], np.array([[3, 5]]), rows)
+        assert np.array_equal(got[0], model.last_logits(pack(plans, video, [3, 5])))
+
+    @pytest.mark.parametrize("frames, keeps, text", BAD_LAYOUTS, ids=BAD_LAYOUT_IDS)
+    def test_bad_layout_raises_as_pack(self, frames, keeps, text):
+        video = VideoTokenStream(4, 2, CFG.model_dim, 41)
+        frames, keeps = np.array(frames), np.array(keeps)
+        with pytest.raises(ContractError) as want:
+            pack([TrialPlan(frames[0], keeps[0], 1.0)], video, text)
+        with pytest.raises(ContractError) as got:
+            build_model(CFG).block_logits(
+                [video], np.array([text], dtype=np.int64), [kept_rows(frames, keeps, video)]
+            )
+        assert str(got.value) == str(want.value)
+
+    def test_no_tasks_give_no_rows(self):
+        empty = np.empty((0, 2), dtype=np.int64)
+        rows = build_model(CFG).block_logits([], empty, [empty, empty, empty])
+        assert rows.shape == (0, 3, CFG.vocab) and rows.dtype == np.float64
+
+
 class TestPrunedLastLayer:
     """The transformer's `last_logits` runs its last layer on each segment's
     last row only, yet must return that row of a full pass."""
@@ -930,7 +971,7 @@ class TestPrunedLastLayer:
         new = parts
         for _ in range(4):
             got = np.concatenate(
-                [model.last_logits([segments_of(MIXED_VIDEO, p)], c) for p, c in zip(new, caches)]
+                [model.last_logits(segments_of(MIXED_VIDEO, p), c) for p, c in zip(new, caches)]
             )
             fulls = [segments_of(MIXED_VIDEO, p) for p in parts]
             want = np.concatenate([model.forward(f).logits[last_positions(f)] for f in fulls])
@@ -942,9 +983,10 @@ class TestPrunedLastLayer:
         # scaling the last layer's FFN output must move every row
         model = build_model(CFG)
         packs = random_packs(3, 3)
-        before = model.last_logits(packs)
+        before = np.concatenate([model.last_logits(p) for p in packs])
         model.weights[f"layer{CFG.layers - 1}.ffn_out"] *= 1.5
-        assert (np.abs(model.last_logits(packs) - before).max(axis=1) > 1e-6).all()
+        after = np.concatenate([model.last_logits(p) for p in packs])
+        assert (np.abs(after - before).max(axis=1) > 1e-6).all()
 
     def test_every_key_is_read(self):
         # a middle token of one segment, changed, must move that segment's
@@ -953,13 +995,13 @@ class TestPrunedLastLayer:
         model = build_model(dataclasses.replace(CFG, layers=1))
         g = Rng(8).generator()
         parts = [mixed_segment(g, n) for n in (5, _C + 1, 2 * _C + 1)]
-        before = model.last_logits([segments_of(MIXED_VIDEO, parts)])
+        before = model.last_logits(segments_of(MIXED_VIDEO, parts))
         for i, part in enumerate(parts):
             changed = part.copy()
             mid = len(part) // 2
             changed[mid] = 7 if part[mid] != 7 else 8
             got = model.last_logits(
-                [segments_of(MIXED_VIDEO, parts[:i] + [changed] + parts[i + 1 :])]
+                segments_of(MIXED_VIDEO, parts[:i] + [changed] + parts[i + 1 :])
             )
             moved = np.abs(got - before).max(axis=1) > 1e-9
             assert moved.tolist() == [k == i for k in range(len(parts))]
@@ -971,7 +1013,7 @@ def extend_and_compare(model, cache, parts, new):
     1e-12, and each cached key-norm maximum the keys it caches, and returns
     the grown parts."""
     parts = [np.concatenate([p, q]) for p, q in zip(parts, new)]
-    got = model.last_logits([segments_of(MIXED_VIDEO, new)], cache)
+    got = model.last_logits(segments_of(MIXED_VIDEO, new), cache)
     full = segments_of(MIXED_VIDEO, parts)
     assert np.abs(got - model.forward(full).logits[last_positions(full)]).max() <= 1e-12
     assert cache.lengths == [len(p) for p in parts]
@@ -1062,7 +1104,7 @@ class TestCacheBuffers:
             # the cache serves one backend, so the model itself runs hot
             for name in ("attn_query", "attn_key"):
                 patched.setitem(model.weights, f"layer1.{name}", hot.weights[f"layer1.{name}"])
-            model.last_logits([segments_of(MIXED_VIDEO, new)], cache)
+            model.last_logits(segments_of(MIXED_VIDEO, new), cache)
         assert cache.lengths == lengths and cache.state is state
         now = [layer for i in range(2) for layer in cached_kv(cache, i)]
         assert all(np.array_equal(a, b) for h, n in zip(held, now) for a, b in zip(h, n))
@@ -1081,9 +1123,9 @@ class TestCacheBuffers:
         model = build_model(dataclasses.replace(CFG, max_positions=70 * 64))
         g = Rng(24).generator()
         parts = [mixed_segment(g, 64) for _ in range(70)]
-        got = model.last_logits([segments_of(MIXED_VIDEO, parts)])
+        got = model.last_logits(segments_of(MIXED_VIDEO, parts))
         for i in (0, 63, 64, 69):
-            solo = model.last_logits([segments_of(MIXED_VIDEO, [parts[i]])])
+            solo = model.last_logits(segments_of(MIXED_VIDEO, [parts[i]]))
             assert np.abs(got[i] - solo[0]).max() <= 1e-12
 
 
@@ -1254,11 +1296,11 @@ class TestPassPieces:
         model = build_model(DESK)
         monkeypatch.setattr(toymodel, "_WORKERS", 1)
         cache = SegmentCache()
-        model.last_logits([prompt], cache)
-        serial = model.last_logits([more], cache)
+        model.last_logits(prompt, cache)
+        serial = model.last_logits(more, cache)
         monkeypatch.setattr(toymodel, "_WORKERS", 2)
         cache = SegmentCache()
-        model.last_logits([prompt], cache)
+        model.last_logits(prompt, cache)
         shared, threads, share, attend = [], set(), toymodel._share, toymodel._attend_chunk
 
         def sharing(workers, *args):
@@ -1271,7 +1313,7 @@ class TestPassPieces:
 
         monkeypatch.setattr(toymodel, "_share", sharing)
         monkeypatch.setattr(toymodel, "_attend_chunk", attending)
-        split = model.last_logits([more], cache)
+        split = model.last_logits(more, cache)
         assert np.array_equal(split, serial)
         assert shared and set(shared) == {1}
         assert threads == {threading.get_ident()}
@@ -1293,7 +1335,7 @@ class TestPassPieces:
             "decode(model, plans, task.video, task.question, 4, ConfidenceWeighted())\n"
             "for rows in (3, 64, 255, 256, 257):\n"
             "    model.forward(single_segment(rows))\n"
-            "    model.last_logits([single_segment(rows)])\n"
+            "    model.last_logits(single_segment(rows))\n"
             "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
         )
         res = run_cli(cwd=tmp_path, entry=("-c", code))
@@ -1336,7 +1378,7 @@ class TestPassPieces:
         tiles = _row_tiles(packed.total_length)
         model = build_model(DESK)
         monkeypatch.setattr(toymodel, "_WORKERS", 1)
-        serial = model.last_logits([packed], SegmentCache(reserve=3))
+        serial = model.last_logits(packed, SegmentCache(reserve=3))
         ran, first, local = [], threading.Barrier(2), threading.local()
         stage = toymodel._embed_rows
 
@@ -1351,7 +1393,7 @@ class TestPassPieces:
 
         monkeypatch.setattr(toymodel, "_embed_rows", recorded)
         monkeypatch.setattr(toymodel, "_WORKERS", 2)
-        split = model.last_logits([packed], SegmentCache(reserve=3))
+        split = model.last_logits(packed, SegmentCache(reserve=3))
         assert np.array_equal(split, serial)
         assert sorted(tile for tile, _ in ran) == tiles
         assert len({thread for _, thread in ran}) == 2
@@ -1501,7 +1543,7 @@ class TestNeedleProbe:
     def test_two_ids_suffice(self):
         video = VideoTokenStream(2, 1, CFG.model_dim, 5, frozenset({0}))
         packed = pack([TrialPlan(np.array([0, 1]), np.array([0, 1]), 1.0)], video, [0])
-        logits = NeedleProbe(2, noise_scale=0.0).last_logits([packed])
+        logits = NeedleProbe(2, noise_scale=0.0).last_logits(packed)
         assert logits.tolist() == [[0.0, 1.0]]
 
     def test_accuracy_matches_closed_form_coverage(self):
@@ -1509,7 +1551,7 @@ class TestNeedleProbe:
         # P(hit) ~ 1 - (1 - N/F)^m up to the negligible chance that token
         # subsampling drops every needle token of a covered frame. The first
         # tokens are those `decode(probe, plans, video, [1, 2], 1, ...)`
-        # gives, taken from `last_logits` rows block by block.
+        # gives, taken from `block_logits` rows block by block.
         from t3s.aggregator import MeanLogits, fuse_token
         from t3s.sampler import closed_form_coverage
 
@@ -1533,15 +1575,17 @@ class TestNeedleProbe:
         root = Rng(99)
         hits = 0
         for b in range(0, draws, block):
-            packs = [
-                pack(build_trial_plans(sampler, root.child(d)), video, [1, 2])
-                for d in range(b, b + block)
+            plans = [build_trial_plans(sampler, root.child(d)) for d in range(b, b + block)]
+            rows = [
+                kept_rows(
+                    np.array([p[i].frame_indices for p in plans]),
+                    np.array([p[i].token_keep for p in plans]),
+                    video,
+                )
+                for i in range(trials)
             ]
-            rows = probe.last_logits(packs)
-            hits += sum(
-                fuse_token(rows[k : k + trials], MeanLogits()) == answer
-                for k in range(0, len(rows), trials)
-            )
+            logits = probe.block_logits([video] * block, np.array([[1, 2]] * block), rows)
+            hits += sum(fuse_token(o, MeanLogits()) == answer for o in logits)
         p = closed_form_coverage(total_frames, per_trial, trials)
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(hits / draws - p) < 3 * sigma
