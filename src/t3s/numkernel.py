@@ -40,7 +40,8 @@ def mix64(x):
     stream-id derivation, hash-seeded noise and `counter_normals`.
     """
     if isinstance(x, np.ndarray):
-        # in place after the first add: one fresh array, not nine
+        # in place after the first add: one fresh array, not nine, which
+        # cost probe_accuracy 7.3% at W = 1 (README's mechanism table)
         z = x + np.uint64(_GOLDEN)
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX_A)
@@ -55,7 +56,8 @@ def mix64(x):
 
 
 # mix64(index + 1), the part of a child's stream id that depends on its
-# index alone, for the small indices every task's streams take again
+# index alone, for the small indices every task's streams take again (2.5%
+# of probe_accuracy at W = 2)
 _INDEX_HASH = tuple(mix64(index + 1) for index in range(64))
 
 
@@ -150,7 +152,7 @@ def counter_normals(key: int, counter: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def per_row(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """table[r, index[r, j]] for every (r, j), as `np.take_along_axis(table,
-    index, axis=1)` gives it, read through one flat index at half its cost.
+    index, axis=1)` gives it, through one flat index (6% of probe_accuracy).
     Every index must lie in [0, table.shape[1]): one outside reads another
     row's entry."""
     return table.ravel()[index + table.shape[1] * np.arange(len(table))[:, None]]
@@ -180,9 +182,10 @@ def layer_norm(
     """Normalize the last axis to zero mean / unit variance (no affine).
 
     Means are `np.add.reduce` over the last axis divided by its width, as
-    `np.mean` computes them, without `np.mean`'s Python wrapper. `out` and
-    `work`, if given, are float64 arrays of x's shape that take the result
-    and the squared deviations in place of new arrays.
+    `np.mean` computes them, without `np.mean`'s Python wrapper (2.6-5.0% of
+    ttft_L2048 and decode_short_trials). `out` and `work`, if given, are
+    float64 arrays of x's shape that take the result and the squared
+    deviations in place of new arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     width = x.shape[-1]

@@ -99,6 +99,14 @@ def segment_lengths(kept: Sequence[int], text_ids: np.ndarray) -> list[int]:
     return lengths
 
 
+def check_block(tasks: int, questions, rows: Sequence[np.ndarray]) -> None:
+    """ContractError unless questions are (R, q) and each trial's rows (R, k),
+    R = `tasks`: the block both backends' `block_logits` read."""
+    shapes = [np.shape(questions)] + [np.shape(r) for r in rows]
+    if any(len(shape) != 2 or shape[0] != tasks for shape in shapes):
+        raise ContractError("need (R, q) questions and (R, k) rows per trial")
+
+
 def pack(plans: Sequence[TrialPlan], video, text: Sequence[int]) -> PackedSequence:
     """One packed sequence of trial plans plus a text prompt: `pack_rows` of
     each plan's `kept_rows`. `video` needs what `kept_rows` reads here, and

@@ -21,21 +21,22 @@ stacked plans, bit for bit `last_logits` of each task's pack. Each backend is
 a pure function of what it reads (the probe's answer id is `needle_answer`
 of the video's key), so one serves a whole run.
 
-The transformer attends a pass's segments run by run: a run is a stretch of
-consecutive segments with equal cached, new and query counts, as equal-alpha
-trials and every decode step make them, and it goes through one batched
-score, exp and PV pass over a (segments, heads) stack of views. A lone
-segment is a run of one. Its cache holds each layer's keys and values in
+The transformer attends a pass's segments run by run: a run is a maximal
+stretch of consecutive segments with equal cached, new and query counts, as
+equal-alpha trials and every decode step make them, and it goes through one
+batched score, exp and PV pass over a (segments, heads) stack of views. A
+lone segment is a run of one. Its cache holds each layer's keys and values in
 buffers that a continuing call writes in place while its tokens fit.
 
 A pass works in cache-sized pieces. Its input rows, queries, keys, values,
 context rows and score tiles live in buffers allocated once per pass, which
-every layer writes in place. The position-wise stages run over row tiles of
-`_ROW_TILE` rows: the embedding, layer norms, projections, FFN, residuals
-and the unembedding. The first row phase embeds each tile and runs it
-through the first layer's projections; between two attentions one row phase
-runs each tile through the previous layer's output projection and FFN and
-then the next layer's projections. A pass runs on W = max(1, cpus //
+every layer writes in place. The position-wise stages run over row tiles,
+the fewest that hold at most `_ROW_TILE` + 1 rows each, equal to within a
+row: the embedding, layer norms, projections, FFN, residuals and the
+unembedding. The first row phase embeds each tile and runs it through the
+first layer's projections; between two attentions one row phase runs each
+tile through the previous layer's output projection and FFN and then the
+next layer's projections. A pass runs on W = max(1, cpus //
 blas_threads) workers where it has two or more row tiles, so an 8-trial
 decode's first pass splits; else on one, as a pass of up to 257 rows and
 every cached decode step do, and so does a pass that sums the attention
@@ -62,7 +63,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .numkernel import Rng, counter_normals, layer_norm, mix64, per_row
-from .packer import PackedSequence, pack_rows, segment_lengths
+from .packer import PackedSequence, check_block, pack_rows, segment_lengths
 
 _NEG_INF = float("-inf")
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -72,22 +73,22 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 # by three passes (mask, exp, PV), so it is sized to a 2 MiB per-core L2: at
 # 4 heads one segment's 32-query tile is 1 MB at horizon 1028 and 2 MB at
 # 2052, where a 128-query one spilled at 4-8 MB. A run of equal segments
-# shares one (segments, heads, chunk, horizon) tile, so runs are cut to the
-# segments whose tile fits _TILE_BYTES; a segment past it alone is a run of
-# one. Keys before a chunk are all allowed, so only its diagonal block is
-# masked, by this triangle.
+# shares one (segments, heads, chunk, horizon) tile, however many segments
+# it holds (2.1 MB at two `seeded_transformer` sweep points). Keys before a
+# chunk are all allowed, so only its diagonal block is masked, by this
+# triangle (a per-chunk `np.triu` cost ttft_L2048 7-14%).
 _QUERY_CHUNK = 32
-_TILE_BYTES = 2 << 20
 _FUTURE_KEYS = np.triu(np.ones((_QUERY_CHUNK, _QUERY_CHUNK), dtype=bool), k=1)
 
-# Layer norms, projections and the FFN run over tiles of _ROW_TILE rows, in
-# buffers allocated once per pass: at the DESK width a tile's (rows, 4 *
-# model_dim) FFN intermediate is 512 KiB, so a tile's stages stay in L2. A
-# tile is also the unit of work that a pass which splits hands to a worker.
-# numpy hands a one-row product to BLAS gemv, which rounds unlike the rows of
-# a larger product, so a last tile of one row joins the tile before it; a
-# product split into row blocks of two or more rows is otherwise bit for bit
-# the whole one.
+# Layer norms, projections and the FFN run over equal row tiles of at most
+# _ROW_TILE + 1 rows, in buffers allocated once per pass: at the DESK width a
+# tile's (rows, 4 * model_dim) FFN intermediate is about 512 KiB, so a tile's
+# stages stay in L2. A tile is also the unit of work that a pass which splits
+# hands to a worker. numpy hands a one-row product to BLAS gemv, which rounds
+# unlike the rows of a larger product, so no tile holds one row unless the
+# pass does; a product split into row blocks of two or more rows is
+# otherwise bit for bit the whole one. Tiles save ttft_L2048 8.3% in a
+# serial pass with BLAS pinned, 1.9% with it unpinned.
 _ROW_TILE = 256
 
 # A pass that splits hands each layer's attention chunks, and the row tiles
@@ -110,8 +111,9 @@ _ROW_TILE = 256
 # segments 0.98-1.02 up to 256 rows, 1.07-1.14 at 264 and 1.02-1.07 at 320,
 # where the second tile holds 8 or 64 rows, 0.89-0.92 at 384, 0.78-0.79 at
 # 440 and 0.72-0.77 at 512. So a pass of one tile stays serial, and the
-# decode's 440-row first pass and its 516-row dense baseline split; the
-# 258-320-row band pays up to 14% for it.
+# decode's 440-row first pass and its 516-row dense baseline split. With
+# equal tiles, 40 samples each, split/serial read 1.12 at 264 rows and 1.22
+# at 320 in one segment, 1.13 and 1.15 in eight: that band pays 11-22%.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _WORKERS: Optional[int] = None  # W, read once, on the first pass that could split
 _POOL = None  # ((threads, pid), executor), started by the first pass that splits
@@ -146,13 +148,6 @@ class ModelConfig:
             raise ConfigError(f"vocab must be >= 4, got {self.vocab}")
         if not 0 <= self.init_seed < 2**64:
             raise ConfigError(f"init_seed must lie in [0, 2**64), got {self.init_seed}")
-
-
-# `VideoTokenStream.rows` draws this many normal pairs per block, so each
-# block's temporaries (64 KiB) stay under glibc's 128 KiB mmap threshold and
-# reuse heap memory instead of faulting in fresh pages; at 800 rows one
-# unblocked draw spent about half its time on those faults.
-_DRAW_WORDS = 8192
 
 
 @dataclass(frozen=True)
@@ -205,13 +200,9 @@ class VideoTokenStream:
         scale = 1.0 / math.sqrt(dim)
         if out is None:
             out = np.empty((len(index), dim))
-        step = max(1, _DRAW_WORDS // pairs)
-        for b in range(0, len(index), step):
-            block = slice(b, b + step)
-            counter = index[block, None] * pairs + np.arange(pairs)
-            cos, sin = counter_normals(self.key, counter)
-            np.multiply(cos, scale, out=out[block, :pairs])
-            np.multiply(sin[:, : dim - pairs], scale, out=out[block, pairs:])
+        cos, sin = counter_normals(self.key, index[:, None] * pairs + np.arange(pairs))
+        np.multiply(cos, scale, out=out[:, :pairs])
+        np.multiply(sin[:, : dim - pairs], scale, out=out[:, pairs:])
         out[self.needle_mask[index // m]] = needle_direction(dim)
         return out
 
@@ -255,7 +246,8 @@ class SegmentCache:
     and values in place while they fit; else that layer's buffers are
     allocated anew, `reserve` tokens per segment longer than the call needs,
     and the cached tokens copied over. `decode` reserves its later steps'
-    tokens, so no step copies a cached key. The needle probe keeps two
+    tokens, so no step copies a cached key (6% of decode_short_trials).
+    The needle probe keeps two
     arrays, each segment's prefix XOR at its last position (uint64) and its
     needle count (int64), and ignores `reserve`.
     """
@@ -300,24 +292,20 @@ def _segment_pair_count(packed: PackedSequence) -> int:
     return sum(s.length * (s.length + 1) // 2 for s in packed.segments)
 
 
-def _segment_runs(cached, lengths, queries, heads):
-    # [s0, s1) stretches of consecutive segments with equal cached, new and
-    # query counts, each cut to as many segments as share one score tile of
-    # at most _TILE_BYTES (a segment past it alone is a run of one)
-    runs, s0 = [], 0
-    for (c, n, nq), group in itertools.groupby(zip(cached, lengths, queries)):
-        s1 = s0 + len(list(group))
-        fit = max(1, _TILE_BYTES // (8 * heads * min(nq, _QUERY_CHUNK) * (c + n)))
-        runs += [(s, min(s + fit, s1)) for s in range(s0, s1, fit)]
-        s0 = s1
-    return runs
+def _segment_runs(cached, lengths, queries):
+    # [s0, s1) maximal stretches of consecutive segments with equal cached,
+    # new and query counts
+    sizes = [len(list(group)) for _, group in itertools.groupby(zip(cached, lengths, queries))]
+    ends = list(itertools.accumulate(sizes, initial=0))
+    return list(zip(ends, ends[1:]))
 
 
 def _workspace(*shapes):
     # C-contiguous float64 arrays of `shapes`: views of one allocation, each
     # starting on a 64-byte line. The allocator maps one large block once and
     # then reuses it from pass to pass, where separate buffers were mapped and
-    # their pages faulted in again on every pass.
+    # their pages faulted in again on every pass. Aligned views save
+    # ttft_L2048 3.0-6.5%.
     flat = np.empty(sum(map(_padded, shapes)) + 7)
     return _views(flat[(-flat.ctypes.data % 64) // 8 :], shapes)
 
@@ -338,12 +326,11 @@ def _views(flat, shapes):
 
 
 def _row_tiles(total):
-    # [t0, t1) tiles of _ROW_TILE rows over `total` rows, none of one row
-    # unless `total` is one
-    bounds = [*range(0, total, _ROW_TILE), total]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds, bounds[1:]))
+    # [t0, t1) tiles over `total` rows, ceil((total - 1) / _ROW_TILE) of them
+    # (one if total <= _ROW_TILE + 1), equal to within a row: none holds more
+    # than _ROW_TILE + 1 rows, and none one row unless `total` is one
+    n = max(1, -(-(total - 1) // _ROW_TILE))
+    return [(total * i // n, total * (i + 1) // n) for i in range(n)]
 
 
 def worker_count(environ, cpus: int) -> int:
@@ -390,7 +377,7 @@ class _AttentionPlan(NamedTuple):
 
 def _attention_plan(cached, lengths, queries, heads):
     # one layer's `_AttentionPlan`, segment i attending its queries[i] last rows
-    runs = _segment_runs(cached, lengths, queries, heads)
+    runs = _segment_runs(cached, lengths, queries)
     chunk = [(s1 - s0) * heads * min(queries[s0], _QUERY_CHUNK) for s0, s1 in runs]
     tile = max(k * (cached[s0] + lengths[s0]) for k, (s0, _) in zip(chunk, runs))
     return _AttentionPlan(runs, tile, max(chunk))
@@ -568,7 +555,9 @@ class SeededTransformer:
         """(R, m, vocab) last-position logits of R tasks' m trials, equal bit
         for bit to `last_logits(pack(plans[r], videos[r], questions[r]))` for
         each task r, where `rows[i][r]` is what `packer.kept_rows` gives for
-        trial i of task r: one pass per task over `pack_rows` of its rows."""
+        trial i of task r: one pass per task over `pack_rows` of its rows.
+        Shapes `packer.check_block` refuses raise ContractError."""
+        check_block(len(videos), questions, rows)
         out = np.empty((len(videos), len(rows), self.config.vocab))
         for r, video in enumerate(videos):
             packed = pack_rows([trial[r] for trial in rows], video, questions[r])
@@ -725,6 +714,7 @@ def _embed_rows(packed, starts, offsets, token_embedding, x, t0, t1, bufs):
     # embedding, plus the sinusoid of its position p - offsets[i] in its
     # segment i, which starts at starts[i]; the video rows and sinusoids are
     # drawn into a worker's second FFN tile, which `_project` overwrites
+    # (within 2.1% of new arrays)
     ids, rows = packed.token_ids[t0:t1], x[t0:t1]
     drawn, waves = bufs[1][1, : t1 - t0].reshape(4, t1 - t0, x.shape[1])[:2]
     visual = ids < 0
@@ -981,18 +971,16 @@ class NeedleProbe:
         Segment (r, i) holds rows[i][r] and then questions[r]; its prefix
         XOR is one `np.bitwise_xor.reduceat` over those tokens. The videos
         must share their frame and token counts. A row outside the video
-        raises ContractError, and so do a layout `packer.segment_lengths`
-        refuses and a question id outside the vocabulary, as in `pack` and
-        `last_logits`."""
+        raises ContractError, and so do shapes `packer.check_block` refuses,
+        a layout `packer.segment_lengths` refuses and a question id outside
+        the vocabulary, as in `pack` and `last_logits`."""
+        check_block(len(videos), questions, rows)
         if not videos:
             return np.empty((0, len(rows), self.vocab))
         frame_count, per_frame = videos[0].num_frames, videos[0].tokens_per_frame
         if any((v.num_frames, v.tokens_per_frame) != (frame_count, per_frame) for v in videos):
             raise ContractError("a block's videos must share their frame and token counts")
         questions = np.asarray(questions, dtype=np.int64)
-        shapes = [questions.shape] + [r.shape for r in rows]
-        if any(len(shape) != 2 or shape[0] != len(videos) for shape in shapes):
-            raise ContractError("need (R, q) questions and (R, k) rows per trial")
         lengths = segment_lengths([r.shape[1] for r in rows], questions)
         _check_vocab(questions, self.vocab)
         keys = _video_keys(videos)

@@ -25,7 +25,6 @@ from t3s import toymodel
 from t3s.toymodel import (
     _QUERY_CHUNK,
     _ROW_TILE,
-    _TILE_BYTES,
     ModelConfig,
     NeedleProbe,
     SeededTransformer,
@@ -951,6 +950,25 @@ class TestTransformerBlockLogits:
         assert rows.shape == (0, 3, CFG.vocab) and rows.dtype == np.float64
 
 
+# blocks whose arrays do not cover their two videos' tasks: rows for one
+# task, a question array for one, and rows of one axis
+BAD_BLOCKS = {
+    "rows_of_one_task": ([[1], [2]], [np.array([[0, 1]])]),
+    "questions_of_one_task": ([[1]], [np.array([[0, 1], [2, 3]])]),
+    "flat_rows": ([[1], [2]], [np.array([0, 1])]),
+}
+
+
+@pytest.mark.parametrize("backend_kind", ["transformer", "probe"])
+@pytest.mark.parametrize("case", BAD_BLOCKS)
+def test_bad_block_shapes_raise_one_error(backend_kind, case):
+    videos = [VideoTokenStream(4, 2, CFG.model_dim, key) for key in (41, 42)]
+    questions, rows = BAD_BLOCKS[case]
+    backend = build_model(CFG) if backend_kind == "transformer" else _probe_for(CFG)
+    with pytest.raises(ContractError, match=r"^need \(R, q\) questions and \(R, k\) rows per trial$"):
+        backend.block_logits(videos, np.array(questions), rows)
+
+
 class TestPrunedLastLayer:
     """The transformer's `last_logits` runs its last layer on each segment's
     last row only, yet must return that row of a full pass."""
@@ -1110,16 +1128,15 @@ class TestCacheBuffers:
         assert all(np.array_equal(a, b) for h, n in zip(held, now) for a, b in zip(h, n))
         extend_and_compare(model, cache, parts, new)
 
-    def test_runs_fit_the_score_tile(self):
-        # 70 equal segments of 64 tokens at 2 heads: 32 KiB of tile each,
-        # so runs of 64; a segment past the budget alone is a run of one,
-        # but one query row each (a last layer's) shares a run again
-        assert _segment_runs([0] * 70, [64] * 70, [64] * 70, 2) == [(0, 64), (64, 70)]
-        assert _segment_runs([0] * 3, [5000] * 3, [5000] * 3, 2) == [(0, 1), (1, 2), (2, 3)]
-        assert _segment_runs([0] * 3, [5000] * 3, [1] * 3, 2) == [(0, 3)]
-        assert _segment_runs([4, 4, 5], [1, 1, 1], [1, 1, 1], 2) == [(0, 2), (2, 3)]
-        assert 64 * 8 * 2 * _QUERY_CHUNK * 64 <= _TILE_BYTES < 65 * 8 * 2 * _QUERY_CHUNK * 64
-        # the split run's rows still match each segment alone
+    def test_runs_are_maximal_stretches(self):
+        # a run is every consecutive segment of equal cached, new and query
+        # counts, however large its score tile
+        assert _segment_runs([0] * 70, [64] * 70, [64] * 70) == [(0, 70)]
+        assert _segment_runs([0] * 3, [5000] * 3, [5000] * 3) == [(0, 3)]
+        assert _segment_runs([0] * 3, [5000] * 3, [1] * 3) == [(0, 3)]
+        assert _segment_runs([4, 4, 5], [1, 1, 1], [1, 1, 1]) == [(0, 2), (2, 3)]
+        assert _segment_runs([0, 0, 0], [3, 3, 3], [3, 1, 3]) == [(0, 1), (1, 2), (2, 3)]
+        # the 70-segment run's rows still match each segment alone
         model = build_model(dataclasses.replace(CFG, max_positions=70 * 64))
         g = Rng(24).generator()
         parts = [mixed_segment(g, 64) for _ in range(70)]
@@ -1136,14 +1153,16 @@ class TestPassPieces:
 
     def test_row_tiles(self):
         assert _row_tiles(1) == [(0, 1)]
-        assert _row_tiles(_ROW_TILE) == [(0, _ROW_TILE)]
         assert _row_tiles(_ROW_TILE + 1) == [(0, _ROW_TILE + 1)]
-        assert _row_tiles(_ROW_TILE + 2) == [(0, _ROW_TILE), (_ROW_TILE, _ROW_TILE + 2)]
+        assert _row_tiles(_ROW_TILE + 2) == [(0, _ROW_TILE // 2 + 1), (_ROW_TILE // 2 + 1, _ROW_TILE + 2)]
         for total in range(1, 4 * _ROW_TILE + 3):
             tiles = _row_tiles(total)
+            sizes = [t1 - t0 for t0, t1 in tiles]
             assert [t0 for t0, _ in tiles[1:]] == [t1 for _, t1 in tiles[:-1]]
             assert tiles[0][0] == 0 and tiles[-1][1] == total
-            assert all(2 <= t1 - t0 <= _ROW_TILE + 1 for t0, t1 in tiles) or total == 1
+            assert len(tiles) == max(1, math.ceil((total - 1) / _ROW_TILE))
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= _ROW_TILE + 1
+            assert min(sizes) >= 2 or total == 1
 
     @pytest.mark.parametrize(
         "environ, cpus, workers",
