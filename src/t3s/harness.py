@@ -118,10 +118,7 @@ class ExperimentConfig:
                 raise ConfigError("top_k exceeds vocabulary size")
         if self.task.needle_count > self.sampler.total_frames:
             raise ConfigError("needle_count exceeds total_frames")
-        longest = (
-            self.sampler.trials
-            * (self.sampler.tokens_per_trial + self.task.question_len + 1)
-        )
+        longest = self.sampler.trials * (self.sampler.tokens_per_trial + self.task.question_len)
         if longest > self.model.max_positions:
             raise ConfigError(
                 f"worst-case packed length {longest} exceeds "

@@ -25,8 +25,10 @@ The transformer attends a pass's segments run by run: a run is a maximal
 stretch of consecutive segments with equal cached, new and query counts, as
 equal-alpha trials and every decode step make them, and it goes through one
 batched score, exp and PV pass over a (segments, heads) stack of views. A
-lone segment is a run of one. Its cache holds each layer's keys and values in
-buffers that a continuing call writes in place while its tokens fit.
+lone segment is a run of one. The scores go to `exp` with no shift, and a
+layer whose softmax denominators leave the normal double range raises
+ContractError naming the layer. The cache holds each layer's keys and values
+in buffers that a continuing call writes in place while its tokens fit.
 
 A pass works in cache-sized pieces. Its input rows, queries, keys, values,
 context rows and score tiles live in buffers allocated once per pass, which
@@ -45,9 +47,9 @@ and no thread starts. W workers, the calling thread and a lazily started
 pool of W - 1 threads, take a phase's items, a layer's 32-query attention
 chunks or a row phase's tiles, one at a time from one list, so a slower
 worker takes fewer. The calling thread alone runs the pass's input checks
-and per-segment bookkeeping, and each layer's score bounds and cache
-writes. Every row and chunk gets the same BLAS calls as a whole-pass
-product would give it, so the outputs are bit for bit the same at every W.
+and per-segment bookkeeping, and each layer's cache writes and denominator
+check. Every row and chunk gets the same BLAS calls as a whole-pass product
+would give it, so the outputs are bit for bit the same at every W.
 """
 
 from __future__ import annotations
@@ -117,13 +119,6 @@ _ROW_TILE = 256
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _WORKERS: Optional[int] = None  # W, read once, on the first pass that could split
 _POOL = None  # ((threads, pid), executor), started by the first pass that splits
-
-# Scores reach `exp` already shifted by a per-row bound b >= every score of
-# the row (see `_shift_by_bound`), and no score lies below -b, so a row's
-# largest term is at least exp(-2b). Up to this bound that stays inside the
-# normal double range (exp(-708)); past it a row sum could round to 0 and
-# give NaN.
-_MAX_SCORE_BOUND = 300.0
 
 
 @dataclass(frozen=True)
@@ -239,17 +234,14 @@ class SegmentCache:
     number of tokens segment i holds so far; `state` is the backend's
     summary of all of them, so a cache serves one backend. The transformer
     keeps a list of `_LayerCache`, one per layer: a key buffer (segments,
-    heads, head_dim + 1, capacity) with a ones row at head_dim, a value
-    buffer (segments, heads, capacity, head_dim + 1) with a ones column, and
-    the (segments, heads) largest squared key norm so far, so a continuing
-    pass's score bound covers the cached keys. A call writes its new keys
+    heads, head_dim, capacity) and a value buffer (segments, heads,
+    capacity, head_dim + 1) with a ones column. A call writes its new keys
     and values in place while they fit; else that layer's buffers are
     allocated anew, `reserve` tokens per segment longer than the call needs,
     and the cached tokens copied over. `decode` reserves its later steps'
-    tokens, so no step copies a cached key (6% of decode_short_trials).
-    The needle probe keeps two
-    arrays, each segment's prefix XOR at its last position (uint64) and its
-    needle count (int64), and ignores `reserve`.
+    tokens, so no step copies a cached key (6% of decode_short_trials). The
+    needle probe keeps two arrays, each segment's prefix XOR at its last
+    position (uint64) and its needle count (int64), and ignores `reserve`.
     """
 
     def __init__(self, reserve: int = 0):
@@ -384,24 +376,27 @@ def _attention_plan(cached, lengths, queries, heads):
 
 
 def _attend_chunk(item, bufs):
-    # queries [c0, c0 + _QUERY_CHUNK) of one run; item: (run, c0), a run
-    # (qa, kt, va, ctx, received) being r segments that share cached and new
-    # lengths, as one (r, heads) stack: qa: (r, heads, nq, head_dim + 1) each
-    # segment's trailing nq new queries, scaled by 1/sqrt(head_dim), with -b
-    # (each row's score bound) as the last column; kt: (r, heads, head_dim +
-    # 1, c + n) its c cached keys then its n new ones, transposed as the
-    # score matmul reads them, with a ones last row, so the matmul returns
-    # each score minus its row's bound, all <= 0 and ready for `exp` without
-    # a max or subtract pass; va: (r, heads, c + n, head_dim + 1) the
-    # matching values with a ones last column, so the PV matmul also returns
-    # each row's softmax denominator; ctx: (r, heads, nq, head_dim) output, a
-    # strided view of the context rows; received: None, or (r, c + n) sums
-    # of the attention each key receives; bufs: flat buffers that hold one
-    # chunk's score tile and PV product
-    (qa, kt, va, ctx, received), c0 = item
+    # queries [c0, c0 + _QUERY_CHUNK) of one run; item: (run, c0), a run (qa,
+    # kt, va, ctx, den, received) being r segments that share cached and new
+    # lengths, as one (r, heads) stack: qa: (r, heads, nq, head_dim) each
+    # segment's trailing nq new queries, scaled by 1/sqrt(head_dim); kt: (r,
+    # heads, head_dim, c + n) its c cached keys then its n new ones,
+    # transposed as the score matmul reads them; va: (r, heads, c + n,
+    # head_dim + 1) the matching values with a ones last column, so the PV
+    # matmul also returns each row's softmax denominator; ctx: (r, heads, nq,
+    # head_dim) output, a strided view of the context rows; den: (r, heads,
+    # nq) output, the denominators, which `_run` checks once the layer's
+    # chunks are done; received: None, or (r, c + n) sums of the attention
+    # each key receives; bufs: flat buffers that hold one chunk's score tile
+    # and PV product. The masked scores go to `exp` as they are, with no row
+    # max subtracted: softmax is the same under any shift of a row, and the
+    # shift would only keep `exp` inside the double range, which the DESK
+    # model's scores stay far inside (their Cauchy-Schwarz bounds are near 11
+    # at L=2048, and `exp` overflows past 709)
+    (qa, kt, va, ctx, den, received), c0 = item
     scores_buf, pv_buf = bufs
-    r, heads, nq, cols = qa.shape
-    cached = kt.shape[3] - nq
+    r, heads, nq, _ = qa.shape
+    cached, cols = kt.shape[3] - nq, va.shape[3]
     c1 = min(c0 + _QUERY_CHUNK, nq)
     horizon = cached + c1
     scores = scores_buf[: r * heads * (c1 - c0) * horizon].reshape(r, heads, c1 - c0, horizon)
@@ -412,8 +407,10 @@ def _attend_chunk(item, bufs):
     heads_ctx = pv_buf[: r * heads * (c1 - c0) * cols].reshape(r, heads, c1 - c0, cols)
     np.matmul(scores, va[:, :, :horizon], out=heads_ctx)
     sums = heads_ctx[..., -1:]
+    den[:, :, c0:c1] = sums[..., 0]
     if received is not None:
-        received[:, :horizon] += (scores / sums).sum(axis=(1, 2))
+        # the PV product has read the scores, so they take the weights
+        received[:, :horizon] += np.divide(scores, sums, out=scores).sum(axis=(1, 2))
     np.divide(heads_ctx[..., :-1], sums, out=ctx[:, :, c0:c1])
 
 
@@ -454,53 +451,25 @@ def _share(workers, items, work, bufs):
         raise errors[0]
 
 
-def _shift_by_bound(qa, kt, starts, queries, past_sq_max, layer):
-    # writes -b_i into qa's last column, where b_i = |q_i| * max |k_j| over
-    # the keys of row i's segment, cached ones included, so q_i.k_j <= b_i
-    # (Cauchy-Schwarz); qa: (heads, rows, head_dim + 1) every query row and
-    # kt: (heads, head_dim + 1, tokens) every new key, with segments' keys
-    # starting at `starts` and `queries` rows of qa per segment;
-    # past_sq_max: None, or the (segments, heads) largest squared norms
-    # among cached keys. Returns the (segments, heads) largest squared key
-    # norms, cached ones included.
-    hd = qa.shape[2] - 1
-    q_sq = np.einsum("htd,htd->ht", qa[:, :, :hd], qa[:, :, :hd])
-    k_sq = np.einsum("hdt,hdt->ht", kt[:, :hd], kt[:, :hd])
-    k_sq_max = np.maximum.reduceat(k_sq, starts, axis=1)
-    if past_sq_max is not None:
-        np.maximum(k_sq_max, past_sq_max.T, out=k_sq_max)
-    bound = np.sqrt(q_sq * np.repeat(k_sq_max, queries, axis=1))
-    top = bound.max()
-    if top > _MAX_SCORE_BOUND:
-        raise ContractError(
-            f"layer {layer}: attention score bound {top:.4g} exceeds "
-            f"{_MAX_SCORE_BOUND:g}; exp of the shifted scores would underflow"
-        )
-    np.negative(bound, out=qa[:, :, hd])
-    return k_sq_max.T
-
-
 class _LayerCache(NamedTuple):
-    keys: np.ndarray  # (segments, heads, head_dim + 1, capacity)
+    keys: np.ndarray  # (segments, heads, head_dim, capacity)
     values: np.ndarray  # (segments, heads, capacity, head_dim + 1)
-    key_sq_max: np.ndarray  # (segments, heads)
 
 
-def _layer_cache(old, cached, lengths, reserve, key_sq_max, kt):
-    # the buffers of one layer's cache after this call: old's, if they hold
-    # every segment's tokens so far, else new ones `reserve` tokens longer,
-    # with old's cached tokens copied in; kt as `_shift_by_bound` reads it
+def _layer_cache(old, cached, lengths, reserve, heads, hd):
+    # one layer's cache after this call: old, if its buffers hold every
+    # segment's tokens so far, else new buffers `reserve` tokens longer, with
+    # old's cached tokens copied in
     need = max(c + n for c, n in zip(cached, lengths))
     if old is not None and old.keys.shape[3] >= need:
-        return _LayerCache(old.keys, old.values, key_sq_max)
-    heads, rows, _ = kt.shape
-    keys = np.empty((len(lengths), heads, rows, need + reserve))
-    values = np.empty((len(lengths), heads, need + reserve, rows))
+        return old
+    keys = np.empty((len(lengths), heads, hd, need + reserve))
+    values = np.empty((len(lengths), heads, need + reserve, hd + 1))
     if old is not None:
         held = max(cached)
         keys[..., :held] = old.keys[..., :held]
         values[:, :, :held] = old.values[:, :, :held]
-    return _LayerCache(keys, values, key_sq_max)
+    return _LayerCache(keys, values)
 
 
 class SeededTransformer:
@@ -637,15 +606,15 @@ class SeededTransformer:
         ]
         row = [(tile, cfg.model_dim), (2, tile, 4 * cfg.model_dim)]
         block = max(sum(map(_padded, attention)), sum(map(_padded, row)))
-        qa, kt, va, ctx, *blocks = _workspace(
-            (heads, total, hd + 1),
-            (heads, hd + 1, total),
+        qa, kt, va, ctx, den, *blocks = _workspace(
+            (heads, total, hd),
+            (heads, hd, total),
             (heads, total, hd + 1),
             (total, cfg.model_dim),
+            (total, heads),
             (block,),
         )
         blocks += [_workspace((block,))[0] for _ in range(workers - 1)]
-        kt[:, hd] = 1.0
         va[:, :, hd] = 1.0
         row_bufs = [_views(b, row) for b in blocks]
         attention_bufs = [_views(b, attention) for b in blocks]
@@ -672,12 +641,9 @@ class SeededTransformer:
                 queries, q_starts = [1] * n_seg, list(range(n_seg))
                 query = partial(_project, x, wq, None, None, inv_sqrt, layer_qa, kt, va)
                 _share(workers, _row_tiles(n_seg), partial(_on_tile, [query]), row_bufs)
-            old = prior[layer]
-            past_sq_max = None if old is None else old.key_sq_max
-            k_sq_max = _shift_by_bound(layer_qa, kt, starts, queries, past_sq_max, layer)
             held = None
             if cache is not None:
-                held = _layer_cache(old, cached, lengths, cache.reserve, k_sq_max, kt)
+                held = _layer_cache(prior[layer], cached, lengths, cache.reserve, heads, hd)
                 kept.append(held)
             chunks = []
             for s0, s1 in plan.runs:
@@ -685,7 +651,7 @@ class SeededTransformer:
                 # or of the cache buffers once the new rows are written there
                 r, c, n, nq = s1 - s0, cached[s0], lengths[s0], queries[s0]
                 b, qb = starts[s0], q_starts[s0]
-                k_run = kt[:, :, b : b + r * n].reshape(heads, hd + 1, r, n).transpose(2, 0, 1, 3)
+                k_run = kt[:, :, b : b + r * n].reshape(heads, hd, r, n).transpose(2, 0, 1, 3)
                 v_run = va[:, b : b + r * n].reshape(heads, r, n, hd + 1).transpose(1, 0, 2, 3)
                 if held is not None:
                     held.keys[s0:s1, :, :, c : c + n] = k_run
@@ -693,14 +659,25 @@ class SeededTransformer:
                     k_run, v_run = held.keys[s0:s1, :, :, : c + n], held.values[s0:s1, :, : c + n]
                 q_run = slice(qb, qb + r * nq)
                 run = (
-                    layer_qa[:, q_run].reshape(heads, r, nq, hd + 1).transpose(1, 0, 2, 3),
+                    layer_qa[:, q_run].reshape(heads, r, nq, hd).transpose(1, 0, 2, 3),
                     k_run,
                     v_run,
                     ctx_rows[q_run].reshape(r, nq, heads, hd).transpose(0, 2, 1, 3),
+                    den[q_run].reshape(r, nq, heads).transpose(0, 2, 1),
                     None if received is None else received[b : b + r * n].reshape(r, n),
                 )
                 chunks += [(run, c0) for c0 in range(0, nq, _QUERY_CHUNK)]
             _share(workers, chunks, _attend_chunk, attention_bufs)
+            # a denominator that is not finite or falls below the smallest
+            # normal double means `exp` of a score overflowed or underflowed;
+            # checked once per layer, as two reductions per chunk cost
+            # ttft_L2048 2-5%
+            d = den[: len(x)]
+            if not (d.min() >= np.finfo(float).tiny and d.max() < math.inf):
+                raise ContractError(
+                    f"layer {layer}: softmax denominator outside the normal double range; "
+                    "exp of the attention scores overflowed or underflowed"
+                )
             stages = [partial(_mlp_block, x, ctx, wo, w_in, w_out)]
 
         logits = np.empty((len(x), cfg.vocab))
@@ -731,14 +708,14 @@ def _project(x, wq, wk, wv, inv_sqrt, qa, kt, va, t0, t1, bufs):
     # reads them; wq None skips the queries, wk None the keys and values;
     # bufs: a worker's (tile rows, model_dim) and (2, tile rows, 4 *
     # model_dim) row buffers
-    heads, hd = qa.shape[0], qa.shape[2] - 1
+    heads, hd = qa.shape[0], qa.shape[2]
     h, p = _norm(x, t0, t1, bufs[1]), bufs[0][: t1 - t0]
     if wq is not None:
         np.matmul(h, wq, out=p)
-        np.multiply(_split_heads(p, heads, hd), inv_sqrt, out=qa[:, t0:t1, :hd])
+        np.multiply(_split_heads(p, heads, hd), inv_sqrt, out=qa[:, t0:t1])
     if wk is not None:
         np.matmul(h, wk, out=p)
-        kt[:, :hd, t0:t1] = p.reshape(-1, heads, hd).transpose(1, 2, 0)
+        kt[:, :, t0:t1] = p.reshape(-1, heads, hd).transpose(1, 2, 0)
         np.matmul(h, wv, out=p)
         va[:, t0:t1, :hd] = _split_heads(p, heads, hd)
 

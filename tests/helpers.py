@@ -200,11 +200,11 @@ def per_task_experiment(cfg) -> ExperimentReport:
     )
 
 
-def cached_kv(cache, i: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Segment i's per-layer (keys, values, largest squared key norm) in a
-    transformer's `SegmentCache`, views trimmed to its `lengths[i]` tokens."""
+def cached_kv(cache, i: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Segment i's per-layer (keys, values) in a transformer's
+    `SegmentCache`, views trimmed to its `lengths[i]` tokens."""
     n = cache.lengths[i]
-    return [(c.keys[i, :, :, :n], c.values[i, :, :n], c.key_sq_max[i]) for c in cache.state]
+    return [(c.keys[i, :, :, :n], c.values[i, :, :n]) for c in cache.state]
 
 
 def entropy(dist) -> float:

@@ -35,18 +35,18 @@ QUESTION = (5, 17, 42)
 SINGLE_ROWS = [255, 256, 257, 513, 769]
 
 FORWARD_DIGESTS = {
-    255: "e45211964e0b014cf6ef353cbe67518aefb4c7f0c86e5f7490806468c04ac9e3",
-    256: "350885278e36dbd1c2a4f2c0aedc5a520269467fca791453e55445117c86566c",
-    257: "d55f24a5e175ff09fdbbe340b7f9897d5c5b23f322bd35e33b10d8425a133684",
-    513: "05e65a94f2cb783322a5e7d9e41c8dded431f5a0035e2d14ce846c4187afc9ea",
-    769: "8c5cdb654c8a13fc14522c4fb064ecb6652007f8d28db0fd916b11303569b8e3",
+    255: "71aff67e77986397fc2d5076a5f9460a5d0afb6685e7a2a580d86af3c0b41e87",
+    256: "4055acb18240510e551c9ad41af1384ac7a1cd2729dac1e9cc88b0171230789e",
+    257: "60095f47879c81de5a6d0613243ca7596e052d312b99be7c2d2f629d2ba2c385",
+    513: "5880275d3a24418c33179e65d564c6a246ec64c40d8ed11f13b08cd189c270c4",
+    769: "e8838dd512abd09029fb1f5fbc3ac028d8cba72f60a487229f26ec9c02d11d8f",
 }
-PACKED_L2048 = "1f245302cac355864b96fd41ac4b46b42d52c907f839ffee92f0dcca8ff2263d"
-BASE_L2048 = "d19a137aa8570c4ec08d488ea0d5d3ebdae1f6731bceab2ccdcf246b469c810e"
-LAST_UNCACHED = "e0392c596cf1952c5a4b4c41424e44797ef13b3056fcb2301866d5ce4442515b"
-LAST_CACHED = "85a4cc521bd00b9e79beefc886642f28ab80150c18bdaef4eb46618cfa33cd03"
+PACKED_L2048 = "156ce8efd3e074fa2df6ee46a7f415d509b3ce5d354fcf2f2c6fde3b6f0559ea"
+BASE_L2048 = "746266063b1afab6abe4c8df0c9406633f68b40f9691e3fb80d72cb842d3895f"
+LAST_UNCACHED = "4be7701f3fd131ab15f52fe8e31eb71a9c923699395fea082b8782fb2b3e0f80"
+LAST_CACHED = "027f67fb95ab7d37e8ca4cb5865229c88f433a06596bb7000bcd05a10942f91e"
 DECODE_TOKENS = [27, 30, 30, 30]
-RECEIVED_513 = "db2d618ea4d6e0a386d20a0a3fde8e38c55837e759f3d8a4bd8358527382c6d9"
+RECEIVED_513 = "54e450813e25dc658e24272a6f26d4bb8d30c313b580f37a1c5d227c695c12fb"
 
 
 def digest(a) -> str:

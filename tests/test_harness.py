@@ -599,7 +599,7 @@ class TestSweep:
         assert all(r["error"] == "" for r in rows)
 
     def test_failed_point_recorded_not_raised(self):
-        # one trial packs to 36 positions, so m=3 and m=4 exceed 80
+        # one trial packs to 35 positions, so m=3 and m=4 exceed 80
         base = small_config(
             sampler=replace(small_config().sampler, trials=1, ratios=(1.0,)),
             model=replace(MODEL, max_positions=80),
@@ -812,8 +812,20 @@ class TestConfigCodec:
             )
 
     def test_packed_length_budget(self):
-        with pytest.raises(ConfigError):
-            small_config(model=replace(MODEL, max_positions=8))
+        # the longest pack holds every trial's N*M tokens and q question ids,
+        # 2 * (8 * 4 + 3) = 70 positions: a config allowing exactly that is
+        # accepted and runs on both backends, latency runs included, and one
+        # position fewer is refused
+        cfg = small_config(repeats=2)
+        longest = cfg.sampler.trials * (cfg.sampler.tokens_per_trial + cfg.task.question_len)
+        assert longest == 70
+        for backend in ("needle_probe", "seeded_transformer"):
+            run_experiment(
+                replace(cfg, backend=backend, model=replace(MODEL, max_positions=longest)),
+                latency_repeats=3,
+            )
+        with pytest.raises(ConfigError, match="packed length 70 exceeds max_positions=69"):
+            replace(cfg, model=replace(MODEL, max_positions=longest - 1))
 
     @pytest.mark.parametrize(
         "overrides, message",
